@@ -92,21 +92,17 @@ def _linearized_contracts(fn: FunctionRecord, contracts_by_name: dict) -> list:
     """Own contract, then bases depth-first in reversed declaration order."""
     order = []
     seen = set()
-
-    def visit(name: str):
+    stack = [fn.contract]
+    while stack:
+        name = stack.pop()
         if name in seen:
-            return
+            continue
         seen.add(name)
         defs = contracts_by_name.get(name)
-        if defs is None:
-            return
-        if len(defs) > 1:
-            return  # ambiguous contract name: do not resolve through it
+        if defs is None or len(defs) > 1:
+            continue  # unknown, or ambiguous: do not resolve through it
         order.append(defs[0])
-        for base in reversed(defs[0].bases):
-            visit(base)
-
-    visit(fn.contract)
+        stack.extend(defs[0].bases)  # popped last-declared first
     return order
 
 

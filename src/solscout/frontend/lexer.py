@@ -24,18 +24,21 @@ _SEGMENT_RE = re.compile(
     re.DOTALL,
 )
 
+# One alternation per token: whitespace (unnamed, skipped) first, then the
+# token kinds in priority order, then any other character as ``stray``.
+# DOTALL is scoped to ``stray`` so an escaped newline still ends a string.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
+    \s+
+  | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
   | (?P<num>0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)
   | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
   | (?P<punct>>>=|<<=|\*\*=|\*\*|=>|->|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=
       |<<|>>|[{}()\[\];:,.?~!<>=+\-*/%&|^])
+  | (?P<stray>(?s:.))
     """,
     re.VERBOSE,
 )
-
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(slots=True)
@@ -82,21 +85,17 @@ def _check_gap(text: str, lo: int, hi: int, path: str) -> None:
 
 def tokenize(stripped: str, path: str = "") -> list[Token]:
     tokens = []
-    pos = 0
-    length = len(stripped)
-    while pos < length:
-        ws = _WS_RE.match(stripped, pos)
-        if ws:
-            pos = ws.end()
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(stripped):
+        kind = m.lastgroup
+        if kind is None:  # whitespace
             continue
-        m = _TOKEN_RE.match(stripped, pos)
-        if m:
-            tokens.append(Token(m.lastgroup, m.group(0), m.start(), m.end()))
-            pos = m.end()
-        else:
+        if kind == "stray":
             # Stray byte: keep totality, let the parser degrade to opaque.
-            tokens.append(Token("punct", stripped[pos], pos, pos + 1))
-            pos += 1
+            kind = "punct"
+        start, end = m.span()
+        append(Token(kind, m.group(), start, end))
+    length = len(stripped)
     tokens.append(Token("eof", "", length, length))
     return tokens
 

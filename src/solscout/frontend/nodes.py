@@ -8,19 +8,19 @@ report can be sliced straight out of the file.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+_NEWLINE_RE = re.compile("\n")
 
 
 class LineIndex:
     """Maps character offsets to 1-based (line, column) pairs."""
 
     def __init__(self, text: str):
-        starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                starts.append(i + 1)
-        self._starts = starts
+        self._starts = [0]
+        self._starts.extend(m.end() for m in _NEWLINE_RE.finditer(text))
 
     def linecol(self, offset: int) -> tuple[int, int]:
         line = bisect.bisect_right(self._starts, offset)

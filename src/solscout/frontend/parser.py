@@ -35,6 +35,8 @@ BINARY_LEVELS = (
     ("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="),
     ("|",), ("^",), ("&",), ("<<", ">>"), ("+", "-"), ("*", "/", "%"), ("**",),
 )
+# Binary operator -> index of its level in BINARY_LEVELS (higher binds tighter).
+BINARY_PRECEDENCE = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 UNARY_OPS = {"!", "~", "-", "+", "++", "--"}
 
 _ELEMENTARY_RE = re.compile(r"^(address|bool|string|byte|bytes\d*|u?int\d*|u?fixed\d*x?\d*)$")
@@ -60,8 +62,10 @@ class Parser:
     # token plumbing
 
     def peek(self, offset: int = 0) -> Token:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:  # looking past the end: the trailing eof token
+            return self.tokens[-1]
 
     def advance(self) -> Token:
         tok = self.peek()
@@ -542,6 +546,18 @@ class Parser:
         end = self.tokens[self.pos - 1].end if self.pos else start
         return self._statement("opaque", start, max(start, end))
 
+    _STATEMENT_KEYWORDS = {
+        "if": "_parse_if",
+        "for": "_parse_for",
+        "while": "_parse_while",
+        "do": "_parse_do_while",
+        "return": "_parse_return",
+        "emit": "_parse_emit",
+        "revert": "_parse_revert",
+        "assembly": "_parse_assembly",
+        "try": "_parse_try",
+    }
+
     def _statement_dispatch(self) -> Statement:
         tok = self.peek()
         if tok.type == "punct" and tok.value == "{":
@@ -549,19 +565,9 @@ class Parser:
             children, end = self._parse_block_children()
             return self._statement("block", start, end, children=children)
         if tok.type == "id":
-            handler = {
-                "if": self._parse_if,
-                "for": self._parse_for,
-                "while": self._parse_while,
-                "do": self._parse_do_while,
-                "return": self._parse_return,
-                "emit": self._parse_emit,
-                "revert": self._parse_revert,
-                "assembly": self._parse_assembly,
-                "try": self._parse_try,
-            }.get(tok.value)
+            handler = self._STATEMENT_KEYWORDS.get(tok.value)
             if handler is not None:
-                return handler()
+                return getattr(self, handler)()
             if tok.value in ("require", "assert") and self.peek(1).value == "(":
                 return self._parse_require(tok.value)
             if tok.value == "unchecked" and self.peek(1).value == "{":
@@ -791,17 +797,17 @@ class Parser:
                               op="?:", args=[cond, then, other])
         return cond
 
-    def _parse_binary(self, level: int) -> Expression:
-        if level >= len(BINARY_LEVELS):
-            return self._parse_unary()
-        ops = BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
+    def _parse_binary(self, min_prec: int) -> Expression:
+        """Precedence climbing: operators of level >= ``min_prec``, all left-associative."""
+        left = self._parse_unary()
         while True:
             tok = self.peek()
-            if tok.type != "punct" or tok.value not in ops:
+            # only punct tokens spell operators, so the value alone decides
+            prec = BINARY_PRECEDENCE.get(tok.value)
+            if prec is None or prec < min_prec:
                 return left
             self.advance()
-            right = self._parse_binary(level + 1)
+            right = self._parse_binary(prec + 1)
             left = self._expr("binary", left.start, right.end,
                               op=tok.value, args=[left, right])
 

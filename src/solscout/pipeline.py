@@ -7,6 +7,7 @@ recognition -> validation -> static confirmation -> report.
 
 from __future__ import annotations
 
+import gc
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -115,9 +116,42 @@ def _key_string(exchange) -> str:
 
 
 def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
-    """Run a full scan. A pre-built gateway may be injected for testing."""
+    """Run a full scan. A pre-built gateway may be injected for testing.
+
+    The parsed project is a large, long-lived heap full of reference
+    cycles (a contract and its functions point at each other), so cyclic
+    GC is kept off while it is built and the result is frozen, keeping
+    later collections from walking it again. On the way out the freeze is
+    undone and one collection frees the scan's heap; the caller's GC
+    state (enabled flag, frozen objects) is left as it was found.
+    """
     started = time.perf_counter()
-    prepared = prepare_scan(config)
+    enabled = gc.isenabled()
+    freeze = enabled and gc.get_freeze_count() == 0
+    try:
+        return _scan(_prepare_frozen(config, enabled, freeze), config, gateway, started)
+    finally:
+        # ``_scan`` has returned, so the prepared state is unreachable here
+        if freeze:
+            gc.unfreeze()
+        if enabled:
+            gc.collect()
+
+
+def _prepare_frozen(config: ScanConfig, enabled: bool, freeze: bool) -> PreparedScan:
+    gc.disable()
+    try:
+        prepared = prepare_scan(config)
+        if freeze:
+            gc.freeze()
+        return prepared
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None,
+          started: float) -> ScanResult:
     graph, reach = prepared.graph, prepared.reach
     acl = set(config.acl_modifiers)
 

@@ -1,11 +1,15 @@
 import random
+import re
 
 import pytest
 
 from solscout.errors import SoliditySyntaxError
 from solscout.frontend import enumerate_functions, parse_text, strip_comments
+from solscout.frontend.lexer import Token, tokenize
+from solscout.frontend.parser import BINARY_LEVELS
 
 from conftest import fixture_path
+from corpus import build_corpus, filler_source
 
 
 def read_fixture(*parts) -> str:
@@ -374,3 +378,118 @@ def test_totality_fuzz_never_crashes():
             enumerate_functions(unit)
         except SoliditySyntaxError:
             pass
+
+
+def _shape(expr):
+    """Operator/argument nesting of an expression; leaves are their raw text."""
+    if expr is None:
+        return None
+    if expr.kind in ("binary", "unary"):
+        return (expr.op, *(_shape(a) for a in expr.args))
+    return expr.raw
+
+
+def _expression_shape(text: str):
+    fn = enumerate_functions(parse_text(f"contract C {{ function f() public {{ return {text}; }} }}"))[0]
+    return _shape(fn.body[0].exprs[0])
+
+
+@pytest.mark.parametrize("text, shape", [
+    # one expression per BINARY_LEVELS level, each against the next tighter level
+    ("a || b && c", ("||", "a", ("&&", "b", "c"))),
+    ("a && b == c", ("&&", "a", ("==", "b", "c"))),
+    ("a != b <= c", ("!=", "a", ("<=", "b", "c"))),
+    ("a > b | c", (">", "a", ("|", "b", "c"))),
+    ("a | b ^ c", ("|", "a", ("^", "b", "c"))),
+    ("a ^ b & c", ("^", "a", ("&", "b", "c"))),
+    ("a & b << c", ("&", "a", ("<<", "b", "c"))),
+    ("a >> b - c", (">>", "a", ("-", "b", "c"))),
+    ("a + b % c", ("+", "a", ("%", "b", "c"))),
+    ("a / b ** c", ("/", "a", ("**", "b", "c"))),
+    ("-a ** b", ("**", ("-", "a"), "b")),
+    ("a * b + c", ("+", ("*", "a", "b"), "c")),
+    ("(a || b) && c", ("&&", ("||", "a", "b"), "c")),
+    ("a - b - c", ("-", ("-", "a", "b"), "c")),
+    ("a ** b ** c", ("**", ("**", "a", "b"), "c")),
+    ("a ? b : c ? d : e", ("?:", "a", "b", ("?:", "c", "d", "e"))),
+    ("a || b ? c : d", ("?:", ("||", "a", "b"), "c", "d")),
+    ("a = b += c", ("=", "a", ("+=", "b", "c"))),
+    ("a = b ? c : d", ("=", "a", ("?:", "b", "c", "d"))),
+])
+def test_expression_precedence_and_associativity(text, shape):
+    assert _expression_shape(text) == shape
+
+
+@pytest.mark.parametrize("op", [op for level in BINARY_LEVELS for op in level])
+def test_every_binary_operator_is_left_associative(op):
+    assert _expression_shape(f"a {op} b {op} c") == (op, (op, "a", "b"), "c")
+
+
+# The tokenizer as it was before the single master regex: one whitespace
+# match and one token match per step. Kept here as a differential oracle.
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
+  | (?P<num>0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)
+  | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+  | (?P<punct>>>=|<<=|\*\*=|\*\*|=>|->|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=
+      |<<|>>|[{}()\[\];:,.?~!<>=+\-*/%&|^])
+    """,
+    re.VERBOSE,
+)
+_ORACLE_WS_RE = re.compile(r"\s+")
+
+
+def _oracle_tokenize(stripped: str) -> list:
+    tokens = []
+    pos = 0
+    length = len(stripped)
+    while pos < length:
+        ws = _ORACLE_WS_RE.match(stripped, pos)
+        if ws:
+            pos = ws.end()
+            continue
+        m = _ORACLE_TOKEN_RE.match(stripped, pos)
+        if m:
+            tokens.append(Token(m.lastgroup, m.group(0), m.start(), m.end()))
+            pos = m.end()
+        else:
+            tokens.append(Token("punct", stripped[pos], pos, pos + 1))
+            pos += 1
+    tokens.append(Token("eof", "", length, length))
+    return tokens
+
+
+def _stream(tokens: list) -> list:
+    return [(t.type, t.value, t.start, t.end) for t in tokens]
+
+
+def _differential_texts() -> list:
+    texts = [strip_comments(case.source) for case in build_corpus(3)]
+    texts.append(strip_comments(filler_source(0)))
+    for parts in (("first_deposit", "contracts", "Vault.sol"),
+                  ("checkpoint_order", "contracts", "StakerVault.sol")):
+        texts.append(strip_comments(read_fixture(*parts)))
+    texts += [
+        "x @ y # z \x00 w",
+        "caf\u00e9 = \u00fcber \u2014 \U0001f600;",
+        "a >>>= b; c **= d; e => f; g>>=h<<=i**j",
+        "a=>b>>>=c!==d&&=e||=f",
+        "s = \"open\nnext\";",
+        "s = 'it\\'s';",
+        "s = \"escaped\\\nnewline\";",
+        "0x1F_ff 1_000.5e-3 .5 1e 0x",
+        "\t\r\n\x0b\x0c \u00a0\u2028",
+        "",
+        "@",
+    ]
+    rng = random.Random(20261017)
+    alphabet = "ab_$09.xXeE+-*/%=<>!&|^~?:;,(){}[]'\"\\ \n\t@#\x00\u00e9\u2603"
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 60)))
+              for _ in range(300)]
+    return texts
+
+
+def test_tokenizer_matches_two_match_oracle():
+    for text in _differential_texts():
+        assert _stream(tokenize(text)) == _stream(_oracle_tokenize(text)), text

@@ -1,9 +1,12 @@
+import gc
 import json
+import weakref
 from unittest.mock import patch
 
 import pytest
 
 from solscout.errors import ReplayMiss
+from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
 
 from conftest import fixture_path
@@ -235,3 +238,64 @@ def test_prepare_scan_counts_first_deposit(tmp_path):
     names = {fn.name for fn in prepared.scannable}
     assert "deposit" in names
     assert "_mint" in names  # internal but reachable from deposit
+
+
+@pytest.fixture
+def gc_state():
+    """Run with GC enabled and nothing frozen; restore whatever was set."""
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.unfreeze()
+    yield
+    gc.unfreeze()
+    if not enabled:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_restores_gc_state(tmp_path, gc_state, enabled):
+    if not enabled:
+        gc.disable()
+    before = (gc.isenabled(), gc.get_freeze_count())
+    run_replay("first_deposit", first_deposit_answers(), tmp_path)
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_restores_gc_state_when_prepare_raises(tmp_path, gc_state, enabled):
+    if not enabled:
+        gc.disable()
+    before = (gc.isenabled(), gc.get_freeze_count())
+    config = replay_config(str(tmp_path / "missing"), str(tmp_path / "t.jsonl"))
+    with pytest.raises(IOError):
+        scan(config)
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_scan_keeps_callers_frozen_objects_frozen(tmp_path, gc_state):
+    sentinel = ["frozen by the caller"]
+    gc.freeze()
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    run_replay("first_deposit", first_deposit_answers(), tmp_path)
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+    # the permanent generation is invisible to get_objects()
+    assert not any(obj is sentinel for obj in gc.get_objects())
+
+
+def test_scan_frees_its_parsed_functions_on_return(tmp_path, gc_state, monkeypatch):
+    """The AST is cyclic (contract <-> functions); scan() collects it on exit."""
+    records = []
+    original = pipeline.prepare_scan
+
+    def spy(config):
+        prepared = original(config)
+        records.extend(weakref.ref(fn) for fn in prepared.functions)
+        return prepared
+
+    monkeypatch.setattr(pipeline, "prepare_scan", spy)
+    result = run_replay("first_deposit", first_deposit_answers(), tmp_path)
+    assert records and result.confirmed
+    # no collection here: the one scan() ran on its way out must do it
+    assert [ref for ref in records if ref() is not None] == []
