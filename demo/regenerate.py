@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Rebuild demo/transcript.jsonl from scripted answers.
 
-The transcript is keyed by prompt hash, so it must be regenerated
-whenever prompt construction changes. Run from the repository root:
+The pipeline scans demo/project in record mode against a scripted
+answerer, so the transcript holds exactly the queries a replay makes.
+It is keyed by prompt hash, so it must be regenerated whenever prompt
+construction changes. Run from the repository root:
 
     python demo/regenerate.py
 """
@@ -10,20 +12,10 @@ whenever prompt construction changes. Run from the repository root:
 import json
 import os
 
-from solscout.callgraph import assemble_context
 from solscout.config import ScanConfig
-from solscout.errors import ContextOverflow
-from solscout.filters import candidates_for_rule
-from solscout.gateway import (
-    LlmExchange,
-    Transcript,
-    build_property_prompt,
-    build_recognition_prompt,
-    build_scenario_prompt,
-    estimate_tokens,
-    system_prompt,
-)
-from solscout.pipeline import prepare_scan
+from solscout.gateway import LlmGateway, ProviderConfig
+from solscout.pipeline import scan
+from solscout.rules import load_rules
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -36,53 +28,33 @@ RECOGNITION = {
 }
 
 
-def exchange(purpose, rule_id, fid, user, response):
-    system = system_prompt()
-    return LlmExchange(
-        purpose=purpose, rule_id=rule_id, function_id=fid,
-        system=system, user=user, response=response,
-        tokens_in=estimate_tokens(system) + estimate_tokens(user),
-        tokens_out=estimate_tokens(response),
-    )
+def transcript_text() -> str:
+    """The demo transcript, one JSON exchange per line."""
+    config = ScanConfig(project_root=os.path.join(HERE, "project"), project_name="demo")
+    scenario_counts = {rule.id: len(rule.scenarios) for rule in load_rules(config.rules_dir)}
+
+    def answer(purpose, rule_id, function_id, user):
+        if purpose == "scenario":
+            verdict = "Yes" if (rule_id, function_id) == TARGET else "No"
+            return json.dumps(
+                {str(i): verdict for i in range(1, scenario_counts[rule_id] + 1)}
+            )
+        if purpose == "property":
+            return "Yes"
+        return json.dumps({s: {n: d} for s, (n, d) in RECOGNITION.items()})
+
+    gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record", answer=answer)
+    scan(config, gateway)
+    return "".join(entry.to_json() + "\n" for entry in gateway.transcript.entries.values())
 
 
 def main():
-    config = ScanConfig(project_root=os.path.join(HERE, "project"), mode="replay",
-                        transcript_path="unused", project_name="demo")
-    prepared = prepare_scan(config)
-    transcript = Transcript()
-    for rule in prepared.rules:
-        for fn, policy in candidates_for_rule(prepared.scannable, rule,
-                                              set(config.acl_modifiers)):
-            fid = prepared.graph.id_of(fn)
-            try:
-                ctx = assemble_context(fn, prepared.graph, policy,
-                                       config.token_budget, estimate_tokens)
-            except ContextOverflow:
-                continue
-            is_target = (rule.id, fid) == TARGET
-            verdict = "Yes" if is_target else "No"
-            scenario = json.dumps(
-                {str(i): verdict for i in range(1, len(rule.scenarios) + 1)}
-            )
-            transcript.append(exchange(
-                "scenario", rule.id, fid,
-                build_scenario_prompt(rule.scenarios, ctx.text), scenario,
-            ))
-            if not is_target:
-                continue
-            transcript.append(exchange(
-                "property", rule.id, fid,
-                build_property_prompt(rule, ctx.text, 0), "Yes",
-            ))
-            answer = json.dumps({s: {n: d} for s, (n, d) in RECOGNITION.items()})
-            transcript.append(exchange(
-                "recognition", rule.id, fid,
-                build_recognition_prompt(rule.recognition, ctx.text), answer,
-            ))
+    text = transcript_text()
     out = os.path.join(HERE, "transcript.jsonl")
-    transcript.save(out)
-    print(f"wrote {len(transcript)} exchanges to {out}")
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    exchanges = text.count("\n")
+    print(f"wrote {exchanges} exchanges to {out}")
 
 
 if __name__ == "__main__":

@@ -9,12 +9,9 @@ import sys
 
 import yaml
 
-from .callgraph import build_call_graph, compute_reachability
 from .config import load_config
-from .errors import ConfigError, RuleParseError, SolscoutError, SoliditySyntaxError, TruthMismatch
-from .frontend import enumerate_functions, parse_source
-from .pipeline import scan
-from .project import discover_sources
+from .errors import ConfigError, RuleParseError, SolscoutError, TruthMismatch
+from .pipeline import prepare_scan, scan
 from .report import Finding, GroundTruth, derive_rates, score
 from .rules import load_rules, parse_rule, shipped_rules_dir
 
@@ -54,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rules = sub.add_parser("rules-check", help="validate a rules directory")
     p_rules.add_argument("--rules", dest="rules_dir", default=shipped_rules_dir())
 
-    p_graph = sub.add_parser("graph-dump", help="dump the project call graph as DOT")
+    p_graph = sub.add_parser("graph-dump", help="dump the scan's call graph as DOT")
     p_graph.add_argument("project_root")
     p_graph.add_argument("--out", default="", help="write DOT here instead of stdout")
     p_graph.add_argument("--reachable-only", action="store_true")
@@ -175,25 +172,18 @@ def cmd_rules_check(args) -> int:
 
 def cmd_graph_dump(args) -> int:
     try:
-        layout = discover_sources(args.project_root)
+        prepared = prepare_scan(load_config(args.project_root))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    functions = []
-    for src in layout.included:
-        try:
-            functions.extend(enumerate_functions(parse_source(src)))
-        except SoliditySyntaxError as exc:
-            print(f"warning: skipped {src.path}: {exc}", file=sys.stderr)
-    graph = build_call_graph(functions)
-    dot = graph.to_dot()
+    for path, msg in prepared.parse_failures:
+        print(f"warning: skipped {path}: {msg}", file=sys.stderr)
+    dot = prepared.graph.to_dot()
     if args.reachable_only:
-        reach = compute_reachability(graph, functions)
-        keep = reach.reachable
-        lines = [line for line in dot.splitlines()
-                 if not line.strip().startswith('"')
-                 or any(f'"{fid}"' in line for fid in keep)]
-        dot = "\n".join(lines)
+        # a node or edge line stays when every id quoted in it is reachable
+        keep = prepared.reach.reachable
+        dot = "\n".join(line for line in dot.splitlines()
+                        if all(fid in keep for fid in line.split('"')[1::2]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot + "\n")

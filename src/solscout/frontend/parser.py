@@ -41,8 +41,6 @@ UNARY_OPS = {"!", "~", "-", "+", "++", "--"}
 
 _ELEMENTARY_RE = re.compile(r"^(address|bool|string|byte|bytes\d*|u?int\d*|u?fixed\d*x?\d*)$")
 
-_MAX_EXPR_DEPTH = 200
-
 
 class _Backtrack(Exception):
     """Internal: current construct does not parse; caller falls back."""
@@ -56,7 +54,6 @@ class Parser:
         self.tokens = tokenize(src.stripped, src.path)
         check_braces(self.tokens, src.line_index, src.path)
         self.pos = 0
-        self._expr_depth = 0
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -768,20 +765,12 @@ class Parser:
         return Expression(kind=kind, start=start, end=end, raw=self.raw(start, end), **kw)
 
     def _parse_expression(self) -> Expression:
-        self._expr_depth += 1
-        try:
-            if self._expr_depth > _MAX_EXPR_DEPTH:
-                raise _Backtrack()
-            return self._parse_assign()
-        finally:
-            self._expr_depth -= 1
-
-    def _parse_assign(self) -> Expression:
+        """Assignment, the loosest level; right-associative."""
         left = self._parse_ternary()
         tok = self.peek()
         if tok.type == "punct" and tok.value in ASSIGN_OPS:
             self.advance()
-            right = self._parse_assign()
+            right = self._parse_expression()
             return self._expr("binary", left.start, right.end,
                               op=tok.value, args=[left, right])
         return left

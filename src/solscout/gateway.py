@@ -296,7 +296,14 @@ class ProviderConfig:
 
 
 class LlmGateway:
-    """Mode-aware completion client: live HTTP, record, or replay."""
+    """Mode-aware completion client: live HTTP, record, or replay.
+
+    ``answer``, when given, stands in for the HTTP provider in live and
+    record mode: ``answer(purpose, rule_id, function_id, user) -> str``
+    returns the response text. Latency is then 0, tokens are estimated
+    as for a provider that reports no usage, and no API key is read.
+    Tests and the demo author transcripts through it.
+    """
 
     RETRIES = 3
     BACKOFF_BASE = 1.0
@@ -304,7 +311,7 @@ class LlmGateway:
     def __init__(self, config: ProviderConfig, mode: str = "replay",
                  transcript: Transcript | None = None,
                  record_path: str | None = None,
-                 sleeper=time.sleep):
+                 sleeper=time.sleep, answer=None):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         self.config = config
@@ -312,6 +319,7 @@ class LlmGateway:
         self.transcript = transcript if transcript is not None else Transcript()
         self.exchanges: list[LlmExchange] = []
         self._sleep = sleeper
+        self._answer = answer
         self._lock = threading.Lock()
         self._gate = threading.Semaphore(max(1, config.max_in_flight))
         self._record_fh = open(record_path, "a", encoding="utf-8") if record_path else None
@@ -335,8 +343,12 @@ class LlmGateway:
                 self.exchanges.append(entry)
             return entry
 
-        with self._gate:
-            response, tokens_in, tokens_out, latency = self._http_call(system, user)
+        if self._answer is not None:
+            response = self._answer(purpose, rule_id, function_id, user)
+            tokens_in, tokens_out, latency = 0, 0, 0.0
+        else:
+            with self._gate:
+                response, tokens_in, tokens_out, latency = self._http_call(system, user)
         if tokens_in <= 0:
             tokens_in = estimate_tokens(system) + estimate_tokens(user)
         if tokens_out <= 0:

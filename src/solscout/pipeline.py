@@ -168,6 +168,13 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None
             record_path=config.transcript_path if config.mode == "record" else None,
         )
 
+    # rule-major, so findings keep the order of a rule-by-rule loop
+    pairs = [
+        (rule, fn, policy)
+        for rule in prepared.rules
+        for fn, policy in candidates_for_rule(prepared.scannable, rule, acl)
+    ]
+
     stats = {
         "files_included": len(prepared.layout.included),
         "files_excluded": len(prepared.layout.excluded),
@@ -175,7 +182,7 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None
         "functions_total": len(prepared.functions),
         "functions_after_whitelist": len(prepared.survivors),
         "functions_reachable": len(prepared.scannable),
-        "candidates_filtered": 0,
+        "candidates_filtered": len(pairs),
         "scenario_matched": 0,
         "property_matched": 0,
         "recognized": 0,
@@ -184,30 +191,26 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None
         "skipped": 0,
     }
     static_seconds = prepared.prep_seconds
+    workers = max(1, gateway.config.max_in_flight) if gateway.mode != "replay" else 1
+
+    def process(pair):
+        rule, fn, policy = pair
+        return _process_candidate(fn, rule, policy, config, graph, reach, gateway)
+
+    if workers > 1 and len(pairs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(process, pairs))
+    else:
+        outcomes = [process(pair) for pair in pairs]
 
     findings: list[Finding] = []
-    workers = max(1, config.provider.max_in_flight) if gateway.mode != "replay" else 1
-    for rule in prepared.rules:
-        candidates = candidates_for_rule(prepared.scannable, rule, acl)
-        stats["candidates_filtered"] += len(candidates)
-
-        def process(candidate, rule=rule):
-            fn, policy = candidate
-            return _process_candidate(fn, rule, policy, config, graph, reach, gateway)
-
-        if workers > 1 and len(candidates) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(process, candidates))
-        else:
-            outcomes = [process(c) for c in candidates]
-
-        for finding, spent_static, stages in outcomes:
-            static_seconds += spent_static
-            for stage in stages:
-                stats[stage] += 1
-            if finding is not None:
-                findings.append(finding)
-                stats[finding.verdict] += 1
+    for finding, spent_static, stages in outcomes:
+        static_seconds += spent_static
+        for stage in stages:
+            stats[stage] += 1
+        if finding is not None:
+            findings.append(finding)
+            stats[finding.verdict] += 1
 
     stats["recognized"] = sum(1 for f in findings if f.recognized)
 
@@ -286,29 +289,35 @@ def _process_candidate(fn, rule, policy, config, graph, reach, gateway):
     static_spent += time.perf_counter() - t0
 
     keys = []
-    # scenario matching: all of a rule's scenarios in one prompt
-    prompt = build_scenario_prompt(rule.scenarios, context.text)
+    answer = None
     try:
+        # scenario matching: all of a rule's scenarios in one prompt
+        prompt = build_scenario_prompt(rule.scenarios, context.text)
         answers, exchange = gateway.ask(
             "scenario", rule.id, fid, prompt,
             lambda text: parse_scenario_answer(text, len(rule.scenarios)),
         )
-    except UnparseableAnswer:
-        return (
-            _finding_shell(fn, rule, graph, config, "skipped", reason="llm-format"),
-            static_spent,
-            stages,
-        )
-    keys.append(_key_string(exchange))
-    matched = [i for i, yes in sorted(answers.items()) if yes]
-    if not matched:
-        return None, static_spent, stages
-    stages.append("scenario_matched")
+        keys.append(_key_string(exchange))
+        matched = [i for i, yes in sorted(answers.items()) if yes]
+        if not matched:
+            return None, static_spent, stages
+        stages.append("scenario_matched")
 
-    # property matching double-confirms scenario + property together
-    prompt = build_property_prompt(rule, context.text, matched[0] - 1)
-    try:
+        # property matching double-confirms scenario + property together
+        prompt = build_property_prompt(rule, context.text, matched[0] - 1)
         is_match, exchange = gateway.ask("property", rule.id, fid, prompt, parse_yes_no)
+        keys.append(_key_string(exchange))
+        if not is_match:
+            return None, static_spent, stages
+        stages.append("property_matched")
+
+        if rule.recognition.questions:
+            prompt = build_recognition_prompt(rule.recognition, context.text)
+            answer, exchange = gateway.ask(
+                "recognition", rule.id, fid, prompt,
+                lambda text: parse_recognition_answer(text, rule.recognition.slots),
+            )
+            keys.append(_key_string(exchange))
     except UnparseableAnswer:
         return (
             _finding_shell(fn, rule, graph, config, "skipped", reason="llm-format",
@@ -316,30 +325,11 @@ def _process_candidate(fn, rule, policy, config, graph, reach, gateway):
             static_spent,
             stages,
         )
-    keys.append(_key_string(exchange))
-    if not is_match:
-        return None, static_spent, stages
-    stages.append("property_matched")
 
     recognized = {}
-    if rule.recognition.questions:
-        prompt = build_recognition_prompt(rule.recognition, context.text)
-        slots = rule.recognition.slots
-        try:
-            answer, exchange = gateway.ask(
-                "recognition", rule.id, fid, prompt,
-                lambda text: parse_recognition_answer(text, slots),
-            )
-        except UnparseableAnswer:
-            return (
-                _finding_shell(fn, rule, graph, config, "skipped", reason="llm-format",
-                               transcript_keys=keys),
-                static_spent,
-                stages,
-            )
-        keys.append(_key_string(exchange))
+    if answer is not None:
         t1 = time.perf_counter()
-        validated = validate_recognition(answer, context, slots)
+        validated = validate_recognition(answer, context, rule.recognition.slots)
         if isinstance(validated, RecognitionAbort):
             static_spent += time.perf_counter() - t1
             return (

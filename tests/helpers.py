@@ -1,27 +1,18 @@
 """Shared test scaffolding: scripted answers and transcript authoring.
 
-Transcripts are authored with the same prompt builders the pipeline
-uses, so replay-mode scans exercise the real hash-keyed lookup path.
+Transcripts are authored by the real pipeline, scanning in record mode
+against a scripted answerer, so replay-mode scans exercise the real
+hash-keyed lookup path.
 """
 
 from __future__ import annotations
 
 import json
 
-from solscout.callgraph import assemble_context
 from solscout.config import ScanConfig
-from solscout.errors import ContextOverflow
-from solscout.filters import candidates_for_rule
-from solscout.gateway import (
-    LlmExchange,
-    Transcript,
-    build_property_prompt,
-    build_recognition_prompt,
-    build_scenario_prompt,
-    estimate_tokens,
-    system_prompt,
-)
-from solscout.pipeline import prepare_scan
+from solscout.gateway import LlmGateway, ProviderConfig, Transcript
+from solscout.pipeline import scan
+from solscout.rules import load_rules
 
 
 class ScriptedAnswers:
@@ -35,74 +26,43 @@ class ScriptedAnswers:
         self.default_property = default_property
 
 
-def make_exchange(purpose, rule_id, fid, user, response) -> LlmExchange:
-    system = system_prompt()
-    return LlmExchange(
-        purpose=purpose,
-        rule_id=rule_id,
-        function_id=fid,
-        system=system,
-        user=user,
-        response=response,
-        tokens_in=estimate_tokens(system) + estimate_tokens(user),
-        tokens_out=estimate_tokens(response),
-    )
+def scripted_answerer(answers: ScriptedAnswers, rules: list):
+    """An ``LlmGateway`` answerer that renders ``answers`` as model replies."""
+    scenario_counts = {rule.id: len(rule.scenarios) for rule in rules}
 
+    def answer(purpose, rule_id, function_id, user):
+        key = (rule_id, function_id)
+        if purpose == "scenario":
+            value = answers.scenario.get(key, answers.default_scenario)
+            if not isinstance(value, str):
+                verdict = "Yes" if value else "No"
+                value = json.dumps(
+                    {str(i): verdict for i in range(1, scenario_counts[rule_id] + 1)}
+                )
+        elif purpose == "property":
+            value = answers.property.get(key, answers.default_property)
+            if not isinstance(value, str):
+                value = "Yes" if value else "No"
+        else:
+            value = answers.recognition.get(key, {})
+            if not isinstance(value, str):
+                value = json.dumps(
+                    {slot: {name: desc} for slot, (name, desc) in value.items()}
+                )
+        return value
 
-def scenario_json(rule, yes: bool) -> str:
-    return json.dumps(
-        {str(i): ("Yes" if yes else "No") for i in range(1, len(rule.scenarios) + 1)}
-    )
-
-
-def recognition_json(slot_answers: dict) -> str:
-    return json.dumps(
-        {slot: {name: desc} for slot, (name, desc) in slot_answers.items()}
-    )
+    return answer
 
 
 def build_transcript(config: ScanConfig, answers: ScriptedAnswers) -> Transcript:
-    """Author a transcript covering every candidate the scan will query."""
-    prepared = prepare_scan(config)
-    transcript = Transcript()
-    acl = set(config.acl_modifiers)
-    for rule in prepared.rules:
-        for fn, policy in candidates_for_rule(prepared.scannable, rule, acl):
-            fid = prepared.graph.id_of(fn)
-            try:
-                ctx = assemble_context(
-                    fn, prepared.graph, policy, config.token_budget, estimate_tokens
-                )
-            except ContextOverflow:
-                continue
-            key = (rule.id, fid)
-
-            s_answer = answers.scenario.get(key, answers.default_scenario)
-            s_resp = s_answer if isinstance(s_answer, str) else scenario_json(rule, s_answer)
-            transcript.append(make_exchange(
-                "scenario", rule.id, fid,
-                build_scenario_prompt(rule.scenarios, ctx.text), s_resp,
-            ))
-            if not isinstance(s_answer, str) and not s_answer:
-                continue
-
-            p_answer = answers.property.get(key, answers.default_property)
-            p_resp = p_answer if isinstance(p_answer, str) else ("Yes" if p_answer else "No")
-            transcript.append(make_exchange(
-                "property", rule.id, fid,
-                build_property_prompt(rule, ctx.text, 0), p_resp,
-            ))
-            if not isinstance(p_answer, str) and not p_answer:
-                continue
-
-            if rule.recognition.questions:
-                r_answer = answers.recognition.get(key, {})
-                r_resp = r_answer if isinstance(r_answer, str) else recognition_json(r_answer)
-                transcript.append(make_exchange(
-                    "recognition", rule.id, fid,
-                    build_recognition_prompt(rule.recognition, ctx.text), r_resp,
-                ))
-    return transcript
+    """Author a transcript covering every query the scan will make."""
+    gateway = LlmGateway(
+        ProviderConfig(max_in_flight=1),  # one worker: entries in candidate order
+        mode="record",
+        answer=scripted_answerer(answers, load_rules(config.rules_dir)),
+    )
+    scan(config, gateway)
+    return gateway.transcript
 
 
 class FakeResponse:

@@ -4,6 +4,8 @@ import os
 import yaml
 
 from solscout.cli import main
+from solscout.config import load_config
+from solscout.pipeline import prepare_scan
 
 from conftest import fixture_path
 from helpers import replay_config, write_transcript
@@ -169,3 +171,37 @@ def test_graph_dump(capsys):
     assert main(["graph-dump", fixture_path("first_deposit")]) == 0
     dot = capsys.readouterr().out
     assert '"YaxisVault.deposit" -> "YaxisVault.balance";' in dot
+
+
+def test_graph_dump_is_the_scans_graph(tmp_path, capsys):
+    """Whitelisted functions are left out, as in the scan; parse failures warn."""
+    contracts = tmp_path / "contracts"
+    contracts.mkdir()
+    (contracts / "Token.sol").write_text(
+        "contract Token is ERC20 {\n"
+        "    uint256 supply;\n"
+        "    function totalSupply() public view returns (uint256) { return supply; }\n"
+        "    function half() public view returns (uint256) { return totalSupply() / 2; }\n"
+        "}\n", encoding="utf-8")
+    (contracts / "Broken.sol").write_text("contract Broken {", encoding="utf-8")
+    assert main(["graph-dump", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    nodes = [line.strip()[1:-2] for line in captured.out.splitlines()
+             if line.strip().endswith('";') and "->" not in line]
+    assert nodes == prepare_scan(load_config(str(tmp_path))).graph.nodes
+    assert "Token.half" in nodes and "Token.totalSupply" not in nodes
+    assert "warning: skipped contracts/Broken.sol" in captured.err
+
+
+def test_graph_dump_reachable_only_drops_unreachable_callers(tmp_path, capsys):
+    (tmp_path / "A.sol").write_text(
+        "contract A {\n"
+        "    uint256 x;\n"
+        "    function pub() public { helper(); }\n"
+        "    function helper() internal { x = 1; }\n"
+        "    function dead() internal { helper(); }\n"
+        "}\n", encoding="utf-8")
+    assert main(["graph-dump", "--reachable-only", str(tmp_path)]) == 0
+    dot = capsys.readouterr().out
+    assert '"A.pub" -> "A.helper";' in dot
+    assert "A.dead" not in dot

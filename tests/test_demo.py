@@ -1,11 +1,22 @@
 """The bundled demo must keep replaying as documented in the README."""
 
+import importlib.util
 import json
 import os
 
 from solscout.cli import main
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
+
+
+def test_demo_transcript_is_what_regenerate_writes():
+    spec = importlib.util.spec_from_file_location(
+        "regenerate", os.path.join(DEMO, "regenerate.py"))
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    with open(os.path.join(DEMO, "transcript.jsonl"), encoding="utf-8") as fh:
+        committed = fh.read()
+    assert regenerate.transcript_text() == committed, "run python demo/regenerate.py"
 
 
 def test_demo_transcript_replays_one_finding(tmp_path, capsys):

@@ -349,6 +349,18 @@ def test_seq_matches_preorder_span_order():
                     assert (a.start, da) < (b.start, db)
 
 
+DEEP_EXPRESSIONS = {
+    "parentheses": "(" * 2000 + "a" + ")" * 2000,
+    "negations": "!" * 2000 + "a",
+}
+
+
+@pytest.mark.parametrize("expr", DEEP_EXPRESSIONS.values(), ids=list(DEEP_EXPRESSIONS))
+def test_deep_nesting_is_a_syntax_error_not_a_recursion_error(expr):
+    with pytest.raises(SoliditySyntaxError, match="nesting too deep"):
+        parse_text("contract C { function f() public { x = %s; } }" % expr)
+
+
 def test_totality_fuzz_never_crashes():
     """parse_text returns a unit or SoliditySyntaxError for any input."""
     rng = random.Random(20240817)

@@ -273,6 +273,25 @@ def test_record_mode_appends_jsonl(tmp_path, monkeypatch):
     assert replayer.complete("property", "r", "C.f", "s", "u").response == "Yes"
 
 
+def test_answerer_stands_in_for_the_provider(monkeypatch):
+    monkeypatch.delenv("SOLSCOUT_API_KEY", raising=False)
+    calls = []
+
+    def answer(purpose, rule_id, function_id, user):
+        calls.append((purpose, rule_id, function_id, user))
+        return "Yes"
+
+    gateway = LlmGateway(ProviderConfig(), mode="record", answer=answer)
+    with patch("solscout.gateway.requests.post") as post:
+        exchange = gateway.complete("property", "r", "C.f", "system", "user")
+    post.assert_not_called()
+    assert calls == [("property", "r", "C.f", "user")]
+    assert (exchange.response, exchange.latency) == ("Yes", 0.0)
+    assert exchange.tokens_in == estimate_tokens("system") + estimate_tokens("user")
+    assert exchange.tokens_out == estimate_tokens("Yes")
+    assert gateway.transcript.get(exchange.key) is exchange
+
+
 def test_ask_retries_unparseable_once_then_raises():
     transcript = Transcript()
     bad = _exchange(purpose="property", response="mumble")

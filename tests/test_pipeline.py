@@ -6,6 +6,7 @@ from unittest.mock import patch
 import pytest
 
 from solscout.errors import ReplayMiss
+from solscout.gateway import Transcript
 from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
 
@@ -118,6 +119,9 @@ def test_unparseable_scenario_skips_candidate(tmp_path):
     assert len(skipped) == 1
     assert skipped[0].reason == "llm-format"
     assert result.confirmed == []
+    # the authored transcript holds only what the replay reads
+    transcript = Transcript.load(str(tmp_path / "t.jsonl"))
+    assert set(transcript.entries) == {e.key for e in result.exchanges}
 
 
 def test_recognition_ghost_variable_aborts(tmp_path):
@@ -141,6 +145,23 @@ def test_replay_miss_fails_loudly(tmp_path):
     config = replay_config(root, transcript_path)
     with pytest.raises(ReplayMiss):
         scan(config)
+
+
+def test_too_deep_file_is_a_parse_failure_and_the_scan_goes_on(tmp_path):
+    contracts = tmp_path / "project" / "contracts"
+    contracts.mkdir(parents=True)
+    with open(fixture_path("first_deposit", "contracts", "Vault.sol"), encoding="utf-8") as fh:
+        (contracts / "Vault.sol").write_text(fh.read(), encoding="utf-8")
+    deep = "(" * 2000 + "a" + ")" * 2000
+    (contracts / "Deep.sol").write_text(
+        "contract Deep { function f() public { x = %s; } }" % deep, encoding="utf-8")
+    transcript_path = str(tmp_path / "t.jsonl")
+    config = replay_config(str(tmp_path / "project"), transcript_path)
+    write_transcript(config, first_deposit_answers(), transcript_path)
+    result = scan(config)
+    [[path, message]] = result.meta["parse_failures"]
+    assert path == "contracts/Deep.sol" and "nesting too deep" in message
+    assert [f.function_id for f in result.confirmed] == ["YaxisVault.deposit"]
 
 
 def test_rejection_monotonicity_stage_counts(tmp_path):
