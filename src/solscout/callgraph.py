@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ContextOverflow
@@ -51,32 +52,34 @@ def build_function_ids(functions: list) -> dict:
 
 @dataclass
 class CallGraph:
+    """Resolved calls between project functions.
+
+    Edges are added through ``add_edge`` only, which also keeps the
+    callee and caller indexes: each neighbour listed once, in the order
+    of its first edge.
+    """
+
     nodes: list = field(default_factory=list)  # function ids
     edges: list = field(default_factory=list)  # (caller id, callee id, seq)
     unresolved: list = field(default_factory=list)  # (caller id, name, arity)
     functions: dict = field(default_factory=dict)  # id -> FunctionRecord
     _ids: dict = field(default_factory=dict)  # id(record) -> id
+    _callees: dict = field(default_factory=dict)  # id -> {callee id: None}
+    _callers: dict = field(default_factory=dict)  # id -> {caller id: None}
 
     def id_of(self, fn: FunctionRecord) -> str:
         return self._ids[id(fn)]
 
+    def add_edge(self, caller: str, callee: str, seq: int) -> None:
+        self.edges.append((caller, callee, seq))
+        self._callees.setdefault(caller, {})[callee] = None
+        self._callers.setdefault(callee, {})[caller] = None
+
     def callees_of(self, fid: str) -> list:
-        seen = set()
-        out = []
-        for caller, callee, _seq in self.edges:
-            if caller == fid and callee not in seen:
-                seen.add(callee)
-                out.append(callee)
-        return out
+        return list(self._callees.get(fid, ()))
 
     def callers_of(self, fid: str) -> list:
-        seen = set()
-        out = []
-        for caller, callee, _seq in self.edges:
-            if callee == fid and caller not in seen:
-                seen.add(caller)
-                out.append(caller)
-        return out
+        return list(self._callers.get(fid, ()))
 
     def to_dot(self) -> str:
         lines = ["digraph callgraph {"]
@@ -146,7 +149,7 @@ def build_call_graph(functions: list) -> CallGraph:
                     edge = (caller_id, ids[id(target)], stmt.seq)
                     if edge not in seen_edges:
                         seen_edges.add(edge)
-                        graph.edges.append(edge)
+                        graph.add_edge(*edge)
     return graph
 
 
@@ -191,15 +194,11 @@ def compute_reachability(graph: CallGraph, functions: list,
         if fn.visibility in ("public", "external"):
             result.roots.add(fid)
 
-    adjacency: dict[str, list] = {}
-    for caller, callee, _seq in graph.edges:
-        adjacency.setdefault(caller, []).append(callee)
-
-    queue = sorted(result.roots)
+    queue = deque(sorted(result.roots))
     result.reachable = set(result.roots)
     while queue:
-        fid = queue.pop(0)
-        for nxt in adjacency.get(fid, []):
+        fid = queue.popleft()
+        for nxt in graph.callees_of(fid):
             if nxt in result.reachable or nxt in result.blocked:
                 continue
             result.reachable.add(nxt)

@@ -10,6 +10,7 @@ dependency or ordering on any syntactic path counts.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 from .callgraph import CodeContext, ReachabilitySet
@@ -82,9 +83,9 @@ class DefUseGraph:
     def forward_names(self, sources: list) -> set:
         """Names of every node reachable forward from the given nodes."""
         seen = set(sources)
-        queue = list(sources)
+        queue = deque(sources)
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             for nxt, _span in self.edges_out.get(node, []):
                 if nxt not in seen:
                     seen.add(nxt)
@@ -98,10 +99,10 @@ class DefUseGraph:
         """Deterministic BFS; returns (target, edge spans, nodes) of one path."""
         target_set = set(targets)
         adjacency = self.edges_in if reverse else self.edges_out
-        queue = list(sources)
+        queue = deque(sources)
         parent: dict[tuple, tuple] = {n: None for n in sources}
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             if node in target_set:
                 spans = []
                 nodes = [node]

@@ -24,10 +24,6 @@ class FilterOutcome:
     failed_directive: tuple | None = None  # (kind, payload) of first failure
 
 
-def _body(fn: FunctionRecord) -> str:
-    return fn.body_text().lower()
-
-
 def _canonical_param_types(fn: FunctionRecord) -> set:
     return {re.sub(r"\s+", "", t).lower() for t, _ in fn.params}
 
@@ -37,16 +33,16 @@ def directive_passes(fn: FunctionRecord, kind: str, payload, acl_modifiers) -> b
         name = fn.name.lower()
         return any(k.lower() in name for k in payload)
     if kind == "FCE":
-        body = _body(fn)
+        body = fn.body_lower
         return any(e.lower() in body for e in payload)
     if kind == "FCNE":
-        body = _body(fn)
+        body = fn.body_lower
         return not any(e.lower() in body for e in payload)
     if kind == "FCCE":
-        body = _body(fn)
+        body = fn.body_lower
         return any(all(m.lower() in body for m in combo) for combo in payload)
     if kind == "FCNCE":
-        body = _body(fn)
+        body = fn.body_lower
         return not any(all(m.lower() in body for m in combo) for combo in payload)
     if kind == "FPT":
         have = _canonical_param_types(fn)

@@ -77,42 +77,44 @@ def used_names(expr: Expression) -> list[str]:
     sources like ``totalSupply()`` participate in dataflow.
     """
     names: list[str] = []
-    seen = set()
-
-    def add(name: str) -> None:
-        if name and name not in seen:
-            seen.add(name)
-            names.append(name)
-
-    def visit(node: Optional[Expression]) -> None:
-        if node is None:
-            return
-        if node.kind == "identifier":
-            add(node.name)
-            return
-        if node.kind == "call":
-            add(call_name(node))
-            root = base_identifier(node.callee) if node.callee else None
-            if root:
-                add(root)
-            for a in node.args:
-                visit(a)
-            return
-        if node.kind in ("member-access", "index"):
-            root = base_identifier(node)
-            if root:
-                add(root)
-            if node.kind == "index":
-                for a in node.args:
-                    visit(a)
-            return
-        if node.callee is not None:
-            visit(node.callee)
-        for a in node.args:
-            visit(a)
-
-    visit(expr)
+    _visit_used(expr, names, set())
     return names
+
+
+def _add_name(name: str, names: list, seen: set) -> None:
+    if name and name not in seen:
+        seen.add(name)
+        names.append(name)
+
+
+def _visit_used(node: Optional[Expression], names: list, seen: set) -> None:
+    # module-level, not a self-referencing closure: that would leave a
+    # reference cycle behind for the collector on every call
+    if node is None:
+        return
+    if node.kind == "identifier":
+        _add_name(node.name, names, seen)
+        return
+    if node.kind == "call":
+        _add_name(call_name(node), names, seen)
+        root = base_identifier(node.callee) if node.callee else None
+        if root:
+            _add_name(root, names, seen)
+        for a in node.args:
+            _visit_used(a, names, seen)
+        return
+    if node.kind in ("member-access", "index"):
+        root = base_identifier(node)
+        if root:
+            _add_name(root, names, seen)
+        if node.kind == "index":
+            for a in node.args:
+                _visit_used(a, names, seen)
+        return
+    if node.callee is not None:
+        _visit_used(node.callee, names, seen)
+    for a in node.args:
+        _visit_used(a, names, seen)
 
 
 def target_names(expr: Expression) -> list[str]:

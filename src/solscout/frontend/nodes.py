@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 _NEWLINE_RE = re.compile("\n")
@@ -154,13 +155,24 @@ class FunctionRecord:
         hi = max(s.end for s in self.body)
         return self.file.stripped[lo:hi]
 
+    @cached_property
+    def body_lower(self) -> str:
+        """``body_text()`` lower-cased once, for the case-insensitive filters."""
+        return self.body_text().lower()
+
 
 @dataclass(eq=False)
 class ContractDef:
+    """A contract's header and members other than its functions.
+
+    Functions point at their contract (``FunctionRecord.contract_def``)
+    but not the other way round, so the parsed heap has no reference
+    cycle and reference counting alone frees it.
+    """
+
     name: str
     kind: str  # contract|interface|library|abstract
     bases: list  # base names in declaration order
-    functions: list = field(default_factory=list)
     modifiers: list = field(default_factory=list)
     state_vars: list = field(default_factory=list)
     span: tuple[int, int] = (0, 0)
@@ -171,4 +183,5 @@ class SourceUnit:
     pragmas: list = field(default_factory=list)
     imports: list = field(default_factory=list)
     contracts: list = field(default_factory=list)
+    functions: list = field(default_factory=list)  # declaration order, free ones last
     file: Optional[SourceFile] = None

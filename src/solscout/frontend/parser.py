@@ -123,32 +123,21 @@ class Parser:
                 tok.value in ("contract", "interface", "library")
                 or (tok.value == "abstract" and self.peek(1).value == "contract")
             ):
-                unit.contracts.append(self._parse_contract())
+                unit.contracts.append(self._parse_contract(unit.functions))
             elif tok.type == "id" and tok.value == "function":
                 free.append(self._parse_function("contract"))
             else:
                 self._skip_construct()
         if free:
-            synthetic = ContractDef(name="", kind="contract", bases=[], functions=free)
+            synthetic = ContractDef(name="", kind="contract", bases=[])
             for fn in free:
                 fn.contract_def = synthetic
             unit.contracts.append(synthetic)
-        self._bind(unit)
+            unit.functions.extend(free)
+        for fn in unit.functions:
+            fn.file = self.src
+            _assign_seq(fn)
         return unit
-
-    def _bind(self, unit: SourceUnit) -> None:
-        seen = set()
-        for c in unit.contracts:
-            if c.name in seen:
-                # keep parsing usable; later analysis keys on (path, name)
-                continue
-            seen.add(c.name)
-        for c in unit.contracts:
-            for fn in c.functions:
-                fn.contract = c.name
-                fn.contract_def = c
-                fn.file = self.src
-                _assign_seq(fn)
 
     def _parse_pragma(self) -> str:
         self.advance()
@@ -222,7 +211,7 @@ class Parser:
     # ------------------------------------------------------------------
     # contracts
 
-    def _parse_contract(self) -> ContractDef:
+    def _parse_contract(self, functions: list) -> ContractDef:
         start = self.peek().start
         kind = self.advance().value
         if kind == "abstract":
@@ -246,13 +235,13 @@ class Parser:
         self.expect_punct("{", hard=True)
         contract = ContractDef(name=name, kind=kind, bases=bases)
         while not self.at("}") and self.peek().type != "eof":
-            self._parse_member(contract)
+            self._parse_member(contract, functions)
         end = self.peek().end
         self.expect_punct("}", hard=True)
         contract.span = self.lines(start, end)
         return contract
 
-    def _parse_member(self, contract: ContractDef) -> None:
+    def _parse_member(self, contract: ContractDef, functions: list) -> None:
         tok = self.peek()
         if tok.type != "id":
             self._skip_construct()
@@ -265,7 +254,9 @@ class Parser:
             if fn.name == contract.name:
                 fn.name = ""  # pre-0.5 constructor-by-name
                 fn.kind = "constructor"
-            contract.functions.append(fn)
+            fn.contract = contract.name
+            fn.contract_def = contract
+            functions.append(fn)
         elif v == "modifier":
             contract.modifiers.append(self._parse_modifier())
         elif v in ("using", "event", "error", "type"):
@@ -953,7 +944,4 @@ def parse_text(text: str, path: str = "<memory>") -> SourceUnit:
 
 def enumerate_functions(unit: SourceUnit) -> list:
     """All functions across all contracts, in declaration order."""
-    out = []
-    for contract in unit.contracts:
-        out.extend(contract.functions)
-    return out
+    return list(unit.functions)

@@ -118,12 +118,13 @@ def _key_string(exchange) -> str:
 def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     """Run a full scan. A pre-built gateway may be injected for testing.
 
-    The parsed project is a large, long-lived heap full of reference
-    cycles (a contract and its functions point at each other), so cyclic
-    GC is kept off while it is built and the result is frozen, keeping
-    later collections from walking it again. On the way out the freeze is
-    undone and one collection frees the scan's heap; the caller's GC
-    state (enabled flag, frozen objects) is left as it was found.
+    The parsed project is a large, long-lived heap, so cyclic GC is kept
+    off while it is built and the result is frozen, keeping later
+    collections from walking it again. The heap holds no reference
+    cycle, so reference counting frees it once ``_scan`` returns and no
+    collection is needed; the freeze is undone on the way out and the
+    caller's GC state (enabled flag, frozen objects) is left as it was
+    found.
     """
     started = time.perf_counter()
     enabled = gc.isenabled()
@@ -131,11 +132,8 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     try:
         return _scan(_prepare_frozen(config, enabled, freeze), config, gateway, started)
     finally:
-        # ``_scan`` has returned, so the prepared state is unreachable here
         if freeze:
             gc.unfreeze()
-        if enabled:
-            gc.collect()
 
 
 def _prepare_frozen(config: ScanConfig, enabled: bool, freeze: bool) -> PreparedScan:

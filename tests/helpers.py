@@ -26,6 +26,17 @@ class ScriptedAnswers:
         self.default_property = default_property
 
 
+def corpus_answers(cases: list) -> ScriptedAnswers:
+    """Yes to every corpus case with its recognition; No to everything else."""
+    answers = ScriptedAnswers(default_scenario=False)
+    for case in cases:
+        key = (case.rule_id, case.fid)
+        answers.scenario[key] = True
+        answers.property[key] = True
+        answers.recognition[key] = case.recognition
+    return answers
+
+
 def scripted_answerer(answers: ScriptedAnswers, rules: list):
     """An ``LlmGateway`` answerer that renders ``answers`` as model replies."""
     scenario_counts = {rule.id: len(rule.scenarios) for rule in rules}

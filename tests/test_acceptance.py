@@ -23,7 +23,7 @@ from solscout.rules import ContextPolicy, load_rules, shipped_rules_dir
 
 from conftest import fixture_path
 from corpus import build_corpus, write_corpus
-from helpers import ScriptedAnswers, replay_config, write_transcript
+from helpers import ScriptedAnswers, corpus_answers, replay_config, write_transcript
 from test_pipeline import first_deposit_answers, checkpoint_order_answers
 from test_report import make_finding, truth_from
 
@@ -143,12 +143,7 @@ def corpus_run(tmp_path_factory):
     transcript_path = os.path.join(root, "transcript.jsonl")
     config = replay_config(root, transcript_path, project_name="corpus")
 
-    answers = ScriptedAnswers(default_scenario=False)
-    for case in cases:
-        key = (case.rule_id, case.fid)
-        answers.scenario[key] = True
-        answers.property[key] = True
-        answers.recognition[key] = case.recognition
+    answers = corpus_answers(cases)
     write_transcript(config, answers, transcript_path)
     config.validate()
     started = time.perf_counter()

@@ -10,7 +10,12 @@ from solscout.callgraph import (
 from solscout.errors import ContextOverflow
 from solscout.frontend import enumerate_functions, parse_text
 from solscout.gateway import estimate_tokens
+from solscout.pipeline import prepare_scan
 from solscout.rules import ContextPolicy
+
+from conftest import fixture_path
+from corpus import build_corpus, write_corpus
+from helpers import replay_config
 
 
 def graph_from(src):
@@ -167,9 +172,56 @@ def test_reachability_monotone_under_added_edge():
     """
     graph, fns = graph_from(src)
     before = compute_reachability(graph, fns).reachable
-    graph.edges.append(("A.f", "A.g", 0))
+    graph.add_edge("A.f", "A.g", 0)
     after = compute_reachability(graph, fns).reachable
+    assert "A.g" not in before
+    assert "A.g" in after
     assert before <= after
+
+
+def _scan_callees(graph, fid):
+    """Reference: one pass over every edge, first occurrence wins."""
+    out = []
+    for caller, callee, _seq in graph.edges:
+        if caller == fid and callee not in out:
+            out.append(callee)
+    return out
+
+
+def _scan_callers(graph, fid):
+    out = []
+    for caller, callee, _seq in graph.edges:
+        if callee == fid and caller not in out:
+            out.append(caller)
+    return out
+
+
+def _indexed_graphs(tmp_path):
+    corpus_root = str(tmp_path / "corpus")
+    write_corpus(corpus_root, build_corpus(variants=3), filler_files=2)
+    roots = [corpus_root] + [fixture_path(name) for name in (
+        "first_deposit", "first_deposit_patched", "checkpoint_order", "checkpoint_order_patched",
+    )]
+    for root in roots:
+        yield root, prepare_scan(replay_config(root, str(tmp_path / "t.jsonl"))).graph
+    # repeated and out-of-order calls, so first-occurrence order is visible
+    yield "inline", graph_from("""
+        contract A {
+            function f() public { c(); b(); c(); a(); b(); }
+            function g() public { a(); f(); a(); }
+            function a() internal { c(); }
+            function b() internal { a(); }
+            function c() internal {}
+        }
+    """)[0]
+
+
+def test_neighbour_index_matches_edge_scan(tmp_path):
+    for root, graph in _indexed_graphs(tmp_path):
+        assert graph.edges, root
+        for fid in graph.nodes:
+            assert graph.callees_of(fid) == _scan_callees(graph, fid), (root, fid)
+            assert graph.callers_of(fid) == _scan_callers(graph, fid), (root, fid)
 
 
 CTX_SRC = """

@@ -22,7 +22,8 @@ def test_minimal_unit():
     assert len(unit.contracts) == 1
     contract = unit.contracts[0]
     assert contract.name == "C"
-    fn = contract.functions[0]
+    fn = unit.functions[0]
+    assert fn.contract_def is contract
     assert fn.name == "f"
     assert fn.visibility == "public"
     assert fn.body == []

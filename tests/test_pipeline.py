@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import weakref
 from unittest.mock import patch
 
@@ -11,8 +12,10 @@ from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
 
 from conftest import fixture_path
+from corpus import build_corpus, write_corpus
 from helpers import (
     ScriptedAnswers,
+    corpus_answers,
     fake_post_from,
     build_transcript,
     replay_config,
@@ -305,8 +308,11 @@ def test_scan_keeps_callers_frozen_objects_frozen(tmp_path, gc_state):
     assert not any(obj is sentinel for obj in gc.get_objects())
 
 
-def test_scan_frees_its_parsed_functions_on_return(tmp_path, gc_state, monkeypatch):
-    """The AST is cyclic (contract <-> functions); scan() collects it on exit."""
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_frees_its_parsed_functions_on_return(tmp_path, gc_state, monkeypatch, enabled):
+    """The AST holds no reference cycle, so refcounting frees it, GC on or off."""
+    if not enabled:
+        gc.disable()
     records = []
     original = pipeline.prepare_scan
 
@@ -318,5 +324,38 @@ def test_scan_frees_its_parsed_functions_on_return(tmp_path, gc_state, monkeypat
     monkeypatch.setattr(pipeline, "prepare_scan", spy)
     result = run_replay("first_deposit", first_deposit_answers(), tmp_path)
     assert records and result.confirmed
-    # no collection here: the one scan() ran on its way out must do it
+    # no collection, here or in scan(): reference counting alone must do it
     assert [ref for ref in records if ref() is not None] == []
+
+
+@pytest.fixture(scope="module")
+def corpus_config(tmp_path_factory):
+    """The acceptance corpus (2 fillers) with its oracle transcript."""
+    root = str(tmp_path_factory.mktemp("corpus"))
+    cases = build_corpus(variants=3)
+    write_corpus(root, cases, filler_files=2)
+    transcript_path = os.path.join(root, "transcript.jsonl")
+    config = replay_config(root, transcript_path, project_name="corpus")
+    write_transcript(config, corpus_answers(cases), transcript_path)
+    return config
+
+
+def test_scan_leaves_no_cyclic_garbage(corpus_config, gc_state):
+    gc.collect()
+    gc.disable()
+    prepared = prepare_scan(corpus_config)
+    assert prepared.graph.edges
+    del prepared
+    assert gc.collect() == 0
+    result = scan(corpus_config)
+    assert result.confirmed
+    del result
+    assert gc.collect() == 0
+
+
+def test_scan_runs_no_collection(corpus_config, gc_state, monkeypatch):
+    def collect(*args):
+        raise AssertionError("scan() ran a garbage collection")
+
+    monkeypatch.setattr(gc, "collect", collect)
+    assert scan(corpus_config).confirmed
