@@ -308,11 +308,7 @@ def test_scan_keeps_callers_frozen_objects_frozen(tmp_path, gc_state):
     assert not any(obj is sentinel for obj in gc.get_objects())
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_scan_frees_its_parsed_functions_on_return(tmp_path, gc_state, monkeypatch, enabled):
-    """The AST holds no reference cycle, so refcounting frees it, GC on or off."""
-    if not enabled:
-        gc.disable()
+def _assert_scan_frees_parsed_functions(tmp_path, monkeypatch):
     records = []
     original = pipeline.prepare_scan
 
@@ -326,6 +322,17 @@ def test_scan_frees_its_parsed_functions_on_return(tmp_path, gc_state, monkeypat
     assert records and result.confirmed
     # no collection, here or in scan(): reference counting alone must do it
     assert [ref for ref in records if ref() is not None] == []
+
+
+def test_scan_frees_its_parsed_functions_on_return(tmp_path, gc_state, monkeypatch):
+    """The AST holds no reference cycle, so refcounting frees it with GC on."""
+    _assert_scan_frees_parsed_functions(tmp_path, monkeypatch)
+
+
+def test_scan_frees_its_parsed_functions_on_return_with_gc_off(tmp_path, gc_state, monkeypatch):
+    """The same holds when the caller has cyclic GC disabled."""
+    gc.disable()
+    _assert_scan_frees_parsed_functions(tmp_path, monkeypatch)
 
 
 @pytest.fixture(scope="module")
