@@ -109,19 +109,17 @@ def _linearized_contracts(fn: FunctionRecord, contracts_by_name: dict) -> list:
     return order
 
 
-def build_call_graph(functions: list) -> CallGraph:
-    """Resolve calls by (name, arity): own contract, bases, then global unique."""
+def build_call_graph(functions: list, contracts_by_name: dict) -> CallGraph:
+    """Resolve calls by (name, arity): own contract, bases, then global unique.
+
+    ``contracts_by_name`` is ``frontend.index_contracts``'s index of every
+    parsed contract, so inheritance also passes through contracts that
+    declare no function.
+    """
     ids = build_function_ids(functions)
     graph = CallGraph(_ids=ids)
     graph.nodes = [ids[id(fn)] for fn in functions]
     graph.functions = {ids[id(fn)]: fn for fn in functions}
-
-    contracts_by_name: dict[str, list] = {}
-    for fn in functions:
-        if fn.contract_def is not None:
-            bucket = contracts_by_name.setdefault(fn.contract, [])
-            if fn.contract_def not in bucket:
-                bucket.append(fn.contract_def)
 
     by_contract: dict[int, dict] = {}  # id(contract) -> {(name, arity): [fn]}
     global_index: dict[tuple, list] = {}

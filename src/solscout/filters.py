@@ -9,19 +9,10 @@ such as ``totalSupply``, so no word boundaries are applied.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .callgraph import DEFAULT_ACL_MODIFIERS
 from .frontend import FunctionRecord
 from .rules import VulnRule
-
-
-@dataclass
-class FilterOutcome:
-    function_id: str
-    rule_id: str
-    passed: bool
-    failed_directive: tuple | None = None  # (kind, payload) of first failure
 
 
 def _canonical_param_types(fn: FunctionRecord) -> set:
@@ -29,24 +20,29 @@ def _canonical_param_types(fn: FunctionRecord) -> set:
 
 
 def directive_passes(fn: FunctionRecord, kind: str, payload, acl_modifiers) -> bool:
+    """One directive; ``payload`` is normalized as ``rules`` loads it.
+
+    Text payloads are lower-case and ``FPT`` types are lower-case
+    without spaces.
+    """
     if kind == "FNK":
         name = fn.name.lower()
-        return any(k.lower() in name for k in payload)
+        return any(k in name for k in payload)
     if kind == "FCE":
         body = fn.body_lower
-        return any(e.lower() in body for e in payload)
+        return any(e in body for e in payload)
     if kind == "FCNE":
         body = fn.body_lower
-        return not any(e.lower() in body for e in payload)
+        return not any(e in body for e in payload)
     if kind == "FCCE":
         body = fn.body_lower
-        return any(all(m.lower() in body for m in combo) for combo in payload)
+        return any(all(m in body for m in combo) for combo in payload)
     if kind == "FCNCE":
         body = fn.body_lower
-        return not any(all(m.lower() in body for m in combo) for combo in payload)
+        return not any(all(m in body for m in combo) for combo in payload)
     if kind == "FPT":
         have = _canonical_param_types(fn)
-        return all(t.lower().replace(" ", "") in have for t in payload)
+        return all(t in have for t in payload)
     if kind == "FPNC":
         return fn.visibility == "public"
     if kind == "FNM":
@@ -57,18 +53,16 @@ def directive_passes(fn: FunctionRecord, kind: str, payload, acl_modifiers) -> b
 
 
 def apply_filters(fn: FunctionRecord, rule: VulnRule,
-                  acl_modifiers=DEFAULT_ACL_MODIFIERS,
-                  function_id: str = "") -> FilterOutcome:
-    """Evaluate the rule's directives in order with AND semantics."""
+                  acl_modifiers=DEFAULT_ACL_MODIFIERS) -> tuple | None:
+    """Evaluate the rule's directives in order with AND semantics.
+
+    Returns the first failing directive as ``(kind, payload)``, or None
+    when the function passes them all.
+    """
     for directive in rule.filters:
         if not directive_passes(fn, directive.kind, directive.payload, acl_modifiers):
-            return FilterOutcome(
-                function_id=function_id,
-                rule_id=rule.id,
-                passed=False,
-                failed_directive=(directive.kind, directive.payload),
-            )
-    return FilterOutcome(function_id=function_id, rule_id=rule.id, passed=True)
+            return directive.kind, directive.payload
+    return None
 
 
 def candidates_for_rule(functions: list, rule: VulnRule,
@@ -76,6 +70,6 @@ def candidates_for_rule(functions: list, rule: VulnRule,
     """Functions passing every directive, in input order, with the rule's policy."""
     out = []
     for fn in functions:
-        if apply_filters(fn, rule, acl_modifiers).passed:
+        if apply_filters(fn, rule, acl_modifiers) is None:
             out.append((fn, rule.context_policy))
     return out

@@ -11,11 +11,9 @@ from .nodes import (
     Expression,
     FunctionRecord,
     LineIndex,
-    ModifierDef,
     SourceFile,
     SourceUnit,
     Statement,
-    VarDecl,
 )
 from .parser import enumerate_functions, parse_source, parse_text
 
@@ -24,14 +22,13 @@ __all__ = [
     "Expression",
     "FunctionRecord",
     "LineIndex",
-    "ModifierDef",
     "SourceFile",
     "SourceUnit",
     "Statement",
-    "VarDecl",
     "parse_source",
     "parse_text",
     "enumerate_functions",
+    "index_contracts",
     "strip_comments",
     "iter_calls",
     "call_name",
@@ -40,6 +37,19 @@ __all__ = [
     "target_names",
     "identifier_token_re",
 ]
+
+
+def index_contracts(units) -> dict[str, list[ContractDef]]:
+    """Every parsed contract by name, each list in declaration order.
+
+    A name with more than one definition is ambiguous; functions that
+    are not in a contract share the name "" (one entry per file).
+    """
+    index: dict[str, list[ContractDef]] = {}
+    for unit in units:
+        for contract in unit.contracts:
+            index.setdefault(contract.name, []).append(contract)
+    return index
 
 
 def iter_calls(expr: Expression) -> Iterator[Expression]:

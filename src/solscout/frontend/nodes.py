@@ -99,21 +99,6 @@ class Statement:
             yield self.post_expr
 
 
-@dataclass
-class VarDecl:
-    name: str
-    type_text: str
-    span: tuple[int, int]
-
-
-@dataclass
-class ModifierDef:
-    name: str
-    params: list
-    span: tuple[int, int]
-    body: list = field(default_factory=list)
-
-
 @dataclass(eq=False)
 class FunctionRecord:
     """A parsed function/constructor/fallback; the unit of all analysis."""
@@ -163,7 +148,7 @@ class FunctionRecord:
 
 @dataclass(eq=False)
 class ContractDef:
-    """A contract's header and members other than its functions.
+    """A contract's header; its other members are skipped by the parser.
 
     Functions point at their contract (``FunctionRecord.contract_def``)
     but not the other way round, so the parsed heap has no reference
@@ -173,15 +158,9 @@ class ContractDef:
     name: str
     kind: str  # contract|interface|library|abstract
     bases: list  # base names in declaration order
-    modifiers: list = field(default_factory=list)
-    state_vars: list = field(default_factory=list)
-    span: tuple[int, int] = (0, 0)
 
 
 @dataclass
 class SourceUnit:
-    pragmas: list = field(default_factory=list)
-    imports: list = field(default_factory=list)
-    contracts: list = field(default_factory=list)
+    contracts: list = field(default_factory=list)  # declaration order
     functions: list = field(default_factory=list)  # declaration order, free ones last
-    file: Optional[SourceFile] = None

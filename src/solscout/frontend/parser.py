@@ -1,11 +1,15 @@
 """Recursive-descent parser for the Solidity subset needed by the scanner.
 
-The grammar coverage is deliberately partial: contracts, inheritance,
-state variables, functions/constructors/modifiers, the statement forms
-that matter for ordering/condition/dataflow checks, and ordinary
-expressions. Anything else (assembly, try/catch, do-while innards that
-fail, exotic syntax) degrades to an ``opaque`` statement that preserves
-the exact source text, so nothing is ever silently dropped.
+The grammar coverage is deliberately partial: contract headers and
+inheritance, functions/constructors/fallbacks, the statement forms that
+matter for ordering/condition/dataflow checks, and ordinary expressions.
+Nothing reads the other top-level constructs and contract members
+(pragmas, imports, modifier definitions, state variables, structs,
+events, ...), so they are skipped token by token without being parsed.
+Inside a function body, anything else (assembly, try/catch, do-while
+innards that fail, exotic syntax) degrades to an ``opaque`` statement
+that preserves the exact source text, so nothing is ever silently
+dropped.
 """
 
 from __future__ import annotations
@@ -18,11 +22,9 @@ from .nodes import (
     ContractDef,
     Expression,
     FunctionRecord,
-    ModifierDef,
     SourceFile,
     SourceUnit,
     Statement,
-    VarDecl,
 )
 
 VISIBILITIES = {"public", "external", "internal", "private"}
@@ -109,17 +111,11 @@ class Parser:
     # top level
 
     def parse(self) -> SourceUnit:
-        unit = SourceUnit(file=self.src)
+        unit = SourceUnit()
         free: list[FunctionRecord] = []
         while self.peek().type != "eof":
             tok = self.peek()
-            if tok.type == "id" and tok.value == "pragma":
-                unit.pragmas.append(self._parse_pragma())
-            elif tok.type == "id" and tok.value == "import":
-                path = self._parse_import()
-                if path:
-                    unit.imports.append(path)
-            elif tok.type == "id" and (
+            if tok.type == "id" and (
                 tok.value in ("contract", "interface", "library")
                 or (tok.value == "abstract" and self.peek(1).value == "contract")
             ):
@@ -138,26 +134,6 @@ class Parser:
             fn.file = self.src
             _assign_seq(fn)
         return unit
-
-    def _parse_pragma(self) -> str:
-        self.advance()
-        parts = []
-        while not self.at(";") and self.peek().type != "eof":
-            parts.append(self.advance().value)
-        if self.at(";"):
-            self.advance()
-        return " ".join(parts)
-
-    def _parse_import(self) -> str:
-        self.advance()
-        path = ""
-        while not self.at(";") and self.peek().type != "eof":
-            tok = self.advance()
-            if tok.type == "str" and not path:
-                path = tok.value[1:-1]
-        if self.at(";"):
-            self.advance()
-        return path
 
     def _skip_construct(self) -> None:
         """Skip one unknown construct: to ';' or over one balanced block."""
@@ -212,7 +188,6 @@ class Parser:
     # contracts
 
     def _parse_contract(self, functions: list) -> ContractDef:
-        start = self.peek().start
         kind = self.advance().value
         if kind == "abstract":
             self.advance()  # 'contract'
@@ -235,87 +210,27 @@ class Parser:
         self.expect_punct("{", hard=True)
         contract = ContractDef(name=name, kind=kind, bases=bases)
         while not self.at("}") and self.peek().type != "eof":
-            self._parse_member(contract, functions)
-        end = self.peek().end
+            if self._at_function():
+                fn = self._parse_function(contract.kind)
+                if fn.name == contract.name:
+                    fn.name = ""  # pre-0.5 constructor-by-name
+                    fn.kind = "constructor"
+                fn.contract = contract.name
+                fn.contract_def = contract
+                functions.append(fn)
+            else:
+                self._skip_construct()  # modifier, state variable, struct, event, ...
         self.expect_punct("}", hard=True)
-        contract.span = self.lines(start, end)
         return contract
 
-    def _parse_member(self, contract: ContractDef, functions: list) -> None:
+    def _at_function(self) -> bool:
         tok = self.peek()
         if tok.type != "id":
-            self._skip_construct()
-            return
+            return False
         v = tok.value
-        if v == "function" or v == "constructor" or (
+        return v == "function" or v == "constructor" or (
             v in ("fallback", "receive") and self.peek(1).value == "("
-        ):
-            fn = self._parse_function(contract.kind)
-            if fn.name == contract.name:
-                fn.name = ""  # pre-0.5 constructor-by-name
-                fn.kind = "constructor"
-            fn.contract = contract.name
-            fn.contract_def = contract
-            functions.append(fn)
-        elif v == "modifier":
-            contract.modifiers.append(self._parse_modifier())
-        elif v in ("using", "event", "error", "type"):
-            self._skip_construct()
-        elif v in ("struct", "enum"):
-            self._skip_construct()
-        else:
-            var = self._try_state_var()
-            if var is not None:
-                contract.state_vars.append(var)
-            else:
-                self._skip_construct()
-
-    def _try_state_var(self):
-        saved = self.pos
-        start = self.peek().start
-        try:
-            type_text = self._parse_type()
-            name = ""
-            while not self.at(";") and self.peek().type != "eof":
-                tok = self.peek()
-                if tok.type == "id" and tok.value not in VISIBILITIES \
-                        and tok.value not in ("constant", "immutable", "override", "public",
-                                              "internal", "private"):
-                    name = tok.value
-                    self.advance()
-                    break
-                if tok.type == "id":
-                    self.advance()
-                    continue
-                raise _Backtrack()
-            if not name:
-                raise _Backtrack()
-            if self.at("="):
-                self.advance()
-                self._parse_expression()
-            end = self.peek().end
-            self.expect_punct(";")
-            return VarDecl(name=name, type_text=type_text, span=self.lines(start, end))
-        except _Backtrack:
-            self.pos = saved
-            return None
-
-    def _parse_modifier(self) -> ModifierDef:
-        start = self.peek().start
-        self.advance()
-        name = self.expect_id("modifier name", hard=True).value
-        params = []
-        if self.at("("):
-            params = self._parse_params()
-        while self.peek().type == "id" and self.peek().value in ("virtual", "override"):
-            self.advance()
-            self._skip_balanced_parens()
-        body: list[Statement] = []
-        if self.at(";"):
-            end = self.advance().end
-        else:
-            body, end = self._parse_block_children()
-        return ModifierDef(name=name, params=params, span=self.lines(start, end), body=body)
+        )
 
     # ------------------------------------------------------------------
     # functions

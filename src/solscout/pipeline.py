@@ -17,7 +17,7 @@ from .config import ScanConfig
 from .confirm import confirm_candidate
 from .errors import ContextOverflow, SoliditySyntaxError, UnparseableAnswer
 from .filters import candidates_for_rule
-from .frontend import enumerate_functions, parse_source
+from .frontend import enumerate_functions, index_contracts, parse_source
 from .gateway import (
     LlmGateway,
     RecognitionAbort,
@@ -65,14 +65,11 @@ def prepare_scan(config: ScanConfig) -> PreparedScan:
             parse_failures.append((src.path, str(exc)))
 
     functions = [fn for unit in units for fn in enumerate_functions(unit)]
-    contracts_by_name = {}
-    for unit in units:
-        for contract in unit.contracts:
-            contracts_by_name.setdefault(contract.name, contract)
+    contracts_by_name = index_contracts(units)
 
     whitelist = load_signature_set(config.whitelist_path)
     survivors = filter_openzeppelin(functions, whitelist, contracts_by_name)
-    graph = build_call_graph(survivors)
+    graph = build_call_graph(survivors, contracts_by_name)
     reach = compute_reachability(graph, survivors, set(config.acl_modifiers))
     rules = load_rules(config.rules_dir)
     scannable = [

@@ -113,38 +113,33 @@ def load_signature_set(path: str) -> SignatureSet:
     return SignatureSet(entries=entries, source=path)
 
 
-def inherited_names(fn: FunctionRecord, contracts_by_name: dict) -> list[str]:
+def inherited_names(fn: FunctionRecord, contracts_by_name: dict) -> set[str]:
     """The function's own contract name plus every (transitive) base name.
 
-    Bases not defined in the project still contribute their literal name,
-    which is exactly what catches inlined library code: a project contract
+    ``contracts_by_name`` is ``frontend.index_contracts``'s index; a name
+    declared more than once follows its first definition. Bases not
+    defined in the project still contribute their literal name, which is
+    exactly what catches inlined library code: a project contract
     ``MyToken is ERC20`` matches whitelist entries written against ERC20.
     """
-    names = []
-    seen = set()
-    queue = [fn.contract]
-    while queue:
-        name = queue.pop(0)
-        if name in seen:
+    names = set()
+    stack = [fn.contract]
+    while stack:
+        name = stack.pop()
+        if name in names:
             continue
-        seen.add(name)
-        names.append(name)
-        contract = contracts_by_name.get(name)
-        if contract is not None:
-            queue.extend(contract.bases)
+        names.add(name)
+        defs = contracts_by_name.get(name)
+        if defs:
+            stack.extend(defs[0].bases)
     return names
 
 
 def filter_openzeppelin(functions: list, whitelist: SignatureSet,
-                        contracts_by_name: dict | None = None) -> list:
+                        contracts_by_name: dict) -> list:
     """Drop functions whose signature (under any inherited name) is whitelisted."""
     if not whitelist.entries:
         return list(functions)
-    if contracts_by_name is None:
-        contracts_by_name = {}
-        for fn in functions:
-            if fn.contract_def is not None and fn.contract not in contracts_by_name:
-                contracts_by_name[fn.contract] = fn.contract_def
     survivors = []
     for fn in functions:
         if not fn.name:

@@ -37,7 +37,7 @@ class ContextPolicy:
 @dataclass
 class FilterDirective:
     kind: str
-    payload: object = None  # keywords | expressions | combinations | types
+    payload: object = None  # keywords | expressions | combinations | types, normalized
 
 
 @dataclass
@@ -107,6 +107,13 @@ def _parse_filter(path: str, raw: dict) -> FilterDirective:
               and all(isinstance(s, str) and s for s in payload))
     if not ok:
         raise RuleParseError(path, f"filters.{kind}.{key}", "missing or malformed payload")
+    # normalized once here, for the case-insensitive matches of filters.py
+    if kind in ("FCCE", "FCNCE"):
+        payload = [[s.lower() for s in combo] for combo in payload]
+    elif kind == "FPT":
+        payload = [s.lower().replace(" ", "") for s in payload]
+    else:
+        payload = [s.lower() for s in payload]
     return FilterDirective(kind=kind, payload=payload)
 
 

@@ -15,7 +15,7 @@ import pytest
 from solscout.confirm import DefUseGraph, check_dataflow, check_order
 from solscout.callgraph import assemble_context, build_call_graph
 from solscout.filters import directive_passes
-from solscout.frontend import enumerate_functions, parse_text
+from solscout.frontend import enumerate_functions, index_contracts, parse_text
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import scan
 from solscout.report import ConfusionCounts,derive_rates, score
@@ -230,7 +230,7 @@ def test_criterion_6_oracle_equivalence():
                   encoding="utf-8") as fh:
             unit = parse_text(fh.read())
         fns = enumerate_functions(unit)
-        graph = build_call_graph(fns)
+        graph = build_call_graph(fns, index_contracts([unit]))
         focus = next(f for f in fns if f.name == focus_name)
         ctx = assemble_context(focus, graph, ContextPolicy(False, True),
                                1_000_000, estimate_tokens)

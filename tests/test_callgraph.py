@@ -8,7 +8,7 @@ from solscout.callgraph import (
     compute_reachability,
 )
 from solscout.errors import ContextOverflow
-from solscout.frontend import enumerate_functions, parse_text
+from solscout.frontend import enumerate_functions, index_contracts, parse_text
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import prepare_scan
 from solscout.rules import ContextPolicy
@@ -19,8 +19,9 @@ from helpers import replay_config
 
 
 def graph_from(src):
-    fns = enumerate_functions(parse_text(src))
-    return build_call_graph(fns), fns
+    unit = parse_text(src)
+    fns = enumerate_functions(unit)
+    return build_call_graph(fns, index_contracts([unit])), fns
 
 
 def test_same_contract_resolution():
@@ -76,13 +77,42 @@ def test_diamond_resolution_prefers_reversed_base_order():
 
 
 def test_duplicate_contract_names_across_files_do_not_resolve():
-    # same contract name in two files: inheritance through it is ambiguous
-    unit1 = parse_text("contract A { function f() public { } }", "one.sol")
-    unit2 = parse_text("contract A { function f() public { } }", "two.sol")
-    unit3 = parse_text("contract B is A { function g() public { f(); } }", "three.sol")
-    fns = [fn for unit in (unit1, unit2, unit3) for fn in enumerate_functions(unit)]
-    graph = build_call_graph(fns)
-    assert ("B.g", "f", 0) in graph.unresolved
+    # same contract name in two files: inheritance through it is ambiguous,
+    # also when one of the two declares no function
+    for sources in (
+        ["contract A { function f() public { } }",
+         "contract A { function f() public { } }"],
+        ["contract A { uint256 x; }",
+         "contract A { function f() public { } }",
+         "contract Other { function f() public { } }"],
+    ):
+        sources = sources + ["contract B is A { function g() public { f(); } }"]
+        units = [parse_text(text, f"f{i}.sol") for i, text in enumerate(sources)]
+        fns = [fn for unit in units for fn in enumerate_functions(unit)]
+        graph = build_call_graph(fns, index_contracts(units))
+        assert ("B.g", "f", 0) in graph.unresolved, sources
+        assert not graph.edges, sources
+
+
+FUNCTIONLESS_BASE = {
+    "Base.sol": "contract Base { function helper(uint256 x) internal { } }",
+    "Mid.sol": "contract Mid is Base { uint256 x; }",
+    "Top.sol": "contract Top is Mid { function f() public { helper(1); } }",
+    "Other.sol": "contract Other { function helper(uint256 y) public { } }",
+}
+
+
+def test_call_resolves_through_a_base_without_functions(tmp_path):
+    # Mid declares no function; Other.helper rules out a project-unique match
+    for name, text in FUNCTIONLESS_BASE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    prepared = prepare_scan(replay_config(str(tmp_path), str(tmp_path / "t.jsonl")))
+    graph = prepared.graph
+    assert ("Top.f", "Base.helper") in {(c, e) for c, e, _ in graph.edges}
+    assert not graph.unresolved
+    top_f = graph.functions["Top.f"]
+    ctx = assemble_context(top_f, graph, ContextPolicy(), 10_000, estimate_tokens)
+    assert ctx.callees == ["Base.helper"]
 
 
 def test_edges_deduplicated_per_call_site():

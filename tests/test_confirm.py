@@ -11,7 +11,7 @@ from solscout.confirm import (
     check_value_comparison,
     confirm_candidate,
 )
-from solscout.frontend import enumerate_functions, parse_text
+from solscout.frontend import enumerate_functions, index_contracts, parse_text
 from solscout.gateway import estimate_tokens
 from solscout.report import Finding
 from solscout.rules import ContextPolicy, load_rules, rule_for_id, shipped_rules_dir
@@ -22,7 +22,7 @@ from conftest import fixture_path
 def make_context(src, focus_name, include_callers=True, path="mem.sol"):
     unit = parse_text(src, path)
     fns = enumerate_functions(unit)
-    graph = build_call_graph(fns)
+    graph = build_call_graph(fns, index_contracts([unit]))
     reach = compute_reachability(graph, fns)
     focus = next(f for f in fns if f.name == focus_name)
     policy = ContextPolicy(include_callers=include_callers, include_callees=True)

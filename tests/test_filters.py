@@ -30,15 +30,28 @@ def test_fcce_matches_first_deposit_deposit_body():
         src = fh.read()
     deposit = fn_from(src, "deposit")
     rule = rule_with([{"kind": "FCCE", "combinations": [["total", "supply"], ["total", "liquidity"]]}])
-    assert apply_filters(deposit, rule).passed
+    assert apply_filters(deposit, rule) is None
+
+
+def test_payloads_are_normalized_when_the_rule_loads():
+    rule = rule_with([
+        {"kind": "FNK", "keywords": ["DoTransfer"]},
+        {"kind": "FCE", "expressions": ["TotalSupply"]},
+        {"kind": "FCCE", "combinations": [["Total", "SUPPLY"]]},
+        {"kind": "FPT", "types": ["UInt 256", "ADDRESS"]},
+    ])
+    assert [d.payload for d in rule.filters] == [
+        ["dotransfer"], ["totalsupply"], [["total", "supply"]], ["uint256", "address"],
+    ]
+    fn = fn_from("contract C { function doTransfer(address payable to, uint256 a) public "
+                 "{ x = totalSupply(); } }")
+    assert apply_filters(fn, rule) is None
 
 
 def test_fnk_fails_without_keyword():
     fn = fn_from("contract C { function swap() public { } }")
     rule = rule_with([{"kind": "FNK", "keywords": ["transfer", "mint"]}])
-    outcome = apply_filters(fn, rule)
-    assert not outcome.passed
-    assert outcome.failed_directive[0] == "FNK"
+    assert apply_filters(fn, rule) == ("FNK", ["transfer", "mint"])
 
 
 def test_fce_ignores_comments():
@@ -53,10 +66,10 @@ def test_fce_ignores_comments():
     stripped_body = fn.body_text().lower()
     assert ("totalsupply" in stripped_body) is False  # independent substring oracle
     rule = rule_with([{"kind": "FCE", "expressions": ["totalSupply"]}])
-    assert not apply_filters(fn, rule).passed
+    assert apply_filters(fn, rule) is not None
 
     live = src.replace("// totalSupply in comment only", "y = totalSupply();")
-    assert apply_filters(fn_from(live), rule).passed
+    assert apply_filters(fn_from(live), rule) is None
 
 
 def test_fnk_matches_name_not_body():
@@ -68,7 +81,7 @@ def test_fnk_matches_name_not_body():
 def test_fce_matches_body_not_name_or_modifiers():
     fn = fn_from("contract C { function transferAll() public onlyRole { x = 1; } }")
     assert not directive_passes(fn, "FCE", ["transfer"], set())
-    assert not directive_passes(fn, "FCE", ["onlyRole"], set())
+    assert not directive_passes(fn, "FCE", ["onlyrole"], set())
 
 
 def test_fpt_contains_all_types():
@@ -98,9 +111,7 @@ def test_directives_and_semantics_first_failure_recorded():
         {"kind": "FCE", "expressions": ["nothere"]},
         {"kind": "FPT", "types": ["bytes32"]},
     ])
-    outcome = apply_filters(fn, rule)
-    assert not outcome.passed
-    assert outcome.failed_directive[0] == "FCE"
+    assert apply_filters(fn, rule) == ("FCE", ["nothere"])
 
 
 def test_order_independence_of_passed():
@@ -109,8 +120,8 @@ def test_order_independence_of_passed():
         {"kind": "FNK", "keywords": ["mint"]},
         {"kind": "FCE", "expressions": ["nothere"]},
     ]
-    a = apply_filters(fn, rule_with(directives)).passed
-    b = apply_filters(fn, rule_with(list(reversed(directives)))).passed
+    a = apply_filters(fn, rule_with(directives)) is None
+    b = apply_filters(fn, rule_with(list(reversed(directives)))) is None
     assert a == b is False
 
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from solscout.errors import SolscoutError
-from solscout.frontend import enumerate_functions, parse_text
+from solscout.frontend import enumerate_functions, index_contracts, parse_text
 from solscout.project import (
     DEFAULT_EXCLUDED_SEGMENTS,
     SignatureSet,
@@ -115,19 +115,22 @@ def test_whitelist_rejects_bad_lines(tmp_path):
         load_signature_set(str(path))
 
 
+def parsed(src):
+    unit = parse_text(src)
+    return enumerate_functions(unit), index_contracts([unit])
+
+
 def test_filter_removes_exact_whitelisted():
-    fns = enumerate_functions(parse_text(
+    fns, index = parsed(
         "contract ERC20 { function transfer(address to, uint256 a) public {} }"
-    ))
+    )
     wl = SignatureSet(entries={"public ERC20.transfer(address,uint256)"})
-    assert filter_openzeppelin(fns, wl) == []
+    assert filter_openzeppelin(fns, wl, index) == []
 
 
 def test_filter_empty_whitelist_is_identity():
-    fns = enumerate_functions(parse_text(
-        "contract C { function f() public {} function g() public {} }"
-    ))
-    assert filter_openzeppelin(fns, SignatureSet(entries=set())) == fns
+    fns, index = parsed("contract C { function f() public {} function g() public {} }")
+    assert filter_openzeppelin(fns, SignatureSet(entries=set()), index) == fns
 
 
 def test_filter_matches_via_inherited_base_name():
@@ -138,7 +141,7 @@ def test_filter_matches_via_inherited_base_name():
             function custom(uint256 x) public {}
         }
     """
-    fns = enumerate_functions(parse_text(src))
+    fns, index = parsed(src)
     wl = SignatureSet(entries={"public ERC20.transfer(address,uint256)"})
 
     # independent oracle: brute-force all (fn, name) pairs
@@ -150,7 +153,7 @@ def test_filter_matches_via_inherited_base_name():
     }
     assert expected_dropped == {"transfer"}
 
-    survivors = filter_openzeppelin(fns, wl)
+    survivors = filter_openzeppelin(fns, wl, index)
     assert [f.name for f in survivors] == ["custom"]
 
 
@@ -159,9 +162,9 @@ def test_filter_transitive_base_chain():
         contract Mid is ERC20 { function helper() public {} }
         contract Leaf is Mid { function transfer(address t, uint256 a) public {} }
     """
-    fns = enumerate_functions(parse_text(src))
+    fns, index = parsed(src)
     wl = SignatureSet(entries={"public ERC20.transfer(address,uint256)"})
-    survivors = filter_openzeppelin(fns, wl)
+    survivors = filter_openzeppelin(fns, wl, index)
     assert [f.name for f in survivors] == ["helper"]
 
 
@@ -173,15 +176,15 @@ def test_filter_idempotent_and_monotone():
             function extra(uint256 x) public {}
         }
     """
-    fns = enumerate_functions(parse_text(src))
+    fns, index = parsed(src)
     small = SignatureSet(entries={"public ERC20.transfer(address,uint256)"})
     large = SignatureSet(entries={
         "public ERC20.transfer(address,uint256)",
         "public ERC20.extra(uint256)",
     })
-    once = filter_openzeppelin(fns, small)
-    assert filter_openzeppelin(once, small) == once
-    assert set(f.name for f in filter_openzeppelin(fns, large)) <= set(f.name for f in once)
+    once = filter_openzeppelin(fns, small, index)
+    assert filter_openzeppelin(once, small, index) == once
+    assert set(f.name for f in filter_openzeppelin(fns, large, index)) <= set(f.name for f in once)
 
 
 def test_default_exclusion_set_contents():
