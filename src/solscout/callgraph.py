@@ -217,7 +217,7 @@ class CodeContext:
 
 def assemble_context(focus: FunctionRecord, graph: CallGraph, policy,
                      token_budget: int, estimator) -> CodeContext:
-    """Focus + direct callees (always) + direct callers (policy permitting).
+    """Focus + direct callees + direct callers, as the ``ContextPolicy`` permits.
 
     Neighbors are appended greedily until the budget would be exceeded;
     the focus function itself is never truncated.
@@ -232,11 +232,11 @@ def assemble_context(focus: FunctionRecord, graph: CallGraph, policy,
     ctx.records.append((fid, focus))
     parts = [focus_text]
 
-    neighbor_ids = [("callee", nid) for nid in graph.callees_of(fid)]
-    if getattr(policy, "include_callers", True):
+    neighbor_ids = []
+    if policy.include_callees:
+        neighbor_ids += [("callee", nid) for nid in graph.callees_of(fid)]
+    if policy.include_callers:
         neighbor_ids += [("caller", nid) for nid in graph.callers_of(fid)]
-    if not getattr(policy, "include_callees", True):
-        neighbor_ids = [(k, n) for k, n in neighbor_ids if k != "callee"]
 
     included = {fid}
     for role, nid in neighbor_ids:

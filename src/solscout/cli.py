@@ -13,7 +13,7 @@ from .config import load_config
 from .errors import ConfigError, RuleParseError, SolscoutError, TruthMismatch
 from .pipeline import prepare_scan, scan
 from .report import Finding, GroundTruth, derive_rates, score
-from .rules import load_rules, parse_rule, shipped_rules_dir
+from .rules import load_rules, read_rule, rule_paths, shipped_rules_dir
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -137,23 +137,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_rules_check(args) -> int:
-    errors = []
-    count = 0
     try:
-        names = sorted(os.listdir(args.rules_dir))
+        paths = rule_paths(args.rules_dir)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    for fname in names:
-        if not fname.endswith((".yaml", ".yml")):
-            continue
-        path = os.path.join(args.rules_dir, fname)
+    errors = []
+    for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                parse_rule(path, yaml.safe_load(fh))
-            count += 1
-        except (RuleParseError, yaml.YAMLError) as exc:
-            errors.append(f"{path}: {exc}")
+            read_rule(path)
+        except RuleParseError as exc:
+            errors.append(str(exc))
     if errors:
         for line in errors:
             print(line, file=sys.stderr)
@@ -163,10 +157,10 @@ def cmd_rules_check(args) -> int:
     except RuleParseError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
-    if count == 0:
+    if not paths:
         print("warning: 0 rules")
     else:
-        print(f"{count} rules OK")
+        print(f"{len(paths)} rules OK")
     return EXIT_CLEAN
 
 

@@ -428,16 +428,14 @@ def _occurrence_evidence(context: CodeContext, names: list) -> list:
 
 
 def confirm_candidate(finding: Finding, rule: VulnRule, context: CodeContext,
-                      reach: ReachabilitySet,
-                      graph: DefUseGraph | None = None) -> Finding:
+                      reach: ReachabilitySet) -> Finding:
     """Run the rule's checks in order; all must meet their expectation.
 
     The recorded verdicts are directive-level: ``confirmed`` means the
     directive supports the vulnerability (for an ``absent`` expectation
     that is the rejection of the underlying presence check).
     """
-    if graph is None:
-        graph = build_def_use(context)
+    graph = build_def_use(context)
     names = {slot: info["name"] for slot, info in finding.recognized.items()}
     verdicts = []
     all_met = True

@@ -67,9 +67,5 @@ def apply_filters(fn: FunctionRecord, rule: VulnRule,
 
 def candidates_for_rule(functions: list, rule: VulnRule,
                         acl_modifiers=DEFAULT_ACL_MODIFIERS) -> list:
-    """Functions passing every directive, in input order, with the rule's policy."""
-    out = []
-    for fn in functions:
-        if apply_filters(fn, rule, acl_modifiers) is None:
-            out.append((fn, rule.context_policy))
-    return out
+    """Functions passing every directive, in input order."""
+    return [fn for fn in functions if apply_filters(fn, rule, acl_modifiers) is None]

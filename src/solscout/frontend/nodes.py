@@ -106,7 +106,6 @@ class FunctionRecord:
     name: str  # empty for constructor/fallback/receive
     kind: str  # function|constructor|fallback|receive
     params: list  # ordered (type_text, name) pairs
-    returns: list  # ordered type_text list
     visibility: str  # public|external|internal|private
     modifiers: list  # invocation names, source order
     body: Optional[list]  # top-level statements; None for declarations

@@ -247,7 +247,6 @@ class Parser:
         params = self._parse_params()
         visibility = None
         modifiers: list[str] = []
-        returns: list[str] = []
         while self.peek().type != "eof":
             tok = self.peek()
             if self.at("{") or self.at(";"):
@@ -261,12 +260,9 @@ class Parser:
                 self.advance()
             elif v in MUTABILITY or v == "virtual":
                 self.advance()
-            elif v == "override":
+            elif v in ("override", "returns"):
                 self.advance()
                 self._skip_balanced_parens()
-            elif v == "returns":
-                self.advance()
-                returns = self._parse_return_types()
             else:
                 modifiers.append(v)
                 self.advance()
@@ -282,7 +278,6 @@ class Parser:
             name=name,
             kind=kind,
             params=params,
-            returns=returns,
             visibility=visibility,
             modifiers=modifiers,
             body=body,
@@ -323,24 +318,6 @@ class Parser:
                 self.advance()
         self.expect_punct(")", hard=True)
         return params
-
-    def _parse_return_types(self) -> list:
-        types = []
-        self.expect_punct("(", hard=True)
-        while not self.at(")") and self.peek().type != "eof":
-            try:
-                type_text = self._parse_type()
-            except _Backtrack:
-                type_text = self.advance().value
-            if self.peek().type == "id" and self.peek().value in LOCATIONS:
-                self.advance()
-            if self.peek().type == "id":
-                self.advance()  # named return value
-            types.append(type_text)
-            if self.at(","):
-                self.advance()
-        self.expect_punct(")", hard=True)
-        return types
 
     def _parse_type(self) -> str:
         tok = self.peek()

@@ -90,33 +90,17 @@ def build_recognition_prompt(recognition, code: str) -> str:
 
 
 def _first_json_object(text: str):
+    """The object decoded from the first ``{`` that starts one, or None.
+
+    A nesting too deep to decode counts as no object there.
+    """
+    decoder = json.JSONDecoder()
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_str = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_str:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_str = False
-                continue
-            if ch == '"':
-                in_str = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        return json.loads(text[start : i + 1])
-                    except json.JSONDecodeError:
-                        break
-        start = text.find("{", start + 1)
+        try:
+            return decoder.raw_decode(text, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            start = text.find("{", start + 1)
     return None
 
 

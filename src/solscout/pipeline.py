@@ -49,11 +49,9 @@ class PreparedScan:
     reach: object
     rules: list
     scannable: list
-    prep_seconds: float = 0.0
 
 
 def prepare_scan(config: ScanConfig) -> PreparedScan:
-    started = time.perf_counter()
     layout = discover_sources(config.project_root, set(config.excluded_segments))
 
     units = []
@@ -86,7 +84,6 @@ def prepare_scan(config: ScanConfig) -> PreparedScan:
         reach=reach,
         rules=rules,
         scannable=scannable,
-        prep_seconds=time.perf_counter() - started,
     )
 
 
@@ -96,9 +93,7 @@ class ScanResult:
     ledger: object = None
     meta: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
-    transcript: Transcript = None
     exchanges: list = field(default_factory=list)
-    static_seconds: float = 0.0
 
     @property
     def confirmed(self) -> list:
@@ -106,10 +101,6 @@ class ScanResult:
 
     def report(self, fmt: str) -> str:
         return emit_report(self.findings, self.ledger, fmt, self.meta)
-
-
-def _key_string(exchange) -> str:
-    return "|".join(exchange.key)
 
 
 def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
@@ -165,9 +156,9 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None
 
     # rule-major, so findings keep the order of a rule-by-rule loop
     pairs = [
-        (rule, fn, policy)
+        (rule, fn)
         for rule in prepared.rules
-        for fn, policy in candidates_for_rule(prepared.scannable, rule, acl)
+        for fn in candidates_for_rule(prepared.scannable, rule, acl)
     ]
 
     stats = {
@@ -185,12 +176,11 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None
         "rejected": 0,
         "skipped": 0,
     }
-    static_seconds = prepared.prep_seconds
     workers = max(1, gateway.config.max_in_flight) if gateway.mode != "replay" else 1
 
     def process(pair):
-        rule, fn, policy = pair
-        return _process_candidate(fn, rule, policy, config, graph, reach, gateway)
+        rule, fn = pair
+        return _process_candidate(fn, rule, config, graph, reach, gateway)
 
     if workers > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -199,10 +189,9 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None
         outcomes = [process(pair) for pair in pairs]
 
     findings: list[Finding] = []
-    for finding, spent_static, stages in outcomes:
-        static_seconds += spent_static
-        for stage in stages:
-            stats[stage] += 1
+    for matched, finding in outcomes:
+        stats["scenario_matched"] += matched >= 1
+        stats["property_matched"] += matched >= 2
         if finding is not None:
             findings.append(finding)
             stats[finding.verdict] += 1
@@ -241,112 +230,80 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None
         ledger=ledger,
         meta=meta,
         stats=stats,
-        transcript=gateway.transcript,
         exchanges=list(gateway.exchanges),
-        static_seconds=static_seconds,
     )
     gateway.close()
     return result
 
 
-def _finding_shell(fn, rule, graph, config, verdict, reason="", **kw) -> Finding:
-    return Finding(
-        rule_id=rule.id,
-        project=config.project_name,
-        file=fn.file.path if fn.file else "",
-        function_id=graph.id_of(fn),
-        contract=fn.contract,
-        function=fn.display_name,
-        span=fn.span,
-        verdict=verdict,
-        reason=reason,
-        excerpt=fn.source(),
-        **kw,
-    )
+def _process_candidate(fn, rule, config, graph, reach, gateway):
+    """One (rule, function) pair after filtering.
 
-
-def _process_candidate(fn, rule, policy, config, graph, reach, gateway):
-    """Returns (finding or None, static seconds spent, stage names hit)."""
+    Returns ``(matched, finding or None)``: ``matched`` counts the LLM
+    stages passed (scenario, then property), whatever the exit.
+    """
     fid = graph.id_of(fn)
-    stages = []
-    static_spent = 0.0
-    t0 = time.perf_counter()
-    try:
-        context = assemble_context(fn, graph, policy, config.token_budget, estimate_tokens)
-    except ContextOverflow as exc:
-        static_spent += time.perf_counter() - t0
-        return (
-            _finding_shell(fn, rule, graph, config, "skipped",
-                           reason=f"too large: {exc.estimate} tokens > {exc.budget}"),
-            static_spent,
-            stages,
-        )
-    static_spent += time.perf_counter() - t0
-
     keys = []
+
+    def finding(verdict, reason="", recognized=None):
+        return Finding(
+            rule_id=rule.id,
+            project=config.project_name,
+            file=fn.file.path if fn.file else "",
+            function_id=fid,
+            contract=fn.contract,
+            function=fn.display_name,
+            span=fn.span,
+            verdict=verdict,
+            reason=reason,
+            recognized=recognized or {},
+            transcript_keys=keys,
+            excerpt=fn.source(),
+        )
+
+    def ask(purpose, prompt, parser):
+        answer, exchange = gateway.ask(purpose, rule.id, fid, prompt, parser)
+        keys.append("|".join(exchange.key))
+        return answer
+
+    try:
+        context = assemble_context(fn, graph, rule.context_policy, config.token_budget,
+                                   estimate_tokens)
+    except ContextOverflow as exc:
+        return 0, finding("skipped", f"too large: {exc.estimate} tokens > {exc.budget}")
+
+    matched = 0
     answer = None
     try:
         # scenario matching: all of a rule's scenarios in one prompt
-        prompt = build_scenario_prompt(rule.scenarios, context.text)
-        answers, exchange = gateway.ask(
-            "scenario", rule.id, fid, prompt,
-            lambda text: parse_scenario_answer(text, len(rule.scenarios)),
-        )
-        keys.append(_key_string(exchange))
-        matched = [i for i, yes in sorted(answers.items()) if yes]
-        if not matched:
-            return None, static_spent, stages
-        stages.append("scenario_matched")
+        answers = ask("scenario", build_scenario_prompt(rule.scenarios, context.text),
+                      lambda text: parse_scenario_answer(text, len(rule.scenarios)))
+        yes = [i for i, said_yes in sorted(answers.items()) if said_yes]
+        if not yes:
+            return matched, None
+        matched = 1
 
         # property matching double-confirms scenario + property together
-        prompt = build_property_prompt(rule, context.text, matched[0] - 1)
-        is_match, exchange = gateway.ask("property", rule.id, fid, prompt, parse_yes_no)
-        keys.append(_key_string(exchange))
-        if not is_match:
-            return None, static_spent, stages
-        stages.append("property_matched")
+        if not ask("property", build_property_prompt(rule, context.text, yes[0] - 1),
+                   parse_yes_no):
+            return matched, None
+        matched = 2
 
         if rule.recognition.questions:
-            prompt = build_recognition_prompt(rule.recognition, context.text)
-            answer, exchange = gateway.ask(
-                "recognition", rule.id, fid, prompt,
-                lambda text: parse_recognition_answer(text, rule.recognition.slots),
-            )
-            keys.append(_key_string(exchange))
+            answer = ask("recognition", build_recognition_prompt(rule.recognition, context.text),
+                         lambda text: parse_recognition_answer(text, rule.recognition.slots))
     except UnparseableAnswer:
-        return (
-            _finding_shell(fn, rule, graph, config, "skipped", reason="llm-format",
-                           transcript_keys=keys),
-            static_spent,
-            stages,
-        )
+        return matched, finding("skipped", "llm-format")
 
     recognized = {}
     if answer is not None:
-        t1 = time.perf_counter()
         validated = validate_recognition(answer, context, rule.recognition.slots)
         if isinstance(validated, RecognitionAbort):
-            static_spent += time.perf_counter() - t1
-            return (
-                _finding_shell(
-                    fn, rule, graph, config, "rejected",
-                    reason=f"recognition abort: {validated.slot}: {validated.reason}",
-                    transcript_keys=keys,
-                ),
-                static_spent,
-                stages,
-            )
+            return matched, finding(
+                "rejected", f"recognition abort: {validated.slot}: {validated.reason}")
         recognized = {
             slot: {"name": name, "description": desc}
             for slot, (name, desc) in validated.items()
         }
-        static_spent += time.perf_counter() - t1
-
-    finding = _finding_shell(
-        fn, rule, graph, config, "rejected",
-        recognized=recognized, transcript_keys=keys,
-    )
-    t2 = time.perf_counter()
-    confirm_candidate(finding, rule, context, reach)
-    static_spent += time.perf_counter() - t2
-    return finding, static_spent, stages
+    return matched, confirm_candidate(finding("rejected", recognized=recognized),
+                                      rule, context, reach)

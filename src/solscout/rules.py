@@ -225,20 +225,31 @@ def _as_list(path, fieldname, value, allow_empty=False):
     return value
 
 
+def rule_paths(rule_dir: str) -> list:
+    """The rule files of a directory, in name order."""
+    return [os.path.join(rule_dir, fname) for fname in sorted(os.listdir(rule_dir))
+            if fname.endswith((".yaml", ".yml"))]
+
+
+def read_rule(path: str) -> VulnRule:
+    """Read and validate one rule file; a YAML error is a ``RuleParseError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            reason = (str(exc) if mark is None
+                      else f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}")
+            raise RuleParseError(path, "<yaml>", reason) from exc
+    return parse_rule(path, data)
+
+
 def load_rules(rule_dir: str) -> list:
     """Load and validate every rule file in a directory, sorted by id."""
     rules = []
     seen = {}
-    for fname in sorted(os.listdir(rule_dir)):
-        if not fname.endswith((".yaml", ".yml")):
-            continue
-        path = os.path.join(rule_dir, fname)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise RuleParseError(path, "<yaml>", str(exc)) from exc
-        rule = parse_rule(path, data)
+    for path in rule_paths(rule_dir):
+        rule = read_rule(path)
         if rule.id in seen:
             raise RuleParseError(path, "id", f"duplicate rule id {rule.id!r} (also in {seen[rule.id]})")
         seen[rule.id] = path

@@ -312,15 +312,14 @@ def test_criterion_7b_live_record_then_replay(tmp_path):
 
 
 def test_criterion_8_throughput_budget(corpus_run):
-    """Parse+filter+confirm (LLM excluded) runs at >= 10 KLoC/s."""
-    _cases, result, _elapsed, _config, _answers = corpus_run
+    """A whole replay scan runs at >= 10 KLoC/s."""
+    _cases, result, elapsed, _config, _answers = corpus_run
     kloc = result.ledger.kloc
     assert kloc >= 5.0, "corpus must be big enough for a meaningful measurement"
-    static_seconds = result.static_seconds
-    throughput = kloc / static_seconds
+    throughput = kloc / elapsed
     assert throughput >= 10.0, f"{throughput:.1f} KLoC/s below the 10 KLoC/s budget"
     _passed(8, f"{throughput:.1f} KLoC/s over {kloc:.1f} KLoC "
-               f"({static_seconds:.2f}s static work)")
+               f"({elapsed:.2f}s whole replay scan)")
 
 
 TABLE_EXPECTED = {

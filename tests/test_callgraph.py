@@ -270,17 +270,22 @@ def test_context_includes_callees_and_callers():
     ctx = assemble_context(focus, graph, ContextPolicy(), 10_000, estimate_tokens)
     assert ctx.callees == ["A.helper"]
     assert set(ctx.callers) == {"A.caller1", "A.caller2"}
+    assert [fid for fid, _ in ctx.records][:2] == ["A.focus", "A.helper"]  # callees first
     assert focus.source() in ctx.text
 
 
 def test_context_policy_suppresses_callers():
+    """Each flag drops its own neighbours and keeps the other's."""
     graph, fns = graph_from(CTX_SRC)
     focus = next(f for f in fns if f.name == "focus")
-    ctx = assemble_context(
-        focus, graph, ContextPolicy(include_callers=False), 10_000, estimate_tokens
-    )
-    assert ctx.callers == []
-    assert ctx.callees == ["A.helper"]
+    for policy, callers, callees in (
+        (ContextPolicy(include_callers=False), [], ["A.helper"]),
+        (ContextPolicy(include_callees=False), ["A.caller1", "A.caller2"], []),
+    ):
+        ctx = assemble_context(focus, graph, policy, 10_000, estimate_tokens)
+        assert ctx.callers == callers
+        assert ctx.callees == callees
+        assert [fid for fid, _ in ctx.records] == [ctx.focus_id] + callees + callers
 
 
 def test_context_isolated_function():

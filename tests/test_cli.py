@@ -163,8 +163,14 @@ def test_rules_check_bad_rule_exits_2(tmp_path, capsys):
         "recognition": [{"slot": "A", "question": "q?"}],
         "checks": [{"kind": "VC", "between": ["Z"], "expectation": "present"}],
     }), encoding="utf-8")
+    (tmp_path / "broken.yaml").write_text("schema: [1\n", encoding="utf-8")
     assert main(["rules-check", "--rules", str(tmp_path)]) == 2
-    assert "Z" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    paths = [str(tmp_path / name) for name in ("bad.yaml", "broken.yaml")]
+    assert [line.split(": ")[0] for line in lines] == paths
+    assert "Z" in lines[0] and "<yaml>" in lines[1]
+    for line, path in zip(lines, paths):
+        assert line.count(path) == 1, line
 
 
 def test_graph_dump(capsys):

@@ -136,8 +136,8 @@ def test_candidates_preserve_source_order_and_policy():
     fns = enumerate_functions(parse_text(src))
     rule = rule_with([{"kind": "FCE", "expressions": ["checkpoint"]}, {"kind": "CFN"}])
     picked = candidates_for_rule(fns, rule)
-    assert [fn.name for fn, _ in picked] == ["a", "c"]
-    assert all(policy == ContextPolicy(False, True) for _, policy in picked)
+    assert [fn.name for fn in picked] == ["a", "c"]
+    assert rule.context_policy == ContextPolicy(False, True)
 
 
 def test_candidates_empty_input():
@@ -169,7 +169,7 @@ def test_candidates_synthetic_bruteforce():
     expected = [f"f{i}" for i, body in enumerate(stripped)
                 if "total" in body and "supply" in body]
     assert expected == ["f0", "f1", "f6"]
-    picked = [fn.name for fn, _ in candidates_for_rule(fns, rule)]
+    picked = [fn.name for fn in candidates_for_rule(fns, rule)]
     assert picked == expected
 
 

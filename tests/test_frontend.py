@@ -83,7 +83,6 @@ def test_visibilities_and_modifiers():
     assert fns["b"].visibility == "internal"
     assert fns["c"].visibility == "private"
     assert fns["d"].modifiers == ["onlyOwner", "whenNotPaused"]
-    assert fns["a"].returns == ["uint256"]
 
 
 def test_interface_functions_default_external():

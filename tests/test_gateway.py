@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import dataclass
 from unittest.mock import MagicMock, patch
 
@@ -6,6 +7,7 @@ import pytest
 
 from solscout.errors import ProviderError, ReplayMiss, UnparseableAnswer
 from solscout.gateway import (
+    _first_json_object,
     LlmExchange,
     LlmGateway,
     ProviderConfig,
@@ -81,6 +83,93 @@ def test_recognition_prompt_single_slot():
 
     prompt = build_recognition_prompt(Spec([("OnlySlot", "which?")]), "c")
     assert prompt.count('{"Variable name":"Description"}') == 1
+
+
+def _scanned_first_json_object(text: str):
+    """Reference: a hand-written brace and string scanner.
+
+    From each ``{`` it finds the matching ``}`` (braces inside strings do
+    not count) and returns the span as JSON if it decodes.
+    """
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        in_str = False
+        escaped = False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_str:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_str = False
+                continue
+            if ch == '"':
+                in_str = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        return json.loads(text[start : i + 1])
+                    except json.JSONDecodeError:
+                        break
+        start = text.find("{", start + 1)
+    return None
+
+
+FIRST_JSON_ANSWERS = [
+    '{"1": "Yes", "2": "No"}',
+    'Sure! Here it is:\n```json\n{"1": "Yes"}\n```',
+    '```\n{"VariableA": {"_shares": "minted {share}"}}\n```',
+    '{"1": "Yes"} and also {"2": "No"}',
+    '{broken} {"1": "No"}',
+    '{"a": "quote \\" inside", "b": {"c": [1, 2, {"d": null}]}}',
+    '{"a": "backslash \\\\"} tail}',
+    '{"a": "unterminated',
+    '{{{"1": "Yes"}',
+    '{"1": "Yes"',
+    '}{"1": "No"}{',
+    '"{\"1\": \"Yes\"}"',
+    'no json at all',
+    '',
+    '{}',
+    '{ "k" : [ "}" , "{" ] }',
+]
+
+_FUZZ_ALPHABET = '{}[]":,\\ ab1-.e\n'
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        op = rng.randrange(3)
+        pos = rng.randrange(len(chars) + 1)
+        if op == 0 or not chars:
+            chars.insert(pos, rng.choice(_FUZZ_ALPHABET))
+        elif op == 1:
+            del chars[min(pos, len(chars) - 1)]
+        else:
+            chars[min(pos, len(chars) - 1)] = rng.choice(_FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+def test_first_json_object_matches_the_brace_scanner():
+    rng = random.Random(20231)
+    texts = list(FIRST_JSON_ANSWERS)
+    texts += ["".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randint(0, 30)))
+              for _ in range(3000)]
+    texts += [_mutate(rng, rng.choice(FIRST_JSON_ANSWERS)) for _ in range(3000)]
+    texts.append('{"a": ' + "[" * 100_000 + ' {"1": "Yes"}')  # deeper than the recursion limit
+    for text in texts:
+        assert _first_json_object(text) == _scanned_first_json_object(text), text
+    assert _first_json_object(FIRST_JSON_ANSWERS[3]) == {"1": "Yes"}
+    assert _first_json_object(FIRST_JSON_ANSWERS[4]) == {"1": "No"}
+    assert _first_json_object(FIRST_JSON_ANSWERS[5])["a"] == 'quote " inside'
+    assert _first_json_object(texts[-1]) == {"1": "Yes"}
 
 
 def test_parse_scenario_answer_basic():

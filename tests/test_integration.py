@@ -128,7 +128,7 @@ def test_static_front_half(tmp_path):
     rfd = rule_for_id(prepared.rules, "risky-first-deposit")
     rfd_candidates = {
         prepared.graph.id_of(fn)
-        for fn, _ in candidates_for_rule(prepared.scannable, rfd, set(config.acl_modifiers))
+        for fn in candidates_for_rule(prepared.scannable, rfd, set(config.acl_modifiers))
     }
     assert "Vault.deposit" in rfd_candidates
     assert "GovToken.votePower" not in rfd_candidates

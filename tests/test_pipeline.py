@@ -140,6 +140,63 @@ def test_recognition_ghost_variable_aborts(tmp_path):
     assert rejected and rejected[0].reason.startswith("recognition abort")
 
 
+RFD_KEY = ("risky-first-deposit", "YaxisVault.deposit")
+
+
+def _answers(fixture="first_deposit", **stage):
+    """first_deposit_answers with ``stage`` values for YaxisVault.deposit."""
+    answers = first_deposit_answers()
+    for name, value in stage.items():
+        getattr(answers, name)[RFD_KEY] = value
+    return fixture, answers
+
+
+# exit -> (fixture and answers, scan options, verdict or None for no
+# finding, reason prefix, transcript keys, scenario_matched, property_matched)
+CANDIDATE_EXITS = {
+    "too-large": (_answers(), {"token_budget": 10}, "skipped", "too large: ", 0, 0, 0),
+    "scenario-no": (_answers(scenario=False), {}, None, None, 0, 0, 0),
+    "property-no": (_answers(property=False), {}, None, None, 0, 1, 0),
+    "scenario-garbage": (_answers(scenario="I think so"), {}, "skipped", "llm-format", 0, 0, 0),
+    "property-garbage": (_answers(property="maybe"), {}, "skipped", "llm-format", 1, 1, 0),
+    "recognition-garbage": (_answers(recognition="{not json"), {},
+                            "skipped", "llm-format", 2, 1, 1),
+    "recognition-abort": (
+        _answers(recognition={**RFD_RECOGNITION, "VariableA": ("ghostVar", "not in the code")}),
+        {}, "rejected", "recognition abort: VariableA: ", 3, 1, 1),
+    "check-rejected": (_answers("first_deposit_patched"), {}, "rejected", "", 3, 1, 1),
+    "confirmed": (_answers(), {}, "confirmed", "", 3, 1, 1),
+}
+
+
+@pytest.mark.parametrize("exit_name", list(CANDIDATE_EXITS))
+def test_every_candidate_exit(tmp_path, exit_name):
+    """One (rule, function) pair through each way out of the candidate path.
+
+    Every other candidate of the fixture answers scenario No, so the
+    stage counters are the pair's own.
+    """
+    (fixture, answers), options, verdict, reason, keys, scenario, prop = \
+        CANDIDATE_EXITS[exit_name]
+    transcript_path = str(tmp_path / "t.jsonl")
+    config = replay_config(fixture_path(fixture), transcript_path,
+                           project_name=fixture, **options)
+    write_transcript(config, answers, transcript_path)
+    result = scan(config)
+    found = [f for f in result.findings if (f.rule_id, f.function_id) == RFD_KEY]
+    if verdict is None:
+        assert found == []
+    else:
+        [finding] = found
+        assert finding.verdict == verdict
+        assert finding.reason.startswith(reason)
+        assert (finding.reason == "") == (reason == "")
+        assert len(finding.transcript_keys) == keys
+        assert bool(finding.check_verdicts) == (exit_name in ("check-rejected", "confirmed"))
+    assert result.stats["scenario_matched"] == scenario
+    assert result.stats["property_matched"] == prop
+
+
 def test_replay_miss_fails_loudly(tmp_path):
     root = fixture_path("first_deposit")
     transcript_path = str(tmp_path / "empty.jsonl")
