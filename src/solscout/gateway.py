@@ -89,16 +89,18 @@ def build_recognition_prompt(recognition, code: str) -> str:
 # answer parsing
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _first_json_object(text: str):
     """The object decoded from the first ``{`` that starts one, or None.
 
     A nesting too deep to decode counts as no object there.
     """
-    decoder = json.JSONDecoder()
     start = text.find("{")
     while start != -1:
         try:
-            return decoder.raw_decode(text, start)[0]
+            return _DECODER.raw_decode(text, start)[0]
         except (json.JSONDecodeError, RecursionError):
             start = text.find("{", start + 1)
     return None
