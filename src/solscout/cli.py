@@ -13,7 +13,7 @@ from .config import load_config
 from .errors import ConfigError, RuleParseError, SolscoutError, TruthMismatch
 from .pipeline import prepare_scan, scan
 from .report import Finding, GroundTruth, derive_rates, score
-from .rules import load_rules, read_rule, rule_paths, shipped_rules_dir
+from .rules import check_unique_ids, read_rule, rule_paths, shipped_rules_dir
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -143,19 +143,20 @@ def cmd_rules_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     errors = []
+    rules = []
     for path in paths:
         try:
-            read_rule(path)
+            rules.append(read_rule(path))
+        except RuleParseError as exc:
+            errors.append(str(exc))
+    if not errors:
+        try:
+            check_unique_ids(paths, rules)
         except RuleParseError as exc:
             errors.append(str(exc))
     if errors:
         for line in errors:
             print(line, file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        load_rules(args.rules_dir)  # cross-file validation (duplicate ids)
-    except RuleParseError as exc:
-        print(str(exc), file=sys.stderr)
         return EXIT_ERROR
     if not paths:
         print("warning: 0 rules")

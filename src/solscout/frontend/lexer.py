@@ -10,39 +10,48 @@ fallback.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 from ..errors import SoliditySyntaxError
 from .nodes import LineIndex
 
-# Strings first so comment markers inside them are ignored.
-_SEGMENT_RE = re.compile(
-    r'"(?:\\.|[^"\\\n])*"'
-    r"|'(?:\\.|[^'\\\n])*'"
-    r"|//[^\n]*"
-    r"|/\*.*?\*/",
-    re.DOTALL,
-)
+_STRING = r"""(?:"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')"""
 
-# One alternation per token: whitespace (unnamed, skipped) first, then the
-# token kinds in priority order, then any other character as ``stray``.
-# DOTALL is scoped to ``stray`` so an escaped newline still ends a string.
+# Strings first so comment markers inside them are ignored.
+_SEGMENT_RE = re.compile(_STRING + r"|//[^\n]*|/\*.*?\*/", re.DOTALL)
+
+# One ``(whitespace, token)`` pair per match: the token alternatives in
+# priority order, then any other character as a stray byte. A ``hex`` or
+# ``unicode`` prefix is part of the string after it; plain strings come
+# after identifiers and numbers, which are more common. DOTALL is scoped
+# to the stray branch so an escaped newline still ends a string.
 _TOKEN_RE = re.compile(
     r"""
-    \s+
-  | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<num>0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)
-  | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
-  | (?P<punct>>>=|<<=|\*\*=|\*\*|=>|->|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=
-      |<<|>>|[{}()\[\];:,.?~!<>=+\-*/%&|^])
-  | (?P<stray>(?s:.))
+    (\s*)
+    ( (?:hex|unicode)""" + _STRING + r"""
+    | [A-Za-z_$][A-Za-z0-9_$]*
+    | 0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?
+    | """ + _STRING + r"""
+    | >>=|<<=|\*\*=|\*\*|=>|->|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=
+    | <<|>>|[{}()\[\];:,.?~!<>=+\-*/%&|^]
+    | (?s:.)
+    )
     """,
     re.VERBOSE,
 )
 
+# Token kind by first character; any other first character, a lone quote
+# included, makes punctuation.
+_KIND_OF_FIRST = (dict.fromkeys(string.ascii_letters + "_$", "id")
+                  | dict.fromkeys(string.digits, "num"))
+_QUOTES = ('"', "'")
+_STR_IF_QUOTED = {True: "str"}
 
-@dataclass(slots=True)
-class Token:
+
+class Token(NamedTuple):
     type: str  # id|num|str|punct|eof
     value: str
     start: int
@@ -84,17 +93,23 @@ def _check_gap(text: str, lo: int, hi: int, path: str) -> None:
 
 
 def tokenize(stripped: str, path: str = "") -> list[Token]:
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(stripped):
-        kind = m.lastgroup
-        if kind is None:  # whitespace
-            continue
-        if kind == "stray":
-            # Stray byte: keep totality, let the parser degrade to opaque.
-            kind = "punct"
-        start, end = m.span()
-        append(Token(kind, m.group(), start, end))
+    """Tokens of comment-stripped text, ending with exactly one ``eof``.
+
+    Every step maps a C function over the whole file, so no Python code
+    runs per token.
+    """
+    # Stop at the last non-space character: trailing whitespace would
+    # otherwise backtrack into the stray-byte branch.
+    pairs = _TOKEN_RE.findall(stripped, 0, len(stripped.rstrip()))
+    flat = list(chain.from_iterable(pairs))
+    offsets = list(accumulate(map(len, flat)))
+    values = flat[1::2]
+    heads = map(_KIND_OF_FIRST.get, map(itemgetter(0), values), repeat("punct"))
+    # two or more characters ending in a quote: a string, prefixed or not
+    quoted = map(str.endswith, values, repeat(_QUOTES), repeat(1))
+    kinds = map(_STR_IF_QUOTED.get, quoted, heads)  # "str" if quoted else head
+    tokens = list(map(tuple.__new__, repeat(Token),
+                      zip(kinds, values, offsets[0::2], offsets[1::2])))
     length = len(stripped)
     tokens.append(Token("eof", "", length, length))
     return tokens

@@ -39,7 +39,9 @@ BINARY_LEVELS = (
 )
 # Binary operator -> index of its level in BINARY_LEVELS (higher binds tighter).
 BINARY_PRECEDENCE = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
-UNARY_OPS = {"!", "~", "-", "+", "++", "--"}
+PREFIX_OPS = {"!", "~", "-", "+", "++", "--", "delete", "new"}
+# Tokens that can continue an expression after its primary.
+POSTFIX_OPS = {"(", "{", ".", "[", "++", "--"}
 
 _ELEMENTARY_RE = re.compile(r"^(address|bool|string|byte|bytes\d*|u?int\d*|u?fixed\d*x?\d*)$")
 
@@ -49,63 +51,62 @@ class _Backtrack(Exception):
 
 
 class Parser:
+    """One file's parser.
+
+    ``self.tokens[self.pos]`` is the current token. ``pos`` never moves
+    past the ``eof`` token, and two more copies of it pad the list, so
+    looking up to two tokens ahead never runs off the end. Only punct
+    tokens spell punctuation and only ids spell keywords, so comparing a
+    token's value alone tells which one it is.
+    """
+
     def __init__(self, src: SourceFile):
         self.src = src
         if not src.stripped:
             src.stripped = strip_comments(src.text, src.path)
-        self.tokens = tokenize(src.stripped, src.path)
-        check_braces(self.tokens, src.line_index, src.path)
+        tokens = tokenize(src.stripped, src.path)
+        check_braces(tokens, src.line_index, src.path)
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
+        self.text = src.text
+        self.line_of = src.line_index.line_of
 
     # ------------------------------------------------------------------
     # token plumbing
 
     def peek(self, offset: int = 0) -> Token:
-        try:
-            return self.tokens[self.pos + offset]
-        except IndexError:  # looking past the end: the trailing eof token
-            return self.tokens[-1]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != "eof":
             self.pos += 1
         return tok
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.type == "punct" and tok.value == value
+        return self.tokens[self.pos].value == value
 
-    def at_id(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.type == "id" and tok.value == value
-
-    def _fail(self, message: str, tok: Token = None):
-        tok = tok or self.peek()
-        line, col = self.src.line_index.linecol(tok.start)
+    def _fail(self, message: str):
+        line, col = self.src.line_index.linecol(self.tokens[self.pos].start)
         raise SoliditySyntaxError(message, line, col, self.src.path)
 
     def expect_punct(self, value: str, hard: bool = False) -> Token:
-        if self.at(value):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.value == value:
+            self.pos += 1
+            return tok
         if hard:
             self._fail(f"expected '{value}'")
         raise _Backtrack()
 
     def expect_id(self, what: str, hard: bool = False) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type == "id":
-            return self.advance()
+            self.pos += 1
+            return tok
         if hard:
             self._fail(f"expected {what}")
         raise _Backtrack()
-
-    def raw(self, start: int, end: int) -> str:
-        return self.src.text[start:end]
-
-    def lines(self, start: int, end: int) -> tuple[int, int]:
-        idx = self.src.line_index
-        return idx.line_of(start), idx.line_of(max(start, end - 1))
 
     # ------------------------------------------------------------------
     # top level
@@ -128,6 +129,7 @@ class Parser:
             synthetic = ContractDef(name="", kind="contract", bases=[])
             for fn in free:
                 fn.contract_def = synthetic
+                fn.visibility = "internal"  # a free function is always internal
             unit.contracts.append(synthetic)
             unit.functions.extend(free)
         for fn in unit.functions:
@@ -149,7 +151,7 @@ class Parser:
             elif tok.value == ";" and depth == 0:
                 return
             elif tok.value == "{":
-                self._skip_balanced_braces()
+                self._skip_balanced("{", "}")
                 # struct/enum bodies end here; a trailing ';' is optional
                 if self.at(";"):
                     self.advance()
@@ -157,32 +159,27 @@ class Parser:
             elif tok.value == "}":
                 return
 
-    def _skip_balanced_braces(self) -> None:
-        """Consume tokens up to and including the matching '}'.
+    def _skip_balanced(self, opening: str, closing: str) -> None:
+        """Consume tokens up to and including the matching ``closing``.
 
-        The opening '{' must already be consumed.
+        The ``opening`` must already be consumed.
         """
+        tokens = self.tokens
         depth = 1
-        while depth and self.peek().type != "eof":
-            tok = self.advance()
-            if tok.type == "punct":
-                if tok.value == "{":
-                    depth += 1
-                elif tok.value == "}":
-                    depth -= 1
+        while depth:
+            tok = tokens[self.pos]
+            if tok.type == "eof":
+                return
+            self.pos += 1
+            if tok.value == opening:
+                depth += 1
+            elif tok.value == closing:
+                depth -= 1
 
     def _skip_balanced_parens(self) -> None:
-        if not self.at("("):
-            return
-        self.advance()
-        depth = 1
-        while depth and self.peek().type != "eof":
-            tok = self.advance()
-            if tok.type == "punct":
-                if tok.value == "(":
-                    depth += 1
-                elif tok.value == ")":
-                    depth -= 1
+        if self.at("("):
+            self.pos += 1
+            self._skip_balanced("(", ")")
 
     # ------------------------------------------------------------------
     # contracts
@@ -194,7 +191,7 @@ class Parser:
             kind = "abstract"
         name = self.expect_id("contract name", hard=True).value
         bases: list[str] = []
-        if self.at_id("is"):
+        if self.at("is"):
             self.advance()
             while True:
                 base = self.expect_id("base contract name", hard=True).value
@@ -236,36 +233,32 @@ class Parser:
     # functions
 
     def _parse_function(self, contract_kind: str) -> FunctionRecord:
-        start = self.peek().start
+        tokens = self.tokens
+        start = tokens[self.pos].start
         kw = self.advance().value
         if kw == "function":
             kind = "function"
             name = "" if self.at("(") else self.expect_id("function name", hard=True).value
         else:
-            kind = kw if kw != "constructor" else "constructor"
+            kind = kw
             name = ""
         params = self._parse_params()
         visibility = None
         modifiers: list[str] = []
-        while self.peek().type != "eof":
-            tok = self.peek()
-            if self.at("{") or self.at(";"):
-                break
-            if tok.type != "id":
-                self.advance()  # stray punctuation in header: skip, stay total
-                continue
+        while True:
+            tok = tokens[self.pos]
             v = tok.value
+            if v == "{" or v == ";" or tok.type == "eof":
+                break
+            self.pos += 1
+            if tok.type != "id":
+                continue  # stray punctuation in header: skip, stay total
             if v in VISIBILITIES:
                 visibility = v
-                self.advance()
-            elif v in MUTABILITY or v == "virtual":
-                self.advance()
-            elif v in ("override", "returns"):
-                self.advance()
+            elif v == "override" or v == "returns":
                 self._skip_balanced_parens()
-            else:
+            elif v not in MUTABILITY and v != "virtual":
                 modifiers.append(v)
-                self.advance()
                 self._skip_balanced_parens()
         if visibility is None:
             visibility = "external" if contract_kind == "interface" else "public"
@@ -274,30 +267,22 @@ class Parser:
             body = None
         else:
             body, end = self._parse_block_children()
-        return FunctionRecord(
-            name=name,
-            kind=kind,
-            params=params,
-            visibility=visibility,
-            modifiers=modifiers,
-            body=body,
-            span=self.lines(start, end),
-            start=start,
-            end=end,
-        )
+        line_of = self.line_of
+        return FunctionRecord(name, kind, params, visibility, modifiers, body,
+                              (line_of(start), line_of(max(start, end - 1))), start, end)
 
     def _parse_params(self) -> list:
+        tokens = self.tokens
         params = []
         self.expect_punct("(", hard=True)
-        while not self.at(")") and self.peek().type != "eof":
+        while (tok := tokens[self.pos]).value != ")" and tok.type != "eof":
             saved = self.pos
-            entry_start = self.peek().start
             try:
                 type_text = self._parse_type()
-                if self.peek().type == "id" and self.peek().value in LOCATIONS:
-                    self.advance()
+                if tokens[self.pos].value in LOCATIONS:
+                    self.pos += 1
                 name = ""
-                if self.peek().type == "id":
+                if tokens[self.pos].type == "id":
                     name = self.advance().value
                 params.append((type_text, name))
             except _Backtrack:
@@ -312,50 +297,47 @@ class Parser:
                         depth += 1
                     elif tok.type == "punct" and tok.value in ")]":
                         depth -= 1
-                raw = self.src.stripped[entry_start: self.peek().start].strip()
+                raw = self.src.stripped[tokens[saved].start: self.peek().start].strip()
                 params.append((raw, ""))
             if self.at(","):
-                self.advance()
+                self.pos += 1
         self.expect_punct(")", hard=True)
         return params
 
     def _parse_type(self) -> str:
-        tok = self.peek()
+        tokens = self.tokens
+        tok = tokens[self.pos]
         if tok.type != "id":
             raise _Backtrack()
+        self.pos += 1
         if tok.value == "mapping":
-            self.advance()
             self.expect_punct("(")
             key = self._parse_type()
-            if self.peek().type == "id":
-                self.advance()  # named mapping key (0.8.18+)
+            if tokens[self.pos].type == "id":
+                self.pos += 1  # named mapping key (0.8.18+)
             self.expect_punct("=>")
             value = self._parse_type()
-            if self.peek().type == "id":
-                self.advance()
+            if tokens[self.pos].type == "id":
+                self.pos += 1
             self.expect_punct(")")
             text = f"mapping({key}=>{value})"
         elif tok.value == "function":
-            self.advance()
             self._skip_balanced_parens()
-            while self.peek().type == "id" and (
-                self.peek().value in VISIBILITIES or self.peek().value in MUTABILITY
-            ):
-                self.advance()
-            if self.at_id("returns"):
-                self.advance()
+            while tokens[self.pos].value in VISIBILITIES or tokens[self.pos].value in MUTABILITY:
+                self.pos += 1
+            if self.at("returns"):
+                self.pos += 1
                 self._skip_balanced_parens()
             text = "function"
         else:
-            parts = [self.advance().value]
-            while self.at(".") and self.peek(1).type == "id":
-                self.advance()
-                parts.append(self.advance().value)
-            text = ".".join(parts)
-            if text == "address" and self.at_id("payable"):
-                self.advance()
+            text = tok.value
+            while tokens[self.pos].value == "." and tokens[self.pos + 1].type == "id":
+                text += "." + tokens[self.pos + 1].value
+                self.pos += 2
+            if text == "address" and self.at("payable"):
+                self.pos += 1
         while self.at("["):
-            self.advance()
+            self.pos += 1
             inner = []
             depth = 0
             while self.peek().type != "eof":
@@ -375,22 +357,25 @@ class Parser:
     # statements
 
     def _parse_block_children(self) -> tuple[list, int]:
+        tokens = self.tokens
         self.expect_punct("{", hard=True)
         children = []
-        while not self.at("}") and self.peek().type != "eof":
+        while (tok := tokens[self.pos]).value != "}" and tok.type != "eof":
             children.append(self._parse_statement())
-        end = self.peek().end
+        end = tok.end
         self.expect_punct("}", hard=True)
         return children, end
 
-    def _statement(self, kind: str, start: int, end: int, **kw) -> Statement:
+    def _statement(self, kind: str, start: int, end: int, condition=None, children=None,
+                   exprs=None, decl_names=None, post_expr=None) -> Statement:
+        line_of = self.line_of
         return Statement(
-            kind=kind,
-            start=start,
-            end=end,
-            span=self.lines(start, end),
-            raw=self.raw(start, end),
-            **kw,
+            kind, start, end, (line_of(start), line_of(max(start, end - 1))),
+            self.text[start:end], -1, condition,
+            [] if children is None else children,
+            [] if exprs is None else exprs,
+            [] if decl_names is None else decl_names,
+            post_expr,
         )
 
     def _parse_statement(self) -> Statement:
@@ -419,7 +404,7 @@ class Parser:
             elif tok.value == ";" and depth == 0:
                 break
             elif tok.value == "{" and depth == 0:
-                self._skip_balanced_braces()
+                self._skip_balanced("{", "}")
                 break
         if not consumed:
             self.advance()
@@ -439,25 +424,27 @@ class Parser:
     }
 
     def _statement_dispatch(self) -> Statement:
-        tok = self.peek()
-        if tok.type == "punct" and tok.value == "{":
-            start = tok.start
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        value = tok.value
+        if value == "{":
             children, end = self._parse_block_children()
-            return self._statement("block", start, end, children=children)
+            return self._statement("block", tok.start, end, children=children)
         if tok.type == "id":
-            handler = self._STATEMENT_KEYWORDS.get(tok.value)
+            handler = self._STATEMENT_KEYWORDS.get(value)
             if handler is not None:
                 return getattr(self, handler)()
-            if tok.value in ("require", "assert") and self.peek(1).value == "(":
-                return self._parse_require(tok.value)
-            if tok.value == "unchecked" and self.peek(1).value == "{":
-                start = self.advance().start
+            following = tokens[self.pos + 1].value
+            if (value == "require" or value == "assert") and following == "(":
+                return self._parse_require(value)
+            if value == "unchecked" and following == "{":
+                self.pos += 1
                 children, end = self._parse_block_children()
-                return self._statement("block", start, end, children=children)
-            if tok.value in ("break", "continue", "throw"):
-                start = self.advance().start
+                return self._statement("block", tok.start, end, children=children)
+            if value in ("break", "continue", "throw"):
+                self.pos += 1
                 end = self.expect_punct(";").end
-                return self._statement("opaque", start, end)
+                return self._statement("opaque", tok.start, end)
         saved = self.pos
         try:
             return self._parse_local_decl()
@@ -473,7 +460,7 @@ class Parser:
         then = self._parse_statement()
         children = [then]
         end = then.end
-        if self.at_id("else"):
+        if self.at("else"):
             self.advance()
             other = self._parse_statement()
             children.append(other)
@@ -524,7 +511,7 @@ class Parser:
     def _parse_do_while(self) -> Statement:
         start = self.advance().start
         body = self._parse_statement()
-        if not self.at_id("while"):
+        if not self.at("while"):
             raise _Backtrack()
         self.advance()
         self.expect_punct("(")
@@ -571,21 +558,21 @@ class Parser:
         if not self.at("{"):
             raise _Backtrack()
         self.advance()
-        self._skip_balanced_braces()
+        self._skip_balanced("{", "}")
         end = self.tokens[self.pos - 1].end
         return self._statement("opaque", start, end)
 
     def _parse_try(self) -> Statement:
         start = self.advance().start
         self._parse_expression()
-        if self.at_id("returns"):
+        if self.at("returns"):
             self.advance()
             self._skip_balanced_parens()
         if not self.at("{"):
             raise _Backtrack()
         self.advance()
-        self._skip_balanced_braces()
-        while self.at_id("catch"):
+        self._skip_balanced("{", "}")
+        while self.at("catch"):
             self.advance()
             if self.peek().type == "id" and not self.at("{"):
                 self.advance()
@@ -593,12 +580,13 @@ class Parser:
             if not self.at("{"):
                 raise _Backtrack()
             self.advance()
-            self._skip_balanced_braces()
+            self._skip_balanced("{", "}")
         end = self.tokens[self.pos - 1].end
         return self._statement("opaque", start, end)
 
     def _parse_local_decl(self) -> Statement:
-        start = self.peek().start
+        tokens = self.tokens
+        start = tokens[self.pos].start
         if self.at("("):
             # tuple declaration: (uint a, , uint b) = expr;
             self.advance()
@@ -610,8 +598,8 @@ class Parser:
                     continue
                 self._parse_type()
                 saw_type = True
-                if self.peek().type == "id" and self.peek().value in LOCATIONS:
-                    self.advance()
+                if tokens[self.pos].value in LOCATIONS:
+                    self.pos += 1
                 names.append(self.expect_id("variable name").value)
                 if self.at(","):
                     self.advance()
@@ -623,18 +611,18 @@ class Parser:
             end = self.expect_punct(";").end
             return self._statement("local-decl", start, end, decl_names=names, exprs=[rhs])
         self._parse_type()
-        if self.peek().type == "id" and self.peek().value in LOCATIONS:
-            self.advance()
+        if tokens[self.pos].value in LOCATIONS:
+            self.pos += 1
         name = self.expect_id("variable name").value
         exprs = []
-        if self.at("="):
-            self.advance()
+        if tokens[self.pos].value == "=":
+            self.pos += 1
             exprs = [self._parse_expression()]
         end = self.expect_punct(";").end
         return self._statement("local-decl", start, end, decl_names=[name], exprs=exprs)
 
     def _parse_expression_statement(self) -> Statement:
-        start = self.peek().start
+        start = self.tokens[self.pos].start
         expr = self._parse_expression()
         end = self.expect_punct(";").end
         if expr.kind == "binary" and expr.op in ASSIGN_OPS:
@@ -644,101 +632,89 @@ class Parser:
     # ------------------------------------------------------------------
     # expressions
 
-    def _expr(self, kind: str, start: int, end: int, **kw) -> Expression:
-        return Expression(kind=kind, start=start, end=end, raw=self.raw(start, end), **kw)
+    def _expr(self, kind: str, start: int, end: int, name: str = "", op: str = "",
+              callee: Expression = None, args: list = None) -> Expression:
+        return Expression(kind, start, end, self.text[start:end], name, op, callee,
+                          [] if args is None else args)
 
     def _parse_expression(self) -> Expression:
-        """Assignment, the loosest level; right-associative."""
-        left = self._parse_ternary()
-        tok = self.peek()
-        if tok.type == "punct" and tok.value in ASSIGN_OPS:
-            self.advance()
-            right = self._parse_expression()
-            return self._expr("binary", left.start, right.end,
-                              op=tok.value, args=[left, right])
-        return left
-
-    def _parse_ternary(self) -> Expression:
-        cond = self._parse_binary(0)
-        if self.at("?"):
-            self.advance()
+        """Assignment (right-associative) over a conditional over binary operators."""
+        tokens = self.tokens
+        left = self._parse_binary(0)
+        tok = tokens[self.pos]
+        if tok.value == "?":
+            self.pos += 1
             then = self._parse_expression()
             self.expect_punct(":")
             other = self._parse_expression()
-            return self._expr("binary", cond.start, other.end,
-                              op="?:", args=[cond, then, other])
-        return cond
+            return self._expr("binary", left.start, other.end, op="?:", args=[left, then, other])
+        if tok.value in ASSIGN_OPS:
+            self.pos += 1
+            right = self._parse_expression()
+            return self._expr("binary", left.start, right.end, op=tok.value, args=[left, right])
+        return left
 
     def _parse_binary(self, min_prec: int) -> Expression:
         """Precedence climbing: operators of level >= ``min_prec``, all left-associative."""
+        tokens = self.tokens
         left = self._parse_unary()
         while True:
-            tok = self.peek()
-            # only punct tokens spell operators, so the value alone decides
+            tok = tokens[self.pos]
             prec = BINARY_PRECEDENCE.get(tok.value)
             if prec is None or prec < min_prec:
                 return left
-            self.advance()
+            self.pos += 1
             right = self._parse_binary(prec + 1)
-            left = self._expr("binary", left.start, right.end,
-                              op=tok.value, args=[left, right])
+            left = self._expr("binary", left.start, right.end, op=tok.value, args=[left, right])
 
     def _parse_unary(self) -> Expression:
-        tok = self.peek()
-        if tok.type == "punct" and tok.value in UNARY_OPS:
-            self.advance()
-            operand = self._parse_unary()
-            return self._expr("unary", tok.start, operand.end, op=tok.value, args=[operand])
-        if tok.type == "id" and tok.value in ("delete", "new"):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.value in PREFIX_OPS:
+            self.pos += 1
             operand = self._parse_unary()
             return self._expr("unary", tok.start, operand.end, op=tok.value, args=[operand])
         return self._parse_postfix(self._parse_primary())
 
     def _parse_postfix(self, base: Expression) -> Expression:
-        while True:
-            tok = self.peek()
-            if tok.type != "punct":
-                return base
-            if tok.value == "(":
+        tokens = self.tokens
+        while (value := tokens[self.pos].value) in POSTFIX_OPS:
+            if value == "(":
                 args = self._parse_call_args()
-                end = self.tokens[self.pos - 1].end
-                base = self._expr("call", base.start, end, callee=base, args=args)
-            elif tok.value == "{" and self._looks_like_call_options():
+                base = self._expr("call", base.start, tokens[self.pos - 1].end,
+                                  callee=base, args=args)
+            elif value == "{":
+                # f{value: x}(...) rather than a block: '{' ident ':'
+                if tokens[self.pos + 1].type != "id" or tokens[self.pos + 2].value != ":":
+                    return base
                 opts = self._parse_named_values()
                 if not self.at("("):
                     raise _Backtrack()
                 args = self._parse_call_args()
-                end = self.tokens[self.pos - 1].end
-                base = self._expr("call", base.start, end, callee=base, args=args + opts)
-            elif tok.value == ".":
-                self.advance()
-                name_tok = self.peek()
-                if name_tok.type not in ("id", "num"):
+                base = self._expr("call", base.start, tokens[self.pos - 1].end,
+                                  callee=base, args=args + opts)
+            elif value == ".":
+                name_tok = tokens[self.pos + 1]
+                if name_tok.type != "id" and name_tok.type != "num":
                     raise _Backtrack()
-                self.advance()
+                self.pos += 2
                 base = self._expr("member-access", base.start, name_tok.end,
-                                  callee=base, name=name_tok.value)
-            elif tok.value == "[":
-                self.advance()
+                                  name=name_tok.value, callee=base)
+            elif value == "[":
+                self.pos += 1
                 args = []
                 if not self.at("]") and not self.at(":"):
                     args.append(self._parse_expression())
                 if self.at(":"):
-                    self.advance()
+                    self.pos += 1
                     if not self.at("]"):
                         args.append(self._parse_expression())
                 end = self.expect_punct("]").end
                 base = self._expr("index", base.start, end, callee=base, args=args)
-            elif tok.value in ("++", "--"):
-                self.advance()
-                base = self._expr("unary", base.start, tok.end, op=tok.value, args=[base])
-            else:
-                return base
-
-    def _looks_like_call_options(self) -> bool:
-        # '{' ident ':' ... '}' '('  — distinguishes f{value: x}(...) from blocks
-        return self.peek(1).type == "id" and self.peek(2).value == ":"
+            else:  # postfix ++ or --
+                end = tokens[self.pos].end
+                self.pos += 1
+                base = self._expr("unary", base.start, end, op=value, args=[base])
+        return base
 
     def _parse_named_values(self) -> list:
         self.expect_punct("{")
@@ -748,46 +724,49 @@ class Parser:
             self.expect_punct(":")
             values.append(self._parse_expression())
             if self.at(","):
-                self.advance()
+                self.pos += 1
         self.expect_punct("}")
         return values
 
     def _parse_call_args(self) -> list:
+        tokens = self.tokens
         self.expect_punct("(")
         args = []
-        while not self.at(")") and self.peek().type != "eof":
+        while (tok := tokens[self.pos]).value != ")" and tok.type != "eof":
             args.append(self._parse_expression())
-            if self.at(","):
-                self.advance()
+            if tokens[self.pos].value == ",":
+                self.pos += 1
         self.expect_punct(")")
         return args
 
     def _parse_primary(self) -> Expression:
-        tok = self.peek()
-        if tok.type == "id":
-            self.advance()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok.type
+        if kind == "id":
+            self.pos += 1
             return self._expr("identifier", tok.start, tok.end, name=tok.value)
-        if tok.type == "num":
-            self.advance()
+        if kind == "num":
+            self.pos += 1
             end = tok.end
-            if self.peek().type == "id" and self.peek().value in UNITS:
+            if tokens[self.pos].value in UNITS:
                 end = self.advance().end
             return self._expr("literal", tok.start, end)
-        if tok.type == "str":
-            self.advance()
+        if kind == "str":
+            self.pos += 1
             end = tok.end
-            while self.peek().type == "str":  # adjacent string concatenation
+            while tokens[self.pos].type == "str":  # adjacent string concatenation
                 end = self.advance().end
             return self._expr("literal", tok.start, end)
-        if tok.type == "punct" and tok.value == "(":
-            self.advance()
+        if tok.value == "(":
+            self.pos += 1
             elems = []
             expect_elem = True
             while not self.at(")") and self.peek().type != "eof":
                 if self.at(","):
                     if expect_elem:
                         elems.append(None)
-                    self.advance()
+                    self.pos += 1
                     expect_elem = True
                     continue
                 elems.append(self._parse_expression())
@@ -797,18 +776,18 @@ class Parser:
             if len(elems) == 1 and len(real) == 1:
                 return real[0]
             return self._expr("tuple", tok.start, end, args=elems)
-        if tok.type == "punct" and tok.value == "[":
-            self.advance()
+        if tok.value == "[":
+            self.pos += 1
             elems = []
             while not self.at("]") and self.peek().type != "eof":
                 elems.append(self._parse_expression())
                 if self.at(","):
-                    self.advance()
+                    self.pos += 1
             end = self.expect_punct("]").end
             return self._expr("tuple", tok.start, end, args=elems)
-        if tok.type == "punct" and tok.value == "{":
+        if tok.value == "{":
             values = self._parse_named_values()
-            end = self.tokens[self.pos - 1].end
+            end = tokens[self.pos - 1].end
             return self._expr("tuple", tok.start, end, args=values)
         raise _Backtrack()
 

@@ -244,18 +244,24 @@ def read_rule(path: str) -> VulnRule:
     return parse_rule(path, data)
 
 
-def load_rules(rule_dir: str) -> list:
-    """Load and validate every rule file in a directory, sorted by id."""
-    rules = []
+def check_unique_ids(paths: list, rules: list) -> None:
+    """Reject the first rule whose id an earlier file already declares.
+
+    ``rules[i]`` is the rule read from ``paths[i]``.
+    """
     seen = {}
-    for path in rule_paths(rule_dir):
-        rule = read_rule(path)
+    for path, rule in zip(paths, rules):
         if rule.id in seen:
             raise RuleParseError(path, "id", f"duplicate rule id {rule.id!r} (also in {seen[rule.id]})")
         seen[rule.id] = path
-        rules.append(rule)
-    rules.sort(key=lambda r: r.id)
-    return rules
+
+
+def load_rules(rule_dir: str) -> list:
+    """Load and validate every rule file in a directory, sorted by id."""
+    paths = rule_paths(rule_dir)
+    rules = [read_rule(path) for path in paths]
+    check_unique_ids(paths, rules)
+    return sorted(rules, key=lambda r: r.id)
 
 
 def rule_for_id(rules: list, rule_id: str) -> VulnRule:

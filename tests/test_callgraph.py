@@ -328,3 +328,32 @@ def test_dot_dump_contains_nodes_and_edges():
     dot = graph.to_dot()
     assert '"A.f" -> "A.g";' in dot
     assert dot.startswith("digraph")
+
+
+def test_hex_and_unicode_literals_are_one_argument():
+    graph, _ = graph_from("""
+        contract C {
+            function f() public { g(hex"00ff"); g(unicode'hi'); }
+            function g(bytes memory b) internal {}
+        }
+    """)
+    assert [(c, e) for c, e, _ in graph.edges] == [("C.f", "C.g"), ("C.f", "C.g")]
+    assert graph.unresolved == []
+
+
+def test_free_functions_are_internal_not_roots():
+    free = """
+        function f() { h(); }
+        contract C { function h() internal {} }
+    """
+    graph, fns = graph_from(free)
+    f = next(fn for fn in fns if fn.name == "f")
+    reach = compute_reachability(graph, fns)
+    assert f.visibility == "internal"
+    assert reach.roots == set()
+    assert "C.h" not in reach.reachable
+
+    graph, fns = graph_from(free + "contract D { function r() public { f(); } }")
+    reach = compute_reachability(graph, fns)
+    assert reach.roots == {"D.r"}
+    assert {graph.id_of(next(fn for fn in fns if fn.name == "f")), "C.h"} <= reach.reachable

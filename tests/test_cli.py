@@ -173,6 +173,35 @@ def test_rules_check_bad_rule_exits_2(tmp_path, capsys):
         assert line.count(path) == 1, line
 
 
+
+def test_rules_check_reads_each_rule_once(tmp_path, capsys, monkeypatch):
+    from solscout import cli, rules
+
+    read = rules.read_rule
+    calls = []
+
+    def counting_read_rule(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(rules, "read_rule", counting_read_rule)
+    monkeypatch.setattr(cli, "read_rule", counting_read_rule)
+    assert main(["rules-check"]) == 0
+    assert calls == rules.rule_paths(rules.shipped_rules_dir())
+
+    calls.clear()
+    shipped = rules.rule_paths(rules.shipped_rules_dir())[0]
+    paths = [str(tmp_path / name) for name in ("a.yaml", "b.yaml")]
+    for path in paths:
+        with open(shipped, encoding="utf-8") as src, open(path, "w", encoding="utf-8") as dst:
+            dst.write(src.read())
+    rule_id = read(shipped).id
+    capsys.readouterr()
+    assert main(["rules-check", "--rules", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{paths[1]}: field 'id': duplicate rule id {rule_id!r} (also in {paths[0]})\n")
+    assert calls == paths
+
 def test_graph_dump(capsys):
     assert main(["graph-dump", fixture_path("first_deposit")]) == 0
     dot = capsys.readouterr().out

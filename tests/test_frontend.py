@@ -4,9 +4,10 @@ import re
 import pytest
 
 from solscout.errors import SoliditySyntaxError
-from solscout.frontend import enumerate_functions, parse_text, strip_comments
+from solscout.frontend import SourceFile, enumerate_functions, parse_source, parse_text, strip_comments
+from solscout.frontend import parser as parser_module
 from solscout.frontend.lexer import Token, tokenize
-from solscout.frontend.parser import BINARY_LEVELS
+from solscout.frontend.parser import BINARY_LEVELS, Parser
 
 from conftest import fixture_path
 from corpus import build_corpus, filler_source
@@ -380,7 +381,11 @@ def test_star_import_exports_exist():
 
 
 def test_totality_fuzz_never_crashes():
-    """parse_text returns a unit or SoliditySyntaxError for any input."""
+    """The parser returns a unit or raises SoliditySyntaxError for any input.
+
+    ``Parser`` is called directly: ``parse_source`` turns every other
+    exception into a SoliditySyntaxError and would hide a crash.
+    """
     rng = random.Random(20240817)
     seeds = [
         "contract C { function f() public { x = 1; } }",
@@ -404,8 +409,7 @@ def test_totality_fuzz_never_crashes():
         else:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 200)))
         try:
-            unit = parse_text(text)
-            enumerate_functions(unit)
+            enumerate_functions(Parser(SourceFile(path="fuzz.sol", text=text)).parse())
         except SoliditySyntaxError:
             pass
 
@@ -523,3 +527,52 @@ def _differential_texts() -> list:
 def test_tokenizer_matches_two_match_oracle():
     for text in _differential_texts():
         assert _stream(tokenize(text)) == _stream(_oracle_tokenize(text)), text
+
+
+def test_tokenize_ends_in_one_eof_on_the_acceptance_corpus():
+    for case in build_corpus(3):
+        text = strip_comments(case.source)
+        tokens = tokenize(text)
+        assert [t.type for t in tokens].count("eof") == 1, case.filename
+        assert tokens[-1] == Token("eof", "", len(text), len(text))
+        assert len(tokens) == len(_oracle_tokenize(text))
+
+
+def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
+    """Cutting a file after any token puts eof under every lookahead the parser makes.
+
+    The up-front brace check is turned off: it rejects most prefixes
+    before the parser would see them.
+    """
+    monkeypatch.setattr(parser_module, "check_braces", lambda *args: None)
+    texts = [
+        read_fixture("first_deposit", "contracts", "Vault.sol"),
+        next(case.source for case in build_corpus(1) if case.filename == "StakeVul0.sol"),
+        # call options look two tokens ahead
+        "contract C { function f() public { (bool ok, ) = to.call{value: v}(hex\"00\"); } }",
+    ]
+    for text in texts:
+        cuts = sorted({offset for tok in tokenize(strip_comments(text))
+                       for offset in (tok.start, tok.end)})
+        for cut in cuts:
+            try:
+                Parser(SourceFile(path="cut.sol", text=text[:cut])).parse()
+            except SoliditySyntaxError:
+                pass
+
+
+def test_parser_calls_the_module_tokenize_once_per_file(monkeypatch):
+    """Benchmark tracing wraps ``parser.tokenize`` by name to count tokens."""
+    texts = [read_fixture("first_deposit", "contracts", "Vault.sol"),
+             read_fixture("checkpoint_order", "contracts", "StakerVault.sol")]
+    lengths = []
+
+    def counting_tokenize(stripped, path=""):
+        tokens = tokenize(stripped, path)
+        lengths.append(len(tokens))
+        return tokens
+
+    monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
+    for i, text in enumerate(texts):
+        parse_source(SourceFile(path=f"f{i}.sol", text=text))
+    assert lengths == [len(tokenize(strip_comments(text))) for text in texts]
