@@ -18,7 +18,7 @@ from typing import NamedTuple
 from ..errors import SoliditySyntaxError
 from .nodes import LineIndex
 
-_STRING = r"""(?:"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')"""
+_STRING = r"""(?:"(?:\\[\s\S]|[^"\\\n])*"|'(?:\\[\s\S]|[^'\\\n])*')"""
 
 # Strings first so comment markers inside them are ignored.
 _SEGMENT_RE = re.compile(_STRING + r"|//[^\n]*|/\*.*?\*/", re.DOTALL)
@@ -26,8 +26,8 @@ _SEGMENT_RE = re.compile(_STRING + r"|//[^\n]*|/\*.*?\*/", re.DOTALL)
 # One ``(whitespace, token)`` pair per match: the token alternatives in
 # priority order, then any other character as a stray byte. A ``hex`` or
 # ``unicode`` prefix is part of the string after it; plain strings come
-# after identifiers and numbers, which are more common. DOTALL is scoped
-# to the stray branch so an escaped newline still ends a string.
+# after identifiers and numbers, which are more common. An escape takes
+# any character, a newline included, as in Solidity.
 _TOKEN_RE = re.compile(
     r"""
     (\s*)

@@ -90,10 +90,11 @@ class Statement:
             yield from c.walk()
 
     def expressions(self) -> Iterator[Expression]:
+        """Each top-level expression once: a ``require``'s condition is also its first arg."""
         if self.condition is not None:
             yield self.condition
         for e in self.exprs:
-            if e is not None:
+            if e is not None and e is not self.condition:
                 yield e
         if self.post_expr is not None:
             yield self.post_expr

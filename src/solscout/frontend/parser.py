@@ -3,13 +3,14 @@
 The grammar coverage is deliberately partial: contract headers and
 inheritance, functions/constructors/fallbacks, the statement forms that
 matter for ordering/condition/dataflow checks, and ordinary expressions.
-Nothing reads the other top-level constructs and contract members
-(pragmas, imports, modifier definitions, state variables, structs,
-events, ...), so they are skipped token by token without being parsed.
+A token lookahead tells a declaration from an expression statement, so
+each statement is parsed once. Nothing reads the other top-level
+constructs and contract members (pragmas, imports, modifier definitions,
+state variables, structs, events, ...), so they are skipped unparsed.
 Inside a function body, anything else (assembly, try/catch, do-while
 innards that fail, exotic syntax) degrades to an ``opaque`` statement
 that preserves the exact source text, so nothing is ever silently
-dropped.
+dropped; skipped members end where an opaque statement would.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class Parser:
             elif tok.type == "id" and tok.value == "function":
                 free.append(self._parse_function("contract"))
             else:
-                self._skip_construct()
+                self._skip_statement()
         if free:
             synthetic = ContractDef(name="", kind="contract", bases=[])
             for fn in free:
@@ -137,44 +138,24 @@ class Parser:
             _assign_seq(fn)
         return unit
 
-    def _skip_construct(self) -> None:
-        """Skip one unknown construct: to ';' or over one balanced block."""
-        depth = 0
-        while self.peek().type != "eof":
-            tok = self.advance()
-            if tok.type != "punct":
-                continue
-            if tok.value in "([":
-                depth += 1
-            elif tok.value in ")]":
-                depth = max(0, depth - 1)
-            elif tok.value == ";" and depth == 0:
-                return
-            elif tok.value == "{":
-                self._skip_balanced("{", "}")
-                # struct/enum bodies end here; a trailing ';' is optional
-                if self.at(";"):
-                    self.advance()
-                return
-            elif tok.value == "}":
-                return
-
-    def _skip_balanced(self, opening: str, closing: str) -> None:
-        """Consume tokens up to and including the matching ``closing``.
-
-        The ``opening`` must already be consumed.
-        """
+    def _after_balanced(self, i: int, opening: str, closing: str) -> int:
+        """Index just past the ``closing`` matching the ``opening`` at ``i - 1``, or of eof."""
         tokens = self.tokens
         depth = 1
         while depth:
-            tok = tokens[self.pos]
+            tok = tokens[i]
             if tok.type == "eof":
-                return
-            self.pos += 1
+                return i
+            i += 1
             if tok.value == opening:
                 depth += 1
             elif tok.value == closing:
                 depth -= 1
+        return i
+
+    def _skip_balanced(self, opening: str, closing: str) -> None:
+        """Consume tokens through the ``closing`` matching the consumed ``opening``."""
+        self.pos = self._after_balanced(self.pos, opening, closing)
 
     def _skip_balanced_parens(self) -> None:
         if self.at("("):
@@ -216,7 +197,7 @@ class Parser:
                 fn.contract_def = contract
                 functions.append(fn)
             else:
-                self._skip_construct()  # modifier, state variable, struct, event, ...
+                self._skip_statement()  # modifier, state variable, struct, event, ...
         self.expect_punct("}", hard=True)
         return contract
 
@@ -336,21 +317,13 @@ class Parser:
                 self.pos += 2
             if text == "address" and self.at("payable"):
                 self.pos += 1
-        while self.at("["):
-            self.pos += 1
-            inner = []
-            depth = 0
-            while self.peek().type != "eof":
-                if self.at("]") and depth == 0:
-                    break
-                t = self.advance()
-                if t.type == "punct" and t.value == "[":
-                    depth += 1
-                elif t.type == "punct" and t.value == "]":
-                    depth -= 1
-                inner.append(t.value)
-            self.expect_punct("]")
-            text += "[" + "".join(inner) + "]"
+        while tokens[self.pos].value == "[":
+            close = self._after_balanced(self.pos + 1, "[", "]")
+            if tokens[close].type == "eof":
+                # no ']', or one that ends the file where a name must follow
+                raise _Backtrack()
+            text += "".join([t.value for t in tokens[self.pos:close]])
+            self.pos = close
         return text
 
     # ------------------------------------------------------------------
@@ -387,29 +360,41 @@ class Parser:
             return self._opaque_statement()
 
     def _opaque_statement(self) -> Statement:
-        start = self.peek().start
-        consumed = False
+        start = self.tokens[self.pos].start
+        end = self._skip_statement()
+        return self._statement("opaque", start, max(start, end))
+
+    def _skip_statement(self) -> int:
+        """Skip a statement or member unparsed; return its end offset.
+
+        It ends after a ``;`` or a ``{...}`` block at bracket depth 0, or before
+        a ``}``: blocks are skipped whole, so that one closes an enclosing block
+        (taken alone if the statement starts there). Inside brackets, a block
+        does not end the statement: ``S({a: 1})``.
+        """
+        tokens = self.tokens
+        first = self.pos
         depth = 0
-        while self.peek().type != "eof":
-            if self.at("}") and depth == 0:
+        while (tok := tokens[self.pos]).type != "eof":
+            value = tok.value
+            if value == "}":
+                if self.pos == first:
+                    self.pos += 1
                 break
-            tok = self.advance()
-            consumed = True
+            self.pos += 1
             if tok.type != "punct":
                 continue
-            if tok.value in "([":
+            if value in "([":
                 depth += 1
-            elif tok.value in ")]":
+            elif value in ")]":
                 depth = max(0, depth - 1)
-            elif tok.value == ";" and depth == 0:
-                break
-            elif tok.value == "{" and depth == 0:
+            elif value == "{":
                 self._skip_balanced("{", "}")
+                if depth == 0:
+                    break
+            elif value == ";" and depth == 0:
                 break
-        if not consumed:
-            self.advance()
-        end = self.tokens[self.pos - 1].end if self.pos else start
-        return self._statement("opaque", start, max(start, end))
+        return tokens[self.pos - 1].end
 
     _STATEMENT_KEYWORDS = {
         "if": "_parse_if",
@@ -445,12 +430,33 @@ class Parser:
                 self.pos += 1
                 end = self.expect_punct(";").end
                 return self._statement("opaque", tok.start, end)
-        saved = self.pos
-        try:
+        if self._at_declaration():
             return self._parse_local_decl()
-        except _Backtrack:
-            self.pos = saved
         return self._parse_expression_statement()
+
+    def _at_declaration(self) -> bool:
+        """Whether a type then a name start here, read ahead as in solc's ``parseSimpleStatement``.
+
+        A data location or ``payable`` counts as the name; a tuple declaration
+        has ``(`` and any commas before its first type.
+        """
+        tokens = self.tokens
+        i = self.pos
+        if tokens[i].value == "(":
+            i += 1
+            while tokens[i].value == ",":
+                i += 1
+        tok = tokens[i]
+        if tok.type != "id" or tok.value in PREFIX_OPS:
+            return False
+        if tok.value == "mapping" or tok.value == "function":
+            return True
+        i += 1
+        while tokens[i].value == "." and tokens[i + 1].type == "id":
+            i += 2
+        while tokens[i].value == "[":
+            i = self._after_balanced(i + 1, "[", "]")
+        return tokens[i].type == "id"
 
     def _parse_if(self) -> Statement:
         start = self.advance().start
@@ -473,17 +479,12 @@ class Parser:
         children = []
         if self.at(";"):
             self.advance()
+        elif self._at_declaration():
+            children.append(self._parse_local_decl())
         else:
-            saved = self.pos
-            try:
-                children.append(self._parse_local_decl())
-            except _Backtrack:
-                self.pos = saved
-                init = self._parse_expression()
-                end_tok = self.expect_punct(";")
-                children.append(
-                    self._statement("expression", init.start, end_tok.end, exprs=[init])
-                )
+            init = self._parse_expression()
+            end = self.expect_punct(";").end
+            children.append(self._statement("expression", init.start, end, exprs=[init]))
         cond = None
         if self.at(";"):
             self.advance()
@@ -591,21 +592,17 @@ class Parser:
             # tuple declaration: (uint a, , uint b) = expr;
             self.advance()
             names = []
-            saw_type = False
             while not self.at(")"):
                 if self.at(","):
                     self.advance()
                     continue
                 self._parse_type()
-                saw_type = True
                 if tokens[self.pos].value in LOCATIONS:
                     self.pos += 1
                 names.append(self.expect_id("variable name").value)
                 if self.at(","):
                     self.advance()
             self.expect_punct(")")
-            if not saw_type:
-                raise _Backtrack()
             self.expect_punct("=")
             rhs = self._parse_expression()
             end = self.expect_punct(";").end

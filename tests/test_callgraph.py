@@ -357,3 +357,14 @@ def test_free_functions_are_internal_not_roots():
     reach = compute_reachability(graph, fns)
     assert reach.roots == {"D.r"}
     assert {graph.id_of(next(fn for fn in fns if fn.name == "f")), "C.h"} <= reach.reachable
+
+
+def test_call_with_an_escaped_newline_in_a_string_argument_resolves():
+    graph, _ = graph_from('contract C { function f() public { g("a\\\nb"); } '
+                          'function g(string memory s) internal {} }')
+    assert ("C.f", "C.g") in {(c, e) for c, e, _ in graph.edges}
+
+
+def test_unresolved_call_in_a_require_is_recorded_once():
+    graph, _ = graph_from("contract C { function f(uint x) public { require(ext(x) > 0); } }")
+    assert graph.unresolved == [("C.f", "ext", 1)]

@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 import re
 
@@ -7,7 +9,7 @@ from solscout.errors import SoliditySyntaxError
 from solscout.frontend import SourceFile, enumerate_functions, parse_source, parse_text, strip_comments
 from solscout.frontend import parser as parser_module
 from solscout.frontend.lexer import Token, tokenize
-from solscout.frontend.parser import BINARY_LEVELS, Parser
+from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
 from corpus import build_corpus, filler_source
@@ -465,7 +467,7 @@ _ORACLE_TOKEN_RE = re.compile(
     r"""
     (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
   | (?P<num>0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)
-  | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+  | (?P<str>"(?:\\[\s\S]|[^"\\\n])*"|'(?:\\[\s\S]|[^'\\\n])*')
   | (?P<punct>>>=|<<=|\*\*=|\*\*|=>|->|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=
       |<<|>>|[{}()\[\];:,.?~!<>=+\-*/%&|^])
     """,
@@ -576,3 +578,157 @@ def test_parser_calls_the_module_tokenize_once_per_file(monkeypatch):
     for i, text in enumerate(texts):
         parse_source(SourceFile(path=f"f{i}.sol", text=text))
     assert lengths == [len(tokenize(strip_comments(text))) for text in texts]
+
+
+# ----------------------------------------------------------------------
+# statement classification: declaration or expression, by lookahead
+
+def _sources_with_statements() -> list:
+    sources = [case.source for case in build_corpus(3)] + [filler_source(0)]
+    for root in (fixture_path(), os.path.join(os.path.dirname(__file__), os.pardir, "demo")):
+        for path in sorted(glob.glob(os.path.join(root, "**", "*.sol"), recursive=True)):
+            with open(path, encoding="utf-8") as fh:
+                sources.append(fh.read())
+    return sources
+
+
+class _ClassifyingParser(Parser):
+    """Records, at each lookahead, whether ``_parse_local_decl`` succeeds there."""
+
+    def __init__(self, src):
+        super().__init__(src)
+        self.answers = []
+
+    def _at_declaration(self):
+        saved = self.pos
+        try:
+            self._parse_local_decl()
+            parses = True
+        except _Backtrack:
+            parses = False
+        self.pos = saved
+        answer = super()._at_declaration()
+        assert self.pos == saved
+        self.answers.append((answer, parses, self.tokens[saved].start))
+        return answer
+
+
+def test_declaration_lookahead_agrees_with_a_full_declaration_parse():
+    starts = 0
+    for source in _sources_with_statements():
+        parser = _ClassifyingParser(SourceFile(path="c.sol", text=source))
+        parser.parse()
+        for answer, parses, start in parser.answers:
+            assert answer == parses, source[start:start + 60]
+        starts += len(parser.answers)
+    assert starts > 100
+
+
+def _body_statement(statement: str):
+    unit = parse_text("contract C { function f() public { %s } }" % statement)
+    return unit.functions[0].body[0]
+
+
+@pytest.mark.parametrize("statement, kind", [
+    ("uint[] memory a = new uint[](n);", "local-decl"),
+    ("mapping(address => uint) storage m = b;", "local-decl"),
+    ("address payable p = payable(x);", "local-decl"),
+    ("L.S memory s;", "local-decl"),
+    ("var x = 1;", "local-decl"),
+    ("(, uint b) = g();", "local-decl"),
+    ("x[i] = 1;", "assignment"),
+    ("a.b = c;", "assignment"),
+    ("IERC20(t).transfer(a, 1);", "expression"),
+    ("(uint a, x) = g();", "opaque"),
+])
+def test_statement_kind_by_lookahead(statement, kind):
+    assert _body_statement(statement).kind == kind
+
+
+def test_delete_statement_is_a_unary_expression():
+    stmt = _body_statement("delete t;")
+    assert (stmt.kind, stmt.decl_names) == ("expression", [])
+    assert [(e.kind, e.op, e.args[0].name) for e in stmt.exprs] == [("unary", "delete", "t")]
+
+
+@pytest.mark.parametrize("init, kind", [
+    ("uint i = 0", "local-decl"),
+    ("i = 0", "expression"),
+])
+def test_for_init_kind_by_lookahead(init, kind):
+    loop = _body_statement("for (%s; i < n; i++) { g(i); }" % init)
+    assert loop.kind == "for"
+    assert loop.children[0].kind == kind
+    assert loop.children[0].raw == init + ";"
+
+
+@pytest.mark.parametrize("broken", [
+    "uint x",
+    "uint x = f(;",
+    "function h() public { x = g(; }",
+], ids=["member-without-semicolon", "member-with-open-paren", "statement-with-open-paren"])
+def test_a_broken_member_or_statement_costs_only_itself(broken):
+    unit = parse_text("contract A { %s } "
+                      "contract B { function f() public { g(); } function g() internal {} }" % broken)
+    assert [c.name for c in unit.contracts] == ["A", "B"]
+    assert [(fn.contract, fn.name) for fn in unit.functions if fn.contract == "B"] == [
+        ("B", "f"), ("B", "g")]
+
+
+def test_opaque_statement_spans_a_block_inside_brackets():
+    body = parse_text("contract C { function f() public { g({a: 1}) h; k(); } }").functions[0].body
+    assert [(s.kind, s.raw) for s in body] == [("opaque", "g({a: 1}) h;"), ("expression", "k();")]
+
+
+@pytest.mark.parametrize("text, result", [
+    ("uint[2] x", "uint[2]"),
+    ("uint[a[1]][] x", "uint[a[1]][]"),
+    ("uint[2", _Backtrack),
+    ("uint[a[1] x", _Backtrack),
+])
+def test_array_type_needs_its_closing_bracket(text, result):
+    parser = Parser(SourceFile(path="t.sol", text=text))
+    if result is _Backtrack:
+        with pytest.raises(_Backtrack):
+            parser._parse_type()
+    else:
+        assert parser._parse_type() == result
+
+
+# ----------------------------------------------------------------------
+# members and top-level constructs the parser does not read
+
+def _function_fields(unit) -> list:
+    return [(fn.name, fn.kind, fn.params, fn.visibility, fn.modifiers, fn.body,
+             fn.span, fn.start, fn.end, fn.contract) for fn in unit.functions]
+
+
+@pytest.mark.parametrize("member", [
+    "struct S { uint a; };",
+    "S public s = S({a: 1});",
+    "enum E { A, B }",
+    "modifier m() { _; }",
+    "mapping(address => mapping(uint => bool)) public allowed;",
+], ids=["struct-and-semicolon", "struct-initializer", "enum", "modifier", "nested-mapping"])
+def test_skipped_member_keeps_the_function_after_it(member):
+    template = "contract C { %s function f(uint a) public { g(a); } }"
+    unit = parse_text(template % member)
+    # blanking the member keeps every offset of the function the same
+    assert _function_fields(unit) == _function_fields(parse_text(template % (" " * len(member))))
+    assert [fn.name for fn in unit.functions] == ["f"]
+
+
+def test_skipped_import_keeps_the_contract_after_it():
+    template = 'pragma solidity ^0.8.0; %s contract C { function f(uint a) public { g(a); } }'
+    member = 'import {A, B} from "x.sol";'
+    unit = parse_text(template % member)
+    assert _function_fields(unit) == _function_fields(parse_text(template % (" " * len(member))))
+    assert [(c.name, c.bases) for c in unit.contracts] == [("C", [])]
+
+
+def test_no_statement_yields_an_expression_twice():
+    for case in build_corpus(3):
+        for fn in parse_text(case.source).functions:
+            for stmt in fn.statements():
+                exprs = list(stmt.expressions())
+                assert len({id(e) for e in exprs}) == len(exprs), stmt.raw
