@@ -18,6 +18,7 @@ from .rules import check_unique_ids, read_rule, rule_paths, shipped_rules_dir
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
+EXIT_PARTIAL = 3  # reports written, but the provider failed some candidates
 
 
 def _pct(value) -> str:
@@ -98,6 +99,11 @@ def cmd_scan(args) -> int:
         print(f"  [{finding.rule_id}] {finding.file}:{finding.span[0]}-{finding.span[1]} "
               f"{finding.contract}.{finding.function}")
     print(f"reports written to {json_path} and {md_path}")
+    failed = result.provider_failures
+    if failed:
+        print(f"warning: {len(failed)} candidates skipped on provider errors, "
+              f"first: {failed[0].reason}", file=sys.stderr)
+        return EXIT_PARTIAL
     return EXIT_FINDINGS if confirmed else EXIT_CLEAN
 
 

@@ -55,6 +55,15 @@ class ProviderError(SolscoutError):
     """HTTP or network failure talking to the completion provider."""
 
 
+class ProviderUnavailable(ProviderError):
+    """A provider failure that every query would meet, so the scan stops.
+
+    No API key, a bad endpoint, proxy or CA bundle, a key or route the
+    provider refuses (401, 403, 404, 407), or a provider still failing
+    after the last retry.
+    """
+
+
 class ReplayMiss(SolscoutError):
     """Replay mode found no transcript entry for a prompt key."""
 

@@ -98,18 +98,20 @@ def tokenize(stripped: str, path: str = "") -> list[Token]:
     Every step maps a C function over the whole file, so no Python code
     runs per token.
     """
-    # Stop at the last non-space character: trailing whitespace would
-    # otherwise backtrack into the stray-byte branch.
-    pairs = _TOKEN_RE.findall(stripped, 0, len(stripped.rstrip()))
+    # A leading byte-order mark is whitespace. Stop at the last non-space
+    # character: trailing whitespace would otherwise backtrack into the
+    # stray-byte branch.
+    start = 1 if stripped.startswith("\ufeff") else 0
+    pairs = _TOKEN_RE.findall(stripped, start, len(stripped.rstrip()))
     flat = list(chain.from_iterable(pairs))
-    offsets = list(accumulate(map(len, flat)))
+    offsets = list(accumulate(map(len, flat), initial=start))
     values = flat[1::2]
     heads = map(_KIND_OF_FIRST.get, map(itemgetter(0), values), repeat("punct"))
     # two or more characters ending in a quote: a string, prefixed or not
     quoted = map(str.endswith, values, repeat(_QUOTES), repeat(1))
     kinds = map(_STR_IF_QUOTED.get, quoted, heads)  # "str" if quoted else head
     tokens = list(map(tuple.__new__, repeat(Token),
-                      zip(kinds, values, offsets[0::2], offsets[1::2])))
+                      zip(kinds, values, offsets[1::2], offsets[2::2])))
     length = len(stripped)
     tokens.append(Token("eof", "", length, length))
     return tokens

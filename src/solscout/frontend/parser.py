@@ -276,8 +276,8 @@ class Parser:
                     tok = self.advance()
                     if tok.type == "punct" and tok.value in "([":
                         depth += 1
-                    elif tok.type == "punct" and tok.value in ")]":
-                        depth -= 1
+                    elif tok.type == "punct" and tok.value in ")]" and depth:
+                        depth -= 1  # a stray closer must not hide the list's ')'
                 raw = self.src.stripped[tokens[saved].start: self.peek().start].strip()
                 params.append((raw, ""))
             if self.at(","):

@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import gc
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .callgraph import assemble_context, build_call_graph, compute_reachability
 from .config import ScanConfig
 from .confirm import confirm_candidate
-from .errors import ContextOverflow, SoliditySyntaxError, UnparseableAnswer
+from .errors import (
+    ContextOverflow,
+    ProviderError,
+    ProviderUnavailable,
+    SoliditySyntaxError,
+    UnparseableAnswer,
+)
 from .filters import candidates_for_rule
 from .frontend import enumerate_functions, index_contracts, parse_source
 from .gateway import (
@@ -34,6 +39,10 @@ from .gateway import (
 from .project import discover_sources, filter_openzeppelin, load_signature_set
 from .report import Finding, count_kloc, emit_report, summarize_cost
 from .rules import load_rules
+
+
+# reason prefix of a candidate skipped on a provider failure
+PROVIDER_ERROR = "provider-error: "
 
 
 @dataclass
@@ -98,6 +107,11 @@ class ScanResult:
     @property
     def confirmed(self) -> list:
         return [f for f in self.findings if f.verdict == "confirmed"]
+
+    @property
+    def provider_failures(self) -> list:
+        """Candidates skipped because the provider failed on one of their queries."""
+        return [f for f in self.findings if f.reason.startswith(PROVIDER_ERROR)]
 
     def report(self, fmt: str) -> str:
         return emit_report(self.findings, self.ledger, fmt, self.meta)
@@ -182,11 +196,17 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None
         rule, fn = pair
         return _process_candidate(fn, rule, config, graph, reach, gateway)
 
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(process, pairs))
-    else:
-        outcomes = [process(pair) for pair in pairs]
+    try:
+        if workers > 1 and len(pairs) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(process, pairs))
+        else:
+            outcomes = [process(pair) for pair in pairs]
+    except BaseException:
+        gateway.close()  # a stopped scan still closes its transcript
+        raise
 
     findings: list[Finding] = []
     for matched, finding in outcomes:
@@ -294,6 +314,11 @@ def _process_candidate(fn, rule, config, graph, reach, gateway):
                          lambda text: parse_recognition_answer(text, rule.recognition.slots))
     except UnparseableAnswer:
         return matched, finding("skipped", "llm-format")
+    except ProviderUnavailable:
+        raise  # every later query would fail the same way
+    except ProviderError as exc:
+        # a query the provider rejected costs this candidate, not the scan
+        return matched, finding("skipped", f"{PROVIDER_ERROR}{exc}")
 
     recognized = {}
     if answer is not None:

@@ -76,35 +76,6 @@ def build_transcript(config: ScanConfig, answers: ScriptedAnswers) -> Transcript
     return gateway.transcript
 
 
-class FakeResponse:
-    def __init__(self, content: str):
-        self.status_code = 200
-        self.text = content
-        self._content = content
-
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}], "usage": {}}
-
-
-def fake_post_from(transcript: Transcript):
-    """An HTTP stand-in answering by prompt hash, for record-mode tests."""
-    from solscout.gateway import prompt_sha256
-
-    by_digest = {
-        ex.prompt_sha256: ex.response for ex in transcript.entries.values()
-    }
-
-    def _post(url, json=None, headers=None, timeout=None):
-        system = json["messages"][0]["content"]
-        user = json["messages"][1]["content"]
-        digest = prompt_sha256(system, user)
-        if digest not in by_digest:
-            raise AssertionError(f"fake provider has no answer for this prompt: {user[:80]!r}")
-        return FakeResponse(by_digest[digest])
-
-    return _post
-
-
 def replay_config(project_root: str, transcript_path: str, **kw) -> ScanConfig:
     config = ScanConfig(
         project_root=project_root,

@@ -365,6 +365,13 @@ def test_call_with_an_escaped_newline_in_a_string_argument_resolves():
     assert ("C.f", "C.g") in {(c, e) for c, e, _ in graph.edges}
 
 
+def test_stray_bracket_in_a_parameter_list_costs_only_that_parameter():
+    graph, fns = graph_from("contract C { function f(uint]256 a) public { g(); } "
+                            "function g() internal {} }")
+    assert [fn.name for fn in fns] == ["f", "g"]
+    assert ("C.f", "C.g") in {(c, e) for c, e, _ in graph.edges}
+
+
 def test_unresolved_call_in_a_require_is_recorded_once():
     graph, _ = graph_from("contract C { function f(uint x) public { require(ext(x) > 0); } }")
     assert graph.unresolved == [("C.f", "ext", 1)]

@@ -1,14 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 
 import yaml
 
-from solscout.cli import main
+from solscout.cli import EXIT_ERROR, EXIT_PARTIAL, main
 from solscout.config import load_config
 from solscout.pipeline import prepare_scan
 
+from chatserver import by_prompt, in_order
 from conftest import fixture_path
-from helpers import replay_config, write_transcript
+from helpers import build_transcript, replay_config, write_transcript
 from test_pipeline import first_deposit_answers
 
 
@@ -34,6 +37,66 @@ def test_scan_first_deposit_replay_exit_code_and_reports(tmp_path, capsys):
     report = json.loads(open(os.path.join(out_dir, "scan-report.json")).read())
     assert report["counts"]["confirmed"] == 1
     assert os.path.exists(os.path.join(out_dir, "scan-report.md"))
+
+
+def test_scan_with_a_failing_provider_writes_both_reports_and_exits_partial(
+        tmp_path, capsys, monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    root = fixture_path("first_deposit")
+    oracle = build_transcript(replay_config(root, str(tmp_path / "o.jsonl")),
+                              first_deposit_answers())
+    answer = by_prompt(oracle)
+    server = serve(lambda request: (400, "quota") if len(server.requests) == 3
+                   else answer(request))
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(yaml.safe_dump({"provider": {"endpoint": server.url}}))
+    out_dir = str(tmp_path / "out")
+    code = main(["scan", root, "--config", str(config_path), "--mode", "record",
+                 "--transcript", str(tmp_path / "t.jsonl"), "--out", out_dir,
+                 "--max-in-flight", "1"])
+    assert code == EXIT_PARTIAL
+    assert "1 candidates skipped on provider errors" in capsys.readouterr().err
+    with open(os.path.join(out_dir, "scan-report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    [failed] = [f for f in report["findings"] if f["reason"].startswith("provider-error")]
+    assert failed["verdict"] == "skipped"
+    assert failed["reason"] == "provider-error: provider returned 400: quota"
+    assert os.path.exists(os.path.join(out_dir, "scan-report.md"))
+
+
+def test_scan_with_a_refused_key_stops_with_no_report(tmp_path, capsys, monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "wrong")
+    server = serve(in_order((401, "invalid api key")))
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(yaml.safe_dump({"provider": {"endpoint": server.url}}))
+    out_dir = str(tmp_path / "out")
+    code = main(["scan", fixture_path("first_deposit"), "--config", str(config_path),
+                 "--mode", "record", "--transcript", str(tmp_path / "t.jsonl"),
+                 "--out", out_dir, "--max-in-flight", "1"])
+    assert code == EXIT_ERROR
+    assert "error: provider returned 401: invalid api key" in capsys.readouterr().err
+    assert len(server.requests) == 1
+    assert not os.path.exists(os.path.join(out_dir, "scan-report.json"))
+
+
+def test_start_up_and_a_replay_scan_load_no_network_code(tmp_path):
+    root, transcript = prep_first_deposit_transcript(tmp_path)
+    code = (
+        "import sys\n"
+        "import solscout.cli\n"
+        "from helpers import replay_config\n"
+        "from solscout.pipeline import scan\n"
+        f"result = scan(replay_config({root!r}, {transcript!r}))\n"
+        "assert len(result.confirmed) == 1\n"
+        "print(sorted(m for m in ('requests', 'urllib3', 'http.client', 'ssl',\n"
+        "                         'concurrent.futures') if m in sys.modules))\n"
+    )
+    tests_dir = os.path.dirname(__file__)
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_scan_empty_project_exits_clean(tmp_path, capsys):

@@ -675,6 +675,13 @@ def test_a_broken_member_or_statement_costs_only_itself(broken):
         ("B", "f"), ("B", "g")]
 
 
+def test_leading_bom_is_whitespace():
+    text = "\ufeffcontract C { function f() public {} }"
+    assert tokenize(text)[0] == Token("id", "contract", 1, 9)
+    (fn,) = enumerate_functions(parse_text(text))
+    assert fn.source() == "function f() public {}"
+
+
 def test_opaque_statement_spans_a_block_inside_brackets():
     body = parse_text("contract C { function f() public { g({a: 1}) h; k(); } }").functions[0].body
     assert [(s.kind, s.raw) for s in body] == [("opaque", "g({a: 1}) h;"), ("expression", "k();")]

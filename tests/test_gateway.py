@@ -1,14 +1,21 @@
+import base64
+import gc
 import json
 import random
+import socket
+import threading
+import time
+import warnings
 from dataclasses import dataclass
-from unittest.mock import MagicMock, patch
 
 import pytest
 
-from solscout.errors import ProviderError, ReplayMiss, UnparseableAnswer
+from solscout.errors import ProviderError, ProviderUnavailable, ReplayMiss, UnparseableAnswer
 from solscout.gateway import (
     _first_json_object,
+    _plan_route,
     LlmExchange,
+    REFUSED_EVERY_QUERY,
     LlmGateway,
     ProviderConfig,
     RecognitionAbort,
@@ -24,6 +31,9 @@ from solscout.gateway import (
     validate_recognition,
 )
 from solscout.rules import load_rules, rule_for_id, shipped_rules_dir
+
+from chatserver import chat_body, in_order
+from conftest import TLS_CA
 
 
 @pytest.fixture(scope="module")
@@ -290,23 +300,23 @@ def test_replay_miss_names_key():
     assert exc.value.key[1] == "r"
 
 
-def _mock_response(status=200, content="Yes", usage=None):
-    resp = MagicMock()
-    resp.status_code = status
-    resp.json.return_value = {
-        "choices": [{"message": {"content": content}}],
-        "usage": usage or {},
-    }
-    resp.text = content
-    return resp
+def _live(server, **kw) -> LlmGateway:
+    """A live-mode gateway whose provider is ``server``."""
+    kw.setdefault("mode", "live")
+    return LlmGateway(ProviderConfig(endpoint=server.url, **kw.pop("provider", {})), **kw)
 
 
-def test_live_mode_posts_two_message_conversation(monkeypatch):
+def test_live_mode_posts_two_message_conversation(monkeypatch, serve):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
-    gateway = LlmGateway(ProviderConfig(temperature=0.0), mode="live")
-    with patch("solscout.gateway.requests.post", return_value=_mock_response()) as post:
-        exchange = gateway.complete("property", "r", "C.f", system_prompt(), "ask?")
-    payload = post.call_args.kwargs["json"]
+    server = serve(in_order((200, chat_body("Yes"))))
+    gateway = _live(server, provider={"temperature": 0.0})
+    exchange = gateway.complete("property", "r", "C.f", system_prompt(), "ask?")
+    gateway.close()
+    [request] = server.requests
+    assert (request.method, request.target) == ("POST", "/v1/chat/completions")
+    assert request.headers["Authorization"] == "Bearer secret"
+    assert request.headers["Content-Type"] == "application/json"
+    payload = request.json()
     assert [m["role"] for m in payload["messages"]] == ["system", "user"]
     assert len(payload["messages"]) == 2  # empty session: never any history
     assert payload["temperature"] == 0.0
@@ -314,47 +324,100 @@ def test_live_mode_posts_two_message_conversation(monkeypatch):
     assert exchange.tokens_in == estimate_tokens(system_prompt()) + estimate_tokens("ask?")
 
 
-def test_live_mode_uses_provider_usage_when_reported(monkeypatch):
+def test_live_mode_uses_provider_usage_when_reported(monkeypatch, serve):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
-    gateway = LlmGateway(ProviderConfig(), mode="live")
-    response = _mock_response(usage={"prompt_tokens": 42, "completion_tokens": 7})
-    with patch("solscout.gateway.requests.post", return_value=response):
-        exchange = gateway.complete("property", "r", "C.f", "s", "u")
+    server = serve(in_order((200, chat_body("Yes", {"prompt_tokens": 42,
+                                                    "completion_tokens": 7}))))
+    gateway = _live(server)
+    exchange = gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
     assert (exchange.tokens_in, exchange.tokens_out) == (42, 7)
 
 
-def test_live_mode_requires_api_key(monkeypatch):
+def test_live_mode_requires_api_key(monkeypatch, serve):
     monkeypatch.delenv("SOLSCOUT_API_KEY", raising=False)
-    gateway = LlmGateway(ProviderConfig(), mode="live")
-    with pytest.raises(ProviderError):
+    server = serve(in_order((200, chat_body("Yes"))))
+    gateway = _live(server)
+    with pytest.raises(ProviderUnavailable, match="SOLSCOUT_API_KEY"):
         gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
+    assert server.requests == []
 
 
-def test_retry_with_backoff_then_success(monkeypatch):
+def test_retry_with_backoff_then_success(monkeypatch, serve):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
     sleeps = []
-    gateway = LlmGateway(ProviderConfig(), mode="live", sleeper=sleeps.append)
-    responses = [_mock_response(status=500), _mock_response(status=429), _mock_response()]
-    with patch("solscout.gateway.requests.post", side_effect=responses):
-        exchange = gateway.complete("property", "r", "C.f", "s", "u")
+    server = serve(in_order((500, ""), (429, ""), (200, chat_body("Yes"))))
+    gateway = _live(server, sleeper=sleeps.append)
+    exchange = gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
     assert exchange.response == "Yes"
+    assert sleeps == [1.0, 2.0]
+    assert len(server.requests) == 3
+
+
+def test_retry_exhaustion_raises_provider_error(monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    server = serve(in_order((500, "")))
+    gateway = _live(server, sleeper=lambda _s: None)
+    with pytest.raises(ProviderUnavailable, match="provider returned 500"):
+        gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
+    assert len(server.requests) == LlmGateway.RETRIES
+
+
+def test_a_refused_connection_is_unavailable_after_the_last_retry(monkeypatch, direct):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    with socket.socket() as probe:  # a port nothing listens on once it is closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sleeps = []
+    gateway = LlmGateway(ProviderConfig(endpoint=f"http://127.0.0.1:{port}/v1"),
+                         mode="live", sleeper=sleeps.append)
+    with pytest.raises(ProviderUnavailable, match="request failed"):
+        gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
     assert sleeps == [1.0, 2.0]
 
 
-def test_retry_exhaustion_raises_provider_error(monkeypatch):
+@pytest.mark.parametrize("status", sorted(REFUSED_EVERY_QUERY))
+def test_a_refused_key_or_route_is_unavailable_at_once(monkeypatch, serve, status):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
-    gateway = LlmGateway(ProviderConfig(), mode="live", sleeper=lambda _s: None)
-    with patch("solscout.gateway.requests.post", return_value=_mock_response(status=500)):
-        with pytest.raises(ProviderError):
-            gateway.complete("property", "r", "C.f", "s", "u")
+    sleeps = []
+    server = serve(in_order((status, "no")))
+    gateway = _live(server, sleeper=sleeps.append)
+    with pytest.raises(ProviderUnavailable, match=f"provider returned {status}: no"):
+        gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
+    assert (len(server.requests), sleeps) == (1, [])
 
 
-def test_record_mode_appends_jsonl(tmp_path, monkeypatch):
+@pytest.mark.parametrize("status, body, message", [
+    (400, "bad model name", "provider returned 400: bad model name"),
+    (200, "not json", "malformed provider response: "),
+    (200, '{"choices": []}', "malformed provider response: "),
+    (200, "[1]", "malformed provider response: "),
+])
+def test_rejected_or_malformed_reply_raises_without_retry(monkeypatch, serve,
+                                                          status, body, message):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    sleeps = []
+    server = serve(in_order((status, body)))
+    gateway = _live(server, sleeper=sleeps.append)
+    with pytest.raises(ProviderError) as exc:
+        gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
+    assert str(exc.value).startswith(message)
+    assert not isinstance(exc.value, ProviderUnavailable)  # it costs one candidate
+    assert (len(server.requests), sleeps) == (1, [])
+
+
+def test_record_mode_appends_jsonl(tmp_path, monkeypatch, serve):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
     path = str(tmp_path / "rec.jsonl")
-    gateway = LlmGateway(ProviderConfig(), mode="record", record_path=path)
-    with patch("solscout.gateway.requests.post", return_value=_mock_response()):
-        gateway.complete("property", "r", "C.f", "s", "u")
+    server = serve(in_order((200, chat_body("Yes"))))
+    gateway = _live(server, mode="record", record_path=path)
+    gateway.complete("property", "r", "C.f", "s", "u")
     gateway.close()
     loaded = Transcript.load(path)
     assert len(loaded) == 1
@@ -362,7 +425,7 @@ def test_record_mode_appends_jsonl(tmp_path, monkeypatch):
     assert replayer.complete("property", "r", "C.f", "s", "u").response == "Yes"
 
 
-def test_answerer_stands_in_for_the_provider(monkeypatch):
+def test_answerer_stands_in_for_the_provider(monkeypatch, serve):
     monkeypatch.delenv("SOLSCOUT_API_KEY", raising=False)
     calls = []
 
@@ -370,15 +433,176 @@ def test_answerer_stands_in_for_the_provider(monkeypatch):
         calls.append((purpose, rule_id, function_id, user))
         return "Yes"
 
-    gateway = LlmGateway(ProviderConfig(), mode="record", answer=answer)
-    with patch("solscout.gateway.requests.post") as post:
-        exchange = gateway.complete("property", "r", "C.f", "system", "user")
-    post.assert_not_called()
+    server = serve(in_order((200, chat_body("No"))))
+    gateway = _live(server, mode="record", answer=answer)
+    exchange = gateway.complete("property", "r", "C.f", "system", "user")
+    gateway.close()
+    assert server.requests == []
     assert calls == [("property", "r", "C.f", "user")]
     assert (exchange.response, exchange.latency) == ("Yes", 0.0)
     assert exchange.tokens_in == estimate_tokens("system") + estimate_tokens("user")
     assert exchange.tokens_out == estimate_tokens("Yes")
     assert gateway.transcript.get(exchange.key) is exchange
+
+
+# ----------------------------------------------------------------------
+# connections, proxies and TLS
+
+
+def test_each_query_closes_its_connection(monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    server = serve(in_order((200, chat_body("Yes"))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gateway = _live(server)
+        for i in range(3):
+            assert gateway.complete("property", "r", f"C.f{i}", "s", "u").response == "Yes"
+            assert server.wait_ended(i + 1)  # closed once the reply was read
+        gateway.close()
+        del gateway
+        gc.collect()
+    assert (server.accepted, len(server.requests)) == (3, 3)
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_in_flight_queries_never_outnumber_the_slots(monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    lock = threading.Lock()
+    in_flight = [0, 0]  # now, most
+
+    def slow(request):
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight)
+        time.sleep(0.02)  # long enough for the four threads to overlap
+        with lock:
+            in_flight[0] -= 1
+        return 200, chat_body("Yes")
+
+    server = serve(slow)
+    gateway = _live(server, provider={"max_in_flight": 2})
+    answers = []
+
+    def work(t):
+        for i in range(3):
+            answers.append(gateway.complete("property", "r", f"C.f{t}_{i}", "s", "u").response)
+
+    workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(30)
+        assert not worker.is_alive()
+    gateway.close()
+    assert answers == ["Yes"] * 12
+    assert len(server.requests) == 12
+    assert in_flight[1] == 2
+
+
+def _with_credentials(base: str) -> str:
+    return base.replace("://", "://user:p%40ss@")
+
+
+BASIC = "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
+
+
+@pytest.mark.parametrize("variable, proxy_tls", [
+    ("http_proxy", False), ("all_proxy", False), ("http_proxy", True),
+], ids=["http_proxy", "all_proxy", "https-scheme-proxy"])
+def test_http_proxy_gets_the_absolute_uri_unless_no_proxy_lists_the_host(
+        monkeypatch, serve, variable, proxy_tls):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", TLS_CA)
+    provider = serve(in_order((200, chat_body("direct"))))
+    proxy = serve(in_order((200, chat_body("proxied"))), tls=proxy_tls)
+    monkeypatch.setenv(variable, _with_credentials(proxy.base))
+    monkeypatch.setenv("no_proxy", "example.invalid")
+    gateway = _live(provider)
+    assert gateway.complete("property", "r", "C.f", "s", "u").response == "proxied"
+    gateway.close()
+    [request] = proxy.requests
+    assert request.target == provider.url
+    assert request.headers["Host"] == provider.base.split("//")[1]
+    assert request.headers["Proxy-Authorization"] == BASIC
+    assert provider.requests == []
+
+    monkeypatch.setenv("no_proxy", "example.invalid,127.0.0.1")
+    gateway = _live(provider)
+    assert gateway.complete("property", "r", "C.f", "s", "u").response == "direct"
+    gateway.close()
+    assert [r.target for r in provider.requests] == ["/v1/chat/completions"]
+    assert len(proxy.requests) == 1
+
+
+@pytest.mark.parametrize("proxy_tls", [False, True], ids=["http-proxy", "https-proxy"])
+def test_https_endpoint_is_tunnelled_through_the_proxy(monkeypatch, serve, proxy_tls):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", TLS_CA)
+    provider = serve(in_order((200, chat_body("tunnelled"))), tls=True)
+    proxy = serve(in_order((200, "")), tls=proxy_tls)  # a 200 opens the tunnel
+    monkeypatch.setenv("https_proxy", _with_credentials(proxy.base))
+    gateway = _live(provider)
+    assert gateway.complete("property", "r", "C.f", "s", "u").response == "tunnelled"
+    gateway.close()
+    [connect] = proxy.requests
+    assert (connect.method, connect.target) == ("CONNECT", provider.base.split("//")[1])
+    assert connect.headers["Proxy-Authorization"] == BASIC
+    [request] = provider.requests
+    assert request.target == "/v1/chat/completions"
+    assert "Proxy-Authorization" not in request.headers
+    assert proxy.wait_ended(1) and provider.wait_ended(1)
+
+
+@pytest.mark.parametrize("proxy, scheme, port", [
+    ("https://proxy.example", "https", 443),
+    ("http://proxy.example", "http", 80),
+    ("proxy.example:3128", "http", 3128),
+])
+def test_a_proxy_url_without_a_port_gets_its_scheme_default(monkeypatch, direct,
+                                                           proxy, scheme, port):
+    import http.client
+
+    monkeypatch.setenv("http_proxy", proxy)
+    open_connection, target, _headers = _plan_route("http://api.example/v1", 5.0)
+    conn = open_connection()  # not connected yet
+    assert (conn.host, conn.port, target) == ("proxy.example", port, "http://api.example/v1")
+    assert isinstance(conn, http.client.HTTPSConnection) == (scheme == "https")
+
+
+def test_a_refused_tunnel_is_retried_then_unavailable(monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    proxy = serve(in_order((403, "")))
+    monkeypatch.setenv("https_proxy", proxy.base)
+    gateway = LlmGateway(ProviderConfig(endpoint="https://127.0.0.1:9/v1/chat/completions"),
+                         mode="live", sleeper=lambda _s: None)
+    with pytest.raises(ProviderUnavailable, match="403"):
+        gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
+    assert [(r.method, r.target) for r in proxy.requests] == \
+        [("CONNECT", "127.0.0.1:9")] * LlmGateway.RETRIES
+
+
+@pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "SSL_CERT_FILE"])
+def test_https_endpoint_trusts_the_ca_the_environment_names(monkeypatch, serve, variable):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    monkeypatch.setenv(variable, TLS_CA)
+    server = serve(in_order((200, chat_body("Yes"))), tls=True)
+    gateway = _live(server)
+    assert gateway.complete("property", "r", "C.f", "s", "u").response == "Yes"
+    gateway.close()
+    assert [r.target for r in server.requests] == ["/v1/chat/completions"]
+
+
+def test_https_endpoint_with_an_unknown_ca_is_unavailable(monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    server = serve(in_order((200, chat_body("Yes"))), tls=True)
+    gateway = _live(server, sleeper=lambda _s: None)
+    with pytest.raises(ProviderUnavailable, match="CERTIFICATE_VERIFY_FAILED"):
+        gateway.complete("property", "r", "C.f", "s", "u")
+    gateway.close()
+    assert server.requests == []
 
 
 def test_ask_retries_unparseable_once_then_raises():

@@ -1,76 +1,32 @@
 """Record-mode scan against a real local HTTP chat-completions server."""
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
-import pytest
-
-from solscout.gateway import prompt_sha256
 from solscout.pipeline import scan
 
+from chatserver import by_prompt
 from conftest import fixture_path
 from helpers import build_transcript, replay_config
 from test_pipeline import first_deposit_answers
 
 
-class ChatHandler(BaseHTTPRequestHandler):
-    responses = {}
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length))
-        messages = payload["messages"]
-        assert len(messages) == 2, "every query must be an empty-session pair"
-        digest = prompt_sha256(messages[0]["content"], messages[1]["content"])
-        content = self.responses.get(digest)
-        if content is None:
-            self.send_response(404)
-            self.end_headers()
-            return
-        body = json.dumps({
-            "choices": [{"message": {"content": content}}],
-            "usage": {"prompt_tokens": 11, "completion_tokens": 3},
-        }).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def chat_server():
-    try:
-        server = HTTPServer(("127.0.0.1", 0), ChatHandler)
-    except OSError:
-        pytest.skip("local sockets unavailable")
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    server.shutdown()
-
-
-def test_record_over_http_then_replay(tmp_path, monkeypatch, chat_server):
+def test_record_over_http_then_replay(tmp_path, monkeypatch, serve):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "local-key")
     root = fixture_path("first_deposit")
     transcript_path = str(tmp_path / "recorded.jsonl")
 
     seed = replay_config(root, transcript_path, project_name="first_deposit")
     oracle = build_transcript(seed, first_deposit_answers())
-    ChatHandler.responses = {
-        ex.prompt_sha256: ex.response for ex in oracle.entries.values()
-    }
+    server = serve(by_prompt(oracle, usage={"prompt_tokens": 11, "completion_tokens": 3}))
 
     record = replay_config(root, transcript_path, project_name="first_deposit")
     record.mode = "record"
-    record.provider.endpoint = chat_server
+    record.provider.endpoint = server.url
     record.provider.max_in_flight = 4  # exercise the parallel query path
     record.validate()
     recorded = scan(record)
+    # every query must be an empty-session pair
+    assert all(len(r.json()["messages"]) == 2 for r in server.requests)
     assert len(recorded.confirmed) == 1
     assert all(e.tokens_in == 11 and e.tokens_out == 3 for e in recorded.exchanges)
 

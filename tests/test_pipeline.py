@@ -1,24 +1,26 @@
 import gc
 import json
 import os
+import time
 import weakref
-from unittest.mock import patch
 
 import pytest
 
-from solscout.errors import ReplayMiss
-from solscout.gateway import Transcript
+from solscout.errors import ProviderError, ProviderUnavailable, ReplayMiss
+from solscout.gateway import LlmGateway, ProviderConfig, Transcript
 from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
+from solscout.rules import load_rules
 
+from chatserver import by_prompt, in_order
 from conftest import fixture_path
 from corpus import build_corpus, write_corpus
 from helpers import (
     ScriptedAnswers,
     corpus_answers,
-    fake_post_from,
     build_transcript,
     replay_config,
+    scripted_answerer,
     write_transcript,
 )
 
@@ -240,7 +242,7 @@ def test_replay_reports_are_byte_identical(tmp_path):
     assert first.report("markdown") == second.report("markdown")
 
 
-def test_record_then_replay_identical_findings(tmp_path, monkeypatch):
+def test_record_then_replay_identical_findings(tmp_path, monkeypatch, serve):
     """Record through a scripted provider, then replay the written file."""
     monkeypatch.setenv("SOLSCOUT_API_KEY", "fake")
     root = fixture_path("first_deposit")
@@ -248,11 +250,15 @@ def test_record_then_replay_identical_findings(tmp_path, monkeypatch):
 
     seed_config = replay_config(root, transcript_path, project_name="first_deposit")
     oracle_transcript = build_transcript(seed_config, first_deposit_answers())
+    server = serve(by_prompt(oracle_transcript))
 
     record_config = replay_config(root, transcript_path, project_name="first_deposit")
     record_config.mode = "record"
-    with patch("solscout.gateway.requests.post", side_effect=fake_post_from(oracle_transcript)):
-        recorded = scan(record_config)
+    record_config.provider.endpoint = server.url
+    recorded = scan(record_config)
+    # the provider knew every prompt the scan sent
+    assert recorded.provider_failures == []
+    assert len(server.requests) == len(recorded.exchanges)
 
     replay = replay_config(root, transcript_path, project_name="first_deposit")
     replay.validate()
@@ -262,6 +268,60 @@ def test_record_then_replay_identical_findings(tmp_path, monkeypatch):
     rep_doc = json.loads(replayed.report("json"))["findings"]
     assert rec_doc == rep_doc
     assert len(replayed.confirmed) == 1
+
+
+def test_a_failing_provider_costs_one_candidate(corpus_config, tmp_path):
+    """The provider fails the 3rd query; only that query's pair changes."""
+    clean = scan(corpus_config)
+    honest = scripted_answerer(corpus_answers(build_corpus(variants=3)),
+                               load_rules(corpus_config.rules_dir))
+    calls = []
+
+    def answer(purpose, rule_id, function_id, user):
+        calls.append((rule_id, function_id))
+        if len(calls) == 3:
+            raise ProviderError("provider returned 400: overloaded")
+        return honest(purpose, rule_id, function_id, user)
+
+    config = replay_config(corpus_config.project_root, str(tmp_path / "t.jsonl"),
+                           project_name="corpus")
+    config.mode = "record"
+    gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record", answer=answer)
+    faulty = scan(config, gateway)
+
+    failed = calls[2]
+    expected = _verdicts(clean)
+    expected[failed] = ("skipped", "provider-error: provider returned 400: overloaded")
+    assert _verdicts(faulty) == expected
+    assert [(f.rule_id, f.function_id) for f in faulty.provider_failures] == [failed]
+    assert clean.provider_failures == []
+
+
+@pytest.mark.parametrize("status, attempts", [(401, 1), (503, LlmGateway.RETRIES)])
+def test_a_provider_that_fails_every_query_stops_the_scan(corpus_config, tmp_path, monkeypatch,
+                                                          serve, status, attempts):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+
+    def refuse(request):
+        time.sleep(0.05)  # the pool stops before a worker can start a third query
+        return status, ""
+
+    server = serve(refuse)
+    config = replay_config(corpus_config.project_root, str(tmp_path / "t.jsonl"),
+                           project_name="corpus")
+    config.mode = "record"
+    gateway = LlmGateway(ProviderConfig(endpoint=server.url, max_in_flight=2), mode="record",
+                         record_path=config.transcript_path, sleeper=lambda _s: None)
+    with pytest.raises(ProviderUnavailable, match=f"provider returned {status}"):
+        scan(config, gateway)
+    assert gateway._record_fh is None  # the stopped scan closed its transcript
+    # the query that failed, the other worker's, and one more each may have started
+    assert len(server.requests) <= 4 * attempts
+    assert scan(corpus_config).stats["candidates_filtered"] > 4
+
+
+def _verdicts(result) -> dict:
+    return {(f.rule_id, f.function_id): (f.verdict, f.reason) for f in result.findings}
 
 
 def test_ledger_totals_match_transcript_sums(tmp_path):

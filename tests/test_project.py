@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from solscout.errors import SolscoutError
-from solscout.frontend import enumerate_functions, index_contracts, parse_text
+from solscout.frontend import enumerate_functions, index_contracts, parse_source, parse_text
 from solscout.project import (
     DEFAULT_EXCLUDED_SEGMENTS,
     SignatureSet,
@@ -64,6 +64,8 @@ def test_discover_strips_utf8_bom(tmp_path):
     layout = discover_sources(str(tmp_path))
     assert [s.path for s in layout.included] == ["Bom.sol"]
     assert layout.included[0].text.startswith("contract")
+    (fn,) = enumerate_functions(parse_source(layout.included[0]))
+    assert fn.source() == "function f() public {}"
 
 
 def test_discover_unreadable_file(tmp_path):
