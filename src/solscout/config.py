@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import yaml
@@ -85,11 +85,7 @@ class ScanConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_PROVIDER_KEYS = {
-    "endpoint", "model", "temperature", "max_context_tokens",
-    "price_in_per_1k", "price_out_per_1k", "api_key_env", "timeout",
-    "max_in_flight",
-}
+_PROVIDER_KEYS = {f.name for f in fields(ProviderConfig)}
 
 
 def load_config(project_root: str, config_path: str = "", overrides: dict | None = None) -> ScanConfig:

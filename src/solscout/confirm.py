@@ -5,6 +5,11 @@ and statements the model named: dataflow dependency (DF), value
 comparison in conditions (VC), statement execution order (OC), and
 user-controlled call arguments (FA). Everything is path-insensitive: a
 dependency or ordering on any syntactic path counts.
+
+``build_def_use`` is the one walk over a context's statements; the
+checks read its call sites and conditions. A check reports only whether
+its relation is present; ``confirm_candidate`` applies the directive's
+expectation and builds every ``CheckVerdict``.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .callgraph import CodeContext, ReachabilitySet
 from .frontend import (
-    FunctionRecord,
     Statement,
     call_name,
     contains_identifier,
@@ -41,9 +46,12 @@ class CheckVerdict:
     detail: str = ""
 
 
-def _expr_lines(fn: FunctionRecord, expr) -> tuple:
-    idx = fn.file.line_index
-    return (idx.line_of(expr.start), idx.line_of(max(expr.start, expr.end - 1)))
+class Presence(NamedTuple):
+    """What one check found: whether its relation holds, and why."""
+
+    present: bool
+    evidence: list  # (start line, end line) spans
+    detail: str = ""
 
 
 # ----------------------------------------------------------------------
@@ -55,14 +63,18 @@ class DefUseGraph:
 
     Nodes are (function id, name); an edge u -> v means v's value was
     derived from u (assignment, declaration, or argument-to-parameter
-    binding of a context-internal call). No alias analysis.
+    binding of a context-internal call). No alias analysis. Call sites,
+    conditions and statements are kept in context order.
     """
 
     def __init__(self):
         self.occurrences: dict[tuple, tuple] = {}  # node -> first line span
-        self.edges_out: dict[tuple, list] = {}  # node -> [(node, span)]
-        self.edges_in: dict[tuple, list] = {}
+        self.edges_out: dict[tuple, dict] = {}  # node -> {node: span of its first edge}
+        self.edges_in: dict[tuple, dict] = {}
         self._by_name: dict[str, list] = {}
+        self.calls: list = []  # (fid, fn, stmt, call, (callee fid, callee) or None)
+        self.conditions: list = []  # (fn, condition) of each if/require/assert
+        self.statements: list = []  # each non-container statement
 
     def add_occurrence(self, node: tuple, span: tuple) -> None:
         if node not in self.occurrences:
@@ -72,10 +84,10 @@ class DefUseGraph:
     def add_edge(self, src: tuple, dst: tuple, span: tuple) -> None:
         self.add_occurrence(src, span)
         self.add_occurrence(dst, span)
-        out = self.edges_out.setdefault(src, [])
-        if not any(n == dst for n, _ in out):
-            out.append((dst, span))
-            self.edges_in.setdefault(dst, []).append((src, span))
+        out = self.edges_out.setdefault(src, {})
+        if dst not in out:
+            out[dst] = span
+            self.edges_in.setdefault(dst, {})[src] = span
 
     def nodes_for(self, name: str) -> list:
         return list(self._by_name.get(name, []))
@@ -86,14 +98,14 @@ class DefUseGraph:
         queue = deque(sources)
         while queue:
             node = queue.popleft()
-            for nxt, _span in self.edges_out.get(node, []):
+            for nxt in self.edges_out.get(node, ()):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
         return {name for _fid, name in seen}
 
     def edge_set(self) -> set:
-        return {(src, dst) for src, outs in self.edges_out.items() for dst, _ in outs}
+        return {(src, dst) for src, outs in self.edges_out.items() for dst in outs}
 
     def reach_path(self, sources: list, targets: list, reverse: bool = False):
         """Deterministic BFS; returns (target, edge spans, nodes) of one path."""
@@ -115,28 +127,19 @@ class DefUseGraph:
                 spans.reverse()
                 nodes.reverse()
                 return node, spans, nodes
-            for nxt, span in adjacency.get(node, []):
+            for nxt, span in adjacency.get(node, {}).items():
                 if nxt not in parent:
                     parent[nxt] = (node, span)
                     queue.append(nxt)
         return None
 
 
-def _context_call_index(context: CodeContext) -> dict:
-    index: dict[tuple, list] = {}
-    for fid, fn in context.records:
-        index.setdefault((fn.name, fn.arity), []).append((fid, fn))
-    return index
-
-
-def _resolve_in_context(index: dict, name: str, arity: int):
-    hits = index.get((name, arity), [])
-    return hits[0] if len(hits) == 1 else None
-
-
 def build_def_use(context: CodeContext) -> DefUseGraph:
+    """One walk of the context; a call resolves to its unique (name, arity) match."""
     graph = DefUseGraph()
-    call_index = _context_call_index(context)
+    call_index: dict[tuple, list] = {}
+    for fid, fn in context.records:
+        call_index.setdefault((fn.name, fn.arity), []).append((fid, fn))
     for fid, fn in context.records:
         header_span = (fn.span[0], fn.span[0])
         for _ptype, pname in fn.params:
@@ -144,9 +147,15 @@ def build_def_use(context: CodeContext) -> DefUseGraph:
                 graph.add_occurrence((fid, pname), header_span)
         for stmt in fn.statements():
             span = stmt.span
+            calls = []
             for expr in stmt.expressions():
                 for name in used_names(expr):
                     graph.add_occurrence((fid, name), span)
+                calls += iter_calls(expr)
+            if stmt.kind in _CONDITION_KINDS and stmt.condition is not None:
+                graph.conditions.append((fn, stmt.condition))
+            if stmt.kind not in _CONTAINER_KINDS:
+                graph.statements.append(stmt)
             if stmt.kind == "assignment" and len(stmt.exprs) == 2:
                 lhs, rhs = stmt.exprs
                 targets = target_names(lhs)
@@ -166,97 +175,72 @@ def build_def_use(context: CodeContext) -> DefUseGraph:
                     for src in sources:
                         graph.add_edge((fid, src), (fid, tgt), span)
             # argument -> parameter binding for context-internal calls
-            for expr in stmt.expressions():
-                for call in iter_calls(expr):
-                    resolved = _resolve_in_context(
-                        call_index, call_name(call), len(call.args)
-                    )
-                    if resolved is None:
-                        continue
-                    callee_fid, callee = resolved
-                    for i, arg in enumerate(call.args):
-                        if i >= len(callee.params):
-                            break
-                        pname = callee.params[i][1]
-                        if not pname:
-                            continue
+            for call in calls:
+                hits = call_index.get((call_name(call), len(call.args)), ())
+                resolved = hits[0] if len(hits) == 1 else None
+                graph.calls.append((fid, fn, stmt, call, resolved))
+                if resolved is None:
+                    continue
+                callee_fid, callee = resolved
+                for (_ptype, pname), arg in zip(callee.params, call.args):
+                    if pname:
                         for src in used_names(arg):
                             graph.add_edge((fid, src), (callee_fid, pname), span)
     return graph
 
 
 # ----------------------------------------------------------------------
-# checks (presence semantics; directive expectations are applied on top)
+# checks: each reports whether its relation is present in the context
 
 
-def check_dataflow(a: str, b: str, graph: DefUseGraph) -> CheckVerdict:
-    """Confirmed iff a reaches b or b reaches a in the dependency closure."""
+def check_dataflow(a: str, b: str, graph: DefUseGraph) -> Presence:
+    """Present iff a reaches b or b reaches a in the dependency closure."""
     a_nodes = graph.nodes_for(a)
     b_nodes = graph.nodes_for(b)
     if not a_nodes or not b_nodes:
         missing = a if not a_nodes else b
-        return CheckVerdict("DF", [a, b], "present", "rejected",
-                            detail=f"unknown name {missing!r}")
+        return Presence(False, [], f"unknown name {missing!r}")
     if a == b:
-        return CheckVerdict("DF", [a, b], "present", "confirmed",
-                            evidence=[graph.occurrences[a_nodes[0]]],
-                            detail="reflexive")
+        return Presence(True, [graph.occurrences[a_nodes[0]]], "reflexive")
     hit = graph.reach_path(a_nodes, b_nodes)
     if hit is None:
         hit = graph.reach_path(b_nodes, a_nodes)
     if hit is None:
-        return CheckVerdict("DF", [a, b], "present", "rejected",
-                            detail="no dependency path")
+        return Presence(False, [], "no dependency path")
     _node, spans, _nodes = hit
-    return CheckVerdict("DF", [a, b], "present", "confirmed",
-                        evidence=spans or [graph.occurrences[a_nodes[0]]])
+    return Presence(True, spans or [graph.occurrences[a_nodes[0]]])
 
 
-def iter_conditions(context: CodeContext):
-    """All if/require/assert conditions in the context, context order."""
-    for fid, fn in context.records:
-        for stmt in fn.statements():
-            if stmt.kind in _CONDITION_KINDS and stmt.condition is not None:
-                yield fid, fn, stmt, stmt.condition
-
-
-def check_value_comparison(names: list, context: CodeContext) -> CheckVerdict:
-    """Confirmed iff one condition expression contains every given name."""
-    for _fid, fn, _stmt, cond in iter_conditions(context):
+def check_value_comparison(names: list, graph: DefUseGraph) -> Presence:
+    """Present iff one condition expression contains every given name."""
+    for fn, cond in graph.conditions:
         if all(contains_identifier(cond.raw, n) for n in names):
-            return CheckVerdict("VC", list(names), "present", "confirmed",
-                                evidence=[_expr_lines(fn, cond)])
-    return CheckVerdict("VC", list(names), "present", "rejected",
-                        detail="no condition compares " + ", ".join(names))
+            idx = fn.file.line_index
+            return Presence(True, [(idx.line_of(cond.start),
+                                    idx.line_of(max(cond.start, cond.end - 1)))])
+    return Presence(False, [], "no condition compares " + ", ".join(names))
 
 
 def _collapse(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
 
 
-def _ordered_statements(context: CodeContext):
+def _ordered_statements(context: CodeContext, graph: DefUseGraph) -> list:
     """Focus statements with one level of context-internal call inlining.
 
     Inlined callee statements inherit an order key just after their call
     site, so order checks see through local helper functions.
     """
-    call_index = _context_call_index(context)
     focus_id = context.focus_id
+    inlined: dict[int, list] = {}  # focus statement seq -> callees, call order
+    for fid, _fn, stmt, _call, resolved in graph.calls:
+        if fid == focus_id and resolved is not None and resolved[0] != focus_id:
+            inlined.setdefault(stmt.seq, []).append(resolved[1])
     out = []
     for stmt in context.focus.statements():
-        out.append(((stmt.seq, 0, 0), stmt, focus_id))
-        inline_rank = 0
-        for expr in stmt.expressions():
-            for call in iter_calls(expr):
-                resolved = _resolve_in_context(call_index, call_name(call), len(call.args))
-                if resolved is None:
-                    continue
-                callee_fid, callee = resolved
-                if callee_fid == focus_id:
-                    continue
-                inline_rank += 1
-                for inner in callee.statements():
-                    out.append(((stmt.seq, inline_rank, inner.seq), inner, callee_fid))
+        out.append(((stmt.seq, 0, 0), stmt))
+        for rank, callee in enumerate(inlined.get(stmt.seq, ()), 1):
+            out += [((stmt.seq, rank, inner.seq), inner) for inner in callee.statements()]
     return out
 
 
@@ -275,33 +259,29 @@ def _statement_matches(stmt: Statement, descriptor: str) -> bool:
     return _collapse(desc) in _collapse(stmt.raw)
 
 
-def check_order(first: str, second: str, context: CodeContext) -> CheckVerdict:
-    """Confirmed iff the first descriptor's statement executes earlier.
+def check_order(first: str, second: str, context: CodeContext,
+                graph: DefUseGraph) -> Presence:
+    """Present iff the first descriptor's statement executes earlier.
 
     Each descriptor resolves to its earliest matching statement; call
     names match statements containing a call to that name.
     """
-    ordered = _ordered_statements(context)
+    ordered = _ordered_statements(context, graph)
 
     def resolve(descriptor: str):
-        for key, stmt, fid in ordered:
-            if _statement_matches(stmt, descriptor):
-                return key, stmt
-        return None
+        return next(((key, stmt) for key, stmt in ordered
+                     if _statement_matches(stmt, descriptor)), None)
 
     first_hit = resolve(first)
     second_hit = resolve(second)
     if first_hit is None or second_hit is None:
         missing = first if first_hit is None else second
-        return CheckVerdict("OC", [first, second], "before", "rejected",
-                            detail=f"no statement matches {missing!r}")
+        return Presence(False, [], f"no statement matches {missing!r}")
     (first_key, first_stmt), (second_key, second_stmt) = first_hit, second_hit
     evidence = [first_stmt.span, second_stmt.span]
     if first_key < second_key:
-        return CheckVerdict("OC", [first, second], "before", "confirmed",
-                            evidence=evidence)
-    return CheckVerdict("OC", [first, second], "before", "rejected",
-                        evidence=evidence, detail="order is reversed")
+        return Presence(True, evidence)
+    return Presence(False, evidence, "order is reversed")
 
 
 def _call_descriptor_name(descriptor: str) -> str:
@@ -318,8 +298,8 @@ def _call_descriptor_name(descriptor: str) -> str:
 
 def check_fn_arg(call: str, context: CodeContext, graph: DefUseGraph,
                  reach: ReachabilitySet, arg_index: int | None = None,
-                 arg_name: str | None = None) -> CheckVerdict:
-    """Confirmed iff an argument of the named call is user-controlled.
+                 arg_name: str | None = None) -> Presence:
+    """Present iff an argument of the named call is user-controlled.
 
     The argument is picked by index when pinned, by the recognized
     argument variable when one is named, and any argument otherwise.
@@ -328,39 +308,22 @@ def check_fn_arg(call: str, context: CodeContext, graph: DefUseGraph,
     msg.sender against a value on that dependency chain.
     """
     name = _call_descriptor_name(call)
-    slots = [call]
-    if arg_name is not None:
-        slots.append(arg_name)
-    if arg_index is not None:
-        slots.append(f"arg:{arg_index}")
-    sites = []
-    for fid, fn in context.records:
-        for stmt in fn.statements():
-            for expr in stmt.expressions():
-                for c in iter_calls(expr):
-                    if call_name(c) == name:
-                        sites.append((fid, fn, stmt, c))
+    sites = [site for site in graph.calls if call_name(site[3]) == name]
     if not sites:
-        return CheckVerdict("FA", slots, "user-controlled", "rejected",
-                            detail=f"no call to {name!r} in context")
+        return Presence(False, [], f"no call to {name!r} in context")
 
-    entry_params = {}
-    for fid, fn in context.records:
-        if fn.visibility not in ("public", "external"):
-            continue
-        if fid not in reach.reachable:
-            continue
-        for _ptype, pname in fn.params:
-            if pname:
-                entry_params[(fid, pname)] = fn
+    entry_params = {
+        (fid, pname): fn
+        for fid, fn in context.records
+        if fn.visibility in ("public", "external") and fid in reach.reachable
+        for _ptype, pname in fn.params
+        if pname
+    }
 
-    guards = [
-        (fn, cond) for _fid, fn, _stmt, cond in iter_conditions(context)
-        if "msg.sender" in cond.raw
-    ]
+    guards = [cond for _fn, cond in graph.conditions if "msg.sender" in cond.raw]
 
     out_of_range = True
-    for fid, fn, stmt, call_expr in sites:
+    for fid, _fn, stmt, call_expr, _resolved in sites:
         if arg_index is not None:
             indices = [arg_index]
         elif arg_name is not None:
@@ -375,8 +338,7 @@ def check_fn_arg(call: str, context: CodeContext, graph: DefUseGraph,
                 continue
             out_of_range = False
             arg = call_expr.args[idx]
-            sources = [(fid, n) for n in used_names(arg)]
-            sources = [n for n in sources if n in graph.occurrences]
+            sources = [(fid, n) for n in used_names(arg) if (fid, n) in graph.occurrences]
             if not sources:
                 continue
             hit = graph.reach_path(sources, list(entry_params), reverse=True)
@@ -387,44 +349,29 @@ def check_fn_arg(call: str, context: CodeContext, graph: DefUseGraph,
             # flows, including a callee parameter the argument was bound to
             chain = {n for _f, n in sources} | {n for _f, n in path_nodes}
             chain |= graph.forward_names(sources)
-            guarded = any(
-                any(contains_identifier(cond.raw, n) for n in chain)
-                for _fn, cond in guards
-            )
-            if guarded:
+            if any(contains_identifier(cond.raw, n) for cond in guards for n in chain):
                 continue
             entry_fn = entry_params[param_node]
             evidence = [(entry_fn.span[0], entry_fn.span[0])] + spans + [stmt.span]
-            return CheckVerdict("FA", slots, "user-controlled", "confirmed",
-                                evidence=evidence,
-                                detail=f"arg {idx} depends on parameter "
-                                       f"{param_node[1]!r} of {param_node[0]}")
+            return Presence(True, evidence,
+                            f"arg {idx} depends on parameter "
+                            f"{param_node[1]!r} of {param_node[0]}")
     if out_of_range and arg_index is not None:
-        return CheckVerdict("FA", slots, "user-controlled", "rejected",
-                            detail=f"argument index {arg_index} out of range")
-    return CheckVerdict("FA", slots, "user-controlled", "rejected",
-                        detail="no user-controlled argument")
+        return Presence(False, [], f"argument index {arg_index} out of range")
+    return Presence(False, [], "no user-controlled argument")
 
 
 # ----------------------------------------------------------------------
 # directive evaluation
 
 
-def _occurrence_evidence(context: CodeContext, names: list) -> list:
-    spans = []
-    for name in names:
-        found = None
-        for _fid, fn in context.records:
-            for stmt in fn.statements():
-                if stmt.kind in _CONTAINER_KINDS:
-                    continue
-                if contains_identifier(stmt.raw, name):
-                    found = stmt.span
-                    break
-            if found:
-                break
-        spans.append(found or (context.focus.span[0], context.focus.span[1]))
-    return spans
+def _occurrence_evidence(context: CodeContext, graph: DefUseGraph, names: list) -> list:
+    """Per name, the first statement citing it, else the focus function."""
+    return [
+        next((stmt.span for stmt in graph.statements if contains_identifier(stmt.raw, name)),
+             context.focus.span)
+        for name in names
+    ]
 
 
 def confirm_candidate(finding: Finding, rule: VulnRule, context: CodeContext,
@@ -433,37 +380,35 @@ def confirm_candidate(finding: Finding, rule: VulnRule, context: CodeContext,
 
     The recorded verdicts are directive-level: ``confirmed`` means the
     directive supports the vulnerability (for an ``absent`` expectation
-    that is the rejection of the underlying presence check).
+    that is the absence of the checked relation).
     """
     graph = build_def_use(context)
     names = {slot: info["name"] for slot, info in finding.recognized.items()}
     verdicts = []
-    all_met = True
     for directive in rule.checks:
         bound = [names[slot] for slot in directive.between]
         if directive.kind == "DF":
-            raw = check_dataflow(bound[0], bound[1], graph)
+            found = check_dataflow(bound[0], bound[1], graph)
         elif directive.kind == "VC":
-            raw = check_value_comparison(bound, context)
+            found = check_value_comparison(bound, graph)
         elif directive.kind == "OC":
             first, second = bound
             if directive.expectation == "after":
                 first, second = second, first
-            raw = check_order(first, second, context)
+            found = check_order(first, second, context, graph)
         elif directive.kind == "FA":
             arg_name = bound[1] if len(bound) > 1 else None
-            raw = check_fn_arg(bound[0], context, graph, reach, directive.arg, arg_name)
+            found = check_fn_arg(bound[0], context, graph, reach, directive.arg, arg_name)
         else:
             raise ValueError(f"unknown check kind {directive.kind!r}")
 
+        evidence, detail = found.evidence, found.detail
+        met = found.present
         if directive.expectation == "absent":
-            met = raw.result == "rejected"
-            evidence = _occurrence_evidence(context, bound) if met else raw.evidence
-            detail = raw.detail if not met else "required absence holds"
-        else:
-            met = raw.result == "confirmed"
-            evidence = raw.evidence
-            detail = raw.detail
+            met = not met
+            if met:
+                evidence = _occurrence_evidence(context, graph, bound)
+                detail = "required absence holds"
         verdicts.append(CheckVerdict(
             kind=directive.kind,
             slots=list(directive.between),
@@ -472,8 +417,7 @@ def confirm_candidate(finding: Finding, rule: VulnRule, context: CodeContext,
             evidence=evidence,
             detail=detail,
         ))
-        all_met = all_met and met
 
     finding.check_verdicts = verdicts
-    finding.verdict = "confirmed" if all_met else "rejected"
+    finding.verdict = "confirmed" if all(v.result == "confirmed" for v in verdicts) else "rejected"
     return finding

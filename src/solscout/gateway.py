@@ -2,9 +2,10 @@
 
 Every query is an independent two-message conversation (system + user);
 no history ever leaks between queries. Exchanges are keyed by
-(purpose, rule, function, prompt hash) so a recorded transcript replays
-a scan bit-exactly with zero network use. The network modules are
-imported by the first query sent, never by a replay.
+(purpose, rule, function, prompt hash), plus the attempt for a retried
+query, so a recorded transcript replays a scan bit-exactly with zero
+network use. The network modules are imported by the first query sent,
+never by a replay.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def estimate_tokens(text: str) -> int:
 
 def prompt_sha256(system: str, user: str) -> str:
     return hashlib.sha256((system + "\x00" + user).encode("utf-8")).hexdigest()
+
+
+def exchange_key(purpose: str, rule_id: str, function_id: str, digest: str,
+                 attempt: int = 0) -> tuple:
+    """Transcript key; a retry of the same prompt gets one of its own."""
+    key = (purpose, rule_id, function_id, digest)
+    return key + (f"retry{attempt}",) if attempt else key
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +201,7 @@ class LlmExchange:
     tokens_out: int
     latency: float = 0.0
     prompt_sha256: str = ""
+    attempt: int = 0  # 1 for the retry of an unparseable answer
 
     def __post_init__(self):
         if not self.prompt_sha256:
@@ -200,23 +209,24 @@ class LlmExchange:
 
     @property
     def key(self) -> tuple:
-        return (self.purpose, self.rule_id, self.function_id, self.prompt_sha256)
+        return exchange_key(self.purpose, self.rule_id, self.function_id,
+                            self.prompt_sha256, self.attempt)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "purpose": self.purpose,
-                "rule_id": self.rule_id,
-                "function_id": self.function_id,
-                "prompt_sha256": self.prompt_sha256,
-                "system": self.system,
-                "user": self.user,
-                "response": self.response,
-                "tokens_in": self.tokens_in,
-                "tokens_out": self.tokens_out,
-            },
-            sort_keys=True,
-        )
+        record = {
+            "purpose": self.purpose,
+            "rule_id": self.rule_id,
+            "function_id": self.function_id,
+            "prompt_sha256": self.prompt_sha256,
+            "system": self.system,
+            "user": self.user,
+            "response": self.response,
+            "tokens_in": self.tokens_in,
+            "tokens_out": self.tokens_out,
+        }
+        if self.attempt:
+            record["attempt"] = self.attempt
+        return json.dumps(record, sort_keys=True)
 
 
 class Transcript:
@@ -254,6 +264,7 @@ class Transcript:
                         tokens_in=int(raw["tokens_in"]),
                         tokens_out=int(raw["tokens_out"]),
                         prompt_sha256=raw["prompt_sha256"],
+                        attempt=int(raw.get("attempt", 0)),
                     )
                 )
         return transcript
@@ -323,11 +334,15 @@ class LlmGateway:
     # -- core ----------------------------------------------------------
 
     def complete(self, purpose: str, rule_id: str, function_id: str,
-                 system: str, user: str) -> LlmExchange:
+                 system: str, user: str, attempt: int = 0) -> LlmExchange:
         digest = prompt_sha256(system, user)
-        key = (purpose, rule_id, function_id, digest)
+        key = exchange_key(purpose, rule_id, function_id, digest, attempt)
         if self.mode == "replay":
             entry = self.transcript.get(key)
+            if entry is None and attempt:
+                # a transcript written before retries had their own key
+                # holds one entry, the last answer, for both attempts
+                entry = self.transcript.get(key[:4])
             if entry is None:
                 raise ReplayMiss(key)
             with self._lock:
@@ -355,6 +370,7 @@ class LlmGateway:
             tokens_out=tokens_out,
             latency=latency,
             prompt_sha256=digest,
+            attempt=attempt,
         )
         with self._lock:
             self.exchanges.append(exchange)
@@ -369,8 +385,9 @@ class LlmGateway:
             user: str, parser):
         """Complete + parse, retrying the identical prompt once on garbage."""
         last_error = None
-        for _ in range(2):
-            exchange = self.complete(purpose, rule_id, function_id, SYSTEM_PROMPT, user)
+        for attempt in range(2):
+            exchange = self.complete(purpose, rule_id, function_id, SYSTEM_PROMPT, user,
+                                     attempt)
             try:
                 return parser(exchange.response), exchange
             except UnparseableAnswer as exc:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from solscout.confirm import DefUseGraph, check_dataflow, check_order
+from solscout.confirm import DefUseGraph, build_def_use, check_dataflow, check_order
 from solscout.callgraph import assemble_context, build_call_graph
 from solscout.filters import directive_passes
 from solscout.frontend import enumerate_functions, index_contracts, parse_text
@@ -205,7 +205,7 @@ def test_criterion_6_oracle_equivalence():
         closure = _closure_bruteforce(3, edges)
         for a, b in itertools.product(range(3), repeat=2):
             expected = closure[a][b] or closure[b][a]
-            got = check_dataflow(f"v{a}", f"v{b}", graph).result == "confirmed"
+            got = check_dataflow(f"v{a}", f"v{b}", graph).present
             assert got == expected, (sorted(edges), a, b)
             checked += 1
     rng = random.Random(4242)
@@ -217,7 +217,7 @@ def test_criterion_6_oracle_equivalence():
         closure = _closure_bruteforce(n, edges)
         a, b = rng.randrange(n), rng.randrange(n)
         expected = closure[a][b] or closure[b][a]
-        got = check_dataflow(f"v{a}", f"v{b}", graph).result == "confirmed"
+        got = check_dataflow(f"v{a}", f"v{b}", graph).present
         assert got == expected
 
     # (b) OC antisymmetry over every leaf-statement pair in the fixtures
@@ -242,14 +242,15 @@ def test_criterion_6_oracle_equivalence():
                 continue
             seen.add(stmt.raw)
             descriptors.append(stmt.raw)
+        defuse = build_def_use(ctx)
         for a, b in itertools.permutations(descriptors, 2):
-            before_ab = check_order(a, b, ctx)
-            before_ba = check_order(b, a, ctx)
+            before_ab = check_order(a, b, ctx, defuse)
+            before_ba = check_order(b, a, ctx, defuse)
             if before_ab.detail.startswith("no statement"):
                 continue
             if before_ab.evidence and before_ab.evidence[0] == before_ab.evidence[1]:
                 continue  # both descriptors resolved to the same statement
-            assert (before_ab.result == "confirmed") != (before_ba.result == "confirmed")
+            assert before_ab.present != before_ba.present
             pairs_checked += 1
     assert pairs_checked > 10
 

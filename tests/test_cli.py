@@ -34,7 +34,8 @@ def test_scan_first_deposit_replay_exit_code_and_reports(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "1 confirmed" in captured
     assert "risky-first-deposit" in captured
-    report = json.loads(open(os.path.join(out_dir, "scan-report.json")).read())
+    with open(os.path.join(out_dir, "scan-report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
     assert report["counts"]["confirmed"] == 1
     assert os.path.exists(os.path.join(out_dir, "scan-report.md"))
 
@@ -110,7 +111,8 @@ def test_scan_empty_project_exits_clean(tmp_path, capsys):
         "--out", out_dir,
     ])
     assert code == 0
-    report = json.loads(open(os.path.join(out_dir, "scan-report.json")).read())
+    with open(os.path.join(out_dir, "scan-report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
     assert report["findings"] == []
 
 

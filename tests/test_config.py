@@ -1,8 +1,11 @@
+from dataclasses import asdict
+
 import pytest
 import yaml
 
 from solscout.config import load_config, shipped_whitelist_path
 from solscout.errors import ConfigError
+from solscout.gateway import ProviderConfig
 
 from conftest import fixture_path
 
@@ -44,8 +47,16 @@ def test_yaml_config_and_flag_overrides(tmp_path):
 def test_unknown_provider_key_rejected(tmp_path):
     config_path = tmp_path / "scan.yaml"
     config_path.write_text(yaml.safe_dump({"provider": {"modle": "typo"}}), encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="modle"):
         load_config(fixture_path("first_deposit"), str(config_path))
+
+
+def test_every_provider_field_is_a_provider_key(tmp_path):
+    values = asdict(ProviderConfig(model="m", timeout=5.0, max_in_flight=2))
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(yaml.safe_dump({"provider": values}), encoding="utf-8")
+    config = load_config(fixture_path("first_deposit"), str(config_path))
+    assert asdict(config.provider) == values
 
 
 def test_replay_requires_transcript():

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from solscout.callgraph import assemble_context, build_call_graph, compute_reachability
 from solscout.confirm import (
     DefUseGraph,
@@ -63,13 +65,13 @@ def test_def_use_two_step_chain():
     assert ((fid, "_amount"), (fid, "s")) in graph.edge_set()
     assert ((fid, "s"), (fid, "shares")) in graph.edge_set()
     verdict = check_dataflow("_amount", "shares", graph)
-    assert verdict.result == "confirmed"
+    assert verdict.present
 
 
 def test_def_use_first_deposit_zero_supply_branch():
     ctx, _, _ = fixture_context("first_deposit", "contracts", "Vault.sol")
     graph = build_def_use(ctx)
-    assert check_dataflow("_amount", "_shares", graph).result == "confirmed"
+    assert check_dataflow("_amount", "_shares", graph).present
 
 
 def test_def_use_free_variables_and_edge_set_oracle():
@@ -106,7 +108,7 @@ def test_def_use_call_argument_binding():
     fid = ctx.focus_id
     mint_fid = next(fid2 for fid2, fn in ctx.records if fn.name == "_mint")
     assert ((fid, "amount"), (mint_fid, "value")) in graph.edge_set()
-    assert check_dataflow("amount", "balances", graph).result == "confirmed"
+    assert check_dataflow("amount", "balances", graph).present
 
 
 # ----------------------------------------------------------------------
@@ -116,9 +118,9 @@ def test_def_use_call_argument_binding():
 def test_df_reflexive_and_unknown():
     ctx, _, _ = make_context("contract C { function f() public { x = 1; } }", "f")
     graph = build_def_use(ctx)
-    assert check_dataflow("x", "x", graph).result == "confirmed"
+    assert check_dataflow("x", "x", graph).present
     assert check_dataflow("x", "x", graph).evidence
-    assert check_dataflow("ghost", "x", graph).result == "rejected"
+    assert not check_dataflow("ghost", "x", graph).present
 
 
 def test_df_disjoint_statements_rejected():
@@ -126,9 +128,9 @@ def test_df_disjoint_statements_rejected():
         "contract C { function f() public { a = b; c = d; } }", "f"
     )
     graph = build_def_use(ctx)
-    assert check_dataflow("a", "c", graph).result == "rejected"
-    assert check_dataflow("b", "c", graph).result == "rejected"
-    assert check_dataflow("a", "b", graph).result == "confirmed"  # b -> a
+    assert not check_dataflow("a", "c", graph).present
+    assert not check_dataflow("b", "c", graph).present
+    assert check_dataflow("a", "b", graph).present  # b -> a
 
 
 def _closure_bruteforce(n, edges):
@@ -159,7 +161,7 @@ def test_df_matches_bruteforce_closure_random_graphs():
         closure = _closure_bruteforce(n, edges)
         for a, b in itertools.product(range(n), repeat=2):
             expected = closure[a][b] or closure[b][a]
-            got = check_dataflow(f"v{a}", f"v{b}", graph).result == "confirmed"
+            got = check_dataflow(f"v{a}", f"v{b}", graph).present
             assert got == expected, (n, sorted(edges), a, b)
 
 
@@ -169,8 +171,8 @@ def test_df_matches_bruteforce_closure_random_graphs():
 
 def test_vc_first_deposit_zero_supply_condition():
     ctx, _, _ = fixture_context("first_deposit", "contracts", "Vault.sol")
-    verdict = check_value_comparison(["totalSupply"], ctx)
-    assert verdict.result == "confirmed"
+    verdict = check_value_comparison(["totalSupply"], build_def_use(ctx))
+    assert verdict.present
     assert verdict.evidence == [(8, 8)]  # the zero-supply branch condition
 
 
@@ -179,7 +181,7 @@ def test_vc_assignment_only_name_rejected():
         "contract C { function f() public { total = 5; if (x > 0) { y = total; } } }",
         "f",
     )
-    assert check_value_comparison(["total"], ctx).result == "rejected"
+    assert not check_value_comparison(["total"], build_def_use(ctx)).present
 
 
 def test_vc_two_names_in_require_with_oracle():
@@ -200,8 +202,8 @@ def test_vc_two_names_in_require_with_oracle():
     oracle = [c for c in conditions if "a" in c.split() or "a" in c]
     both = [c for c in oracle if "b" in c]
     assert both == ["a >= b"]
-    verdict = check_value_comparison(["a", "b"], ctx)
-    assert verdict.result == "confirmed"
+    verdict = check_value_comparison(["a", "b"], build_def_use(ctx))
+    assert verdict.present
     assert verdict.evidence == [(3, 3)]
 
 
@@ -210,7 +212,7 @@ def test_vc_while_conditions_do_not_count():
         "contract C { function f() public { while (supply > 0) { supply -= 1; } } }",
         "f",
     )
-    assert check_value_comparison(["supply"], ctx).result == "rejected"
+    assert not check_value_comparison(["supply"], build_def_use(ctx)).present
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +223,9 @@ def test_oc_checkpoint_order_vulnerable_order_confirmed():
     ctx, _, _ = fixture_context(
         "checkpoint_order", "contracts", "StakerVault.sol", focus="transfer", include_callers=False
     )
-    verdict = check_order("balances[msg.sender] -= amount;", "userCheckpoint", ctx)
-    assert verdict.result == "confirmed"
+    verdict = check_order("balances[msg.sender] -= amount;", "userCheckpoint", ctx,
+                          build_def_use(ctx))
+    assert verdict.present
     assert verdict.evidence[0] == (6, 6)
     assert verdict.evidence[1] == (10, 10)
 
@@ -232,15 +235,16 @@ def test_oc_checkpoint_order_patched_order_rejected():
         "checkpoint_order_patched", "contracts", "StakerVault.sol", focus="transfer",
         include_callers=False,
     )
-    verdict = check_order("balances[msg.sender] -= amount;", "userCheckpoint", ctx)
-    assert verdict.result == "rejected"
+    verdict = check_order("balances[msg.sender] -= amount;", "userCheckpoint", ctx,
+                          build_def_use(ctx))
+    assert not verdict.present
 
 
 def test_oc_unknown_descriptor_rejected():
     ctx, _, _ = fixture_context(
         "checkpoint_order", "contracts", "StakerVault.sol", focus="transfer", include_callers=False
     )
-    assert check_order("nothingHere", "userCheckpoint", ctx).result == "rejected"
+    assert not check_order("nothingHere", "userCheckpoint", ctx, build_def_use(ctx)).present
 
 
 def test_oc_sees_through_one_level_of_inlining():
@@ -254,10 +258,13 @@ def test_oc_sees_through_one_level_of_inlining():
         }
     }"""
     ctx, _, _ = make_context(src, "f")
-    verdict = check_order("rewards[msg.sender] += 1;", "lastCheckpoint = block.timestamp;", ctx)
-    assert verdict.result == "confirmed"
-    reverse = check_order("lastCheckpoint = block.timestamp;", "rewards[msg.sender] += 1;", ctx)
-    assert reverse.result == "rejected"
+    graph = build_def_use(ctx)
+    verdict = check_order("rewards[msg.sender] += 1;", "lastCheckpoint = block.timestamp;", ctx,
+                          graph)
+    assert verdict.present
+    reverse = check_order("lastCheckpoint = block.timestamp;", "rewards[msg.sender] += 1;", ctx,
+                          graph)
+    assert not reverse.present
 
 
 def test_oc_antisymmetry_over_fixture_pairs():
@@ -271,10 +278,33 @@ def test_oc_antisymmetry_over_fixture_pairs():
         "userCheckpoint",
         "emit Transfer(msg.sender, account, amount);",
     ]
+    graph = build_def_use(ctx)
     for a, b in itertools.permutations(descriptors, 2):
-        ab = check_order(a, b, ctx).result == "confirmed"
-        ba = check_order(b, a, ctx).result == "confirmed"
+        ab = check_order(a, b, ctx, graph).present
+        ba = check_order(b, a, ctx, graph).present
         assert ab != ba, (a, b)
+
+
+@pytest.mark.parametrize("caller, resolved", [("pay", False), ("relay", True)])
+def test_a_call_resolves_only_to_a_context_unique_name_and_arity(caller, resolved):
+    """A caller named like the callee makes ``pay(x)`` ambiguous in the context."""
+    src = f"""contract A {{
+        uint sink;
+        function pay(uint v) internal {{ sink = v; }}
+        function run(uint x) public {{ pay(x); }}
+    }}
+    contract B {{
+        A a;
+        function {caller}(uint v) public {{ a.run(v); }}
+    }}"""
+    ctx, _, _ = make_context(src, "run")
+    assert [fid for fid, _fn in ctx.records] == ["A.run", "A.pay", f"B.{caller}"]
+    graph = build_def_use(ctx)
+    assert check_dataflow("x", "sink", graph).present == resolved
+    order = check_order("pay", "sink = v;", ctx, graph)
+    assert order.present == resolved
+    if not resolved:
+        assert order.detail == "no statement matches 'sink = v;'"
 
 
 # ----------------------------------------------------------------------
@@ -300,14 +330,16 @@ def test_fa_user_controlled_argument_confirmed():
     ctx, graph, reach = make_context(FA_SRC, "claim")
     defuse = build_def_use(ctx)
     verdict = check_fn_arg("mint", ctx, defuse, reach)
-    assert verdict.result == "confirmed"
+    assert verdict.present
     assert "to" in verdict.detail or "amt" in verdict.detail
 
 
 def test_fa_literal_argument_rejected():
     ctx, graph, reach = make_context(FA_SRC, "fixedClaim")
     defuse = build_def_use(ctx)
-    assert check_fn_arg("mint", ctx, defuse, reach, arg_index=1).result == "rejected"
+    verdict = check_fn_arg("mint", ctx, defuse, reach, arg_index=1)
+    assert not verdict.present
+    assert verdict.detail == "no user-controlled argument"
 
 
 def test_fa_sender_guard_rejected_with_oracle():
@@ -322,19 +354,21 @@ def test_fa_sender_guard_rejected_with_oracle():
     ]
     assert any("to" in cond for cond in sender_conditions)  # guard exists
     verdict = check_fn_arg("mint", ctx, defuse, reach, arg_index=0)
-    assert verdict.result == "rejected"
+    assert not verdict.present
 
 
 def test_fa_out_of_range_index_rejected():
     ctx, graph, reach = make_context(FA_SRC, "claim")
     defuse = build_def_use(ctx)
-    assert check_fn_arg("mint", ctx, defuse, reach, arg_index=5).result == "rejected"
+    verdict = check_fn_arg("mint", ctx, defuse, reach, arg_index=5)
+    assert not verdict.present
+    assert verdict.detail == "argument index 5 out of range"
 
 
 def test_fa_unknown_call_rejected():
     ctx, graph, reach = make_context(FA_SRC, "claim")
     defuse = build_def_use(ctx)
-    assert check_fn_arg("burn", ctx, defuse, reach).result == "rejected"
+    assert not check_fn_arg("burn", ctx, defuse, reach).present
 
 
 def test_fa_unreachable_entry_not_a_source():
@@ -344,7 +378,7 @@ def test_fa_unreachable_entry_not_a_source():
     }"""
     ctx, graph, reach = make_context(src, "admin")
     defuse = build_def_use(ctx)
-    assert check_fn_arg("mint", ctx, defuse, reach).result == "rejected"
+    assert not check_fn_arg("mint", ctx, defuse, reach).present
 
 
 # ----------------------------------------------------------------------

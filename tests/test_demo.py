@@ -29,7 +29,8 @@ def test_demo_transcript_replays_one_finding(tmp_path, capsys):
         "--project-name", "demo",
     ])
     assert code == 1, "stale demo transcript: run python demo/regenerate.py"
-    report = json.loads(open(os.path.join(out_dir, "scan-report.json")).read())
+    with open(os.path.join(out_dir, "scan-report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
     assert report["counts"]["confirmed"] == 1
     finding = [f for f in report["findings"] if f["verdict"] == "confirmed"][0]
     assert finding["rule_id"] == "risky-first-deposit"

@@ -270,6 +270,36 @@ def test_record_then_replay_identical_findings(tmp_path, monkeypatch, serve):
     assert len(replayed.confirmed) == 1
 
 
+def test_a_retried_answer_replays_with_the_recorded_ledger(tmp_path):
+    """The first property answer is garbled once; its retry is answered."""
+    root = str(tmp_path / "corpus")
+    cases = build_corpus(variants=1)
+    write_corpus(root, cases)
+    transcript_path = str(tmp_path / "t.jsonl")
+    config = replay_config(root, transcript_path, project_name="corpus")
+    honest = scripted_answerer(corpus_answers(cases), load_rules(config.rules_dir))
+    garbled = []
+
+    def answer(purpose, rule_id, function_id, user):
+        if purpose == "property" and not garbled:
+            garbled.append((rule_id, function_id))
+            return "mumble"
+        return honest(purpose, rule_id, function_id, user)
+
+    gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record",
+                         record_path=transcript_path, answer=answer)
+    recorded = scan(config, gateway)
+    assert garbled and recorded.provider_failures == []
+    replayed = scan(config)
+
+    assert len(replayed.exchanges) == len(recorded.exchanges)
+    assert replayed.ledger.tokens_in == recorded.ledger.tokens_in
+    assert replayed.ledger.tokens_out == recorded.ledger.tokens_out
+    assert len({e.key for e in recorded.exchanges}) == len(recorded.exchanges)
+    rec_doc = json.loads(recorded.report("json"))["findings"]
+    assert json.loads(replayed.report("json"))["findings"] == rec_doc
+
+
 def test_a_failing_provider_costs_one_candidate(corpus_config, tmp_path):
     """The provider fails the 3rd query; only that query's pair changes."""
     clean = scan(corpus_config)
