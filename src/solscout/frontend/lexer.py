@@ -4,7 +4,8 @@ Comments are blanked out (length-preserving) before tokenization so that
 token offsets always index the original text. Unterminated strings and
 block comments are the only lexical hard errors; any other stray byte
 becomes a one-character punct token and is left to the parser's opaque
-fallback.
+fallback. Token values are interned, so a name that occurs many times
+in a project is stored once however many tokens and nodes refer to it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import re
 import string
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
+from sys import intern
 from typing import NamedTuple
 
 from ..errors import SoliditySyntaxError
@@ -105,7 +107,7 @@ def tokenize(stripped: str, path: str = "") -> list[Token]:
     pairs = _TOKEN_RE.findall(stripped, start, len(stripped.rstrip()))
     flat = list(chain.from_iterable(pairs))
     offsets = list(accumulate(map(len, flat), initial=start))
-    values = flat[1::2]
+    values = list(map(intern, flat[1::2]))
     heads = map(_KIND_OF_FIRST.get, map(itemgetter(0), values), repeat("punct"))
     # two or more characters ending in a quote: a string, prefixed or not
     quoted = map(str.endswith, values, repeat(_QUOTES), repeat(1))

@@ -1,8 +1,11 @@
 """AST node types for the Solidity subset the scanner understands.
 
-Nodes keep exact source spans (character offsets into the original file
-text plus 1-based line ranges) so that every piece of evidence in a scan
-report can be sliced straight out of the file.
+Expressions and statements keep only character offsets and a reference
+to their ``SourceFile``; their text (``raw``) and a statement's 1-based
+line range (``span``) are sliced from the file on demand, so every piece
+of evidence in a scan report comes straight out of the file while the
+parsed project holds no copy of it. An empty child sequence is the
+shared ``()``, never a fresh list.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import bisect
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 _NEWLINE_RE = re.compile("\n")
 
@@ -55,11 +58,15 @@ class Expression:
     kind: str  # identifier|member-access|index|call|binary|unary|literal|tuple
     start: int
     end: int
-    raw: str
+    src: SourceFile = field(repr=False, compare=False)
     name: str = ""  # identifier name or member name
     op: str = ""
     callee: Optional["Expression"] = None
-    args: list = field(default_factory=list)
+    args: Sequence = ()
+
+    @property
+    def raw(self) -> str:
+        return self.src.text[self.start : self.end]
 
     def walk(self) -> Iterator["Expression"]:
         yield self
@@ -75,14 +82,23 @@ class Statement:
     kind: str  # see parser; "opaque" preserves raw text of anything else
     start: int
     end: int
-    span: tuple[int, int]  # 1-based (start line, end line)
-    raw: str
+    src: SourceFile = field(repr=False, compare=False)
     seq: int = -1
     condition: Optional[Expression] = None
-    children: list = field(default_factory=list)
-    exprs: list = field(default_factory=list)
-    decl_names: list = field(default_factory=list)
+    children: Sequence = ()
+    exprs: Sequence = ()
+    decl_names: Sequence = ()
     post_expr: Optional[Expression] = None
+
+    @property
+    def raw(self) -> str:
+        return self.src.text[self.start : self.end]
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """1-based (start line, end line)."""
+        line_of = self.src.line_index.line_of
+        return line_of(self.start), line_of(max(self.start, self.end - 1))
 
     def walk(self) -> Iterator["Statement"]:
         yield self

@@ -69,8 +69,6 @@ class Parser:
         check_braces(tokens, src.line_index, src.path)
         self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
-        self.text = src.text
-        self.line_of = src.line_index.line_of
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -248,7 +246,7 @@ class Parser:
             body = None
         else:
             body, end = self._parse_block_children()
-        line_of = self.line_of
+        line_of = self.src.line_index.line_of
         return FunctionRecord(name, kind, params, visibility, modifiers, body,
                               (line_of(start), line_of(max(start, end - 1))), start, end)
 
@@ -339,17 +337,10 @@ class Parser:
         self.expect_punct("}", hard=True)
         return children, end
 
-    def _statement(self, kind: str, start: int, end: int, condition=None, children=None,
-                   exprs=None, decl_names=None, post_expr=None) -> Statement:
-        line_of = self.line_of
-        return Statement(
-            kind, start, end, (line_of(start), line_of(max(start, end - 1))),
-            self.text[start:end], -1, condition,
-            [] if children is None else children,
-            [] if exprs is None else exprs,
-            [] if decl_names is None else decl_names,
-            post_expr,
-        )
+    def _statement(self, kind: str, start: int, end: int, condition=None, children=(),
+                   exprs=(), decl_names=(), post_expr=None) -> Statement:
+        return Statement(kind, start, end, self.src, -1, condition, children or (),
+                         exprs or (), decl_names or (), post_expr)
 
     def _parse_statement(self) -> Statement:
         saved = self.pos
@@ -630,9 +621,8 @@ class Parser:
     # expressions
 
     def _expr(self, kind: str, start: int, end: int, name: str = "", op: str = "",
-              callee: Expression = None, args: list = None) -> Expression:
-        return Expression(kind, start, end, self.text[start:end], name, op, callee,
-                          [] if args is None else args)
+              callee: Expression = None, args: list = ()) -> Expression:
+        return Expression(kind, start, end, self.src, name, op, callee, args or ())
 
     def _parse_expression(self) -> Expression:
         """Assignment (right-associative) over a conditional over binary operators."""

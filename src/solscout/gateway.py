@@ -4,8 +4,9 @@ Every query is an independent two-message conversation (system + user);
 no history ever leaks between queries. Exchanges are keyed by
 (purpose, rule, function, prompt hash), plus the attempt for a retried
 query, so a recorded transcript replays a scan bit-exactly with zero
-network use. The network modules are imported by the first query sent,
-never by a replay.
+network use. A query the provider rejected is recorded as an ``error``
+entry, so its replay rejects it the same way. The network modules are
+imported by the first query sent, never by a replay.
 """
 
 from __future__ import annotations
@@ -202,6 +203,7 @@ class LlmExchange:
     latency: float = 0.0
     prompt_sha256: str = ""
     attempt: int = 0  # 1 for the retry of an unparseable answer
+    error: str = ""  # a rejected query: no response, nothing charged
 
     def __post_init__(self):
         if not self.prompt_sha256:
@@ -220,10 +222,12 @@ class LlmExchange:
             "prompt_sha256": self.prompt_sha256,
             "system": self.system,
             "user": self.user,
-            "response": self.response,
-            "tokens_in": self.tokens_in,
-            "tokens_out": self.tokens_out,
         }
+        if self.error:
+            record["error"] = self.error
+        else:
+            record.update(response=self.response, tokens_in=self.tokens_in,
+                          tokens_out=self.tokens_out)
         if self.attempt:
             record["attempt"] = self.attempt
         return json.dumps(record, sort_keys=True)
@@ -260,11 +264,12 @@ class Transcript:
                         function_id=raw["function_id"],
                         system=raw["system"],
                         user=raw["user"],
-                        response=raw["response"],
-                        tokens_in=int(raw["tokens_in"]),
-                        tokens_out=int(raw["tokens_out"]),
+                        response=raw.get("response", ""),
+                        tokens_in=int(raw.get("tokens_in", 0)),
+                        tokens_out=int(raw.get("tokens_out", 0)),
                         prompt_sha256=raw["prompt_sha256"],
                         attempt=int(raw.get("attempt", 0)),
+                        error=raw.get("error", ""),
                     )
                 )
         return transcript
@@ -345,16 +350,27 @@ class LlmGateway:
                 entry = self.transcript.get(key[:4])
             if entry is None:
                 raise ReplayMiss(key)
+            if entry.error:
+                raise ProviderError(entry.error)
             with self._lock:
                 self.exchanges.append(entry)
             return entry
 
-        if self._answer is not None:
-            response = self._answer(purpose, rule_id, function_id, user)
-            tokens_in, tokens_out, latency = 0, 0, 0.0
-        else:
-            with self._gate:
-                response, tokens_in, tokens_out, latency = self._http_call(system, user)
+        try:
+            if self._answer is not None:
+                response = self._answer(purpose, rule_id, function_id, user)
+                tokens_in, tokens_out, latency = 0, 0, 0.0
+            else:
+                with self._gate:
+                    response, tokens_in, tokens_out, latency = self._http_call(system, user)
+        except ProviderUnavailable:
+            raise  # not the query's fault: a replay must not reproduce it
+        except ProviderError as exc:
+            rejected = LlmExchange(purpose, rule_id, function_id, system, user, "", 0, 0,
+                                   prompt_sha256=digest, attempt=attempt, error=str(exc))
+            with self._lock:
+                self._record(rejected)
+            raise
         if tokens_in <= 0:
             tokens_in = estimate_tokens(system) + estimate_tokens(user)
         if tokens_out <= 0:
@@ -374,25 +390,33 @@ class LlmGateway:
         )
         with self._lock:
             self.exchanges.append(exchange)
-            if self.mode == "record":
-                self.transcript.append(exchange)
-                if self._record_fh is not None:
-                    self._record_fh.write(exchange.to_json() + "\n")
-                    self._record_fh.flush()
+            self._record(exchange)
         return exchange
 
+    def _record(self, entry: LlmExchange) -> None:
+        """In record mode, add ``entry`` to the transcript and its file; needs ``_lock``."""
+        if self.mode == "record":
+            self.transcript.append(entry)
+            if self._record_fh is not None:
+                self._record_fh.write(entry.to_json() + "\n")
+                self._record_fh.flush()
+
     def ask(self, purpose: str, rule_id: str, function_id: str,
-            user: str, parser):
-        """Complete + parse, retrying the identical prompt once on garbage."""
-        last_error = None
+            user: str, parser, made: list):
+        """Complete + parse, retrying the identical prompt once on garbage.
+
+        Each exchange is appended to ``made`` as soon as it is made, so the
+        caller holds every one, in query order, also when this raises.
+        """
         for attempt in range(2):
             exchange = self.complete(purpose, rule_id, function_id, SYSTEM_PROMPT, user,
                                      attempt)
+            made.append(exchange)
             try:
-                return parser(exchange.response), exchange
-            except UnparseableAnswer as exc:
-                last_error = exc
-        raise last_error
+                return parser(exchange.response)
+            except UnparseableAnswer:
+                if attempt:
+                    raise
 
     # -- transport ------------------------------------------------------
 

@@ -263,7 +263,7 @@ def _process_candidate(fn, rule, config, graph, reach, gateway):
     stages passed (scenario, then property), whatever the exit.
     """
     fid = graph.id_of(fn)
-    keys = []
+    exchanges = []  # every query made for the pair, retries included
 
     def finding(verdict, reason="", recognized=None):
         return Finding(
@@ -277,14 +277,12 @@ def _process_candidate(fn, rule, config, graph, reach, gateway):
             verdict=verdict,
             reason=reason,
             recognized=recognized or {},
-            transcript_keys=keys,
+            transcript_keys=["|".join(e.key) for e in exchanges],
             excerpt=fn.source(),
         )
 
     def ask(purpose, prompt, parser):
-        answer, exchange = gateway.ask(purpose, rule.id, fid, prompt, parser)
-        keys.append("|".join(exchange.key))
-        return answer
+        return gateway.ask(purpose, rule.id, fid, prompt, parser, exchanges)
 
     try:
         context = assemble_context(fn, graph, rule.context_policy, config.token_budget,

@@ -6,7 +6,14 @@ import re
 import pytest
 
 from solscout.errors import SoliditySyntaxError
-from solscout.frontend import SourceFile, enumerate_functions, parse_source, parse_text, strip_comments
+from solscout.frontend import (
+    LineIndex,
+    SourceFile,
+    enumerate_functions,
+    parse_source,
+    parse_text,
+    strip_comments,
+)
 from solscout.frontend import parser as parser_module
 from solscout.frontend.lexer import Token, tokenize
 from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
@@ -311,18 +318,22 @@ def test_comment_markers_inside_strings_kept():
 
 
 def test_span_roundtrip_fidelity():
-    """Raw text sliced by span equals the parser-recorded raw text."""
+    """Raw text and line spans are the file's, and no node's repr copies the file."""
     for parts in (("first_deposit", "contracts", "Vault.sol"), ("checkpoint_order", "contracts", "StakerVault.sol")):
         text = read_fixture(*parts)
+        line_of = LineIndex(text).line_of
         unit = parse_text(text)
         for fn in enumerate_functions(unit):
             assert text[fn.start:fn.end] == fn.source()
             for stmt in fn.statements():
                 assert text[stmt.start:stmt.end] == stmt.raw
+                assert stmt.span == (line_of(stmt.start), line_of(max(stmt.start, stmt.end - 1)))
+                assert text not in repr(stmt)
                 for expr in stmt.expressions():
                     for node in expr.walk():
                         if node is not None:
                             assert text[node.start:node.end] == node.raw
+                            assert text not in repr(node)
 
 
 def _depth_ordered(fn):
@@ -647,7 +658,7 @@ def test_statement_kind_by_lookahead(statement, kind):
 
 def test_delete_statement_is_a_unary_expression():
     stmt = _body_statement("delete t;")
-    assert (stmt.kind, stmt.decl_names) == ("expression", [])
+    assert (stmt.kind, stmt.decl_names) == ("expression", ())
     assert [(e.kind, e.op, e.args[0].name) for e in stmt.exprs] == [("unary", "delete", "t")]
 
 

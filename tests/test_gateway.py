@@ -271,6 +271,23 @@ def test_transcript_roundtrip(tmp_path):
     assert loaded.get(key).response == '{"1":"Yes"}'
 
 
+def test_a_rejected_query_replays_its_error_and_charges_nothing(tmp_path):
+    path = str(tmp_path / "t.jsonl")
+    transcript = Transcript()
+    transcript.append(_exchange(response="", tokens_in=0, tokens_out=0,
+                                error="provider returned 400"))
+    transcript.save(path)
+    with open(path, encoding="utf-8") as fh:
+        [record] = [json.loads(line) for line in fh]
+    assert record["error"] == "provider returned 400"
+    assert not {"response", "tokens_in", "tokens_out"} & set(record)
+    gateway = LlmGateway(ProviderConfig(), mode="replay", transcript=Transcript.load(path))
+    with pytest.raises(ProviderError) as exc:
+        gateway.complete("scenario", "r", "C.f", system_prompt(), "ask")
+    assert type(exc.value) is ProviderError and str(exc.value) == "provider returned 400"
+    assert gateway.exchanges == []
+
+
 def test_transcript_last_wins_on_duplicate_keys(tmp_path):
     path = str(tmp_path / "t.jsonl")
     first = _exchange(response="old")
@@ -610,10 +627,12 @@ def test_ask_retries_unparseable_once_then_raises():
     bad = _exchange(purpose="property", response="mumble")
     transcript.append(bad)
     gateway = LlmGateway(ProviderConfig(), mode="replay", transcript=transcript)
+    made = []
     with pytest.raises(UnparseableAnswer):
-        gateway.ask("property", "r", "C.f", "ask", parse_yes_no)
-    # identical prompt asked exactly twice
+        gateway.ask("property", "r", "C.f", "ask", parse_yes_no, made)
+    # identical prompt asked exactly twice, and both attempts handed back
     assert len(gateway.exchanges) == 2
+    assert made == gateway.exchanges
 
 
 def test_cost_additivity_over_transcript(tmp_path):

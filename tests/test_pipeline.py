@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -10,6 +11,7 @@ from solscout.errors import ProviderError, ProviderUnavailable, ReplayMiss
 from solscout.gateway import LlmGateway, ProviderConfig, Transcript
 from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
+from solscout.report import count_kloc
 from solscout.rules import load_rules
 
 from chatserver import by_prompt, in_order
@@ -154,15 +156,16 @@ def _answers(fixture="first_deposit", **stage):
 
 
 # exit -> (fixture and answers, scan options, verdict or None for no
-# finding, reason prefix, transcript keys, scenario_matched, property_matched)
+# finding, reason prefix, transcript keys, scenario_matched, property_matched);
+# a garbled answer is asked twice, and both attempts are cited
 CANDIDATE_EXITS = {
     "too-large": (_answers(), {"token_budget": 10}, "skipped", "too large: ", 0, 0, 0),
     "scenario-no": (_answers(scenario=False), {}, None, None, 0, 0, 0),
     "property-no": (_answers(property=False), {}, None, None, 0, 1, 0),
-    "scenario-garbage": (_answers(scenario="I think so"), {}, "skipped", "llm-format", 0, 0, 0),
-    "property-garbage": (_answers(property="maybe"), {}, "skipped", "llm-format", 1, 1, 0),
+    "scenario-garbage": (_answers(scenario="I think so"), {}, "skipped", "llm-format", 2, 0, 0),
+    "property-garbage": (_answers(property="maybe"), {}, "skipped", "llm-format", 3, 1, 0),
     "recognition-garbage": (_answers(recognition="{not json"), {},
-                            "skipped", "llm-format", 2, 1, 1),
+                            "skipped", "llm-format", 4, 1, 1),
     "recognition-abort": (
         _answers(recognition={**RFD_RECOGNITION, "VariableA": ("ghostVar", "not in the code")}),
         {}, "rejected", "recognition abort: VariableA: ", 3, 1, 1),
@@ -270,34 +273,124 @@ def test_record_then_replay_identical_findings(tmp_path, monkeypatch, serve):
     assert len(replayed.confirmed) == 1
 
 
-def test_a_retried_answer_replays_with_the_recorded_ledger(tmp_path):
-    """The first property answer is garbled once; its retry is answered."""
+def _record_small_corpus(tmp_path, spoil):
+    """Record a scan of ``build_corpus(1)``, then replay its transcript.
+
+    ``spoil(purpose, rule_id, function_id)`` may raise, or return a reply
+    to give instead of the honest one; None keeps the honest reply.
+    """
     root = str(tmp_path / "corpus")
     cases = build_corpus(variants=1)
     write_corpus(root, cases)
-    transcript_path = str(tmp_path / "t.jsonl")
-    config = replay_config(root, transcript_path, project_name="corpus")
+    config = replay_config(root, str(tmp_path / "t.jsonl"), project_name="corpus")
     honest = scripted_answerer(corpus_answers(cases), load_rules(config.rules_dir))
-    garbled = []
 
     def answer(purpose, rule_id, function_id, user):
-        if purpose == "property" and not garbled:
-            garbled.append((rule_id, function_id))
-            return "mumble"
-        return honest(purpose, rule_id, function_id, user)
+        reply = spoil(purpose, rule_id, function_id)
+        return honest(purpose, rule_id, function_id, user) if reply is None else reply
 
     gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record",
-                         record_path=transcript_path, answer=answer)
+                         record_path=config.transcript_path, answer=answer)
     recorded = scan(config, gateway)
-    assert garbled and recorded.provider_failures == []
-    replayed = scan(config)
+    return config, recorded, scan(config)
 
+
+def _assert_replays_the_record(recorded, replayed):
     assert len(replayed.exchanges) == len(recorded.exchanges)
     assert replayed.ledger.tokens_in == recorded.ledger.tokens_in
     assert replayed.ledger.tokens_out == recorded.ledger.tokens_out
-    assert len({e.key for e in recorded.exchanges}) == len(recorded.exchanges)
     rec_doc = json.loads(recorded.report("json"))["findings"]
     assert json.loads(replayed.report("json"))["findings"] == rec_doc
+
+
+def test_a_retried_answer_replays_with_the_recorded_ledger(tmp_path):
+    """The first property answer is garbled once; its retry is answered.
+
+    The garbled attempt is charged, so the pair's finding cites it too.
+    """
+    garbled = []
+
+    def spoil(purpose, rule_id, function_id):
+        if purpose == "property" and not garbled:
+            garbled.append((rule_id, function_id))
+            return "mumble"
+        return None
+
+    _config, recorded, replayed = _record_small_corpus(tmp_path, spoil)
+    assert recorded.provider_failures == []
+    assert len({e.key for e in recorded.exchanges}) == len(recorded.exchanges)
+    _assert_replays_the_record(recorded, replayed)
+    [pair] = garbled
+    made = ["|".join(e.key) for e in recorded.exchanges if (e.rule_id, e.function_id) == pair]
+    assert [key.split("|")[0] for key in made] == \
+        ["scenario", "property", "property", "recognition"]
+    assert made[2].endswith("|retry1")
+    for result in (recorded, replayed):
+        [finding] = [f for f in result.findings if (f.rule_id, f.function_id) == pair]
+        assert finding.transcript_keys == made
+
+
+def test_a_provider_rejected_query_replays_as_the_same_skip(tmp_path):
+    """The provider rejects the 3rd query; the transcript records it and replays the skip."""
+    calls = []
+
+    def spoil(purpose, rule_id, function_id):
+        calls.append((rule_id, function_id))
+        if len(calls) == 3:
+            raise ProviderError("provider returned 400: overloaded")
+        return None
+
+    config, recorded, replayed = _record_small_corpus(tmp_path, spoil)
+    [skip] = recorded.provider_failures
+    assert (skip.rule_id, skip.function_id) == calls[2]
+    assert skip.reason == "provider-error: provider returned 400: overloaded"
+    _assert_replays_the_record(recorded, replayed)
+    # the rejected query is an entry of its own, not an exchange: nothing charged
+    entries = Transcript.load(config.transcript_path).entries.values()
+    assert [(e.rule_id, e.function_id, e.error) for e in entries if e.error] == \
+        [(*calls[2], "provider returned 400: overloaded")]
+    assert len(entries) == len(recorded.exchanges) + 1
+
+
+def test_an_unavailable_provider_is_not_recorded(tmp_path):
+    """A failure every query would meet stops the scan and leaves no entry to replay."""
+    calls = []
+
+    def spoil(purpose, rule_id, function_id):
+        calls.append(purpose)
+        if len(calls) == 3:
+            raise ProviderUnavailable("provider returned 401: bad key")
+        return None
+
+    with pytest.raises(ProviderUnavailable):
+        _record_small_corpus(tmp_path, spoil)
+    entries = Transcript.load(str(tmp_path / "t.jsonl")).entries.values()
+    assert len(entries) == 2 and not any(e.error for e in entries)
+
+
+def test_a_provider_rejected_http_query_replays_as_the_same_skip(tmp_path, monkeypatch, serve):
+    """The provider answers 400 to every property query; replay skips the same pairs."""
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "fake")
+    root = fixture_path("first_deposit")
+    transcript_path = str(tmp_path / "recorded.jsonl")
+    oracle = build_transcript(replay_config(root, transcript_path), first_deposit_answers())
+    honest = by_prompt(oracle)
+
+    def respond(request):
+        if request.json()["messages"][1]["content"].startswith("Does the following"):
+            return 400, "no property queries today"
+        return honest(request)
+
+    server = serve(respond)
+    record = replay_config(root, transcript_path, project_name="first_deposit")
+    record.mode = "record"
+    record.provider.endpoint = server.url
+    recorded = scan(record)
+    assert recorded.provider_failures
+    assert all(f.reason == "provider-error: provider returned 400: no property queries today"
+               for f in recorded.provider_failures)
+    replayed = scan(replay_config(root, transcript_path, project_name="first_deposit"))
+    _assert_replays_the_record(recorded, replayed)
 
 
 def test_a_failing_provider_costs_one_candidate(corpus_config, tmp_path):
@@ -505,6 +598,30 @@ def test_scan_leaves_no_cyclic_garbage(corpus_config, gc_state):
     assert result.confirmed
     del result
     assert gc.collect() == 0
+
+
+# Heap a prepared scan may keep per KLoC of the 1x acceptance corpus. It
+# keeps 0.77 MB; nodes that each copied their text and line span and
+# held empty lists of their own would keep 1.20 MB and fail.
+RETAINED_MB_PER_KLOC = 0.9
+
+
+def test_prepared_scan_heap_per_kloc(tmp_path, gc_state):
+    write_corpus(str(tmp_path), build_corpus(variants=1), filler_files=60)
+    config = replay_config(str(tmp_path), str(tmp_path / "t.jsonl"))
+    gc.collect()
+    gc.disable()  # as in scan(): nothing is collected while the project is parsed
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prepared = prepare_scan(config)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kloc = count_kloc(prepared.layout.included)
+    assert kloc > 12
+    assert retained / 1e6 / kloc <= RETAINED_MB_PER_KLOC, \
+        f"{retained / 1e6:.1f} MB retained over {kloc:.1f} KLoC"
 
 
 def test_scan_runs_no_collection(corpus_config, gc_state, monkeypatch):
