@@ -72,7 +72,6 @@ def cmd_scan(args) -> int:
     }
     try:
         config = load_config(args.project_root, args.config, overrides)
-        config.validate()
         result = scan(config)
     except (ConfigError, RuleParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,23 +45,31 @@ class ScanConfig:
         if not self.token_budget:
             self.token_budget = max(256, self.provider.max_context_tokens - 1024)
 
-    def validate(self) -> None:
+    def validate(self, builds_gateway: bool = True) -> None:
+        """Raise ``ConfigError`` for a configuration no scan can run with.
+
+        ``builds_gateway=False`` is for a scan handed a ready gateway: the
+        transcript and API key that building one needs are then not checked.
+        """
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "replay" and not self.transcript_path:
-            raise ConfigError("replay mode requires a transcript path")
-        if self.mode == "replay" and not os.path.isfile(self.transcript_path):
-            raise ConfigError(f"transcript not found: {self.transcript_path}")
-        if self.mode == "record" and not self.transcript_path:
-            raise ConfigError("record mode requires a transcript path to write")
-        if self.mode in ("live", "record") and not os.environ.get(self.provider.api_key_env):
-            raise ConfigError(
-                f"{self.mode} mode requires the {self.provider.api_key_env} env var"
-            )
+        if builds_gateway:
+            if self.mode == "replay" and not self.transcript_path:
+                raise ConfigError("replay mode requires a transcript path")
+            if self.mode == "replay" and not os.path.isfile(self.transcript_path):
+                raise ConfigError(f"transcript not found: {self.transcript_path}")
+            if self.mode == "record" and not self.transcript_path:
+                raise ConfigError("record mode requires a transcript path to write")
+            if self.mode in ("live", "record") and not os.environ.get(self.provider.api_key_env):
+                raise ConfigError(
+                    f"{self.mode} mode requires the {self.provider.api_key_env} env var"
+                )
         if not os.path.isdir(self.project_root):
             raise ConfigError(f"project root not found: {self.project_root}")
         if not os.path.isdir(self.rules_dir):
             raise ConfigError(f"rules directory not found: {self.rules_dir}")
+        if not os.path.isfile(self.whitelist_path):
+            raise ConfigError(f"whitelist not found: {self.whitelist_path}")
 
     def fingerprint(self) -> str:
         payload = {

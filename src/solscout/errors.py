@@ -78,3 +78,7 @@ class TruthMismatch(SolscoutError):
 
 class ConfigError(SolscoutError):
     """Scan configuration is invalid or incomplete."""
+
+
+class TranscriptError(SolscoutError):
+    """A transcript file holds a line that is not a transcript entry."""

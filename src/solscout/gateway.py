@@ -20,7 +20,13 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .errors import ProviderError, ProviderUnavailable, ReplayMiss, UnparseableAnswer
+from .errors import (
+    ProviderError,
+    ProviderUnavailable,
+    ReplayMiss,
+    TranscriptError,
+    UnparseableAnswer,
+)
 from .frontend import contains_identifier
 
 SYSTEM_PROMPT = (
@@ -190,13 +196,20 @@ def validate_recognition(answer: dict, context, slots: list):
 # transcripts
 
 
-@dataclass
+@dataclass(slots=True)
 class LlmExchange:
+    """One query and its answer.
+
+    An exchange loaded from a transcript keeps no prompt (``system`` and
+    ``user`` are None): a replay reads only its key and answer, and the
+    prompts stay in the file. Such an exchange cannot be written out.
+    """
+
     purpose: str  # scenario|property|recognition
     rule_id: str
     function_id: str
-    system: str
-    user: str
+    system: str | None
+    user: str | None
     response: str
     tokens_in: int
     tokens_out: int
@@ -215,6 +228,9 @@ class LlmExchange:
                             self.prompt_sha256, self.attempt)
 
     def to_json(self) -> str:
+        if self.system is None or self.user is None:
+            raise ValueError(f"exchange {self.key!r} has no prompt: a transcript "
+                             "loaded for replay cannot be written out")
         record = {
             "purpose": self.purpose,
             "rule_id": self.rule_id,
@@ -250,34 +266,44 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str) -> "Transcript":
+        """The entries of the JSON-lines file at ``path``, without their prompts.
+
+        Raises ``TranscriptError`` naming ``path:line`` for a line that is
+        not a transcript entry, such as the cut-off last line of a killed
+        record scan.
+        """
         transcript = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        shared = {}  # one copy of each id and answer text that repeats
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                if line.isspace():
                     continue
-                raw = json.loads(line)
-                transcript.append(
-                    LlmExchange(
-                        purpose=raw["purpose"],
-                        rule_id=raw["rule_id"],
-                        function_id=raw["function_id"],
-                        system=raw["system"],
-                        user=raw["user"],
-                        response=raw.get("response", ""),
-                        tokens_in=int(raw.get("tokens_in", 0)),
-                        tokens_out=int(raw.get("tokens_out", 0)),
+                try:
+                    raw = json.loads(line)
+                    purpose, rule_id, function_id, response = (
+                        shared.setdefault(text, text)
+                        for text in (raw["purpose"], raw["rule_id"], raw["function_id"],
+                                     raw.get("response", ""))
+                    )
+                    exchange = LlmExchange(
+                        purpose, rule_id, function_id, None, None, response,
+                        int(raw.get("tokens_in", 0)), int(raw.get("tokens_out", 0)),
                         prompt_sha256=raw["prompt_sha256"],
                         attempt=int(raw.get("attempt", 0)),
                         error=raw.get("error", ""),
                     )
-                )
+                except (ValueError, TypeError, KeyError) as exc:
+                    reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+                    raise TranscriptError(f"{path}:{number}: not a transcript entry: "
+                                          f"{reason}") from None
+                transcript.append(exchange)
         return transcript
 
     def save(self, path: str) -> None:
+        """Write every entry; raises before touching ``path`` if one has no prompt."""
+        text = "".join(exchange.to_json() + "\n" for exchange in self.entries.values())
         with open(path, "w", encoding="utf-8") as fh:
-            for exchange in self.entries.values():
-                fh.write(exchange.to_json() + "\n")
+            fh.write(text)
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,9 @@ class ScanResult:
 def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     """Run a full scan. A pre-built gateway may be injected for testing.
 
+    The configuration is validated before anything is parsed; see
+    ``ScanConfig.validate`` for what an injected gateway exempts.
+
     The parsed project is a large, long-lived heap, so cyclic GC is kept
     off while it is built and the result is frozen, keeping later
     collections from walking it again. The heap holds no reference
@@ -128,6 +131,7 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     caller's GC state (enabled flag, frozen objects) is left as it was
     found.
     """
+    config.validate(builds_gateway=gateway is None)
     started = time.perf_counter()
     enabled = gc.isenabled()
     freeze = enabled and gc.get_freeze_count() == 0

@@ -123,6 +123,36 @@ def test_scan_replay_without_transcript_is_config_error(tmp_path, capsys):
     assert "transcript" in capsys.readouterr().err
 
 
+def _replay_a_spoiled_transcript(tmp_path, capsys, spoil):
+    """Replay the first_deposit transcript after ``spoil(lines)`` rewrote its lines."""
+    root, transcript = prep_first_deposit_transcript(tmp_path)
+    with open(transcript, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(transcript, "w", encoding="utf-8") as fh:
+        fh.write(spoil(lines))
+    out_dir = tmp_path / "out"
+    code = main(["scan", root, "--mode", "replay", "--transcript", transcript,
+                 "--out", str(out_dir)])
+    assert code == EXIT_ERROR
+    assert not out_dir.exists()
+    return transcript, len(lines), capsys.readouterr().err
+
+
+def test_replaying_a_cut_off_transcript_names_the_line(tmp_path, capsys):
+    """What a killed record scan leaves: a last line written in part."""
+    transcript, count, err = _replay_a_spoiled_transcript(
+        tmp_path, capsys, lambda lines: "\n".join(lines[:-1] + [lines[-1][:40]]))
+    assert err.startswith(f"error: {transcript}:{count}: not a transcript entry: ")
+    assert "Traceback" not in err
+
+
+def test_replaying_a_line_without_its_prompt_hash_names_the_line(tmp_path, capsys):
+    transcript, _count, err = _replay_a_spoiled_transcript(
+        tmp_path, capsys,
+        lambda lines: "\n".join([lines[0].replace('"prompt_sha256"', '"sha"')] + lines[1:]))
+    assert err == f"error: {transcript}:1: not a transcript entry: missing 'prompt_sha256'\n"
+
+
 def test_scan_live_without_key_is_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SOLSCOUT_API_KEY", raising=False)
     code = main(["scan", fixture_path("first_deposit"), "--mode", "live",

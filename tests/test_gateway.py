@@ -2,15 +2,24 @@ import base64
 import gc
 import json
 import random
+import re
 import socket
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import pytest
 
-from solscout.errors import ProviderError, ProviderUnavailable, ReplayMiss, UnparseableAnswer
+from solscout.errors import (
+    ProviderError,
+    ProviderUnavailable,
+    ReplayMiss,
+    TranscriptError,
+    UnparseableAnswer,
+)
 from solscout.gateway import (
     _first_json_object,
     _plan_route,
@@ -297,6 +306,142 @@ def test_transcript_last_wins_on_duplicate_keys(tmp_path):
     loaded = Transcript.load(path)
     assert len(loaded) == 1
     assert loaded.get(first.key).response == "new"
+
+
+# What a record scan writes for a retried query, a rejected one and a
+# plain one: the transcript file format, fixed byte for byte.
+RECORDED = (
+    '{"function_id": "C.f", "prompt_sha256": '
+    '"3cbb84ef476f4630abdb642d6ef69652afb753a66bc26fb4c43afc22fce1f2ce", "purpose": "property", '
+    '"response": "mumble", "rule_id": "r", "system": "s", "tokens_in": 3, "tokens_out": 2, '
+    '"user": "Is it?"}\n'
+    '{"attempt": 1, "function_id": "C.f", "prompt_sha256": '
+    '"3cbb84ef476f4630abdb642d6ef69652afb753a66bc26fb4c43afc22fce1f2ce", "purpose": "property", '
+    '"response": "Yes", "rule_id": "r", "system": "s", "tokens_in": 3, "tokens_out": 1, '
+    '"user": "Is it?"}\n'
+    '{"error": "provider returned 400: busy", "function_id": "C.g", "prompt_sha256": '
+    '"3cbb84ef476f4630abdb642d6ef69652afb753a66bc26fb4c43afc22fce1f2ce", "purpose": "property", '
+    '"rule_id": "r", "system": "s", "user": "Is it?"}\n'
+    '{"function_id": "C.g", "prompt_sha256": '
+    '"8a16811a47f95a7c51f38a99f62db1ab24b5378c5501498e2ee015e2522c3d08", "purpose": "scenario", '
+    '"response": "{\\"1\\": \\"No\\"}", "rule_id": "r", "system": "s", "tokens_in": 3, '
+    '"tokens_out": 3, "user": "Which?"}\n'
+)
+
+
+def _record(path: str) -> Transcript:
+    """Record the queries of ``RECORDED`` to ``path``; returns the gateway's transcript."""
+    replies = iter(["mumble", "Yes", ProviderError("provider returned 400: busy"),
+                    '{"1": "No"}'])
+
+    def answer(purpose, rule_id, function_id, user):
+        reply = next(replies)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    gateway = LlmGateway(ProviderConfig(), mode="record", record_path=path, answer=answer)
+    gateway.complete("property", "r", "C.f", "s", "Is it?")
+    gateway.complete("property", "r", "C.f", "s", "Is it?", attempt=1)
+    with pytest.raises(ProviderError):
+        gateway.complete("property", "r", "C.g", "s", "Is it?")
+    gateway.complete("scenario", "r", "C.g", "s", "Which?")
+    gateway.close()
+    return gateway.transcript
+
+
+def test_a_recorded_transcript_saves_as_the_record_file(tmp_path):
+    recorded = _record(str(tmp_path / "record.jsonl"))
+    recorded.save(str(tmp_path / "saved.jsonl"))
+    assert (tmp_path / "record.jsonl").read_text(encoding="utf-8") == RECORDED
+    assert (tmp_path / "saved.jsonl").read_text(encoding="utf-8") == RECORDED
+
+
+def test_a_loaded_entry_keeps_its_key_answer_and_usage_and_no_prompt(tmp_path):
+    path = str(tmp_path / "t.jsonl")
+    recorded = _record(path)
+    loaded = Transcript.load(path)
+    answer = attrgetter("key", "response", "tokens_in", "tokens_out", "error", "attempt")
+    assert [answer(e) for e in loaded.entries.values()] == \
+        [answer(e) for e in recorded.entries.values()]
+    for entry in loaded.entries.values():
+        assert (entry.system, entry.user, entry.latency) == (None, None, 0.0)
+        assert not hasattr(entry, "__dict__")  # a slotted dataclass
+    # equal ids are one string, however many entries name them
+    first, retry = list(loaded.entries.values())[:2]
+    assert first.function_id is retry.function_id and first.purpose is retry.purpose
+
+
+def test_a_loaded_transcript_cannot_be_saved(tmp_path):
+    path = tmp_path / "t.jsonl"
+    _record(str(path))
+    loaded = Transcript.load(str(path))
+    for entry in loaded.entries.values():
+        with pytest.raises(ValueError, match="has no prompt"):
+            entry.to_json()
+    with pytest.raises(ValueError, match="has no prompt"):
+        loaded.save(str(path))
+    assert path.read_text(encoding="utf-8") == RECORDED  # not truncated either
+
+
+# Heap a loaded transcript may keep per entry of ~1 KB prompts. It keeps
+# about 400 bytes; entries that kept their prompts would keep 2,100 and fail.
+RETAINED_BYTES_PER_ENTRY = 600
+
+
+def test_loaded_transcript_heap_per_entry(tmp_path):
+    rng = random.Random(7)
+    answers = {"scenario": '{"1": "Yes"}', "property": "Yes",
+               "recognition": '{"VariableA": {"shares": "the minted shares"}}'}
+    written = Transcript()
+    for i in range(700):
+        for purpose, response in answers.items():
+            user = f"{purpose} of C{i}.f\n\n" + "".join(rng.choices("abcdef ;{}()\n", k=1000))
+            written.append(LlmExchange(purpose, "risky-first-deposit", f"C{i}.f",
+                                       system_prompt(), user, response,
+                                       estimate_tokens(system_prompt() + user),
+                                       estimate_tokens(response)))
+    path = str(tmp_path / "t.jsonl")
+    written.save(path)
+    del written
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = Transcript.load(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 2100
+    assert retained / len(loaded) <= RETAINED_BYTES_PER_ENTRY, \
+        f"{retained / len(loaded):.0f} bytes retained per entry"
+
+
+@pytest.mark.parametrize("spoil, reason", [
+    pytest.param(lambda line: line[:len(line) // 2], "Unterminated string",
+                 id="cut-off"),  # what a killed record scan leaves
+    pytest.param(lambda line: line.replace('"prompt_sha256"', '"digest"'),
+                 "missing 'prompt_sha256'", id="no-prompt-hash"),
+    pytest.param(lambda line: "[1, 2]", "list indices", id="not-an-object"),
+    pytest.param(lambda line: line.replace('"tokens_out": 3', '"tokens_out": "three"'),
+                 "invalid literal", id="bad-tokens"),
+    pytest.param(lambda line: line.replace(' "s"', ' "s\udcff"'), "can't decode",
+                 id="bad-utf-8"),
+])
+def test_a_malformed_line_is_an_error_naming_its_place(tmp_path, spoil, reason):
+    path = tmp_path / "t.jsonl"
+    lines = RECORDED.splitlines()
+    lines[-1] = spoil(lines[-1])
+    path.write_bytes(("\n".join(lines)).encode("utf-8", "surrogateescape"))
+    with pytest.raises(TranscriptError, match=re.escape(f"{path}:4: ") + ".*" + reason):
+        Transcript.load(str(path))
+
+
+def test_blank_lines_are_skipped_and_still_counted(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n  \n" + RECORDED.replace("\n", "\n\n", 1) + "{", encoding="utf-8")
+    with pytest.raises(TranscriptError, match=re.escape(f"{path}:8: ")):
+        Transcript.load(str(path))
 
 
 def test_replay_returns_recorded_exchange():

@@ -7,7 +7,13 @@ import weakref
 
 import pytest
 
-from solscout.errors import ProviderError, ProviderUnavailable, ReplayMiss
+from solscout.errors import (
+    ConfigError,
+    ProviderError,
+    ProviderUnavailable,
+    ReplayMiss,
+    RuleParseError,
+)
 from solscout.gateway import LlmGateway, ProviderConfig, Transcript
 from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
@@ -210,6 +216,36 @@ def test_replay_miss_fails_loudly(tmp_path):
     config = replay_config(root, transcript_path)
     with pytest.raises(ReplayMiss):
         scan(config)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("transcript_path", "missing.jsonl", "transcript not found"),
+    ("mode", "bogus", "mode must be one of"),
+    ("whitelist_path", "missing.txt", "whitelist not found"),
+])
+def test_scan_validates_its_config_before_parsing(tmp_path, monkeypatch, field, value, message):
+    def parse(src):
+        raise AssertionError(f"{src.path} parsed before the config was validated")
+
+    monkeypatch.setattr(pipeline, "parse_source", parse)
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("", encoding="utf-8")
+    config = replay_config(fixture_path("first_deposit"), str(transcript_path))
+    setattr(config, field, str(tmp_path / value) if field.endswith("_path") else value)
+    with pytest.raises(ConfigError, match=message):
+        scan(config)
+
+
+def test_a_scan_handed_a_gateway_needs_no_api_key_or_transcript(monkeypatch):
+    monkeypatch.delenv("SOLSCOUT_API_KEY", raising=False)
+    config = replay_config(fixture_path("first_deposit"), "")
+    config.mode = "record"
+    with pytest.raises(ConfigError, match="transcript path"):
+        scan(config)
+    gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record",
+                         answer=scripted_answerer(first_deposit_answers(),
+                                                  load_rules(config.rules_dir)))
+    assert [f.function_id for f in scan(config, gateway).confirmed] == ["YaxisVault.deposit"]
 
 
 def test_too_deep_file_is_a_parse_failure_and_the_scan_goes_on(tmp_path):
@@ -530,8 +566,14 @@ def test_scan_restores_gc_state_when_prepare_raises(tmp_path, gc_state, enabled)
     if not enabled:
         gc.disable()
     before = (gc.isenabled(), gc.get_freeze_count())
-    config = replay_config(str(tmp_path / "missing"), str(tmp_path / "t.jsonl"))
-    with pytest.raises(IOError):
+    rules_dir = tmp_path / "rules"
+    rules_dir.mkdir()
+    (rules_dir / "broken.yaml").write_text("id: [\n", encoding="utf-8")
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("", encoding="utf-8")
+    config = replay_config(fixture_path("first_deposit"), str(transcript_path),
+                           rules_dir=str(rules_dir))
+    with pytest.raises(RuleParseError):  # raised by prepare_scan, after the parse
         scan(config)
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
