@@ -109,12 +109,20 @@ def _linearized_contracts(fn: FunctionRecord, contracts_by_name: dict) -> list:
     return order
 
 
-def build_call_graph(functions: list, contracts_by_name: dict) -> CallGraph:
+def build_call_graph(functions: list, contracts_by_name: dict,
+                     every_body: bool = True) -> CallGraph:
     """Resolve calls by (name, arity): own contract, bases, then global unique.
 
     ``contracts_by_name`` is ``frontend.index_contracts``'s index of every
     parsed contract, so inheritance also passes through contracts that
     declare no function.
+
+    ``every_body`` False walks only the bodies a scan reads, so the parser
+    never parses the others: the callee closure of the entry points, then
+    every other body that names a function in that closure, as it may call
+    it. Edges are added in function order either way, so the reachable set
+    and each reachable function's callers and callees do not depend on it;
+    ``unresolved`` then covers the walked bodies only.
     """
     ids = build_function_ids(functions)
     graph = CallGraph(_ids=ids)
@@ -129,25 +137,48 @@ def build_call_graph(functions: list, contracts_by_name: dict) -> CallGraph:
             by_contract.setdefault(id(fn.contract_def), {}).setdefault(key, []).append(fn)
         global_index.setdefault(key, []).append(fn)
 
+    def calls_of(fn: FunctionRecord) -> list:
+        """(seq, name, arity, resolved target or None) per call, in body order."""
+        chain = _linearized_contracts(fn, contracts_by_name)
+        return [
+            (stmt.seq, name, len(call.args),
+             _resolve(name, len(call.args), chain, by_contract, global_index))
+            for stmt in fn.statements()
+            for expr in stmt.expressions()
+            for call in iter_calls(expr)
+            if (name := call_name(call))
+        ]
+
+    calls: dict[int, list] = {}  # id(fn) -> calls_of(fn), for the walked bodies
+    if every_body:
+        for fn in functions:
+            calls[id(fn)] = calls_of(fn)
+    else:
+        reached = [fn for fn in functions if fn.is_entry_point]
+        seen = {id(fn) for fn in reached}
+        for fn in reached:  # grows while it is walked
+            calls[id(fn)] = found = calls_of(fn)
+            for _seq, _name, _arity, target in found:
+                if target is not None and id(target) not in seen:
+                    seen.add(id(target))
+                    reached.append(target)
+        names = {fn.name for fn in reached}
+        for fn in functions:
+            if id(fn) not in calls and fn.has_body and (
+                    fn.body_names is None or not names.isdisjoint(fn.body_names)):
+                calls[id(fn)] = calls_of(fn)
+
     seen_edges = set()
     for fn in functions:
         caller_id = ids[id(fn)]
-        chain = _linearized_contracts(fn, contracts_by_name)
-        for stmt in fn.statements():
-            for expr in stmt.expressions():
-                for call in iter_calls(expr):
-                    name = call_name(call)
-                    if not name:
-                        continue
-                    arity = len(call.args)
-                    target = _resolve(name, arity, chain, by_contract, global_index)
-                    if target is None:
-                        graph.unresolved.append((caller_id, name, arity))
-                        continue
-                    edge = (caller_id, ids[id(target)], stmt.seq)
-                    if edge not in seen_edges:
-                        seen_edges.add(edge)
-                        graph.add_edge(*edge)
+        for seq, name, arity, target in calls.get(id(fn), ()):
+            if target is None:
+                graph.unresolved.append((caller_id, name, arity))
+                continue
+            edge = (caller_id, ids[id(target)], seq)
+            if edge not in seen_edges:
+                seen_edges.add(edge)
+                graph.add_edge(*edge)
     return graph
 
 
@@ -187,9 +218,7 @@ def compute_reachability(graph: CallGraph, functions: list,
         if hit is not None:
             result.blocked[fid] = hit
             continue
-        if fn.kind == "constructor":
-            continue
-        if fn.visibility in ("public", "external"):
+        if fn.is_entry_point:
             result.roots.add(fid)
 
     queue = deque(sorted(result.roots))

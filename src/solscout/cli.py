@@ -172,7 +172,7 @@ def cmd_rules_check(args) -> int:
 
 def cmd_graph_dump(args) -> int:
     try:
-        prepared = prepare_scan(load_config(args.project_root))
+        prepared = prepare_scan(load_config(args.project_root), every_body=True)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

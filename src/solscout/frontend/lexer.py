@@ -94,17 +94,23 @@ def _check_gap(text: str, lo: int, hi: int, path: str) -> None:
         raise SoliditySyntaxError(bad[1], line, col, path)
 
 
-def tokenize(stripped: str, path: str = "") -> list[Token]:
+def tokenize(stripped: str, path: str = "", start: int = 0, end: int | None = None) -> list[Token]:
     """Tokens of comment-stripped text, ending with exactly one ``eof``.
 
-    Every step maps a C function over the whole file, so no Python code
-    runs per token.
+    With ``end``, only ``stripped[start:end]`` is lexed, where ``start``
+    begins a token and ``end`` ends one; offsets stay those of the whole
+    text and ``eof`` sits at ``end``. Every step maps a C function over
+    the whole range, so no Python code runs per token.
     """
-    # A leading byte-order mark is whitespace. Stop at the last non-space
-    # character: trailing whitespace would otherwise backtrack into the
-    # stray-byte branch.
-    start = 1 if stripped.startswith("\ufeff") else 0
-    pairs = _TOKEN_RE.findall(stripped, start, len(stripped.rstrip()))
+    if end is None:
+        # A leading byte-order mark is whitespace. Stop at the last
+        # non-space character: trailing whitespace would otherwise
+        # backtrack into the stray-byte branch.
+        start = 1 if stripped.startswith("\ufeff") else 0
+        stop, length = len(stripped.rstrip()), len(stripped)
+    else:
+        stop = length = end
+    pairs = _TOKEN_RE.findall(stripped, start, stop)
     flat = list(chain.from_iterable(pairs))
     offsets = list(accumulate(map(len, flat), initial=start))
     values = list(map(intern, flat[1::2]))
@@ -114,7 +120,6 @@ def tokenize(stripped: str, path: str = "") -> list[Token]:
     kinds = map(_STR_IF_QUOTED.get, quoted, heads)  # "str" if quoted else head
     tokens = list(map(tuple.__new__, repeat(Token),
                       zip(kinds, values, offsets[1::2], offsets[2::2])))
-    length = len(stripped)
     tokens.append(Token("eof", "", length, length))
     return tokens
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import bisect
 import re
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 _NEWLINE_RE = re.compile("\n")
+_BODY_LOCK = threading.Lock()
 
 
 class LineIndex:
@@ -118,20 +120,29 @@ class Statement:
 
 @dataclass(eq=False)
 class FunctionRecord:
-    """A parsed function/constructor/fallback; the unit of all analysis."""
+    """A parsed function/constructor/fallback; the unit of all analysis.
+
+    An entry point's body is parsed with its file. Any other body is
+    skipped by brace matching and keeps only where it starts and the
+    identifiers in it (``body_names``); it is parsed the first time
+    ``body`` is read, once, into the statements, offsets and ``seq``
+    numbers the file's parse would have given it.
+    """
 
     name: str  # empty for constructor/fallback/receive
     kind: str  # function|constructor|fallback|receive
     params: list  # ordered (type_text, name) pairs
     visibility: str  # public|external|internal|private
     modifiers: list  # invocation names, source order
-    body: Optional[list]  # top-level statements; None for declarations
     span: tuple[int, int]
     start: int = 0
     end: int = 0
     contract: str = ""
     contract_def: Optional["ContractDef"] = None
     file: Optional[SourceFile] = None
+    body_start: int = -1  # offset of the body's '{'; -1 for a declaration
+    body_names: Optional[tuple] = None  # distinct identifiers of a skipped body
+    parsed_body: Optional[list] = field(default=None, repr=False)
 
     @property
     def arity(self) -> int:
@@ -140,6 +151,27 @@ class FunctionRecord:
     @property
     def display_name(self) -> str:
         return self.name or self.kind
+
+    @property
+    def is_entry_point(self) -> bool:
+        """Callable from outside: public or external, and not a constructor."""
+        return self.visibility in ("public", "external") and self.kind != "constructor"
+
+    @property
+    def has_body(self) -> bool:
+        """Whether ``body`` is not None, without parsing a skipped body."""
+        return self.body_start >= 0
+
+    @property
+    def body(self) -> Optional[list]:
+        """Top-level statements; None for declarations."""
+        if self.parsed_body is None and self.body_names is not None:
+            with _BODY_LOCK:  # one parse, however many threads read it at once
+                if self.parsed_body is None:
+                    from .parser import parse_body
+
+                    self.parsed_body = parse_body(self)
+        return self.parsed_body
 
     def statements(self) -> Iterator[Statement]:
         for s in self.body or []:

@@ -11,11 +11,17 @@ Inside a function body, anything else (assembly, try/catch, do-while
 innards that fail, exotic syntax) degrades to an ``opaque`` statement
 that preserves the exact source text, so nothing is ever silently
 dropped; skipped members end where an opaque statement would.
+
+Only entry points (public or external, not constructors) have their
+bodies parsed with the file. Every other body is skipped by brace
+matching and parsed by ``parse_body`` when something first reads it.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import compress, repeat
+from operator import eq, itemgetter
 
 from ..errors import SoliditySyntaxError
 from .lexer import Token, check_braces, strip_comments, tokenize
@@ -61,12 +67,14 @@ class Parser:
     token's value alone tells which one it is.
     """
 
-    def __init__(self, src: SourceFile):
+    def __init__(self, src: SourceFile, tokens: list | None = None):
+        """Lex the whole file, or parse the given ``tokens`` of it."""
         self.src = src
-        if not src.stripped:
-            src.stripped = strip_comments(src.text, src.path)
-        tokens = tokenize(src.stripped, src.path)
-        check_braces(tokens, src.line_index, src.path)
+        if tokens is None:
+            if not src.stripped:
+                src.stripped = strip_comments(src.text, src.path)
+            tokens = tokenize(src.stripped, src.path)
+            check_braces(tokens, src.line_index, src.path)
         self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
 
@@ -121,19 +129,18 @@ class Parser:
             ):
                 unit.contracts.append(self._parse_contract(unit.functions))
             elif tok.type == "id" and tok.value == "function":
-                free.append(self._parse_function("contract"))
+                free.append(self._parse_function("contract", None))
             else:
                 self._skip_statement()
         if free:
             synthetic = ContractDef(name="", kind="contract", bases=[])
             for fn in free:
                 fn.contract_def = synthetic
-                fn.visibility = "internal"  # a free function is always internal
             unit.contracts.append(synthetic)
             unit.functions.extend(free)
         for fn in unit.functions:
             fn.file = self.src
-            _assign_seq(fn)
+            _assign_seq(fn.parsed_body)
         return unit
 
     def _after_balanced(self, i: int, opening: str, closing: str) -> int:
@@ -187,10 +194,7 @@ class Parser:
         contract = ContractDef(name=name, kind=kind, bases=bases)
         while not self.at("}") and self.peek().type != "eof":
             if self._at_function():
-                fn = self._parse_function(contract.kind)
-                if fn.name == contract.name:
-                    fn.name = ""  # pre-0.5 constructor-by-name
-                    fn.kind = "constructor"
+                fn = self._parse_function(contract.kind, contract.name)
                 fn.contract = contract.name
                 fn.contract_def = contract
                 functions.append(fn)
@@ -211,7 +215,8 @@ class Parser:
     # ------------------------------------------------------------------
     # functions
 
-    def _parse_function(self, contract_kind: str) -> FunctionRecord:
+    def _parse_function(self, contract_kind: str, contract_name: str | None) -> FunctionRecord:
+        """A function of a contract, or a free one if ``contract_name`` is None."""
         tokens = self.tokens
         start = tokens[self.pos].start
         kw = self.advance().value
@@ -239,16 +244,33 @@ class Parser:
             elif v not in MUTABILITY and v != "virtual":
                 modifiers.append(v)
                 self._skip_balanced_parens()
-        if visibility is None:
+        if contract_name is None:
+            visibility = "internal"  # a free function is always internal
+        elif visibility is None:
             visibility = "external" if contract_kind == "interface" else "public"
+        if name and name == contract_name:
+            name, kind = "", "constructor"  # pre-0.5 constructor-by-name
+        fn = FunctionRecord(name, kind, params, visibility, modifiers, (0, 0), start)
         if self.at(";"):
-            end = self.advance().end
-            body = None
+            fn.end = self.advance().end
         else:
-            body, end = self._parse_block_children()
+            fn.body_start = tokens[self.pos].start
+            if fn.is_entry_point:
+                fn.parsed_body, fn.end = self._parse_block_children()
+            else:
+                fn.body_names, fn.end = self._skip_body()
         line_of = self.src.line_index.line_of
-        return FunctionRecord(name, kind, params, visibility, modifiers, body,
-                              (line_of(start), line_of(max(start, end - 1))), start, end)
+        fn.span = (line_of(start), line_of(max(start, fn.end - 1)))
+        return fn
+
+    def _skip_body(self) -> tuple[tuple, int]:
+        """Skip a ``{...}`` body unparsed; return its distinct identifiers and end offset."""
+        tokens = self.tokens
+        first = self.pos + 1
+        self.pos = self._after_balanced(first, "{", "}")
+        inner = tokens[first : self.pos - 1]
+        ids = compress(map(itemgetter(1), inner), map(eq, map(itemgetter(0), inner), repeat("id")))
+        return tuple(dict.fromkeys(ids)), tokens[self.pos - 1].end
 
     def _parse_params(self) -> list:
         tokens = self.tokens
@@ -779,9 +801,27 @@ class Parser:
         raise _Backtrack()
 
 
-def _assign_seq(fn: FunctionRecord) -> None:
-    for i, stmt in enumerate(fn.statements()):
+def _assign_seq(body: list | None) -> None:
+    for i, stmt in enumerate(inner for top in body or () for inner in top.walk()):
         stmt.seq = i
+
+
+def parse_body(fn: FunctionRecord) -> list:
+    """Parse a body the file's parse skipped; see ``FunctionRecord.body``.
+
+    Only the body's own tokens are lexed, with their offsets in the file.
+    A body that does not parse (nested too deep, say) becomes one opaque
+    statement spanning it; the rest of its file is unaffected.
+    """
+    src = fn.file
+    tokens = tokenize(src.stripped, src.path, fn.body_start, fn.end)  # '{' ... '}' eof
+    parser = Parser(src, tokens)
+    try:
+        body = parser._parse_block_children()[0]
+    except Exception:
+        body = [parser._statement("opaque", tokens[1].start, tokens[-3].end)]
+    _assign_seq(body)
+    return body
 
 
 def parse_source(src: SourceFile) -> SourceUnit:

@@ -60,7 +60,12 @@ class PreparedScan:
     scannable: list
 
 
-def prepare_scan(config: ScanConfig) -> PreparedScan:
+def prepare_scan(config: ScanConfig, every_body: bool = False) -> PreparedScan:
+    """Parse, whitelist, build the call graph and find what is reachable.
+
+    The graph walks only the function bodies the scan reads, and so only
+    those are parsed; ``every_body`` walks them all (see ``build_call_graph``).
+    """
     layout = discover_sources(config.project_root, set(config.excluded_segments))
 
     units = []
@@ -76,12 +81,12 @@ def prepare_scan(config: ScanConfig) -> PreparedScan:
 
     whitelist = load_signature_set(config.whitelist_path)
     survivors = filter_openzeppelin(functions, whitelist, contracts_by_name)
-    graph = build_call_graph(survivors, contracts_by_name)
+    graph = build_call_graph(survivors, contracts_by_name, every_body)
     reach = compute_reachability(graph, survivors, set(config.acl_modifiers))
     rules = load_rules(config.rules_dir)
     scannable = [
         fn for fn in survivors
-        if fn.body is not None and graph.id_of(fn) in reach.reachable
+        if fn.has_body and graph.id_of(fn) in reach.reachable
     ]
     return PreparedScan(
         config=config,
@@ -133,10 +138,14 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     """
     config.validate(builds_gateway=gateway is None)
     started = time.perf_counter()
+    # a broken transcript is reported before anything is parsed
+    replayed = (Transcript.load(config.transcript_path)
+                if gateway is None and config.mode == "replay" else None)
     enabled = gc.isenabled()
     freeze = enabled and gc.get_freeze_count() == 0
     try:
-        return _scan(_prepare_frozen(config, enabled, freeze), config, gateway, started)
+        prepared = _prepare_frozen(config, enabled, freeze)
+        return _scan(prepared, config, gateway or _build_gateway(config, replayed), started)
     finally:
         if freeze:
             gc.unfreeze()
@@ -154,23 +163,20 @@ def _prepare_frozen(config: ScanConfig, enabled: bool, freeze: bool) -> Prepared
             gc.enable()
 
 
-def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway | None,
+def _build_gateway(config: ScanConfig, replayed: Transcript | None) -> LlmGateway:
+    """The scan's own gateway; a record file is opened only once the project has parsed."""
+    return LlmGateway(
+        config.provider,
+        mode=config.mode,
+        transcript=Transcript() if replayed is None else replayed,
+        record_path=config.transcript_path if config.mode == "record" else None,
+    )
+
+
+def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
           started: float) -> ScanResult:
     graph, reach = prepared.graph, prepared.reach
     acl = set(config.acl_modifiers)
-
-    if gateway is None:
-        transcript = (
-            Transcript.load(config.transcript_path)
-            if config.mode == "replay"
-            else Transcript()
-        )
-        gateway = LlmGateway(
-            config.provider,
-            mode=config.mode,
-            transcript=transcript,
-            record_path=config.transcript_path if config.mode == "record" else None,
-        )
 
     # rule-major, so findings keep the order of a rule-by-rule loop
     pairs = [

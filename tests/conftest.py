@@ -1,8 +1,11 @@
 import os
+import random
+import sys
 
 import pytest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -12,6 +15,37 @@ def fixtures_dir() -> str:
 
 def fixture_path(*parts) -> str:
     return os.path.join(FIXTURES, *parts)
+
+
+@pytest.fixture(scope="session")
+def sample_projects(tmp_path_factory) -> list:
+    """Project roots of every kind of input the scanner is tested and benchmarked on.
+
+    The four fixtures, the demo, the acceptance corpus with two fillers,
+    and the benchmark generator's output: the acceptance corpus next to
+    its seeded fillers (the ``wide-parse`` and ``record-latency`` shape)
+    and eight ``dense-graph`` files.
+    """
+    from corpus import build_corpus, write_corpus
+
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import generate
+
+    root = tmp_path_factory.mktemp("samples")
+    corpus, generated, dense = (str(root / name) for name in ("corpus", "generated", "dense"))
+    write_corpus(corpus, build_corpus(variants=3), filler_files=2)
+    write_corpus(generated, build_corpus(variants=3))
+    rng = random.Random("samples")
+    for i in range(2):
+        with open(os.path.join(generated, "contracts", f"Filler{i}.sol"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(generate.filler_source(i, rng))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generate, "DENSE_FILES", 8)
+        generate.dense_project(dense, rng)
+    fixtures = [fixture_path(name) for name in ("first_deposit", "first_deposit_patched",
+                                                 "checkpoint_order", "checkpoint_order_patched")]
+    return fixtures + [os.path.join(ROOT, "demo", "project"), corpus, generated, dense]
 
 
 # the CA that signed tls/server.pem, a certificate for 127.0.0.1 and localhost

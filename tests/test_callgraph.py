@@ -375,3 +375,49 @@ def test_stray_bracket_in_a_parameter_list_costs_only_that_parameter():
 def test_unresolved_call_in_a_require_is_recorded_once():
     graph, _ = graph_from("contract C { function f(uint x) public { require(ext(x) > 0); } }")
     assert graph.unresolved == [("C.f", "ext", 1)]
+
+
+WALKED = """
+    contract A {
+        function pub() public { helper(); }
+        function admin() public onlyOwner { secret(); helper(); }
+        function helper() internal { leaf(); }
+        function leaf() private {}
+        function secret() internal { leaf(); }
+        function dead() internal { helper(); missing(); }
+        function orphan() internal { other(); }
+        function other() internal {}
+    }
+"""
+
+
+def test_a_scans_graph_walks_the_entry_points_closure_and_bodies_naming_it():
+    unit = parse_text(WALKED)
+    fns = enumerate_functions(unit)
+    graph = build_call_graph(fns, index_contracts([unit]), every_body=False)
+    parsed = [fn.name for fn in fns if fn.parsed_body is not None]
+    assert parsed == ["pub", "admin", "helper", "leaf", "secret", "dead"]
+    assert graph.callers_of("A.helper") == ["A.pub", "A.admin", "A.dead"]
+    assert graph.callers_of("A.leaf") == ["A.helper", "A.secret"]
+    assert graph.unresolved == [("A.dead", "missing", 0)]
+    assert "A.other" not in {callee for _caller, callee, _seq in graph.edges}
+    full_unit = parse_text(WALKED)
+    full = build_call_graph(enumerate_functions(full_unit), index_contracts([full_unit]))
+    assert ("A.orphan", "A.other", 0) in full.edges
+    assert [e for e in full.edges if e[0] != "A.orphan"] == graph.edges
+
+
+def test_the_scans_graph_matches_the_full_graph_on_what_it_reaches(sample_projects):
+    unparsed = 0
+    for root in sample_projects:
+        config = replay_config(root, "")
+        full, scan_side = prepare_scan(config, every_body=True), prepare_scan(config)
+        reachable = full.reach.reachable
+        assert scan_side.reach.reachable == reachable, root
+        for fid in reachable:
+            assert scan_side.graph.callees_of(fid) == full.graph.callees_of(fid), fid
+            assert scan_side.graph.callers_of(fid) == full.graph.callers_of(fid), fid
+        assert ([scan_side.graph.id_of(fn) for fn in scan_side.scannable]
+                == [full.graph.id_of(fn) for fn in full.scannable])
+        unparsed += sum(fn.has_body and fn.parsed_body is None for fn in scan_side.functions)
+    assert unparsed >= 80  # the four filler files

@@ -335,3 +335,20 @@ def test_graph_dump_reachable_only_drops_unreachable_callers(tmp_path, capsys):
     dot = capsys.readouterr().out
     assert '"A.pub" -> "A.helper";' in dot
     assert "A.dead" not in dot
+
+
+def test_graph_dump_prints_edges_the_scan_never_reads(tmp_path, capsys):
+    """A scan walks only the bodies it reads; ``graph-dump`` prints every edge."""
+    (tmp_path / "A.sol").write_text(
+        "contract A {\n"
+        "    uint256 x;\n"
+        "    function pub() public { helper(); }\n"
+        "    function helper() internal { x = 1; }\n"
+        "    function dead() internal { helper(); }\n"
+        "    function orphan() internal { other(); }\n"
+        "    function other() internal { x = 2; }\n"
+        "}\n", encoding="utf-8")
+    assert main(["graph-dump", str(tmp_path)]) == 0
+    dot = capsys.readouterr().out
+    assert '"A.dead" -> "A.helper";' in dot
+    assert '"A.orphan" -> "A.other";' in dot

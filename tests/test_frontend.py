@@ -2,11 +2,15 @@ import glob
 import os
 import random
 import re
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
 from solscout.errors import SoliditySyntaxError
 from solscout.frontend import (
+    FunctionRecord,
     LineIndex,
     SourceFile,
     enumerate_functions,
@@ -20,6 +24,11 @@ from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
 from corpus import build_corpus, filler_source
+
+
+# With this as ``FunctionRecord.is_entry_point``, every body is parsed with
+# its file, so a test that drives ``Parser`` itself sees every statement.
+EVERY_BODY = property(lambda fn: True)
 
 
 def read_fixture(*parts) -> str:
@@ -393,11 +402,12 @@ def test_star_import_exports_exist():
         assert name in namespace and getattr(frontend, name) is namespace[name], name
 
 
-def test_totality_fuzz_never_crashes():
+def test_totality_fuzz_never_crashes(monkeypatch):
     """The parser returns a unit or raises SoliditySyntaxError for any input.
 
     ``Parser`` is called directly: ``parse_source`` turns every other
-    exception into a SoliditySyntaxError and would hide a crash.
+    exception into a SoliditySyntaxError and would hide a crash, and so
+    would ``parse_body``, so each input is also parsed with every body.
     """
     rng = random.Random(20240817)
     seeds = [
@@ -421,10 +431,14 @@ def test_totality_fuzz_never_crashes():
             text = "".join(base)
         else:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 200)))
-        try:
-            enumerate_functions(Parser(SourceFile(path="fuzz.sol", text=text)).parse())
-        except SoliditySyntaxError:
-            pass
+        for every_body in (False, True):
+            with monkeypatch.context() as patch:
+                if every_body:
+                    patch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
+                try:
+                    enumerate_functions(Parser(SourceFile(path="fuzz.sol", text=text)).parse())
+                except SoliditySyntaxError:
+                    pass
 
 
 def _shape(expr):
@@ -564,14 +578,17 @@ def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
         # call options look two tokens ahead
         "contract C { function f() public { (bool ok, ) = to.call{value: v}(hex\"00\"); } }",
     ]
-    for text in texts:
-        cuts = sorted({offset for tok in tokenize(strip_comments(text))
-                       for offset in (tok.start, tok.end)})
-        for cut in cuts:
-            try:
-                Parser(SourceFile(path="cut.sol", text=text[:cut])).parse()
-            except SoliditySyntaxError:
-                pass
+    for every_body in (False, True):
+        if every_body:
+            monkeypatch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
+        for text in texts:
+            cuts = sorted({offset for tok in tokenize(strip_comments(text))
+                           for offset in (tok.start, tok.end)})
+            for cut in cuts:
+                try:
+                    Parser(SourceFile(path="cut.sol", text=text[:cut])).parse()
+                except SoliditySyntaxError:
+                    pass
 
 
 def test_parser_calls_the_module_tokenize_once_per_file(monkeypatch):
@@ -624,7 +641,8 @@ class _ClassifyingParser(Parser):
         return answer
 
 
-def test_declaration_lookahead_agrees_with_a_full_declaration_parse():
+def test_declaration_lookahead_agrees_with_a_full_declaration_parse(monkeypatch):
+    monkeypatch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
     starts = 0
     for source in _sources_with_statements():
         parser = _ClassifyingParser(SourceFile(path="c.sol", text=source))
@@ -750,3 +768,95 @@ def test_no_statement_yields_an_expression_twice():
             for stmt in fn.statements():
                 exprs = list(stmt.expressions())
                 assert len({id(e) for e in exprs}) == len(exprs), stmt.raw
+
+
+# ----------------------------------------------------------------------
+# bodies parsed on first read
+
+def test_only_entry_point_bodies_are_parsed_with_the_file():
+    unit = parse_text(
+        "contract C {\n"
+        "    constructor() { a(); }\n"
+        "    function pub() public { b(); }\n"
+        "    function ext() external { c(); }\n"
+        "    function inner() internal { d(e); }\n"
+        "    function hidden() private {}\n"
+        "    function decl() internal;\n"
+        "}\n"
+        "function free() { f(); }\n")
+    parsed = {fn.display_name: fn.parsed_body is not None for fn in unit.functions}
+    assert parsed == {"constructor": False, "pub": True, "ext": True, "inner": False,
+                      "hidden": False, "decl": False, "free": False}
+    names = {fn.display_name: fn.body_names for fn in unit.functions}
+    assert names == {"constructor": ("a",), "pub": None, "ext": None, "inner": ("d", "e"),
+                     "hidden": (), "decl": None, "free": ("f",)}
+    assert [fn.has_body for fn in unit.functions] == [True] * 5 + [False, True]
+    inner = unit.functions[3]
+    [call] = inner.body
+    assert (call.kind, call.raw, call.seq, call.span) == ("expression", "d(e);", 0, (5, 5))
+
+
+def _expression_tree(expr):
+    if expr is None:
+        return None
+    return (expr.kind, expr.start, expr.end, expr.name, expr.op,
+            _expression_tree(expr.callee), [_expression_tree(a) for a in expr.args])
+
+
+def _body_tree(fn) -> list:
+    return [(s.kind, s.start, s.end, s.span, s.seq, list(s.decl_names), len(s.children),
+             [_expression_tree(e) for e in (s.condition, *s.exprs, s.post_expr)])
+            for s in fn.statements()]
+
+
+def test_a_deferred_body_once_read_equals_the_eager_parse(sample_projects, monkeypatch):
+    deferred = 0
+    for root in sample_projects:
+        for path in sorted(glob.glob(os.path.join(root, "**", "*.sol"), recursive=True)):
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            with monkeypatch.context() as patch:
+                patch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
+                eager = parse_text(text, path).functions
+            lazy = parse_text(text, path).functions
+            assert all(fn.body_names is None for fn in eager)
+            deferred += sum(fn.body_names is not None for fn in lazy)
+            assert ([(fn.name, fn.start, fn.end, fn.span, fn.body_start) for fn in lazy]
+                    == [(fn.name, fn.start, fn.end, fn.span, fn.body_start) for fn in eager])
+            assert [_body_tree(fn) for fn in lazy] == [_body_tree(fn) for fn in eager], path
+    assert deferred > 100
+
+
+def test_threads_reading_deferred_bodies_at_once_parse_each_once(monkeypatch):
+    unit = parse_text(filler_source(0, functions=40))
+    parses = Counter()
+    parse_body = parser_module.parse_body
+
+    def counting_parse_body(fn):
+        parses[fn.name] += 1
+        return parse_body(fn)
+
+    monkeypatch.setattr(parser_module, "parse_body", counting_parse_body)
+    count = (os.cpu_count() or 1) + 2
+    barrier = threading.Barrier(count)
+    bodies = [None] * count
+
+    def read(i):
+        barrier.wait(timeout=10)
+        bodies[i] = [fn.body for fn in unit.functions]
+
+    threads = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(b is not None for b in bodies)
+    for statements in zip(*bodies):
+        assert all(body is statements[0] for body in statements)
+    assert parses == {fn.name: 1 for fn in unit.functions}

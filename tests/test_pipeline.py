@@ -4,6 +4,7 @@ import os
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,9 @@ from solscout.errors import (
     ProviderUnavailable,
     ReplayMiss,
     RuleParseError,
+    TranscriptError,
 )
+from solscout.frontend import parser as parser_module
 from solscout.gateway import LlmGateway, ProviderConfig, Transcript
 from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
@@ -236,6 +239,23 @@ def test_scan_validates_its_config_before_parsing(tmp_path, monkeypatch, field, 
         scan(config)
 
 
+def test_a_broken_transcript_is_reported_before_parsing(tmp_path, monkeypatch):
+    def parse(src):
+        raise AssertionError(f"{src.path} parsed before the transcript was loaded")
+
+    transcript_path = tmp_path / "t.jsonl"
+    config = replay_config(fixture_path("first_deposit"), str(transcript_path),
+                           project_name="first_deposit")
+    write_transcript(config, first_deposit_answers(), str(transcript_path))
+    lines = transcript_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) > 3
+    transcript_path.write_text("".join(lines[:2]) + lines[2][:40], encoding="utf-8")
+    monkeypatch.setattr(pipeline, "parse_source", parse)
+    with pytest.raises(TranscriptError) as raised:
+        scan(config)
+    assert str(raised.value).startswith(f"{transcript_path}:3: not a transcript entry")
+
+
 def test_a_scan_handed_a_gateway_needs_no_api_key_or_transcript(monkeypatch):
     monkeypatch.delenv("SOLSCOUT_API_KEY", raising=False)
     config = replay_config(fixture_path("first_deposit"), "")
@@ -263,6 +283,25 @@ def test_too_deep_file_is_a_parse_failure_and_the_scan_goes_on(tmp_path):
     [[path, message]] = result.meta["parse_failures"]
     assert path == "contracts/Deep.sol" and "nesting too deep" in message
     assert [f.function_id for f in result.confirmed] == ["YaxisVault.deposit"]
+
+
+def test_a_too_deep_deferred_body_is_one_opaque_statement(tmp_path):
+    """Only an entry point's parse failure drops its file; see the test above."""
+    contracts = tmp_path / "contracts"
+    contracts.mkdir()
+    deep = "x = %s + 1;" % ("(" * 2000 + "a" + ")" * 2000)
+    (contracts / "Deep.sol").write_text(
+        "contract Deep {\n"
+        "    function f() public { g(); }\n"
+        "    function g() internal {\n"
+        "        %s\n"
+        "    }\n"
+        "}\n" % deep, encoding="utf-8")
+    prepared = prepare_scan(replay_config(str(tmp_path), ""))
+    assert prepared.parse_failures == []
+    assert [prepared.graph.id_of(fn) for fn in prepared.scannable] == ["Deep.f", "Deep.g"]
+    [stmt] = prepared.functions[1].body
+    assert (stmt.kind, stmt.raw, stmt.span, stmt.seq) == ("opaque", deep, (4, 4), 0)
 
 
 def test_rejection_monotonicity_stage_counts(tmp_path):
@@ -643,14 +682,19 @@ def test_scan_leaves_no_cyclic_garbage(corpus_config, gc_state):
 
 
 # Heap a prepared scan may keep per KLoC of the 1x acceptance corpus. It
-# keeps 0.77 MB; nodes that each copied their text and line span and
-# held empty lists of their own would keep 1.20 MB and fail.
-RETAINED_MB_PER_KLOC = 0.9
+# keeps 0.16 MB; parsing every function body with its file, even those
+# the scan never reads, would keep 0.73 MB and fail.
+RETAINED_MB_PER_KLOC = 0.21
 
 
 def test_prepared_scan_heap_per_kloc(tmp_path, gc_state):
     write_corpus(str(tmp_path), build_corpus(variants=1), filler_files=60)
     config = replay_config(str(tmp_path), str(tmp_path / "t.jsonl"))
+    # Intern the corpus's names first: the interpreter's table of interned
+    # strings is shared by the whole process and grows by doubling, so
+    # whether it resized inside the measured parse would depend on which
+    # tests ran before.
+    prepare_scan(config)
     gc.collect()
     gc.disable()  # as in scan(): nothing is collected while the project is parsed
     tracemalloc.start()
@@ -664,6 +708,26 @@ def test_prepared_scan_heap_per_kloc(tmp_path, gc_state):
     assert kloc > 12
     assert retained / 1e6 / kloc <= RETAINED_MB_PER_KLOC, \
         f"{retained / 1e6:.1f} MB retained over {kloc:.1f} KLoC"
+
+
+def test_prepare_scan_parses_only_the_bodies_it_reads(tmp_path, monkeypatch):
+    write_corpus(str(tmp_path), build_corpus(variants=1), filler_files=60)
+    parses = Counter()
+    parse_body = parser_module.parse_body
+
+    def counting_parse_body(fn):
+        parses[id(fn)] += 1
+        return parse_body(fn)
+
+    monkeypatch.setattr(parser_module, "parse_body", counting_parse_body)
+    prepared = prepare_scan(replay_config(str(tmp_path), ""))
+    graph, reachable = prepared.graph, prepared.reach.reachable
+    readers = reachable | {caller for fid in reachable for caller in graph.callers_of(fid)}
+    parsed = [fn for fn in prepared.functions if fn.parsed_body is not None]
+    assert len(prepared.functions) > 1000
+    assert len(parsed) <= len(readers) == 18
+    assert {graph.id_of(fn) for fn in parsed} <= readers
+    assert parses and max(parses.values()) == 1
 
 
 def test_scan_runs_no_collection(corpus_config, gc_state, monkeypatch):
