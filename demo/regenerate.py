@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Rebuild demo/transcript.jsonl from scripted answers.
 
-The pipeline scans demo/project in record mode against a scripted
-answerer, so the transcript holds exactly the queries a replay makes.
+The pipeline scans demo/project with a scripted answerer and records to
+an in-memory transcript, so it holds exactly the queries a replay makes.
 It is keyed by prompt hash, so it must be regenerated whenever prompt
 construction changes. Run from the repository root:
 
     python demo/regenerate.py
 """
 
-import json
 import os
 
 from solscout.config import ScanConfig
-from solscout.gateway import LlmGateway, ProviderConfig
+from solscout.gateway import (LlmGateway, ProviderConfig, Transcript, render_recognition_answer,
+                              render_scenario_answer, render_yes_no, scripted)
 from solscout.pipeline import scan
 from solscout.rules import load_rules
 
@@ -35,17 +35,15 @@ def transcript_text() -> str:
 
     def answer(purpose, rule_id, function_id, user):
         if purpose == "scenario":
-            verdict = "Yes" if (rule_id, function_id) == TARGET else "No"
-            return json.dumps(
-                {str(i): verdict for i in range(1, scenario_counts[rule_id] + 1)}
-            )
+            return render_scenario_answer(dict.fromkeys(
+                range(1, scenario_counts[rule_id] + 1), (rule_id, function_id) == TARGET))
         if purpose == "property":
-            return "Yes"
-        return json.dumps({s: {n: d} for s, (n, d) in RECOGNITION.items()})
+            return render_yes_no(True)
+        return render_recognition_answer(RECOGNITION)
 
-    gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record", answer=answer)
-    scan(config, gateway)
-    return "".join(entry.to_json() + "\n" for entry in gateway.transcript.entries.values())
+    transcript = Transcript()
+    scan(config, LlmGateway(ProviderConfig(max_in_flight=1), scripted(answer), transcript))
+    return "".join(entry.to_json() + "\n" for entry in transcript.entries.values())
 
 
 def main():

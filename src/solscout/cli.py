@@ -9,7 +9,7 @@ import sys
 
 import yaml
 
-from .config import load_config
+from .config import MODES, load_config
 from .errors import ConfigError, RuleParseError, SolscoutError, TruthMismatch
 from .pipeline import prepare_scan, scan
 from .report import Finding, GroundTruth, derive_rates, score
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--config", default="", help="YAML config file")
     p_scan.add_argument("--rules", dest="rules_dir", default=None)
     p_scan.add_argument("--whitelist", default=None)
-    p_scan.add_argument("--mode", choices=["live", "record", "replay"], default=None)
+    p_scan.add_argument("--mode", choices=MODES, default=None)
     p_scan.add_argument("--transcript", default=None)
     p_scan.add_argument("--out", dest="output_dir", default=None)
     p_scan.add_argument("--token-budget", type=int, default=None)

@@ -16,9 +16,13 @@ import yaml
 
 from .callgraph import DEFAULT_ACL_MODIFIERS
 from .errors import ConfigError
-from .gateway import MODES, ProviderConfig
+from .gateway import ProviderConfig
 from .project import DEFAULT_EXCLUDED_SEGMENTS
 from .rules import shipped_rules_dir
+
+
+# live asks the provider, record also appends to the transcript, replay answers from it
+MODES = ("live", "record", "replay")
 
 
 def shipped_whitelist_path() -> str:

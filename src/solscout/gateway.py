@@ -1,12 +1,16 @@
-"""Prompt construction, chat-completion transport, and answer parsing.
+"""Prompt construction, answer parsing and rendering, and the answer seam.
 
 Every query is an independent two-message conversation (system + user);
 no history ever leaks between queries. Exchanges are keyed by
 (purpose, rule, function, prompt hash), plus the attempt for a retried
-query, so a recorded transcript replays a scan bit-exactly with zero
-network use. A query the provider rejected is recorded as an ``error``
-entry, so its replay rejects it the same way. The network modules are
-imported by the first query sent, never by a replay.
+query. ``LlmGateway`` asks one answerer each query and tees the exchange
+to an optional record sink. The answerer is the HTTP provider by
+default, a loaded ``Transcript`` for a bit-exact replay with zero
+network use, or a ``scripted`` callable that tests and the demo author
+transcripts with. The sink is a record file or an in-memory
+``Transcript``. A query the provider rejected is recorded as an
+``error`` entry, so its replay rejects it the same way. The network
+modules are imported by the first query sent, never by a replay.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     ProviderError,
@@ -36,8 +40,6 @@ SYSTEM_PROMPT = (
     "Furthermore, please strictly adhere to the output format specified in "
     "the question; there is no need to explain your answer."
 )
-
-MODES = ("live", "record", "replay")
 
 
 def system_prompt() -> str:
@@ -167,6 +169,23 @@ def parse_recognition_answer(text: str, slots: list) -> dict:
     return out
 
 
+# the replies each parser reads back: what scripted answerers say
+
+
+def render_scenario_answer(verdicts: dict) -> str:
+    """Scenario index -> yes/no, as ``parse_scenario_answer`` reads it."""
+    return json.dumps({str(i): "Yes" if yes else "No" for i, yes in verdicts.items()})
+
+
+def render_yes_no(yes: bool) -> str:
+    return "Yes" if yes else "No"
+
+
+def render_recognition_answer(answer: dict) -> str:
+    """Slot -> (name, description), as ``parse_recognition_answer`` reads it."""
+    return json.dumps({slot: {name: desc} for slot, (name, desc) in answer.items()})
+
+
 @dataclass
 class RecognitionAbort:
     """Validation verdict: the answer is ungrounded, candidate is dropped."""
@@ -231,14 +250,9 @@ class LlmExchange:
         if self.system is None or self.user is None:
             raise ValueError(f"exchange {self.key!r} has no prompt: a transcript "
                              "loaded for replay cannot be written out")
-        record = {
-            "purpose": self.purpose,
-            "rule_id": self.rule_id,
-            "function_id": self.function_id,
-            "prompt_sha256": self.prompt_sha256,
-            "system": self.system,
-            "user": self.user,
-        }
+        record = {"purpose": self.purpose, "rule_id": self.rule_id,
+                  "function_id": self.function_id, "prompt_sha256": self.prompt_sha256,
+                  "system": self.system, "user": self.user}
         if self.error:
             record["error"] = self.error
         else:
@@ -258,8 +272,18 @@ class Transcript:
     def append(self, exchange: LlmExchange) -> None:
         self.entries[exchange.key] = exchange
 
-    def get(self, key: tuple):
-        return self.entries.get(key)
+    def answer(self, key: tuple, system: str, user: str):
+        """The replay answerer; a rejected query raises its ``ProviderError`` again."""
+        entry = self.entries.get(key)
+        if entry is None and len(key) > 4:
+            # a transcript written before retries had their own key
+            # holds one entry, the last answer, for both attempts
+            entry = self.entries.get(key[:4])
+        if entry is None:
+            raise ReplayMiss(key)
+        if entry.error:
+            raise ProviderError(entry.error)
+        return entry.response, entry.tokens_in, entry.tokens_out, entry.latency
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -327,35 +351,35 @@ class ProviderConfig:
 REFUSED_EVERY_QUERY = frozenset({401, 403, 404, 407})
 
 
-class LlmGateway:
-    """Mode-aware completion client: live HTTP, record, or replay.
+def scripted(answer):
+    """An answerer replying ``answer(purpose, rule_id, function_id, user)``, usage unreported."""
+    return lambda key, system, user: (answer(key[0], key[1], key[2], user), 0, 0, 0.0)
 
-    ``answer``, when given, stands in for the HTTP provider in live and
-    record mode: ``answer(purpose, rule_id, function_id, user) -> str``
-    returns the response text. Latency is then 0, tokens are estimated
-    as for a provider that reports no usage, and no API key is read.
-    Tests and the demo author transcripts through it.
+
+class LlmGateway:
+    """Asks one answerer each query and tees the exchange to a record sink.
+
+    ``answerer(key, system, user)`` returns ``(response, tokens_in,
+    tokens_out, latency)``, 0 for tokens it does not know. The sink
+    ``record`` is a file path, a ``Transcript`` or None; ``exchanges``
+    keeps each answered query without its prompts.
     """
 
     RETRIES = 3
     BACKOFF_BASE = 1.0
 
-    def __init__(self, config: ProviderConfig, mode: str = "replay",
-                 transcript: Transcript | None = None,
-                 record_path: str | None = None,
-                 sleeper=time.sleep, answer=None):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+    def __init__(self, config: ProviderConfig, answerer=None,
+                 record: str | Transcript | None = None, sleeper=time.sleep):
         self.config = config
-        self.mode = mode
-        self.transcript = transcript if transcript is not None else Transcript()
         self.exchanges: list[LlmExchange] = []
+        self._answer = answerer or self._http_call
         self._sleep = sleeper
-        self._answer = answer
         self._lock = threading.Lock()
         self._gate = threading.Semaphore(max(1, config.max_in_flight))
         self._route = None  # planned by the first query sent
-        self._record_fh = open(record_path, "a", encoding="utf-8") if record_path else None
+        self._recorded = record if isinstance(record, Transcript) else None
+        self._record_fh = (open(record, "a", encoding="utf-8")
+                           if record is not None and self._recorded is None else None)
 
     def close(self) -> None:
         if self._record_fh is not None:
@@ -368,64 +392,34 @@ class LlmGateway:
                  system: str, user: str, attempt: int = 0) -> LlmExchange:
         digest = prompt_sha256(system, user)
         key = exchange_key(purpose, rule_id, function_id, digest, attempt)
-        if self.mode == "replay":
-            entry = self.transcript.get(key)
-            if entry is None and attempt:
-                # a transcript written before retries had their own key
-                # holds one entry, the last answer, for both attempts
-                entry = self.transcript.get(key[:4])
-            if entry is None:
-                raise ReplayMiss(key)
-            if entry.error:
-                raise ProviderError(entry.error)
-            with self._lock:
-                self.exchanges.append(entry)
-            return entry
-
         try:
-            if self._answer is not None:
-                response = self._answer(purpose, rule_id, function_id, user)
-                tokens_in, tokens_out, latency = 0, 0, 0.0
-            else:
-                with self._gate:
-                    response, tokens_in, tokens_out, latency = self._http_call(system, user)
+            response, tokens_in, tokens_out, latency = self._answer(key, system, user)
         except ProviderUnavailable:
             raise  # not the query's fault: a replay must not reproduce it
         except ProviderError as exc:
-            rejected = LlmExchange(purpose, rule_id, function_id, system, user, "", 0, 0,
+            rejected = LlmExchange(purpose, rule_id, function_id, None, None, "", 0, 0,
                                    prompt_sha256=digest, attempt=attempt, error=str(exc))
             with self._lock:
-                self._record(rejected)
+                self._record(rejected, system, user)
             raise
-        if tokens_in <= 0:
-            tokens_in = estimate_tokens(system) + estimate_tokens(user)
-        if tokens_out <= 0:
-            tokens_out = estimate_tokens(response)
         exchange = LlmExchange(
-            purpose=purpose,
-            rule_id=rule_id,
-            function_id=function_id,
-            system=system,
-            user=user,
-            response=response,
-            tokens_in=tokens_in,
-            tokens_out=tokens_out,
-            latency=latency,
-            prompt_sha256=digest,
-            attempt=attempt,
+            purpose, rule_id, function_id, None, None, response,
+            tokens_in if tokens_in > 0 else estimate_tokens(system) + estimate_tokens(user),
+            tokens_out if tokens_out > 0 else estimate_tokens(response),
+            latency, digest, attempt,
         )
         with self._lock:
             self.exchanges.append(exchange)
-            self._record(exchange)
+            self._record(exchange, system, user)
         return exchange
 
-    def _record(self, entry: LlmExchange) -> None:
-        """In record mode, add ``entry`` to the transcript and its file; needs ``_lock``."""
-        if self.mode == "record":
-            self.transcript.append(entry)
-            if self._record_fh is not None:
-                self._record_fh.write(entry.to_json() + "\n")
-                self._record_fh.flush()
+    def _record(self, exchange: LlmExchange, system: str, user: str) -> None:
+        """Tee ``exchange`` with its prompts to the record sink, if any; needs ``_lock``."""
+        if self._recorded is not None:
+            self._recorded.append(replace(exchange, system=system, user=user))
+        elif self._record_fh is not None:
+            self._record_fh.write(replace(exchange, system=system, user=user).to_json() + "\n")
+            self._record_fh.flush()
 
     def ask(self, purpose: str, rule_id: str, function_id: str,
             user: str, parser, made: list):
@@ -454,7 +448,8 @@ class LlmGateway:
             )
         return key
 
-    def _http_call(self, system: str, user: str):
+    def _http_call(self, key: tuple, system: str, user: str):
+        """The default answerer: ``user`` asked of the provider, retried on failure."""
         import http.client
 
         body = json.dumps({
@@ -473,9 +468,10 @@ class LlmGateway:
         for attempt in range(self.RETRIES):
             if attempt:
                 self._sleep(self.BACKOFF_BASE * (2 ** (attempt - 1)))
-            started = time.monotonic()
             try:
-                status, text = self._post(body, headers)
+                with self._gate:  # a slot is held per request, not across a backoff
+                    started = time.monotonic()
+                    status, text = self._post(body, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = ProviderUnavailable(f"request failed: {exc}")
                 continue
@@ -675,7 +671,7 @@ class _NestedTls(io.RawIOBase):
         except ssl.SSLZeroReturnError:
             return 0
 
-    def makefile(self, mode: str = "rb"):
+    def makefile(self, *_args):
         return io.BufferedReader(self)
 
     def close(self) -> None:

@@ -139,13 +139,13 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     config.validate(builds_gateway=gateway is None)
     started = time.perf_counter()
     # a broken transcript is reported before anything is parsed
-    replayed = (Transcript.load(config.transcript_path)
-                if gateway is None and config.mode == "replay" else None)
+    replay = (Transcript.load(config.transcript_path).answer
+              if gateway is None and config.mode == "replay" else None)
     enabled = gc.isenabled()
     freeze = enabled and gc.get_freeze_count() == 0
     try:
         prepared = _prepare_frozen(config, enabled, freeze)
-        return _scan(prepared, config, gateway or _build_gateway(config, replayed), started)
+        return _scan(prepared, config, gateway or _build_gateway(config, replay), started)
     finally:
         if freeze:
             gc.unfreeze()
@@ -163,14 +163,13 @@ def _prepare_frozen(config: ScanConfig, enabled: bool, freeze: bool) -> Prepared
             gc.enable()
 
 
-def _build_gateway(config: ScanConfig, replayed: Transcript | None) -> LlmGateway:
-    """The scan's own gateway; a record file is opened only once the project has parsed."""
-    return LlmGateway(
-        config.provider,
-        mode=config.mode,
-        transcript=Transcript() if replayed is None else replayed,
-        record_path=config.transcript_path if config.mode == "record" else None,
-    )
+def _build_gateway(config: ScanConfig, replay) -> LlmGateway:
+    """The gateway of ``config.mode``: ``replay`` answers if given, else the provider.
+
+    Record mode appends to the transcript file, opened only once the project has parsed.
+    """
+    return LlmGateway(config.provider, replay,
+                      config.transcript_path if config.mode == "record" else None)
 
 
 def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
@@ -200,7 +199,7 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
         "rejected": 0,
         "skipped": 0,
     }
-    workers = max(1, gateway.config.max_in_flight) if gateway.mode != "replay" else 1
+    workers = max(1, gateway.config.max_in_flight) if config.mode != "replay" else 1
 
     def process(pair):
         rule, fn = pair
@@ -231,7 +230,8 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
     kloc = count_kloc(prepared.layout.included)
     wall = time.perf_counter() - started
     if config.mode == "replay":
-        # replay is deterministic: report time is the recorded latency sum
+        # a replay's wall is the recorded latency sum, so its report is
+        # deterministic; loaded entries carry latency 0 until it is persisted
         wall = round(sum(e.latency for e in gateway.exchanges), 6)
     ledger = summarize_cost(
         gateway.exchanges, wall, kloc,

@@ -1,16 +1,15 @@
 """Shared test scaffolding: scripted answers and transcript authoring.
 
-Transcripts are authored by the real pipeline, scanning in record mode
-against a scripted answerer, so replay-mode scans exercise the real
-hash-keyed lookup path.
+Transcripts are authored by the real pipeline, scanning with a scripted
+answerer and an in-memory record sink, so replay-mode scans exercise
+the real hash-keyed lookup path.
 """
 
 from __future__ import annotations
 
-import json
-
 from solscout.config import ScanConfig
-from solscout.gateway import LlmGateway, ProviderConfig, Transcript
+from solscout.gateway import (LlmGateway, ProviderConfig, Transcript, render_recognition_answer,
+                              render_scenario_answer, render_yes_no, scripted)
 from solscout.pipeline import scan
 from solscout.rules import load_rules
 
@@ -38,52 +37,36 @@ def corpus_answers(cases: list) -> ScriptedAnswers:
 
 
 def scripted_answerer(answers: ScriptedAnswers, rules: list):
-    """An ``LlmGateway`` answerer that renders ``answers`` as model replies."""
+    """``answer(purpose, rule_id, function_id, user)`` for ``gateway.scripted``."""
     scenario_counts = {rule.id: len(rule.scenarios) for rule in rules}
 
     def answer(purpose, rule_id, function_id, user):
         key = (rule_id, function_id)
         if purpose == "scenario":
             value = answers.scenario.get(key, answers.default_scenario)
-            if not isinstance(value, str):
-                verdict = "Yes" if value else "No"
-                value = json.dumps(
-                    {str(i): verdict for i in range(1, scenario_counts[rule_id] + 1)}
-                )
+            render = lambda yes: render_scenario_answer(
+                dict.fromkeys(range(1, scenario_counts[rule_id] + 1), yes))
         elif purpose == "property":
-            value = answers.property.get(key, answers.default_property)
-            if not isinstance(value, str):
-                value = "Yes" if value else "No"
+            value, render = answers.property.get(key, answers.default_property), render_yes_no
         else:
-            value = answers.recognition.get(key, {})
-            if not isinstance(value, str):
-                value = json.dumps(
-                    {slot: {name: desc} for slot, (name, desc) in value.items()}
-                )
-        return value
+            value, render = answers.recognition.get(key, {}), render_recognition_answer
+        return value if isinstance(value, str) else render(value)
 
     return answer
 
 
 def build_transcript(config: ScanConfig, answers: ScriptedAnswers) -> Transcript:
     """Author a transcript covering every query the scan will make."""
-    gateway = LlmGateway(
-        ProviderConfig(max_in_flight=1),  # one worker: entries in candidate order
-        mode="record",
-        answer=scripted_answerer(answers, load_rules(config.rules_dir)),
-    )
-    scan(config, gateway)
-    return gateway.transcript
+    transcript = Transcript()
+    answer = scripted(scripted_answerer(answers, load_rules(config.rules_dir)))
+    # one worker: entries in candidate order
+    scan(config, LlmGateway(ProviderConfig(max_in_flight=1), answer, transcript))
+    return transcript
 
 
 def replay_config(project_root: str, transcript_path: str, **kw) -> ScanConfig:
-    config = ScanConfig(
-        project_root=project_root,
-        mode="replay",
-        transcript_path=transcript_path,
-        **kw,
-    )
-    return config
+    return ScanConfig(project_root=project_root, mode="replay",
+                      transcript_path=transcript_path, **kw)
 
 
 def write_transcript(config: ScanConfig, answers: ScriptedAnswers, path: str) -> Transcript:

@@ -36,6 +36,10 @@ from solscout.gateway import (
     parse_recognition_answer,
     parse_scenario_answer,
     parse_yes_no,
+    render_recognition_answer,
+    render_scenario_answer,
+    render_yes_no,
+    scripted,
     system_prompt,
     validate_recognition,
 )
@@ -224,6 +228,19 @@ def test_parse_recognition_answer():
     assert "VariableC" not in parsed
 
 
+def test_rendered_replies_parse_back_to_what_was_rendered():
+    for verdicts in ({1: True}, {1: False}, {1: True, 2: False, 3: True}):
+        assert parse_scenario_answer(render_scenario_answer(verdicts), len(verdicts)) == verdicts
+    for yes in (True, False):
+        assert parse_yes_no(render_yes_no(yes)) is yes
+    answer = {
+        "VariableA": ("_shares", "the total minted share"),
+        "UpdateStatement": ("balances[msg.sender] -= amount;", 'the "sender" balance, ünïcode'),
+        "VariableC": ("_amount", ""),
+    }
+    assert parse_recognition_answer(render_recognition_answer(answer), list(answer)) == answer
+
+
 @dataclass
 class FakeContext:
     text: str
@@ -277,7 +294,7 @@ def test_transcript_roundtrip(tmp_path):
     loaded = Transcript.load(path)
     assert len(loaded) == 2
     key = _exchange().key
-    assert loaded.get(key).response == '{"1":"Yes"}'
+    assert loaded.entries[key].response == '{"1":"Yes"}'
 
 
 def test_a_rejected_query_replays_its_error_and_charges_nothing(tmp_path):
@@ -290,7 +307,7 @@ def test_a_rejected_query_replays_its_error_and_charges_nothing(tmp_path):
         [record] = [json.loads(line) for line in fh]
     assert record["error"] == "provider returned 400"
     assert not {"response", "tokens_in", "tokens_out"} & set(record)
-    gateway = LlmGateway(ProviderConfig(), mode="replay", transcript=Transcript.load(path))
+    gateway = LlmGateway(ProviderConfig(), Transcript.load(path).answer)
     with pytest.raises(ProviderError) as exc:
         gateway.complete("scenario", "r", "C.f", system_prompt(), "ask")
     assert type(exc.value) is ProviderError and str(exc.value) == "provider returned 400"
@@ -305,7 +322,7 @@ def test_transcript_last_wins_on_duplicate_keys(tmp_path):
         fh.write(first.to_json() + "\n" + second.to_json() + "\n")
     loaded = Transcript.load(path)
     assert len(loaded) == 1
-    assert loaded.get(first.key).response == "new"
+    assert loaded.entries[first.key].response == "new"
 
 
 # What a record scan writes for a retried query, a rejected one and a
@@ -329,37 +346,43 @@ RECORDED = (
 )
 
 
-def _record(path: str) -> Transcript:
-    """Record the queries of ``RECORDED`` to ``path``; returns the gateway's transcript."""
-    replies = iter(["mumble", "Yes", ProviderError("provider returned 400: busy"),
-                    '{"1": "No"}'])
+def _record(path: str) -> tuple:
+    """Record the queries of ``RECORDED`` to ``path`` and, separately, to a
+    ``Transcript``; returns the file's text and that transcript."""
+    recorded = Transcript()
+    for record in (path, recorded):
+        replies = iter(["mumble", "Yes", ProviderError("provider returned 400: busy"),
+                        '{"1": "No"}'])
 
-    def answer(purpose, rule_id, function_id, user):
-        reply = next(replies)
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
+        def answer(purpose, rule_id, function_id, user):
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
 
-    gateway = LlmGateway(ProviderConfig(), mode="record", record_path=path, answer=answer)
-    gateway.complete("property", "r", "C.f", "s", "Is it?")
-    gateway.complete("property", "r", "C.f", "s", "Is it?", attempt=1)
-    with pytest.raises(ProviderError):
-        gateway.complete("property", "r", "C.g", "s", "Is it?")
-    gateway.complete("scenario", "r", "C.g", "s", "Which?")
-    gateway.close()
-    return gateway.transcript
+        gateway = LlmGateway(ProviderConfig(), scripted(answer), record)
+        gateway.complete("property", "r", "C.f", "s", "Is it?")
+        gateway.complete("property", "r", "C.f", "s", "Is it?", attempt=1)
+        with pytest.raises(ProviderError):
+            gateway.complete("property", "r", "C.g", "s", "Is it?")
+        gateway.complete("scenario", "r", "C.g", "s", "Which?")
+        gateway.close()
+        # the gateway keeps each answer, never its prompts
+        assert [(e.system, e.user) for e in gateway.exchanges] == [(None, None)] * 3
+    with open(path, encoding="utf-8") as fh:
+        return fh.read(), recorded
 
 
 def test_a_recorded_transcript_saves_as_the_record_file(tmp_path):
-    recorded = _record(str(tmp_path / "record.jsonl"))
+    written, recorded = _record(str(tmp_path / "record.jsonl"))
     recorded.save(str(tmp_path / "saved.jsonl"))
-    assert (tmp_path / "record.jsonl").read_text(encoding="utf-8") == RECORDED
+    assert written == RECORDED
     assert (tmp_path / "saved.jsonl").read_text(encoding="utf-8") == RECORDED
 
 
 def test_a_loaded_entry_keeps_its_key_answer_and_usage_and_no_prompt(tmp_path):
     path = str(tmp_path / "t.jsonl")
-    recorded = _record(path)
+    _written, recorded = _record(path)
     loaded = Transcript.load(path)
     answer = attrgetter("key", "response", "tokens_in", "tokens_out", "error", "attempt")
     assert [answer(e) for e in loaded.entries.values()] == \
@@ -384,8 +407,9 @@ def test_a_loaded_transcript_cannot_be_saved(tmp_path):
     assert path.read_text(encoding="utf-8") == RECORDED  # not truncated either
 
 
-# Heap a loaded transcript may keep per entry of ~1 KB prompts. It keeps
-# about 400 bytes; entries that kept their prompts would keep 2,100 and fail.
+# Heap a loaded transcript, or a gateway recording to a file, may keep per
+# entry of ~1 KB prompts. Each keeps about 400 bytes; entries that kept
+# their prompts would keep 2,100 and fail.
 RETAINED_BYTES_PER_ENTRY = 600
 
 
@@ -415,6 +439,31 @@ def test_loaded_transcript_heap_per_entry(tmp_path):
     assert len(loaded) == 2100
     assert retained / len(loaded) <= RETAINED_BYTES_PER_ENTRY, \
         f"{retained / len(loaded):.0f} bytes retained per entry"
+
+
+def test_a_file_recording_gateway_heap_per_query(tmp_path):
+    """The record file holds the prompts, so the gateway keeps none of them."""
+    rng = random.Random(7)
+    answers = {"scenario": '{"1": "Yes"}', "property": "Yes",
+               "recognition": '{"VariableA": {"shares": "the minted shares"}}'}
+    gateway = LlmGateway(ProviderConfig(), scripted(lambda purpose, *_: answers[purpose]),
+                         str(tmp_path / "t.jsonl"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(700):
+            for purpose in answers:
+                user = f"{purpose} of C{i}.f\n\n" + "".join(rng.choices("abcdef ;{}()\n", k=1000))
+                gateway.complete(purpose, "risky-first-deposit", f"C{i}.f", system_prompt(), user)
+        del user
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gateway.close()
+    assert len(gateway.exchanges) == 2100
+    assert retained / len(gateway.exchanges) <= RETAINED_BYTES_PER_ENTRY, \
+        f"{retained / len(gateway.exchanges):.0f} bytes retained per query"
 
 
 @pytest.mark.parametrize("spoil, reason", [
@@ -448,14 +497,15 @@ def test_replay_returns_recorded_exchange():
     transcript = Transcript()
     recorded = _exchange()
     transcript.append(recorded)
-    gateway = LlmGateway(ProviderConfig(), mode="replay", transcript=transcript)
+    gateway = LlmGateway(ProviderConfig(), transcript.answer)
     result = gateway.complete("scenario", "r", "C.f", system_prompt(), "ask")
-    assert result.response == recorded.response
-    assert gateway.exchanges == [recorded]
+    answer = attrgetter("key", "response", "tokens_in", "tokens_out", "latency")
+    assert answer(result) == answer(recorded)
+    assert gateway.exchanges == [result]
 
 
 def test_replay_miss_names_key():
-    gateway = LlmGateway(ProviderConfig(), mode="replay", transcript=Transcript())
+    gateway = LlmGateway(ProviderConfig(), Transcript().answer)
     with pytest.raises(ReplayMiss) as exc:
         gateway.complete("scenario", "r", "C.f", system_prompt(), "ask")
     assert exc.value.key[0] == "scenario"
@@ -463,8 +513,7 @@ def test_replay_miss_names_key():
 
 
 def _live(server, **kw) -> LlmGateway:
-    """A live-mode gateway whose provider is ``server``."""
-    kw.setdefault("mode", "live")
+    """A gateway whose provider is ``server``."""
     return LlmGateway(ProviderConfig(endpoint=server.url, **kw.pop("provider", {})), **kw)
 
 
@@ -535,7 +584,7 @@ def test_a_refused_connection_is_unavailable_after_the_last_retry(monkeypatch, d
         port = probe.getsockname()[1]
     sleeps = []
     gateway = LlmGateway(ProviderConfig(endpoint=f"http://127.0.0.1:{port}/v1"),
-                         mode="live", sleeper=sleeps.append)
+                         sleeper=sleeps.append)
     with pytest.raises(ProviderUnavailable, match="request failed"):
         gateway.complete("property", "r", "C.f", "s", "u")
     gateway.close()
@@ -578,12 +627,12 @@ def test_record_mode_appends_jsonl(tmp_path, monkeypatch, serve):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
     path = str(tmp_path / "rec.jsonl")
     server = serve(in_order((200, chat_body("Yes"))))
-    gateway = _live(server, mode="record", record_path=path)
+    gateway = _live(server, record=path)
     gateway.complete("property", "r", "C.f", "s", "u")
     gateway.close()
     loaded = Transcript.load(path)
     assert len(loaded) == 1
-    replayer = LlmGateway(ProviderConfig(), mode="replay", transcript=loaded)
+    replayer = LlmGateway(ProviderConfig(), loaded.answer)
     assert replayer.complete("property", "r", "C.f", "s", "u").response == "Yes"
 
 
@@ -596,7 +645,8 @@ def test_answerer_stands_in_for_the_provider(monkeypatch, serve):
         return "Yes"
 
     server = serve(in_order((200, chat_body("No"))))
-    gateway = _live(server, mode="record", answer=answer)
+    recorded = Transcript()
+    gateway = _live(server, answerer=scripted(answer), record=recorded)
     exchange = gateway.complete("property", "r", "C.f", "system", "user")
     gateway.close()
     assert server.requests == []
@@ -604,7 +654,9 @@ def test_answerer_stands_in_for_the_provider(monkeypatch, serve):
     assert (exchange.response, exchange.latency) == ("Yes", 0.0)
     assert exchange.tokens_in == estimate_tokens("system") + estimate_tokens("user")
     assert exchange.tokens_out == estimate_tokens("Yes")
-    assert gateway.transcript.get(exchange.key) is exchange
+    entry = recorded.entries[exchange.key]
+    assert (entry.system, entry.user, entry.response) == ("system", "user", "Yes")
+    assert (exchange.system, exchange.user) == (None, None)
 
 
 # ----------------------------------------------------------------------
@@ -736,7 +788,7 @@ def test_a_refused_tunnel_is_retried_then_unavailable(monkeypatch, serve):
     proxy = serve(in_order((403, "")))
     monkeypatch.setenv("https_proxy", proxy.base)
     gateway = LlmGateway(ProviderConfig(endpoint="https://127.0.0.1:9/v1/chat/completions"),
-                         mode="live", sleeper=lambda _s: None)
+                         sleeper=lambda _s: None)
     with pytest.raises(ProviderUnavailable, match="403"):
         gateway.complete("property", "r", "C.f", "s", "u")
     gateway.close()
@@ -771,7 +823,7 @@ def test_ask_retries_unparseable_once_then_raises():
     transcript = Transcript()
     bad = _exchange(purpose="property", response="mumble")
     transcript.append(bad)
-    gateway = LlmGateway(ProviderConfig(), mode="replay", transcript=transcript)
+    gateway = LlmGateway(ProviderConfig(), transcript.answer)
     made = []
     with pytest.raises(UnparseableAnswer):
         gateway.ask("property", "r", "C.f", "ask", parse_yes_no, made)

@@ -17,7 +17,7 @@ from solscout.errors import (
     TranscriptError,
 )
 from solscout.frontend import parser as parser_module
-from solscout.gateway import LlmGateway, ProviderConfig, Transcript
+from solscout.gateway import LlmGateway, ProviderConfig, Transcript, scripted
 from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
 from solscout.report import count_kloc
@@ -262,9 +262,9 @@ def test_a_scan_handed_a_gateway_needs_no_api_key_or_transcript(monkeypatch):
     config.mode = "record"
     with pytest.raises(ConfigError, match="transcript path"):
         scan(config)
-    gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record",
-                         answer=scripted_answerer(first_deposit_answers(),
-                                                  load_rules(config.rules_dir)))
+    gateway = LlmGateway(ProviderConfig(max_in_flight=1),
+                         scripted(scripted_answerer(first_deposit_answers(),
+                                                    load_rules(config.rules_dir))))
     assert [f.function_id for f in scan(config, gateway).confirmed] == ["YaxisVault.deposit"]
 
 
@@ -364,8 +364,8 @@ def _record_small_corpus(tmp_path, spoil):
         reply = spoil(purpose, rule_id, function_id)
         return honest(purpose, rule_id, function_id, user) if reply is None else reply
 
-    gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record",
-                         record_path=config.transcript_path, answer=answer)
+    gateway = LlmGateway(ProviderConfig(max_in_flight=1), scripted(answer),
+                         config.transcript_path)
     recorded = scan(config, gateway)
     return config, recorded, scan(config)
 
@@ -484,7 +484,7 @@ def test_a_failing_provider_costs_one_candidate(corpus_config, tmp_path):
     config = replay_config(corpus_config.project_root, str(tmp_path / "t.jsonl"),
                            project_name="corpus")
     config.mode = "record"
-    gateway = LlmGateway(ProviderConfig(max_in_flight=1), mode="record", answer=answer)
+    gateway = LlmGateway(ProviderConfig(max_in_flight=1), scripted(answer))
     faulty = scan(config, gateway)
 
     failed = calls[2]
@@ -508,8 +508,8 @@ def test_a_provider_that_fails_every_query_stops_the_scan(corpus_config, tmp_pat
     config = replay_config(corpus_config.project_root, str(tmp_path / "t.jsonl"),
                            project_name="corpus")
     config.mode = "record"
-    gateway = LlmGateway(ProviderConfig(endpoint=server.url, max_in_flight=2), mode="record",
-                         record_path=config.transcript_path, sleeper=lambda _s: None)
+    gateway = LlmGateway(ProviderConfig(endpoint=server.url, max_in_flight=2),
+                         record=config.transcript_path, sleeper=lambda _s: None)
     with pytest.raises(ProviderUnavailable, match=f"provider returned {status}"):
         scan(config, gateway)
     assert gateway._record_fh is None  # the stopped scan closed its transcript
