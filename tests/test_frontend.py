@@ -302,11 +302,38 @@ def test_unterminated_comment_errors():
     assert exc_info.value.line == 1
 
 
+def _syntax_error(text: str):
+    """``(message, line, column)`` of the error parsing ``text``, or None."""
+    try:
+        parse_text(text, "")
+    except SoliditySyntaxError as err:
+        return str(err).split(": ", 1)[1], err.line, err.column
+    return None
+
+
+_BRACE_ERRORS = [
+    # an extra '}': the first one that closes nothing
+    ("contract C { } }", ("unbalanced '}'", 1, 16)),
+    ("contract C {\n  function f() public { }\n  }\n}\n}", ("unbalanced '}'", 4, 1)),
+    # an unclosed '{': the last one opened that nothing closes
+    ("contract C { function f() public { }", ("unclosed '{'", 1, 12)),
+    ("contract C {\n  function f() public {\n    if (a) { x(); }\n    if (b) {\n      y();\n    }\n",
+     ("unclosed '{'", 2, 23)),
+    ("contract A { function f() public { { { } { }", ("unclosed '{'", 1, 36)),
+    # braces in strings and comments are not braces
+    ('contract C { function f() public { s = "}"; t = \'{\'; } }', None),
+    ("contract C { function f() public { g(); } // }\n /* { */ }", None),
+    ('contract C { string s = "}}"; } }', ("unbalanced '}'", 1, 33)),
+    ("contract C { // {\n function f() public { s = \"{\"; }\n", ("unclosed '{'", 1, 12)),
+    # a prefixed string is one string
+    ('contract C { bytes b = hex"7b"; string u = unicode"{"; }', None),
+    ('contract C { bytes b = hex"7b"; } }', ("unbalanced '}'", 1, 35)),
+]
+
+
 def test_unbalanced_braces_error_positions():
-    with pytest.raises(SoliditySyntaxError):
-        parse_text("contract C { function f() public { }")
-    with pytest.raises(SoliditySyntaxError):
-        parse_text("contract C { } }")
+    for text, error in _BRACE_ERRORS:
+        assert _syntax_error(text) == error, text
 
 
 def test_comment_stripping_preserves_offsets():
