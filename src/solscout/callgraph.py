@@ -113,6 +113,9 @@ def build_call_graph(functions: list, contracts_by_name: dict,
                      every_body: bool = True) -> CallGraph:
     """Resolve calls by (name, arity): own contract, bases, then global unique.
 
+    A ``super.f(...)`` call resolves through the bases only: never to the
+    caller's own contract, nor to a function found only globally.
+
     ``contracts_by_name`` is ``frontend.index_contracts``'s index of every
     parsed contract, so inheritance also passes through contracts that
     declare no function.
@@ -140,9 +143,12 @@ def build_call_graph(functions: list, contracts_by_name: dict,
     def calls_of(fn: FunctionRecord) -> list:
         """(seq, name, arity, resolved target or None) per call, in body order."""
         chain = _linearized_contracts(fn, contracts_by_name)
+        own_first = (chain, global_index)
+        bases_only = ([c for c in chain if c is not fn.contract_def], {})
         return [
             (stmt.seq, name, len(call.args),
-             _resolve(name, len(call.args), chain, by_contract, global_index))
+             _resolve(name, len(call.args), by_contract,
+                      *(bases_only if _calls_super(call) else own_first)))
             for stmt in fn.statements()
             for expr in stmt.expressions()
             for call in iter_calls(expr)
@@ -182,7 +188,14 @@ def build_call_graph(functions: list, contracts_by_name: dict,
     return graph
 
 
-def _resolve(name, arity, chain, by_contract, global_index):
+def _calls_super(call) -> bool:
+    """Whether ``call`` is ``super.name(...)``."""
+    member = call.callee
+    return (member is not None and member.kind == "member-access"
+            and member.callee.kind == "identifier" and member.callee.name == "super")
+
+
+def _resolve(name, arity, by_contract, chain, global_index):
     key = (name, arity)
     for contract in chain:
         hits = by_contract.get(id(contract), {}).get(key, [])

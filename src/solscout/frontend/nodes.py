@@ -11,13 +11,12 @@ shared ``()``, never a fresh list.
 from __future__ import annotations
 
 import bisect
-import re
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
-_NEWLINE_RE = re.compile("\n")
 _BODY_LOCK = threading.Lock()
 
 
@@ -25,8 +24,9 @@ class LineIndex:
     """Maps character offsets to 1-based (line, column) pairs."""
 
     def __init__(self, text: str):
-        self._starts = [0]
-        self._starts.extend(m.end() for m in _NEWLINE_RE.finditer(text))
+        # each line's start: one past the previous line's end and newline
+        self._starts = list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
+        self._starts.pop()  # one past the end of the text
 
     def linecol(self, offset: int) -> tuple[int, int]:
         line = bisect.bisect_right(self._starts, offset)
@@ -122,11 +122,12 @@ class Statement:
 class FunctionRecord:
     """A parsed function/constructor/fallback; the unit of all analysis.
 
-    An entry point's body is parsed with its file. Any other body is
-    skipped by brace matching and keeps only where it starts and the
-    identifiers in it (``body_names``); it is parsed the first time
-    ``body`` is read, once, into the statements, offsets and ``seq``
-    numbers the file's parse would have given it.
+    Every body is lexed alone, from its range of the file, by the parse
+    that reads it, so offsets and spans are the file's and ``seq``
+    numbers count from the body's first statement. An entry point's
+    body is parsed with its file. Any other body is skipped, and it
+    keeps only where it starts and the identifiers in it
+    (``body_names``); it is parsed the first time ``body`` is read, once.
     """
 
     name: str  # empty for constructor/fallback/receive

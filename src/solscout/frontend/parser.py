@@ -12,19 +12,21 @@ innards that fail, exotic syntax) degrades to an ``opaque`` statement
 that preserves the exact source text, so nothing is ever silently
 dropped; skipped members end where an opaque statement would.
 
-Only entry points (public or external, not constructors) have their
-bodies parsed with the file. Every other body is skipped by brace
-matching and parsed by ``parse_body`` when something first reads it.
+The file-level parse reads the file's outline (see ``lexer.outline``):
+the inside of every contract member's body is blank, so its tokens are
+only the body's two braces. ``_parse_block`` lexes and parses one body
+from its own range of the file. It parses the bodies of entry points
+(public or external, not constructors) as their file is parsed, and
+every other body when something first reads it (``parse_body``), so a
+contract function's body is lexed once at most.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress, repeat
-from operator import eq, itemgetter
 
 from ..errors import SoliditySyntaxError
-from .lexer import Token, check_braces, strip_comments, tokenize
+from .lexer import Token, identifiers, outline, strip_comments, tokenize
 from .nodes import (
     ContractDef,
     Expression,
@@ -51,6 +53,8 @@ PREFIX_OPS = {"!", "~", "-", "+", "++", "--", "delete", "new"}
 POSTFIX_OPS = {"(", "{", ".", "[", "++", "--"}
 
 _ELEMENTARY_RE = re.compile(r"^(address|bool|string|byte|bytes\d*|u?int\d*|u?fixed\d*x?\d*)$")
+# From the first to the last non-space character of a range.
+_INSIDE_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
 
 
 class _Backtrack(Exception):
@@ -68,13 +72,12 @@ class Parser:
     """
 
     def __init__(self, src: SourceFile, tokens: list | None = None):
-        """Lex the whole file, or parse the given ``tokens`` of it."""
+        """Lex the file's outline, or parse the given ``tokens`` of it."""
         self.src = src
         if tokens is None:
             if not src.stripped:
                 src.stripped = strip_comments(src.text, src.path)
-            tokens = tokenize(src.stripped, src.path)
-            check_braces(tokens, src.line_index, src.path)
+            tokens = tokenize(outline(src.stripped, src.line_index, src.path), src.path)
         self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
 
@@ -140,7 +143,6 @@ class Parser:
             unit.functions.extend(free)
         for fn in unit.functions:
             fn.file = self.src
-            _assign_seq(fn.parsed_body)
         return unit
 
     def _after_balanced(self, i: int, opening: str, closing: str) -> int:
@@ -254,23 +256,16 @@ class Parser:
         if self.at(";"):
             fn.end = self.advance().end
         else:
-            fn.body_start = tokens[self.pos].start
+            fn.body_start = self.expect_punct("{", hard=True).start
+            self._skip_balanced("{", "}")
+            fn.end = tokens[self.pos - 1].end
             if fn.is_entry_point:
-                fn.parsed_body, fn.end = self._parse_block_children()
+                fn.parsed_body = _parse_block(self.src, fn.body_start, fn.end)
             else:
-                fn.body_names, fn.end = self._skip_body()
+                fn.body_names = identifiers(self.src.stripped, fn.body_start, fn.end)
         line_of = self.src.line_index.line_of
         fn.span = (line_of(start), line_of(max(start, fn.end - 1)))
         return fn
-
-    def _skip_body(self) -> tuple[tuple, int]:
-        """Skip a ``{...}`` body unparsed; return its distinct identifiers and end offset."""
-        tokens = self.tokens
-        first = self.pos + 1
-        self.pos = self._after_balanced(first, "{", "}")
-        inner = tokens[first : self.pos - 1]
-        ids = compress(map(itemgetter(1), inner), map(eq, map(itemgetter(0), inner), repeat("id")))
-        return tuple(dict.fromkeys(ids)), tokens[self.pos - 1].end
 
     def _parse_params(self) -> list:
         tokens = self.tokens
@@ -806,22 +801,30 @@ def _assign_seq(body: list | None) -> None:
         stmt.seq = i
 
 
+def _parse_block(src: SourceFile, start: int, end: int) -> list:
+    """Statements of the block ``src.stripped[start:end]``, numbered by ``seq``.
+
+    Only the block's own tokens are lexed, with their offsets in the
+    file, so a malformed statement cannot run past the block's ``}``.
+    Raises whatever the parse raises.
+    """
+    body = Parser(src, tokenize(src.stripped, src.path, start, end))._parse_block_children()[0]
+    _assign_seq(body)
+    return body
+
+
 def parse_body(fn: FunctionRecord) -> list:
     """Parse a body the file's parse skipped; see ``FunctionRecord.body``.
 
-    Only the body's own tokens are lexed, with their offsets in the file.
     A body that does not parse (nested too deep, say) becomes one opaque
-    statement spanning it; the rest of its file is unaffected.
+    statement spanning its inside; the rest of its file is unaffected.
     """
     src = fn.file
-    tokens = tokenize(src.stripped, src.path, fn.body_start, fn.end)  # '{' ... '}' eof
-    parser = Parser(src, tokens)
     try:
-        body = parser._parse_block_children()[0]
+        return _parse_block(src, fn.body_start, fn.end)
     except Exception:
-        body = [parser._statement("opaque", tokens[1].start, tokens[-3].end)]
-    _assign_seq(body)
-    return body
+        inside = _INSIDE_RE.search(src.stripped, fn.body_start + 1, fn.end - 1)
+        return [Statement("opaque", inside.start(), inside.end(), src, 0)]
 
 
 def parse_source(src: SourceFile) -> SourceUnit:

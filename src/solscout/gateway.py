@@ -272,18 +272,24 @@ class Transcript:
     def append(self, exchange: LlmExchange) -> None:
         self.entries[exchange.key] = exchange
 
-    def answer(self, key: tuple, system: str, user: str):
-        """The replay answerer; a rejected query raises its ``ProviderError`` again."""
+    def answer(self, asked: LlmExchange, system: str, user: str) -> LlmExchange:
+        """The replay answerer: the entry itself, so a replay keeps no copy of it.
+
+        A rejected query raises its ``ProviderError`` again.
+        """
+        key = asked.key
         entry = self.entries.get(key)
-        if entry is None and len(key) > 4:
+        if entry is None and asked.attempt:
             # a transcript written before retries had their own key
             # holds one entry, the last answer, for both attempts
             entry = self.entries.get(key[:4])
+            if entry is not None:
+                entry = replace(entry, attempt=asked.attempt)
         if entry is None:
             raise ReplayMiss(key)
         if entry.error:
             raise ProviderError(entry.error)
-        return entry.response, entry.tokens_in, entry.tokens_out, entry.latency
+        return entry
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -353,16 +359,18 @@ REFUSED_EVERY_QUERY = frozenset({401, 403, 404, 407})
 
 def scripted(answer):
     """An answerer replying ``answer(purpose, rule_id, function_id, user)``, usage unreported."""
-    return lambda key, system, user: (answer(key[0], key[1], key[2], user), 0, 0, 0.0)
+    return lambda asked, system, user: replace(
+        asked, response=answer(asked.purpose, asked.rule_id, asked.function_id, user))
 
 
 class LlmGateway:
     """Asks one answerer each query and tees the exchange to a record sink.
 
-    ``answerer(key, system, user)`` returns ``(response, tokens_in,
-    tokens_out, latency)``, 0 for tokens it does not know. The sink
-    ``record`` is a file path, a ``Transcript`` or None; ``exchanges``
-    keeps each answered query without its prompts.
+    ``answerer(asked, system, user)`` answers the prompt-free exchange
+    ``asked`` (its key parts set, no response) with an exchange that has
+    the same key, 0 for tokens it does not know. The sink ``record`` is
+    a file path, a ``Transcript`` or None; ``exchanges`` keeps each
+    answered query without its prompts.
     """
 
     RETRIES = 3
@@ -390,24 +398,23 @@ class LlmGateway:
 
     def complete(self, purpose: str, rule_id: str, function_id: str,
                  system: str, user: str, attempt: int = 0) -> LlmExchange:
-        digest = prompt_sha256(system, user)
-        key = exchange_key(purpose, rule_id, function_id, digest, attempt)
+        asked = LlmExchange(purpose, rule_id, function_id, None, None, "", 0, 0,
+                            prompt_sha256=prompt_sha256(system, user), attempt=attempt)
         try:
-            response, tokens_in, tokens_out, latency = self._answer(key, system, user)
+            exchange = self._answer(asked, system, user)
         except ProviderUnavailable:
             raise  # not the query's fault: a replay must not reproduce it
         except ProviderError as exc:
-            rejected = LlmExchange(purpose, rule_id, function_id, None, None, "", 0, 0,
-                                   prompt_sha256=digest, attempt=attempt, error=str(exc))
             with self._lock:
-                self._record(rejected, system, user)
+                self._record(replace(asked, error=str(exc)), system, user)
             raise
-        exchange = LlmExchange(
-            purpose, rule_id, function_id, None, None, response,
-            tokens_in if tokens_in > 0 else estimate_tokens(system) + estimate_tokens(user),
-            tokens_out if tokens_out > 0 else estimate_tokens(response),
-            latency, digest, attempt,
-        )
+        tokens_in, tokens_out = exchange.tokens_in, exchange.tokens_out
+        if tokens_in <= 0 or tokens_out <= 0:  # usage not reported: estimate it
+            if tokens_in <= 0:
+                tokens_in = estimate_tokens(system) + estimate_tokens(user)
+            if tokens_out <= 0:
+                tokens_out = estimate_tokens(exchange.response)
+            exchange = replace(exchange, tokens_in=tokens_in, tokens_out=tokens_out)
         with self._lock:
             self.exchanges.append(exchange)
             self._record(exchange, system, user)
@@ -448,7 +455,7 @@ class LlmGateway:
             )
         return key
 
-    def _http_call(self, key: tuple, system: str, user: str):
+    def _http_call(self, asked: LlmExchange, system: str, user: str) -> LlmExchange:
         """The default answerer: ``user`` asked of the provider, retried on failure."""
         import http.client
 
@@ -488,12 +495,10 @@ class LlmGateway:
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise ProviderError(f"malformed provider response: {exc}") from exc
             usage = reply.get("usage") or {}
-            return (
-                content,
-                int(usage.get("prompt_tokens") or 0),
-                int(usage.get("completion_tokens") or 0),
-                latency,
-            )
+            return replace(asked, response=content,
+                           tokens_in=int(usage.get("prompt_tokens") or 0),
+                           tokens_out=int(usage.get("completion_tokens") or 0),
+                           latency=latency)
         raise last_error
 
     def _post(self, body: bytes, headers: dict):

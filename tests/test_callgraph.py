@@ -52,6 +52,23 @@ def test_global_unique_resolution_across_contracts():
     assert ("A.f", "B.helper") in {(c, e) for c, e, _ in graph.edges}
 
 
+def test_super_call_resolves_through_the_bases_not_to_the_caller():
+    graph, _ = graph_from("""
+        contract A { function f() public virtual { } }
+        contract B is A { function f() public virtual override { super.f(); } }
+        contract C is B { function f() public override { super.f(); this.f(); } }
+        contract D { function f() public { super.f(); } }
+        contract E { function g() public { } }
+        contract F is E { function h() public { super.g(); super.f(); } }
+        contract G { function m() public { super.k(); } }
+        contract H { function k() public { } }
+    """)
+    assert sorted({(c, e) for c, e, _ in graph.edges}) == [
+        ("B.f", "A.f"), ("C.f", "B.f"), ("C.f", "C.f"), ("F.h", "E.g")]
+    # no base defines it: unresolved, even where one contract elsewhere does
+    assert graph.unresolved == [("D.f", "f", 0), ("F.h", "f", 0), ("G.m", "k", 0)]
+
+
 def test_diamond_resolution_prefers_reversed_base_order():
     """Oracle: brute-force candidate enumeration on the 4-contract fixture."""
     src = """

@@ -19,7 +19,7 @@ from solscout.frontend import (
     strip_comments,
 )
 from solscout.frontend import parser as parser_module
-from solscout.frontend.lexer import Token, tokenize
+from solscout.frontend.lexer import Token, identifiers, outline, tokenize
 from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
@@ -320,6 +320,9 @@ _BRACE_ERRORS = [
     ("contract C {\n  function f() public {\n    if (a) { x(); }\n    if (b) {\n      y();\n    }\n",
      ("unclosed '{'", 2, 23)),
     ("contract A { function f() public { { { } { }", ("unclosed '{'", 1, 36)),
+    ("contract A { function f() public { } function g() public {", ("unclosed '{'", 1, 58)),
+    ("contract A { function f() public { } } contract B { function g() public { if (x) { } }",
+     ("unclosed '{'", 1, 51)),
     # braces in strings and comments are not braces
     ('contract C { function f() public { s = "}"; t = \'{\'; } }', None),
     ("contract C { function f() public { g(); } // }\n /* { */ }", None),
@@ -592,13 +595,61 @@ def test_tokenize_ends_in_one_eof_on_the_acceptance_corpus():
         assert len(tokens) == len(_oracle_tokenize(text))
 
 
-def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
-    """Cutting a file after any token puts eof under every lookahead the parser makes.
+_BLOCKS_AT_EVERY_DEPTH = """
+pragma solidity ^0.8.0;
+import {A, B} from "x.sol";
+struct Top { uint a; }
+function free(uint x) pure returns (uint) { if (x > 0) { return x; } { x += 1; } return x; }
+contract C is A("}{") {
+    struct S { uint a; }
+    S s = S({a: 1});
+    modifier m() { if (true) { _; } }
+    function f() public m() { g({a: 1}); if (x) { y = "{"; } }
+    function g(uint a) internal { unchecked { a++; } }
+}
+"""
 
-    The up-front brace check is turned off: it rejects most prefixes
-    before the parser would see them.
+
+def _sources_for_lexing() -> list:
+    texts = [strip_comments(case.source) for case in build_corpus(1)]
+    return texts + [filler_source(0), _BLOCKS_AT_EVERY_DEPTH,
+                    'hex"7b" unicode"x" hexa"b" 0x1fz 0xg 1.5e3x 1.e5 1_000ether a.5 $b _c ٣d ٣_e ٣e5x '
+                    'éf #g @h\u00a0i\\j']
+
+
+def test_identifiers_are_the_id_tokens_of_the_range():
+    rng = random.Random(15)
+    for text in _sources_for_lexing():
+        tokens = tokenize(text)[:-1]
+        for _ in range(40):
+            first, last = sorted(rng.randrange(len(tokens)) for _ in range(2))
+            start, end = tokens[first].start, tokens[last].end
+            ids = [tok.value for tok in tokenize(text, "", start, end) if tok.type == "id"]
+            names = identifiers(text, start, end)
+            assert names == tuple(dict.fromkeys(ids)), text[start:end]
+            assert all(sys.intern(name) is name for name in names)
+
+
+def test_the_outline_lexes_all_but_the_inside_of_blocks_opened_at_depth_one():
+    for text in _sources_for_lexing():
+        kept, depth = [], 0
+        for tok in tokenize(text):
+            if tok.type == "punct" and tok.value == "}":
+                depth -= 1
+            if depth < 2:
+                kept.append(tok)
+            if tok.type == "punct" and tok.value == "{":
+                depth += 1
+        assert tokenize(outline(text, LineIndex(text))) == kept
+
+
+def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
+    """Cutting a token list after any token puts eof under every lookahead the parser makes.
+
+    The outline's tokens are cut for headers and members, and each body's
+    own tokens for its statements. The cut lists go to ``Parser`` itself:
+    the brace check would reject most cut texts before a parse began.
     """
-    monkeypatch.setattr(parser_module, "check_braces", lambda *args: None)
     texts = [
         read_fixture("first_deposit", "contracts", "Vault.sol"),
         next(case.source for case in build_corpus(1) if case.filename == "StakeVul0.sol"),
@@ -609,30 +660,68 @@ def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
         if every_body:
             monkeypatch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
         for text in texts:
-            cuts = sorted({offset for tok in tokenize(strip_comments(text))
-                           for offset in (tok.start, tok.end)})
-            for cut in cuts:
-                try:
-                    Parser(SourceFile(path="cut.sol", text=text[:cut])).parse()
-                except SoliditySyntaxError:
-                    pass
+            src = SourceFile(path="cut.sol", text=text)
+            parser = Parser(src)
+            lists = [(parser.tokens[:-2], Parser.parse)]  # without the two padding eofs
+            lists += [(tokenize(src.stripped, src.path, fn.body_start, fn.end),
+                       Parser._parse_block_children)
+                      for fn in parser.parse().functions if fn.has_body]
+            assert len(lists) > 1
+            for tokens, parse in lists:
+                for cut, tok in enumerate(tokens):
+                    try:
+                        parse(Parser(src, tokens[:cut] + [Token("eof", "", tok.start, tok.start)]))
+                    except SoliditySyntaxError:
+                        pass
 
 
-def test_parser_calls_the_module_tokenize_once_per_file(monkeypatch):
+def _parse_reading_every_body(monkeypatch, text: str, path: str) -> tuple:
+    """Parse ``text``, read every body twice; return the unit, each ``parser.tokenize``
+    result and each ``Parser``'s token list."""
+    lexed, read = [], []
+
+    def recording_tokenize(*args):
+        lexed.append(tokenize(*args))
+        return lexed[-1]
+
+    def recording_init(parser, src, tokens=None):
+        init(parser, src, tokens)
+        read.append(parser.tokens)
+
+    init = Parser.__init__
+    with monkeypatch.context() as patch:
+        patch.setattr(parser_module, "tokenize", recording_tokenize)
+        patch.setattr(Parser, "__init__", recording_init)
+        unit = parse_source(SourceFile(path=path, text=text))
+        for fn in unit.functions * 2:
+            fn.body
+    return unit, lexed, read
+
+
+_TWO_FIXTURES = [("first_deposit", "contracts", "Vault.sol"),
+                 ("checkpoint_order", "contracts", "StakerVault.sol")]
+
+
+def test_every_token_the_parser_reads_comes_through_the_module_tokenize(monkeypatch):
     """Benchmark tracing wraps ``parser.tokenize`` by name to count tokens."""
-    texts = [read_fixture("first_deposit", "contracts", "Vault.sol"),
-             read_fixture("checkpoint_order", "contracts", "StakerVault.sol")]
-    lengths = []
+    for parts in _TWO_FIXTURES:
+        _, lexed, read = _parse_reading_every_body(monkeypatch, read_fixture(*parts), parts[-1])
+        from_tokenize = {id(tok) for tokens in lexed for tok in tokens}
+        assert len(read) == len(lexed) > 1
+        assert all(id(tok) in from_tokenize for tokens in read for tok in tokens)
 
-    def counting_tokenize(stripped, path=""):
-        tokens = tokenize(stripped, path)
-        lengths.append(len(tokens))
-        return tokens
 
-    monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
-    for i, text in enumerate(texts):
-        parse_source(SourceFile(path=f"f{i}.sol", text=text))
-    assert lengths == [len(tokenize(strip_comments(text))) for text in texts]
+def test_no_body_is_lexed_twice(monkeypatch):
+    """The outline holds only a contract function body's braces; the body is lexed once, alone."""
+    for parts in _TWO_FIXTURES:
+        unit, lexed, _ = _parse_reading_every_body(monkeypatch, read_fixture(*parts), parts[-1])
+        bodies = [fn for fn in unit.functions if fn.has_body]
+        assert bodies and all(fn.contract for fn in bodies)
+        assert sorted((tokens[0].start, tokens[-1].end) for tokens in lexed[1:]) == sorted(
+            (fn.body_start, fn.end) for fn in bodies)
+        starts = Counter(tok.start for tokens in lexed for tok in tokens[:-1])
+        assert {start for start, n in starts.items() if n > 1} == {
+            offset for fn in bodies for offset in (fn.body_start, fn.end - 1)}
 
 
 # ----------------------------------------------------------------------
@@ -650,8 +739,8 @@ def _sources_with_statements() -> list:
 class _ClassifyingParser(Parser):
     """Records, at each lookahead, whether ``_parse_local_decl`` succeeds there."""
 
-    def __init__(self, src):
-        super().__init__(src)
+    def __init__(self, src, tokens):
+        super().__init__(src, tokens)
         self.answers = []
 
     def _at_declaration(self):
@@ -668,15 +757,20 @@ class _ClassifyingParser(Parser):
         return answer
 
 
-def test_declaration_lookahead_agrees_with_a_full_declaration_parse(monkeypatch):
-    monkeypatch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
+def test_declaration_lookahead_agrees_with_a_full_declaration_parse():
+    """Every body is parsed from its own tokens, as ``FunctionRecord.body`` parses it."""
     starts = 0
     for source in _sources_with_statements():
-        parser = _ClassifyingParser(SourceFile(path="c.sol", text=source))
-        parser.parse()
-        for answer, parses, start in parser.answers:
-            assert answer == parses, source[start:start + 60]
-        starts += len(parser.answers)
+        src = SourceFile(path="c.sol", text=source)
+        for fn in parse_source(src).functions:
+            if not fn.has_body:
+                continue
+            parser = _ClassifyingParser(
+                src, tokenize(src.stripped, src.path, fn.body_start, fn.end))
+            parser._parse_block_children()
+            for answer, parses, start in parser.answers:
+                assert answer == parses, source[start:start + 60]
+            starts += len(parser.answers)
     assert starts > 100
 
 
@@ -852,6 +946,21 @@ def test_a_deferred_body_once_read_equals_the_eager_parse(sample_projects, monke
                     == [(fn.name, fn.start, fn.end, fn.span, fn.body_start) for fn in eager])
             assert [_body_tree(fn) for fn in lazy] == [_body_tree(fn) for fn in eager], path
     assert deferred > 100
+
+
+def test_a_deferred_body_that_does_not_parse_is_one_opaque_statement():
+    inside = "x = %s;\n    y();" % DEEP_EXPRESSIONS["parentheses"]
+    unit = parse_text("contract C {\n  function f() public { g(); }\n"
+                      "  function g() internal {\n    %s\n  }\n}\n" % inside)
+    f, g = unit.functions
+    [stmt] = g.body
+    assert (stmt.kind, stmt.raw, stmt.seq, stmt.span) == ("opaque", inside, 0, (4, 5))
+    assert [s.raw for s in f.body] == ["g();"]
+
+
+def test_a_function_header_that_ends_the_file_is_a_syntax_error():
+    # no ';' and no body: a deferred body here would span nothing
+    assert _syntax_error("contract C {} function f() pure") == ("expected '{'", 1, 32)
 
 
 def test_threads_reading_deferred_bodies_at_once_parse_each_once(monkeypatch):

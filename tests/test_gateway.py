@@ -466,6 +466,43 @@ def test_a_file_recording_gateway_heap_per_query(tmp_path):
         f"{retained / len(gateway.exchanges):.0f} bytes retained per query"
 
 
+# A replay keeps a pointer per query in ``exchanges``; a copy of each
+# answered entry (an exchange and its prompt hash) would be ~240 bytes.
+REPLAYED_BYTES_PER_QUERY = 40
+
+
+def test_a_replaying_gateway_heap_per_query(tmp_path):
+    """A replay keeps each loaded entry as the query's exchange, not a copy of it."""
+    rng = random.Random(7)
+    answers = {"scenario": '{"1": "Yes"}', "property": "Yes",
+               "recognition": '{"VariableA": {"shares": "the minted shares"}}'}
+    queries = [(purpose, f"C{i}.f",
+                f"{purpose} of C{i}.f\n\n" + "".join(rng.choices("abcdef ;{}()\n", k=1000)))
+               for i in range(700) for purpose in answers]
+    path = str(tmp_path / "t.jsonl")
+    recorder = LlmGateway(ProviderConfig(), scripted(lambda purpose, *_: answers[purpose]), path)
+    for purpose, function_id, user in queries:
+        recorder.complete(purpose, "risky-first-deposit", function_id, system_prompt(), user)
+    recorder.close()
+    loaded = Transcript.load(path)
+    gateway = LlmGateway(ProviderConfig(), loaded.answer)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for purpose, function_id, user in queries:
+            gateway.complete(purpose, "risky-first-deposit", function_id, system_prompt(), user)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(gateway.exchanges) == 2100
+    assert all(replayed is loaded.entries[replayed.key] for replayed in gateway.exchanges)
+    assert [(e.tokens_in, e.tokens_out) for e in gateway.exchanges] == [
+        (e.tokens_in, e.tokens_out) for e in recorder.exchanges]
+    assert retained / len(gateway.exchanges) <= REPLAYED_BYTES_PER_QUERY, \
+        f"{retained / len(gateway.exchanges):.0f} bytes retained per query"
+
+
 @pytest.mark.parametrize("spoil, reason", [
     pytest.param(lambda line: line[:len(line) // 2], "Unterminated string",
                  id="cut-off"),  # what a killed record scan leaves
