@@ -18,7 +18,7 @@ from .callgraph import DEFAULT_ACL_MODIFIERS
 from .errors import ConfigError
 from .gateway import ProviderConfig
 from .project import DEFAULT_EXCLUDED_SEGMENTS
-from .rules import shipped_rules_dir
+from .rules import load_yaml, shipped_rules_dir
 
 
 # live asks the provider, record also appends to the transcript, replay answers from it
@@ -106,7 +106,7 @@ def load_config(project_root: str, config_path: str = "", overrides: dict | None
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
-                data = yaml.safe_load(fh) or {}
+                data = load_yaml(fh) or {}
         except (OSError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(data, dict):

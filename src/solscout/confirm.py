@@ -7,9 +7,11 @@ user-controlled call arguments (FA). Everything is path-insensitive: a
 dependency or ordering on any syntactic path counts.
 
 ``build_def_use`` is the one walk over a context's statements; the
-checks read its call sites and conditions. A check reports only whether
-its relation is present; ``confirm_candidate`` applies the directive's
-expectation and builds every ``CheckVerdict``.
+checks read its call sites and conditions. It builds the name graph
+only for a rule with a DF or FA check, the only two that read it. A
+check reports only whether its relation is present;
+``confirm_candidate`` applies the directive's expectation and builds
+every ``CheckVerdict``.
 """
 
 from __future__ import annotations
@@ -104,9 +106,6 @@ class DefUseGraph:
                     queue.append(nxt)
         return {name for _fid, name in seen}
 
-    def edge_set(self) -> set:
-        return {(src, dst) for src, outs in self.edges_out.items() for dst in outs}
-
     def reach_path(self, sources: list, targets: list, reverse: bool = False):
         """Deterministic BFS; returns (target, edge spans, nodes) of one path."""
         target_set = set(targets)
@@ -134,59 +133,76 @@ class DefUseGraph:
         return None
 
 
-def build_def_use(context: CodeContext) -> DefUseGraph:
-    """One walk of the context; a call resolves to its unique (name, arity) match."""
+def build_def_use(context: CodeContext, names: bool = True) -> DefUseGraph:
+    """One walk of the context; a call resolves to its unique (name, arity) match.
+
+    ``names=False`` is for rules with no DF or FA check: the name graph
+    stays empty and only the focus function's call sites are recorded,
+    which is all OC reads. Conditions and statements are always kept.
+    """
     graph = DefUseGraph()
     call_index: dict[tuple, list] = {}
     for fid, fn in context.records:
         call_index.setdefault((fn.name, fn.arity), []).append((fid, fn))
     for fid, fn in context.records:
-        header_span = (fn.span[0], fn.span[0])
-        for _ptype, pname in fn.params:
-            if pname:
-                graph.add_occurrence((fid, pname), header_span)
+        walks_calls = names or fid == context.focus_id
+        if names:
+            header_span = (fn.span[0], fn.span[0])
+            for _ptype, pname in fn.params:
+                if pname:
+                    graph.add_occurrence((fid, pname), header_span)
         for stmt in fn.statements():
-            span = stmt.span
-            calls = []
-            for expr in stmt.expressions():
-                for name in used_names(expr):
-                    graph.add_occurrence((fid, name), span)
-                calls += iter_calls(expr)
             if stmt.kind in _CONDITION_KINDS and stmt.condition is not None:
                 graph.conditions.append((fn, stmt.condition))
             if stmt.kind not in _CONTAINER_KINDS:
                 graph.statements.append(stmt)
-            if stmt.kind == "assignment" and len(stmt.exprs) == 2:
-                lhs, rhs = stmt.exprs
-                targets = target_names(lhs)
-                sources = used_names(rhs)
-                # index keys select the written slot, so they flow in too
-                sources += [n for n in used_names(lhs) if n not in targets]
-                for tgt in targets:
-                    graph.add_occurrence((fid, tgt), span)
-                    for src in sources:
-                        graph.add_edge((fid, src), (fid, tgt), span)
-            elif stmt.kind == "local-decl":
-                sources = []
-                for expr in stmt.exprs:
-                    sources += used_names(expr)
-                for tgt in stmt.decl_names:
-                    graph.add_occurrence((fid, tgt), span)
-                    for src in sources:
-                        graph.add_edge((fid, src), (fid, tgt), span)
-            # argument -> parameter binding for context-internal calls
+            if not walks_calls:
+                continue
+            calls = []
+            for expr in stmt.expressions():
+                calls += iter_calls(expr)
+            if names:
+                span = stmt.span
+                _add_statement_flow(graph, fid, stmt, span)
             for call in calls:
                 hits = call_index.get((call_name(call), len(call.args)), ())
                 resolved = hits[0] if len(hits) == 1 else None
                 graph.calls.append((fid, fn, stmt, call, resolved))
-                if resolved is None:
+                if resolved is None or not names:
                     continue
+                # argument -> parameter binding for context-internal calls
                 callee_fid, callee = resolved
                 for (_ptype, pname), arg in zip(callee.params, call.args):
                     if pname:
                         for src in used_names(arg):
                             graph.add_edge((fid, src), (callee_fid, pname), span)
     return graph
+
+
+def _add_statement_flow(graph: DefUseGraph, fid: str, stmt: Statement, span: tuple) -> None:
+    """The names ``stmt`` reads, and the edges its assignment or declaration makes.
+
+    An assignment's or declaration's expressions are its ``exprs``, so
+    the names each reads are walked once and reused for its edges.
+    """
+    read = [used_names(expr) for expr in stmt.expressions()]
+    for found in read:
+        for name in found:
+            graph.add_occurrence((fid, name), span)
+    if stmt.kind == "assignment" and len(stmt.exprs) == 2:
+        targets = target_names(stmt.exprs[0])
+        lhs_names, rhs_names = read
+        # index keys select the written slot, so they flow in too
+        sources = rhs_names + [n for n in lhs_names if n not in targets]
+    elif stmt.kind == "local-decl":
+        targets = stmt.decl_names
+        sources = [n for found in read for n in found]
+    else:
+        return
+    for tgt in targets:
+        graph.add_occurrence((fid, tgt), span)
+        for src in sources:
+            graph.add_edge((fid, src), (fid, tgt), span)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +398,8 @@ def confirm_candidate(finding: Finding, rule: VulnRule, context: CodeContext,
     directive supports the vulnerability (for an ``absent`` expectation
     that is the absence of the checked relation).
     """
-    graph = build_def_use(context)
+    kinds = rule.check_kinds
+    graph = build_def_use(context, names="DF" in kinds or "FA" in kinds)
     names = {slot: info["name"] for slot, info in finding.recognized.items()}
     verdicts = []
     for directive in rule.checks:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Iterator, Optional
+from typing import Optional
 
 from .lexer import strip_comments
 from .nodes import (
@@ -52,10 +52,21 @@ def index_contracts(units) -> dict[str, list[ContractDef]]:
     return index
 
 
-def iter_calls(expr: Expression) -> Iterator[Expression]:
-    for node in expr.walk():
+def iter_calls(expr: Expression) -> list[Expression]:
+    """Every call in ``expr`` in pre-order: a call before its callee and arguments."""
+    calls = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         if node.kind == "call":
-            yield node
+            calls.append(node)
+        if node.args:
+            for arg in reversed(node.args):
+                if arg is not None:
+                    stack.append(arg)
+        if node.callee is not None:
+            stack.append(node.callee)
+    return calls
 
 
 def call_name(call: Expression) -> str:

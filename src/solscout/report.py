@@ -8,14 +8,14 @@ as a single false positive no matter how many functions were flagged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-
-import yaml
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import TruthMismatch
+from .rules import load_yaml
 
 REPORT_SCHEMA_VERSION = 1
+_INF = float("inf")
 
 
 @dataclass
@@ -38,12 +38,6 @@ class Finding:
     def locator(self) -> str:
         return f"{self.file}:{self.contract}.{self.function}"
 
-    def evidence_spans(self) -> list:
-        spans = []
-        for verdict in self.check_verdicts:
-            spans.extend(tuple(span) for span in verdict.evidence)
-        return spans
-
 
 @dataclass
 class GroundTruth:
@@ -53,7 +47,7 @@ class GroundTruth:
     @classmethod
     def load(cls, path: str) -> "GroundTruth":
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = load_yaml(fh)
         if not isinstance(data, dict) or not isinstance(data.get("projects"), list):
             raise TruthMismatch(f"{path}: expected a top-level 'projects' list")
         truth = cls()
@@ -245,10 +239,85 @@ def emit_report(findings: list, ledger: CostLedger, fmt: str, meta: dict | None 
                 "skipped": sum(1 for f in findings if f.verdict == "skipped"),
             },
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(doc) + "\n"
     if fmt == "markdown":
         return _markdown_report(findings, ledger, meta)
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for str keys.
+
+    With ``indent`` set, ``json.dumps`` takes its generator-based
+    pure-Python encoder. This writer appends every piece of the document
+    to one list and joins it once; strings go through the C string
+    encoder. Punctuation and encoded keys are shared strings, so the
+    list's pieces take less memory than the encoder's.
+    """
+    out: list = []
+    _write_json(doc, 0, out, {})
+    return "".join(out)
+
+
+def _punctuation(depth: int) -> tuple:
+    """(open list, open dict, separator, close list, close dict) of a container at ``depth``."""
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
+
+
+_PUNCTUATION = tuple(_punctuation(depth) for depth in range(8))
+
+
+def _write_json(value, depth: int, out: list, keys: dict) -> None:
+    """Append ``value``, a container's contents indented one level past ``depth``.
+
+    ``keys`` maps each dict key written so far to its encoded text.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        open_list, open_dict, comma, close_list, close_dict = (
+            _PUNCTUATION[depth] if depth < len(_PUNCTUATION) else _punctuation(depth))
+        if isinstance(value, dict):
+            sep = open_dict
+            for key, item in sorted(value.items()):
+                text = keys.get(key)
+                if text is None:
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    text = keys[key] = _encode_str(key) + ": "
+                out += (sep, text)
+                _write_json(item, depth + 1, out, keys)
+                sep = comma
+            out.append(close_dict)
+        else:
+            sep = open_list
+            for item in value:
+                out.append(sep)
+                _write_json(item, depth + 1, out, keys)
+                sep = comma
+            out.append(close_list)
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        elif value in (_INF, -_INF):
+            out.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _markdown_report(findings: list, ledger: CostLedger, meta: dict) -> str:

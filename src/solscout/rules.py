@@ -27,6 +27,15 @@ EXPECTATIONS = {
 }
 SCHEMA_VERSION = 1
 
+# libyaml's loader when PyYAML was built with it: the same data, about 8x
+# faster on the shipped rules; its error messages are worded differently
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(stream):
+    """``yaml.safe_load``, through libyaml when PyYAML has it."""
+    return yaml.load(stream, Loader=_SAFE_LOADER)
+
 
 @dataclass(frozen=True)
 class ContextPolicy:
@@ -235,7 +244,7 @@ def read_rule(path: str) -> VulnRule:
     """Read and validate one rule file; a YAML error is a ``RuleParseError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = load_yaml(fh)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             reason = (str(exc) if mark is None

@@ -73,3 +73,13 @@ def write_transcript(config: ScanConfig, answers: ScriptedAnswers, path: str) ->
     transcript = build_transcript(config, answers)
     transcript.save(path)
     return transcript
+
+
+def edge_set(graph) -> set:
+    """Every (source node, target node) edge of a ``DefUseGraph``."""
+    return {(src, dst) for src, outs in graph.edges_out.items() for dst in outs}
+
+
+def evidence_spans(finding) -> list:
+    """The evidence spans of a finding's check verdicts, in verdict order."""
+    return [tuple(span) for verdict in finding.check_verdicts for span in verdict.evidence]

@@ -23,7 +23,8 @@ from solscout.rules import ContextPolicy, load_rules, shipped_rules_dir
 
 from conftest import fixture_path
 from corpus import build_corpus, write_corpus
-from helpers import ScriptedAnswers, corpus_answers, replay_config, write_transcript
+from helpers import (ScriptedAnswers, corpus_answers, evidence_spans, replay_config,
+                     write_transcript)
 from test_pipeline import first_deposit_answers, checkpoint_order_answers
 from test_report import make_finding, truth_from
 
@@ -54,7 +55,7 @@ def test_criterion_1_first_deposit_detection(tmp_path):
     finding = confirmed[0]
     assert finding.rule_id == "risky-first-deposit"
     assert finding.function == "deposit"
-    spans = finding.evidence_spans()
+    spans = evidence_spans(finding)
     assert (8, 8) in spans and (9, 9) in spans  # the zero-supply branch
     assert elapsed < 5.0
 

@@ -1,8 +1,14 @@
+import copy
+import dataclasses
 import itertools
+import os
 import random
+import sys
 
 import pytest
 
+from solscout import confirm as confirm_module
+from solscout import pipeline
 from solscout.callgraph import assemble_context, build_call_graph, compute_reachability
 from solscout.confirm import (
     DefUseGraph,
@@ -13,12 +19,18 @@ from solscout.confirm import (
     check_value_comparison,
     confirm_candidate,
 )
-from solscout.frontend import enumerate_functions, index_contracts, parse_text
+from solscout.frontend import (call_name, enumerate_functions, index_contracts, iter_calls,
+                               parse_text, used_names)
 from solscout.gateway import estimate_tokens
+from solscout.pipeline import scan
 from solscout.report import Finding
 from solscout.rules import ContextPolicy, load_rules, rule_for_id, shipped_rules_dir
 
-from conftest import fixture_path
+from conftest import ROOT, fixture_path
+from corpus import build_corpus, write_corpus
+from helpers import (build_transcript, corpus_answers, edge_set, evidence_spans,
+                     replay_config)
+from test_pipeline import checkpoint_order_answers, first_deposit_answers
 
 
 def make_context(src, focus_name, include_callers=True, path="mem.sol"):
@@ -62,8 +74,8 @@ def test_def_use_two_step_chain():
     )
     graph = build_def_use(ctx)
     fid = ctx.focus_id
-    assert ((fid, "_amount"), (fid, "s")) in graph.edge_set()
-    assert ((fid, "s"), (fid, "shares")) in graph.edge_set()
+    assert ((fid, "_amount"), (fid, "s")) in edge_set(graph)
+    assert ((fid, "s"), (fid, "shares")) in edge_set(graph)
     verdict = check_dataflow("_amount", "shares", graph)
     assert verdict.present
 
@@ -94,7 +106,7 @@ def test_def_use_free_variables_and_edge_set_oracle():
         ((fid, "z"), (fid, "m")),
         ((fid, "k"), (fid, "m")),
     }
-    assert graph.edge_set() == expected
+    assert edge_set(graph) == expected
     assert (fid, "y") in graph.occurrences  # free occurrence is still a node
 
 
@@ -107,7 +119,7 @@ def test_def_use_call_argument_binding():
     graph = build_def_use(ctx)
     fid = ctx.focus_id
     mint_fid = next(fid2 for fid2, fn in ctx.records if fn.name == "_mint")
-    assert ((fid, "amount"), (mint_fid, "value")) in graph.edge_set()
+    assert ((fid, "amount"), (mint_fid, "value")) in edge_set(graph)
     assert check_dataflow("amount", "balances", graph).present
 
 
@@ -400,7 +412,7 @@ def test_confirm_first_deposit_candidate_confirmed():
     finding = finding_for(ctx, rule.id, rfd_recognition())
     confirm_candidate(finding, rule, ctx, reach)
     assert finding.verdict == "confirmed"
-    spans = finding.evidence_spans()
+    spans = evidence_spans(finding)
     assert (8, 8) in spans and (9, 9) in spans
 
 
@@ -489,3 +501,127 @@ def test_evidence_soundness_on_first_deposit():
                 finding.recognized[slot]["name"] in snippet
                 for slot in verdict.slots
             ), (verdict.kind, snippet)
+
+
+# ----------------------------------------------------------------------
+# the rule-driven graph against the full one
+
+
+def _confirmations(monkeypatch, run) -> list:
+    """(finding, rule, context, reach) of every confirmation ``run()`` makes."""
+    seen = []
+    original = pipeline.confirm_candidate
+
+    def recording(finding, rule, context, reach):
+        seen.append((copy.copy(finding), rule, context, reach))
+        return original(finding, rule, context, reach)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "confirm_candidate", recording)
+        run()
+    return seen
+
+
+def _outcome(finding, rule, context, reach) -> tuple:
+    done = confirm_candidate(copy.copy(finding), rule, context, reach)
+    return done.verdict, done.check_verdicts
+
+
+GUARDED_HELPERS = """contract K {
+    mapping(address => uint) stakes;
+    uint rate;
+    function update(address user) internal { require(user != address(0), "zero"); rate = rate + 1; }
+    function move(address from, uint amount) internal { stakes[from] -= amount; update(from); }
+    function withdraw(uint amount) public { require(amount > 0, "amount"); move(msg.sender, amount); }
+    function sweep(address from) external { if (stakes[from] > rate) { move(from, stakes[from]); } }
+}"""
+
+
+def _renamed(finding, context, reach, rules, rng) -> list:
+    """Confirmations of ``rules`` on one context, each slot naming a random
+    statement, used name or call name of any function in the context."""
+    stmts = [stmt for _fid, fn in context.records for stmt in fn.statements()]
+    exprs = [expr for stmt in stmts for expr in stmt.expressions()]
+    pool = sorted({stmt.raw for stmt in stmts}
+                  | {name for expr in exprs for name in used_names(expr)}
+                  | {call_name(call) for expr in exprs for call in iter_calls(expr)})
+    out = []
+    for rule in rules:
+        for _ in range(4):
+            named = {slot: {"name": rng.choice(pool), "description": ""}
+                     for slot in rule.recognition.slots}
+            out.append((dataclasses.replace(finding, recognized=named), rule, context, reach))
+    return out
+
+
+def test_a_rule_driven_graph_confirms_as_the_full_graph(monkeypatch, tmp_path):
+    """Confirming with the graph each rule's checks need gives the verdicts,
+    evidence and details of the full graph: on every confirmation of the
+    fixtures, the demo, the acceptance corpus and the seed-7 ``dense-graph``
+    corpus, and on those contexts with other names in the slots of the rules
+    without DF or FA (inlined callees, conditions in callers and callees)."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import generate
+
+    def fixtures():
+        for fixture, answers in (("first_deposit", first_deposit_answers()),
+                                 ("first_deposit_patched", first_deposit_answers()),
+                                 ("checkpoint_order", checkpoint_order_answers()),
+                                 ("checkpoint_order_patched", checkpoint_order_answers())):
+            build_transcript(replay_config(fixture_path(fixture), ""), answers)
+
+    def demo():
+        demo_root = os.path.join(ROOT, "demo")
+        scan(replay_config(os.path.join(demo_root, "project"),
+                           os.path.join(demo_root, "transcript.jsonl")))
+
+    def acceptance():
+        cases = build_corpus(variants=3)
+        write_corpus(str(tmp_path / "corpus"), cases)
+        build_transcript(replay_config(str(tmp_path / "corpus"), ""), corpus_answers(cases))
+
+    seen = []
+    for run in (fixtures, demo, acceptance):
+        found = _confirmations(monkeypatch, run)
+        assert found, run
+        seen += found
+    dense = _confirmations(
+        monkeypatch, lambda: generate.generate("dense-graph", 7, str(tmp_path / "dense")))
+    assert sum(1 for _f, rule, _c, _r in dense if rule.id == "wrong-checkpoint-order") == 960
+    kinds = {kind for _f, rule, _c, _r in seen + dense for kind in rule.check_kinds}
+    assert kinds == {"DF", "VC", "OC", "FA"}
+
+    rng = random.Random(7)
+    lean_rules = [rule for rule in load_rules(shipped_rules_dir())
+                  if not {"DF", "FA"} & set(rule.check_kinds)]
+    contexts = [(finding, context, reach)
+                for finding, _rule, context, reach in seen + rng.sample(dense, 60)]
+    for focus in ("update", "move", "withdraw"):
+        context, _graph, reach = make_context(GUARDED_HELPERS, focus)
+        contexts.append((finding_for(context, "", {}), context, reach))
+    renamed = [args for finding, context, reach in contexts
+               for args in _renamed(finding, context, reach, lean_rules, rng)]
+    seen += dense + renamed
+
+    lean_graphs = []
+    full = confirm_module.build_def_use
+
+    def recording(context, names=True):
+        graph = full(context, names)
+        lean_graphs.append((context, names, graph))
+        return graph
+
+    with monkeypatch.context() as patch:
+        patch.setattr(confirm_module, "build_def_use", recording)
+        lean = [_outcome(*args) for args in seen]
+    with monkeypatch.context() as patch:
+        patch.setattr(confirm_module, "build_def_use", lambda context, names=True: full(context))
+        assert [_outcome(*args) for args in seen] == lean
+    assert {verdict for verdict, _checks in lean[-len(renamed):]} == {"confirmed", "rejected"}
+
+    assert len(lean_graphs) == len(seen)
+    for (_f, rule, _c, _r), (context, names, graph) in zip(seen, lean_graphs):
+        assert names == bool({"DF", "FA"} & set(rule.check_kinds)), rule.id
+        if not names:  # no name graph, and call sites of the focus only
+            assert not graph.occurrences and not graph.edges_out and not graph.edges_in
+            assert {fid for fid, *_rest in graph.calls} <= {context.focus_id}

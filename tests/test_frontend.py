@@ -14,6 +14,7 @@ from solscout.frontend import (
     LineIndex,
     SourceFile,
     enumerate_functions,
+    iter_calls,
     parse_source,
     parse_text,
     strip_comments,
@@ -996,3 +997,27 @@ def test_threads_reading_deferred_bodies_at_once_parse_each_once(monkeypatch):
     for statements in zip(*bodies):
         assert all(body is statements[0] for body in statements)
     assert parses == {fn.name: 1 for fn in unit.functions}
+
+
+NESTED_CALLS = """contract N {
+    function f(uint x) public {
+        (uint a, , uint b) = t(u(x), v());
+        f(g(1), h(k(2)).m(3))[i(4)] = p(q(r(5)) + s(6)) ? w(7) : y(z(8));
+        require(ok(x), string(abi.encodePacked("x", name(x))));
+    }
+}"""
+
+
+def test_iter_calls_lists_calls_in_the_order_of_a_pre_order_walk():
+    """On every expression of the acceptance corpus, at every depth."""
+    sources = [(case.source, case.filename) for case in build_corpus(variants=3)]
+    seen = 0
+    for text, path in sources + [(NESTED_CALLS, "N.sol")]:
+        for fn in enumerate_functions(parse_text(text, path)):
+            for stmt in fn.statements():
+                for top in stmt.expressions():
+                    for expr in top.walk():
+                        calls = iter_calls(expr)
+                        assert calls == [n for n in expr.walk() if n.kind == "call"]
+                        seen += len(calls)
+    assert seen > 60

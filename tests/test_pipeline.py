@@ -30,6 +30,7 @@ from helpers import (
     ScriptedAnswers,
     corpus_answers,
     build_transcript,
+    evidence_spans,
     replay_config,
     scripted_answerer,
     write_transcript,
@@ -81,7 +82,7 @@ def test_first_deposit_replay_confirms_exactly_one_finding(tmp_path):
     finding = confirmed[0]
     assert finding.rule_id == "risky-first-deposit"
     assert finding.contract == "YaxisVault" and finding.function == "deposit"
-    spans = finding.evidence_spans()
+    spans = evidence_spans(finding)
     assert (8, 8) in spans and (9, 9) in spans
 
 

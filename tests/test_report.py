@@ -15,6 +15,7 @@ from solscout.report import (
     count_kloc,
     derive_rates,
     emit_report,
+    json_text,
     score,
     summarize_cost,
 )
@@ -252,3 +253,34 @@ def test_emit_json_is_deterministic_and_sorted():
     assert doc1 == doc2
     parsed = json.loads(doc1)
     assert [f["rule_id"] for f in parsed["findings"]] == ["aa", "zz"]
+
+
+JSON_ODD_DOC = {
+    "text": ["plain", "héllo wörld ☃ 😀  ", "\x00\x01\x1f\x7f", "\"quoted\" back\\slash /",
+             "tab\tnew\nline\rcr\b\f", ""],
+    "empty": [[], {}, [[]], {"inner": {}}, ([],), ()],
+    "tuples": (1, (2, (3, "x")), []),
+    "floats": [0.1, 1e-07, 1e16, -0.0, 0.0, 2.5, 1e308, 5e-324, float("nan"), float("inf"),
+               -float("inf")],
+    "ints": [0, -1, 10**30, -(10**40), 2**63],
+    "constants": [True, False, None],
+    "keys": {"b": 1, "a": 2, "": 3, "ä": 4, "A": 5, "\n": 6},
+    "nested": {"z": [{"y": [1, {"x": None}]}], "a": {"b": {"c": {"d": []}}}},
+    "deep": [[[[[[[[[[{"x": [1, {"y": "z"}]}]]]]]]]]]],
+}
+
+
+def test_the_json_writer_matches_json_dumps_byte_for_byte():
+    """``json_text`` is ``json.dumps(..., indent=2, sort_keys=True)`` for every report value."""
+    for doc in (JSON_ODD_DOC, JSON_ODD_DOC["text"], {}, [], "s", 1, 1.5, None, True,
+                float("nan")):
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+    findings = [make_finding(), make_finding(rule_id="slippage", verdict="rejected")]
+    findings[1].excerpt = "function f() { emit E(\"é\\n\"); }\n\t// ☃"
+    ledger = CostLedger(total_seconds=0.1, tokens_in=3, total_usd=1e-07, kloc=1e16)
+    meta = {"project_root": "/p/é", "stats": {"confirmed": 1}, "parse_failures": []}
+    text = emit_report(findings, ledger, "json", meta)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    for bad in (object(), {"a": {2, 3}}, {1: "int key"}, {None: "null key"}):
+        with pytest.raises(TypeError):
+            json_text(bad)

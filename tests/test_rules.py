@@ -1,12 +1,16 @@
+import re
+
 import pytest
 import yaml
 
+from solscout import rules as rules_module
 from solscout.errors import RuleNotFound, RuleParseError
 from solscout.rules import (
     ContextPolicy,
     load_rules,
     parse_rule,
     rule_for_id,
+    rule_paths,
     shipped_rules_dir,
 )
 
@@ -136,3 +140,29 @@ def test_load_is_deterministic(tmp_path):
     second = load_rules(str(tmp_path))
     assert [r.id for r in first] == [r.id for r in second]
     assert first[0].filters[0].payload == second[0].filters[0].payload
+
+
+# the pure-Python loader, and libyaml's when PyYAML was built with it
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def test_shipped_rules_load_equal_under_both_yaml_loaders(monkeypatch):
+    expected = load_rules(shipped_rules_dir())
+    for path in rule_paths(shipped_rules_dir()):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        data = [yaml.load(text, Loader=loader) for loader in LOADERS]
+        assert all(other == data[0] for other in data), path
+    for loader in LOADERS:
+        monkeypatch.setattr(rules_module, "_SAFE_LOADER", loader)
+        assert load_rules(shipped_rules_dir()) == expected
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_a_yaml_error_names_its_line_and_column(monkeypatch, tmp_path, loader):
+    monkeypatch.setattr(rules_module, "_SAFE_LOADER", loader)
+    (tmp_path / "broken.yaml").write_text("schema: 1\nid: [1, 2\n", encoding="utf-8")
+    with pytest.raises(RuleParseError) as exc:
+        load_rules(str(tmp_path))
+    assert exc.value.field == "<yaml>"
+    assert re.fullmatch(r"line \d+, column \d+: \S.*", exc.value.reason)
