@@ -56,12 +56,15 @@ class CallGraph:
 
     Edges are added through ``add_edge`` only, which also keeps the
     callee and caller indexes: each neighbour listed once, in the order
-    of its first edge.
+    of its first edge. ``sites`` keeps every named call of each walked
+    body, in body order, with the function it resolved to: the one
+    resolution that the edges and static confirmation both read.
     """
 
     nodes: list = field(default_factory=list)  # function ids
     edges: list = field(default_factory=list)  # (caller id, callee id, seq)
     unresolved: list = field(default_factory=list)  # (caller id, name, arity)
+    sites: dict = field(default_factory=dict)  # id -> [(stmt, call, FunctionRecord or None)]
     functions: dict = field(default_factory=dict)  # id -> FunctionRecord
     _ids: dict = field(default_factory=dict)  # id(record) -> id
     _callees: dict = field(default_factory=dict)  # id -> {callee id: None}
@@ -141,12 +144,12 @@ def build_call_graph(functions: list, contracts_by_name: dict,
         global_index.setdefault(key, []).append(fn)
 
     def calls_of(fn: FunctionRecord) -> list:
-        """(seq, name, arity, resolved target or None) per call, in body order."""
+        """(statement, call, resolved target or None) per named call, in body order."""
         chain = _linearized_contracts(fn, contracts_by_name)
         own_first = (chain, global_index)
         bases_only = ([c for c in chain if c is not fn.contract_def], {})
         return [
-            (stmt.seq, name, len(call.args),
+            (stmt, call,
              _resolve(name, len(call.args), by_contract,
                       *(bases_only if _calls_super(call) else own_first)))
             for stmt in fn.statements()
@@ -155,33 +158,32 @@ def build_call_graph(functions: list, contracts_by_name: dict,
             if (name := call_name(call))
         ]
 
-    calls: dict[int, list] = {}  # id(fn) -> calls_of(fn), for the walked bodies
+    sites = graph.sites
     if every_body:
         for fn in functions:
-            calls[id(fn)] = calls_of(fn)
+            sites[ids[id(fn)]] = calls_of(fn)
     else:
         reached = [fn for fn in functions if fn.is_entry_point]
         seen = {id(fn) for fn in reached}
         for fn in reached:  # grows while it is walked
-            calls[id(fn)] = found = calls_of(fn)
-            for _seq, _name, _arity, target in found:
+            sites[ids[id(fn)]] = found = calls_of(fn)
+            for _stmt, _call, target in found:
                 if target is not None and id(target) not in seen:
                     seen.add(id(target))
                     reached.append(target)
         names = {fn.name for fn in reached}
         for fn in functions:
-            if id(fn) not in calls and fn.has_body and (
+            if ids[id(fn)] not in sites and fn.has_body and (
                     fn.body_names is None or not names.isdisjoint(fn.body_names)):
-                calls[id(fn)] = calls_of(fn)
+                sites[ids[id(fn)]] = calls_of(fn)
 
     seen_edges = set()
-    for fn in functions:
-        caller_id = ids[id(fn)]
-        for seq, name, arity, target in calls.get(id(fn), ()):
+    for caller_id in graph.nodes:  # function order
+        for stmt, call, target in sites.get(caller_id, ()):
             if target is None:
-                graph.unresolved.append((caller_id, name, arity))
+                graph.unresolved.append((caller_id, call_name(call), len(call.args)))
                 continue
-            edge = (caller_id, ids[id(target)], seq)
+            edge = (caller_id, ids[id(target)], stmt.seq)
             if edge not in seen_edges:
                 seen_edges.add(edge)
                 graph.add_edge(*edge)
@@ -253,6 +255,7 @@ class CodeContext:
     callers: list = field(default_factory=list)  # included caller ids
     callees: list = field(default_factory=list)  # included callee ids
     records: list = field(default_factory=list)  # (fid, FunctionRecord), focus first
+    sites: dict = field(default_factory=dict)  # fid -> the graph's call sites of that record
     text: str = ""
     token_estimate: int = 0
 
@@ -262,7 +265,9 @@ def assemble_context(focus: FunctionRecord, graph: CallGraph, policy,
     """Focus + direct callees + direct callers, as the ``ContextPolicy`` permits.
 
     Neighbors are appended greedily until the budget would be exceeded;
-    the focus function itself is never truncated.
+    the focus function itself is never truncated. Each record brings its
+    call sites from the graph: the focus is reachable, so its body and
+    its callees' were walked, and a caller was walked to find its edge.
     """
     fid = graph.id_of(focus)
     focus_text = focus.source()
@@ -272,6 +277,7 @@ def assemble_context(focus: FunctionRecord, graph: CallGraph, policy,
 
     ctx = CodeContext(focus=focus, focus_id=fid)
     ctx.records.append((fid, focus))
+    ctx.sites[fid] = graph.sites[fid]
     parts = [focus_text]
 
     neighbor_ids = []
@@ -295,6 +301,7 @@ def assemble_context(focus: FunctionRecord, graph: CallGraph, policy,
         included.add(nid)
         parts.append(text)
         ctx.records.append((nid, record))
+        ctx.sites[nid] = graph.sites[nid]
         (ctx.callees if role == "callee" else ctx.callers).append(nid)
 
     ctx.text = "\n\n".join(parts)

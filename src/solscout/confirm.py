@@ -6,8 +6,11 @@ comparison in conditions (VC), statement execution order (OC), and
 user-controlled call arguments (FA). Everything is path-insensitive: a
 dependency or ordering on any syntactic path counts.
 
-``build_def_use`` is the one walk over a context's statements; the
-checks read its call sites and conditions. It builds the name graph
+Calls are resolved once, by the call graph: a context carries each
+record's call sites with the function each resolved to, and a call
+counts as context-internal when that function is a record of the
+context. ``build_def_use`` is the one walk over a context's statements;
+the checks read its call sites and conditions. It builds the name graph
 only for a rule with a DF or FA check, the only two that read it. A
 check reports only whether its relation is present;
 ``confirm_candidate`` applies the directive's expectation and builds
@@ -23,10 +26,10 @@ from typing import NamedTuple
 
 from .callgraph import CodeContext, ReachabilitySet
 from .frontend import (
+    FunctionRecord,
     Statement,
     call_name,
     contains_identifier,
-    iter_calls,
     target_names,
     used_names,
 )
@@ -134,16 +137,17 @@ class DefUseGraph:
 
 
 def build_def_use(context: CodeContext, names: bool = True) -> DefUseGraph:
-    """One walk of the context; a call resolves to its unique (name, arity) match.
+    """One walk of the context over the call graph's resolved call sites.
 
+    Confirmation resolves no call itself: each call keeps the target
+    ``callgraph.build_call_graph`` resolved it to, when that target is a
+    record of the context, and is unresolved here otherwise.
     ``names=False`` is for rules with no DF or FA check: the name graph
     stays empty and only the focus function's call sites are recorded,
     which is all OC reads. Conditions and statements are always kept.
     """
     graph = DefUseGraph()
-    call_index: dict[tuple, list] = {}
-    for fid, fn in context.records:
-        call_index.setdefault((fn.name, fn.arity), []).append((fid, fn))
+    in_context = {fn: (fid, fn) for fid, fn in context.records}
     for fid, fn in context.records:
         walks_calls = names or fid == context.focus_id
         if names:
@@ -151,22 +155,18 @@ def build_def_use(context: CodeContext, names: bool = True) -> DefUseGraph:
             for _ptype, pname in fn.params:
                 if pname:
                     graph.add_occurrence((fid, pname), header_span)
-        for stmt in fn.statements():
+        for stmt, sites in _statement_sites(fn, context.sites[fid]):
             if stmt.kind in _CONDITION_KINDS and stmt.condition is not None:
                 graph.conditions.append((fn, stmt.condition))
             if stmt.kind not in _CONTAINER_KINDS:
                 graph.statements.append(stmt)
             if not walks_calls:
                 continue
-            calls = []
-            for expr in stmt.expressions():
-                calls += iter_calls(expr)
             if names:
                 span = stmt.span
                 _add_statement_flow(graph, fid, stmt, span)
-            for call in calls:
-                hits = call_index.get((call_name(call), len(call.args)), ())
-                resolved = hits[0] if len(hits) == 1 else None
+            for _stmt, call, target in sites:
+                resolved = in_context.get(target)
                 graph.calls.append((fid, fn, stmt, call, resolved))
                 if resolved is None or not names:
                     continue
@@ -177,6 +177,17 @@ def build_def_use(context: CodeContext, names: bool = True) -> DefUseGraph:
                         for src in used_names(arg):
                             graph.add_edge((fid, src), (callee_fid, pname), span)
     return graph
+
+
+def _statement_sites(fn: FunctionRecord, sites: list):
+    """Each statement of ``fn`` with its slice of ``fn``'s sites, listed in statement order."""
+    i = 0
+    for stmt in fn.statements():
+        j = i
+        while j < len(sites) and sites[j][0] is stmt:
+            j += 1
+        yield stmt, sites[i:j]
+        i = j
 
 
 def _add_statement_flow(graph: DefUseGraph, fid: str, stmt: Statement, span: tuple) -> None:
@@ -245,33 +256,33 @@ def _ordered_statements(context: CodeContext, graph: DefUseGraph) -> list:
     """Focus statements with one level of context-internal call inlining.
 
     Inlined callee statements inherit an order key just after their call
-    site, so order checks see through local helper functions.
+    site, so order checks see through local helper functions. Each
+    statement comes with its call sites from the graph.
     """
     focus_id = context.focus_id
-    inlined: dict[int, list] = {}  # focus statement seq -> callees, call order
+    inlined: dict[int, list] = {}  # focus statement seq -> (callee fid, callee), call order
     for fid, _fn, stmt, _call, resolved in graph.calls:
         if fid == focus_id and resolved is not None and resolved[0] != focus_id:
-            inlined.setdefault(stmt.seq, []).append(resolved[1])
+            inlined.setdefault(stmt.seq, []).append(resolved)
     out = []
-    for stmt in context.focus.statements():
-        out.append(((stmt.seq, 0, 0), stmt))
-        for rank, callee in enumerate(inlined.get(stmt.seq, ()), 1):
-            out += [((stmt.seq, rank, inner.seq), inner) for inner in callee.statements()]
+    for stmt, sites in _statement_sites(context.focus, context.sites[focus_id]):
+        out.append(((stmt.seq, 0, 0), stmt, sites))
+        for rank, (callee_fid, callee) in enumerate(inlined.get(stmt.seq, ()), 1):
+            out += [((stmt.seq, rank, inner.seq), inner, inner_sites)
+                    for inner, inner_sites in _statement_sites(callee, context.sites[callee_fid])]
     return out
 
 
-def _statement_matches(stmt: Statement, descriptor: str) -> bool:
+def _statement_matches(stmt: Statement, sites: list, descriptor: str) -> bool:
+    """Whether ``stmt``, with its call ``sites``, matches ``descriptor``."""
     if stmt.kind in _CONTAINER_KINDS:
         return False
     desc = descriptor.strip().rstrip(";").strip()
     if not desc:
         return False
     if _IDENT_RE.match(desc):
-        for expr in stmt.expressions():
-            for call in iter_calls(expr):
-                if call_name(call) == desc:
-                    return True
-        return contains_identifier(stmt.raw, desc)
+        return (any(call_name(call) == desc for _stmt, call, _target in sites)
+                or contains_identifier(stmt.raw, desc))
     return _collapse(desc) in _collapse(stmt.raw)
 
 
@@ -285,8 +296,8 @@ def check_order(first: str, second: str, context: CodeContext,
     ordered = _ordered_statements(context, graph)
 
     def resolve(descriptor: str):
-        return next(((key, stmt) for key, stmt in ordered
-                     if _statement_matches(stmt, descriptor)), None)
+        return next(((key, stmt) for key, stmt, sites in ordered
+                     if _statement_matches(stmt, sites, descriptor)), None)
 
     first_hit = resolve(first)
     second_hit = resolve(second)

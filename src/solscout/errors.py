@@ -31,10 +31,6 @@ class RuleParseError(SolscoutError):
         super().__init__(f"{path}: field '{field}': {reason}")
 
 
-class RuleNotFound(SolscoutError):
-    """No loaded rule has the requested id."""
-
-
 class ContextOverflow(SolscoutError):
     """The focus function alone exceeds the context token budget."""
 

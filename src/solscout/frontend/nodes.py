@@ -70,14 +70,6 @@ class Expression:
     def raw(self) -> str:
         return self.src.text[self.start : self.end]
 
-    def walk(self) -> Iterator["Expression"]:
-        yield self
-        if self.callee is not None:
-            yield from self.callee.walk()
-        for a in self.args:
-            if a is not None:
-                yield from a.walk()
-
 
 @dataclass(slots=True)
 class Statement:

@@ -42,10 +42,6 @@ SYSTEM_PROMPT = (
 )
 
 
-def system_prompt() -> str:
-    return SYSTEM_PROMPT
-
-
 def estimate_tokens(text: str) -> int:
     """Deterministic budget estimator: ceil(utf-8 bytes / 4)."""
     if not text:

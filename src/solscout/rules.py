@@ -15,7 +15,7 @@ from importlib import resources
 
 import yaml
 
-from .errors import RuleNotFound, RuleParseError
+from .errors import RuleParseError
 
 FILTER_KINDS = {"FNK", "FCE", "FCNE", "FCCE", "FCNCE", "FPT", "FPNC", "FNM", "CFN"}
 CHECK_KINDS = {"DF", "VC", "OC", "FA"}
@@ -76,10 +76,6 @@ class VulnRule:
     checks: list
     context_policy: ContextPolicy
     recognition: RecognitionSpec
-
-    @property
-    def filter_kinds(self) -> list:
-        return [f.kind for f in self.filters]
 
     @property
     def check_kinds(self) -> list:
@@ -271,13 +267,6 @@ def load_rules(rule_dir: str) -> list:
     rules = [read_rule(path) for path in paths]
     check_unique_ids(paths, rules)
     return sorted(rules, key=lambda r: r.id)
-
-
-def rule_for_id(rules: list, rule_id: str) -> VulnRule:
-    for rule in rules:
-        if rule.id == rule_id:
-            return rule
-    raise RuleNotFound(rule_id)
 
 
 def shipped_rules_dir() -> str:

@@ -8,8 +8,10 @@ the real hash-keyed lookup path.
 from __future__ import annotations
 
 from solscout.config import ScanConfig
-from solscout.gateway import (LlmGateway, ProviderConfig, Transcript, render_recognition_answer,
-                              render_scenario_answer, render_yes_no, scripted)
+from solscout.errors import SolscoutError
+from solscout.gateway import (SYSTEM_PROMPT, LlmGateway, ProviderConfig, Transcript,
+                              render_recognition_answer, render_scenario_answer, render_yes_no,
+                              scripted)
 from solscout.pipeline import scan
 from solscout.rules import load_rules
 
@@ -83,3 +85,33 @@ def edge_set(graph) -> set:
 def evidence_spans(finding) -> list:
     """The evidence spans of a finding's check verdicts, in verdict order."""
     return [tuple(span) for verdict in finding.check_verdicts for span in verdict.evidence]
+
+
+class RuleNotFound(SolscoutError):
+    """No loaded rule has the requested id."""
+
+
+def rule_for_id(rules: list, rule_id: str):
+    for rule in rules:
+        if rule.id == rule_id:
+            return rule
+    raise RuleNotFound(rule_id)
+
+
+def filter_kinds(rule) -> list:
+    """The kinds of a rule's filter directives, in rule order."""
+    return [f.kind for f in rule.filters]
+
+
+def system_prompt() -> str:
+    return SYSTEM_PROMPT
+
+
+def walk_expression(expr):
+    """``expr`` and every expression below it, in pre-order."""
+    yield expr
+    if expr.callee is not None:
+        yield from walk_expression(expr.callee)
+    for arg in expr.args:
+        if arg is not None:
+            yield from walk_expression(arg)

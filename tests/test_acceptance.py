@@ -23,8 +23,8 @@ from solscout.rules import ContextPolicy, load_rules, shipped_rules_dir
 
 from conftest import fixture_path
 from corpus import build_corpus, write_corpus
-from helpers import (ScriptedAnswers, corpus_answers, evidence_spans, replay_config,
-                     write_transcript)
+from helpers import (ScriptedAnswers, corpus_answers, evidence_spans, filter_kinds,
+                     replay_config, write_transcript)
 from test_pipeline import first_deposit_answers, checkpoint_order_answers
 from test_report import make_finding, truth_from
 
@@ -346,7 +346,7 @@ def test_criterion_9_rule_conformance():
     assert set(by_id) == set(TABLE_EXPECTED)
     for rule_id, (filters, checks) in TABLE_EXPECTED.items():
         rule = by_id[rule_id]
-        assert rule.filter_kinds == filters, rule_id
+        assert filter_kinds(rule) == filters, rule_id
         assert rule.check_kinds == checks, rule_id
         assert rule.scenarios and rule.property
     _passed(9, "all ten rules load; (filters, checks) match row-for-row")

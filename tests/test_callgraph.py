@@ -8,7 +8,7 @@ from solscout.callgraph import (
     compute_reachability,
 )
 from solscout.errors import ContextOverflow
-from solscout.frontend import enumerate_functions, index_contracts, parse_text
+from solscout.frontend import call_name, enumerate_functions, index_contracts, parse_text
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import prepare_scan
 from solscout.rules import ContextPolicy
@@ -438,3 +438,21 @@ def test_the_scans_graph_matches_the_full_graph_on_what_it_reaches(sample_projec
                 == [full.graph.id_of(fn) for fn in full.scannable])
         unparsed += sum(fn.has_body and fn.parsed_body is None for fn in scan_side.functions)
     assert unparsed >= 80  # the four filler files
+
+
+def test_call_sites_are_the_edges_and_unresolved_calls_of_each_walked_body(sample_projects):
+    """Each site's target is an edge, or the call is unresolved; nothing else is."""
+    for root in sample_projects:
+        config = replay_config(root, "")
+        for prepared in (prepare_scan(config, every_body=True), prepare_scan(config)):
+            graph = prepared.graph
+            edges, unresolved = set(), []
+            for fid in graph.nodes:
+                for stmt, call, target in graph.sites.get(fid, ()):
+                    assert stmt.start <= call.start < call.end <= stmt.end
+                    if target is None:
+                        unresolved.append((fid, call_name(call), len(call.args)))
+                    else:
+                        edges.add((fid, graph.id_of(target), stmt.seq))
+            assert sorted(edges) == sorted(graph.edges), root
+            assert unresolved == graph.unresolved, root

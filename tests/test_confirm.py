@@ -24,22 +24,24 @@ from solscout.frontend import (call_name, enumerate_functions, index_contracts, 
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import scan
 from solscout.report import Finding
-from solscout.rules import ContextPolicy, load_rules, rule_for_id, shipped_rules_dir
+from solscout.rules import ContextPolicy, load_rules, shipped_rules_dir
 
 from conftest import ROOT, fixture_path
 from corpus import build_corpus, write_corpus
 from helpers import (build_transcript, corpus_answers, edge_set, evidence_spans,
-                     replay_config)
+                     replay_config, rule_for_id)
 from test_pipeline import checkpoint_order_answers, first_deposit_answers
 
 
-def make_context(src, focus_name, include_callers=True, path="mem.sol"):
+def make_context(src, focus_name, include_callers=True, path="mem.sol",
+                 include_callees=True, contract=None):
     unit = parse_text(src, path)
     fns = enumerate_functions(unit)
     graph = build_call_graph(fns, index_contracts([unit]))
     reach = compute_reachability(graph, fns)
-    focus = next(f for f in fns if f.name == focus_name)
-    policy = ContextPolicy(include_callers=include_callers, include_callees=True)
+    focus = next(f for f in fns
+                 if f.name == focus_name and contract in (None, f.contract))
+    policy = ContextPolicy(include_callers=include_callers, include_callees=include_callees)
     ctx = assemble_context(focus, graph, policy, 1_000_000, estimate_tokens)
     return ctx, graph, reach
 
@@ -297,9 +299,9 @@ def test_oc_antisymmetry_over_fixture_pairs():
         assert ab != ba, (a, b)
 
 
-@pytest.mark.parametrize("caller, resolved", [("pay", False), ("relay", True)])
-def test_a_call_resolves_only_to_a_context_unique_name_and_arity(caller, resolved):
-    """A caller named like the callee makes ``pay(x)`` ambiguous in the context."""
+@pytest.mark.parametrize("caller", ["pay", "relay"])
+def test_a_call_resolves_to_its_call_graph_target(caller):
+    """A caller named like the callee does not make ``pay(x)`` ambiguous."""
     src = f"""contract A {{
         uint sink;
         function pay(uint v) internal {{ sink = v; }}
@@ -309,14 +311,67 @@ def test_a_call_resolves_only_to_a_context_unique_name_and_arity(caller, resolve
         A a;
         function {caller}(uint v) public {{ a.run(v); }}
     }}"""
-    ctx, _, _ = make_context(src, "run")
+    ctx, call_graph, _ = make_context(src, "run")
     assert [fid for fid, _fn in ctx.records] == ["A.run", "A.pay", f"B.{caller}"]
+    assert ("A.run", "A.pay", 0) in call_graph.edges
     graph = build_def_use(ctx)
-    assert check_dataflow("x", "sink", graph).present == resolved
-    order = check_order("pay", "sink = v;", ctx, graph)
-    assert order.present == resolved
-    if not resolved:
-        assert order.detail == "no statement matches 'sink = v;'"
+    assert check_dataflow("x", "sink", graph).present
+    assert check_order("pay", "sink = v;", ctx, graph).present
+
+
+def test_super_call_in_an_override_inlines_the_base_function():
+    """``super.f()`` is Base.f, though the context also holds D.f."""
+    src = """contract Base {
+        uint x;
+        function f() public virtual { x = 1; }
+    }
+    contract D is Base {
+        uint y;
+        function f() public override { super.f(); y = 2; }
+    }"""
+    ctx, _, _ = make_context(src, "f", contract="D")
+    assert [fid for fid, _fn in ctx.records] == ["D.f", "Base.f"]
+    graph = build_def_use(ctx, names=False)
+    assert check_order("x = 1;", "y = 2;", ctx, graph).present
+    assert not check_order("y = 2;", "x = 1;", ctx, graph).present
+
+
+def test_a_call_never_binds_to_a_caller_the_graph_did_not_resolve_it_to():
+    """With callees off, ``pay(x)``'s target A.pay is not in the context."""
+    src = """contract A {
+        uint sink;
+        function pay(uint v) internal { sink = v; }
+        function run(uint x) public { pay(x); }
+    }
+    contract B {
+        A a;
+        uint other;
+        function pay(uint v) public { other = v; a.run(v); }
+    }"""
+    ctx, _, _ = make_context(src, "run", contract="A", include_callees=False)
+    assert [fid for fid, _fn in ctx.records] == ["A.run", "B.pay"]
+    graph = build_def_use(ctx)
+    assert check_dataflow("v", "other", graph).present
+    assert not check_dataflow("x", "other", graph).present
+    assert [(fid, call_name(call), resolved and resolved[0])
+            for fid, _fn, _stmt, call, resolved in graph.calls] == [
+        ("A.run", "pay", None), ("B.pay", "run", "A.run")]
+
+
+def test_a_call_with_no_name_binds_to_no_function():
+    """``hs[0](x)`` is not a call of the context's one-parameter constructor."""
+    src = """contract C {
+        function(uint) external[] hs;
+        uint s;
+        uint t;
+        constructor(uint a) { t = a; f(a); }
+        function f(uint x) public { hs[0](x); s = x; }
+    }"""
+    ctx, _, _ = make_context(src, "f")
+    assert [fn.kind for _fid, fn in ctx.records] == ["function", "constructor"]
+    graph = build_def_use(ctx)
+    assert check_order("s = x;", "t = a;", ctx, graph).detail == "no statement matches 't = a;'"
+    assert not check_dataflow("x", "t", graph).present
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
 from corpus import build_corpus, filler_source
+from helpers import walk_expression
 
 
 # With this as ``FunctionRecord.is_entry_point``, every body is parsed with
@@ -370,7 +371,7 @@ def test_span_roundtrip_fidelity():
                 assert stmt.span == (line_of(stmt.start), line_of(max(stmt.start, stmt.end - 1)))
                 assert text not in repr(stmt)
                 for expr in stmt.expressions():
-                    for node in expr.walk():
+                    for node in walk_expression(expr):
                         if node is not None:
                             assert text[node.start:node.end] == node.raw
                             assert text not in repr(node)
@@ -1016,8 +1017,8 @@ def test_iter_calls_lists_calls_in_the_order_of_a_pre_order_walk():
         for fn in enumerate_functions(parse_text(text, path)):
             for stmt in fn.statements():
                 for top in stmt.expressions():
-                    for expr in top.walk():
+                    for expr in walk_expression(top):
                         calls = iter_calls(expr)
-                        assert calls == [n for n in expr.walk() if n.kind == "call"]
+                        assert calls == [n for n in walk_expression(expr) if n.kind == "call"]
                         seen += len(calls)
     assert seen > 60

@@ -40,13 +40,13 @@ from solscout.gateway import (
     render_scenario_answer,
     render_yes_no,
     scripted,
-    system_prompt,
     validate_recognition,
 )
-from solscout.rules import load_rules, rule_for_id, shipped_rules_dir
+from solscout.rules import load_rules, shipped_rules_dir
 
 from chatserver import chat_body, in_order
 from conftest import TLS_CA
+from helpers import rule_for_id, system_prompt
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,7 @@ import os
 
 from solscout.filters import candidates_for_rule
 from solscout.pipeline import prepare_scan, scan
-from solscout.rules import rule_for_id
-
-from helpers import ScriptedAnswers, replay_config, write_transcript
+from helpers import ScriptedAnswers, replay_config, rule_for_id, write_transcript
 
 FILES = {
     "contracts/interfaces/IStrategy.sol": """

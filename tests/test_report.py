@@ -6,7 +6,7 @@ import pytest
 from solscout.confirm import CheckVerdict
 from solscout.errors import TruthMismatch
 from solscout.frontend import SourceFile
-from solscout.gateway import LlmExchange, system_prompt
+from solscout.gateway import LlmExchange
 from solscout.report import (
     ConfusionCounts,
     CostLedger,
@@ -19,6 +19,8 @@ from solscout.report import (
     score,
     summarize_cost,
 )
+
+from helpers import system_prompt
 
 
 def make_finding(project="p1", rule_id="risky-first-deposit", file="contracts/V.sol",

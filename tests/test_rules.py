@@ -4,15 +4,16 @@ import pytest
 import yaml
 
 from solscout import rules as rules_module
-from solscout.errors import RuleNotFound, RuleParseError
+from solscout.errors import RuleParseError
 from solscout.rules import (
     ContextPolicy,
     load_rules,
     parse_rule,
-    rule_for_id,
     rule_paths,
     shipped_rules_dir,
 )
+
+from helpers import RuleNotFound, filter_kinds, rule_for_id
 
 MINIMAL = {
     "schema": 1,
@@ -41,10 +42,10 @@ def test_shipped_rules_load():
 def test_shipped_rule_lookup_examples():
     rules = load_rules(shipped_rules_dir())
     rfd = rule_for_id(rules, "risky-first-deposit")
-    assert rfd.filter_kinds == ["FCCE"]
+    assert filter_kinds(rfd) == ["FCCE"]
     assert rfd.check_kinds == ["DF", "VC"]
     wco = rule_for_id(rules, "wrong-checkpoint-order")
-    assert wco.filter_kinds == ["FCE", "CFN"]
+    assert filter_kinds(wco) == ["FCE", "CFN"]
     assert wco.check_kinds == ["OC"]
     assert wco.context_policy == ContextPolicy(include_callers=False, include_callees=True)
     with pytest.raises(RuleNotFound):
