@@ -18,7 +18,7 @@ from .callgraph import DEFAULT_ACL_MODIFIERS
 from .errors import ConfigError
 from .gateway import ProviderConfig
 from .project import DEFAULT_EXCLUDED_SEGMENTS
-from .rules import load_yaml, shipped_rules_dir
+from .rules import load_yaml, rule_paths, shipped_rules_dir
 
 
 # live asks the provider, record also appends to the transcript, replay answers from it
@@ -76,10 +76,16 @@ class ScanConfig:
             raise ConfigError(f"whitelist not found: {self.whitelist_path}")
 
     def fingerprint(self) -> str:
+        """Hash of the settings a scan's answers depend on.
+
+        The rule files ``load_rules`` reads (in name order) and the
+        whitelist count by content, not path, so the same scan gives the
+        same fingerprint from any checkout or install.
+        """
         payload = {
             "project_name": self.project_name,
-            "rules_dir": self.rules_dir,
-            "whitelist_path": self.whitelist_path,
+            "rules": [_file_digest(path) for path in rule_paths(self.rules_dir)],
+            "whitelist": _file_digest(self.whitelist_path),
             "acl_modifiers": sorted(self.acl_modifiers),
             "excluded_segments": sorted(self.excluded_segments),
             "token_budget": self.token_budget,
@@ -95,6 +101,11 @@ class ScanConfig:
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 _PROVIDER_KEYS = {f.name for f in fields(ProviderConfig)}

@@ -13,12 +13,18 @@ that preserves the exact source text, so nothing is ever silently
 dropped; skipped members end where an opaque statement would.
 
 The file-level parse reads the file's outline (see ``lexer.outline``):
-the inside of every contract member's body is blank, so its tokens are
-only the body's two braces. ``_parse_block`` lexes and parses one body
-from its own range of the file. It parses the bodies of entry points
-(public or external, not constructors) as their file is parsed, and
-every other body when something first reads it (``parse_body``), so a
-contract function's body is lexed once at most.
+the inside of every contract member's body and of every free function's
+body is blank, so its tokens are only the body's two braces.
+``_parse_block`` lexes and parses one body from its own range of the
+file. It parses the bodies of entry points (public or external, not
+constructors) as their file is parsed, and every other body when
+something first reads it (``parse_body``), so a function's body is
+lexed once at most (bar the free functions ``lexer.outline`` names).
+
+The parser reads a ``tokenize`` result as it is: token values, start
+offsets and end offsets by index, with no object per token. It calls
+``tokenize`` and ``strip_comments`` through this module's globals,
+which the benchmark's tracer wraps to time lexing and count tokens.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from __future__ import annotations
 import re
 
 from ..errors import SoliditySyntaxError
-from .lexer import Token, identifiers, outline, strip_comments, tokenize
+from .lexer import (Tokens, identifiers, is_id, outline, strip_comments, token_kind,
+                    tokenize)
 from .nodes import (
     ContractDef,
     Expression,
@@ -51,6 +58,8 @@ BINARY_PRECEDENCE = {op: level for level, ops in enumerate(BINARY_LEVELS) for op
 PREFIX_OPS = {"!", "~", "-", "+", "++", "--", "delete", "new"}
 # Tokens that can continue an expression after its primary.
 POSTFIX_OPS = {"(", "{", ".", "[", "++", "--"}
+# Tokens that can end or nest a statement skipped unparsed.
+_SKIP_STOPS = {"(", "[", ")", "]", "{", ";"}
 
 _ELEMENTARY_RE = re.compile(r"^(address|bool|string|byte|bytes\d*|u?int\d*|u?fixed\d*x?\d*)$")
 # From the first to the last non-space character of a range.
@@ -64,56 +73,62 @@ class _Backtrack(Exception):
 class Parser:
     """One file's parser.
 
-    ``self.tokens[self.pos]`` is the current token. ``pos`` never moves
-    past the ``eof`` token, and two more copies of it pad the list, so
-    looking up to two tokens ahead never runs off the end. Only punct
-    tokens spell punctuation and only ids spell keywords, so comparing a
-    token's value alone tells which one it is.
+    ``values[pos]`` is the current token's value and ``starts[pos]`` and
+    ``ends[pos]`` are its offsets: the lists of one ``tokenize`` result,
+    read as they are. ``pos`` never moves past eof, whose value ``""`` is
+    the only empty one, and a lookahead never passes a token that may be
+    eof, so no read runs off the end. Only punct tokens spell punctuation
+    and only ids spell keywords, so comparing a token's value alone tells
+    which one it is; ``is_id`` and ``token_kind`` tell the rest from the value.
     """
 
-    def __init__(self, src: SourceFile, tokens: list | None = None):
+    def __init__(self, src: SourceFile, tokens: Tokens | None = None):
         """Lex the file's outline, or parse the given ``tokens`` of it."""
         self.src = src
         if tokens is None:
             if not src.stripped:
                 src.stripped = strip_comments(src.text, src.path)
             tokens = tokenize(outline(src.stripped, src.line_index, src.path), src.path)
-        self.tokens = tokens + tokens[-1:] * 2
+        self.values = tokens
+        self.starts = tokens.starts
+        self.ends = tokens.ends
         self.pos = 0
 
     # ------------------------------------------------------------------
     # token plumbing
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "eof":
+    def advance(self) -> str:
+        value = self.values[self.pos]
+        if value:
             self.pos += 1
-        return tok
+        return value
+
+    def _advance_start(self) -> int:
+        """Consume the current token, which is not eof; return its start offset."""
+        self.pos += 1
+        return self.starts[self.pos - 1]
 
     def at(self, value: str) -> bool:
-        return self.tokens[self.pos].value == value
+        return self.values[self.pos] == value
 
     def _fail(self, message: str):
-        line, col = self.src.line_index.linecol(self.tokens[self.pos].start)
+        line, col = self.src.line_index.linecol(self.starts[self.pos])
         raise SoliditySyntaxError(message, line, col, self.src.path)
 
-    def expect_punct(self, value: str, hard: bool = False) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.value == value:
+    def expect_punct(self, value: str, hard: bool = False) -> int:
+        """Consume ``value``; return its end offset."""
+        if self.values[self.pos] == value:
             self.pos += 1
-            return tok
+            return self.ends[self.pos - 1]
         if hard:
             self._fail(f"expected '{value}'")
         raise _Backtrack()
 
-    def expect_id(self, what: str, hard: bool = False) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.type == "id":
+    def expect_id(self, what: str, hard: bool = False) -> str:
+        value = self.values[self.pos]
+        if is_id(value):
             self.pos += 1
-            return tok
+            return value
         if hard:
             self._fail(f"expected {what}")
         raise _Backtrack()
@@ -122,16 +137,15 @@ class Parser:
     # top level
 
     def parse(self) -> SourceUnit:
+        values = self.values
         unit = SourceUnit()
         free: list[FunctionRecord] = []
-        while self.peek().type != "eof":
-            tok = self.peek()
-            if tok.type == "id" and (
-                tok.value in ("contract", "interface", "library")
-                or (tok.value == "abstract" and self.peek(1).value == "contract")
+        while value := values[self.pos]:
+            if value in ("contract", "interface", "library") or (
+                value == "abstract" and values[self.pos + 1] == "contract"
             ):
                 unit.contracts.append(self._parse_contract(unit.functions))
-            elif tok.type == "id" and tok.value == "function":
+            elif value == "function":
                 free.append(self._parse_function("contract", None))
             else:
                 self._skip_statement()
@@ -147,16 +161,16 @@ class Parser:
 
     def _after_balanced(self, i: int, opening: str, closing: str) -> int:
         """Index just past the ``closing`` matching the ``opening`` at ``i - 1``, or of eof."""
-        tokens = self.tokens
+        values = self.values
         depth = 1
         while depth:
-            tok = tokens[i]
-            if tok.type == "eof":
+            value = values[i]
+            if not value:
                 return i
             i += 1
-            if tok.value == opening:
+            if value == opening:
                 depth += 1
-            elif tok.value == closing:
+            elif value == closing:
                 depth -= 1
         return i
 
@@ -173,19 +187,19 @@ class Parser:
     # contracts
 
     def _parse_contract(self, functions: list) -> ContractDef:
-        kind = self.advance().value
+        kind = self.advance()
         if kind == "abstract":
             self.advance()  # 'contract'
             kind = "abstract"
-        name = self.expect_id("contract name", hard=True).value
+        name = self.expect_id("contract name", hard=True)
         bases: list[str] = []
         if self.at("is"):
             self.advance()
             while True:
-                base = self.expect_id("base contract name", hard=True).value
+                base = self.expect_id("base contract name", hard=True)
                 while self.at("."):
                     self.advance()
-                    base += "." + self.expect_id("base name part", hard=True).value
+                    base += "." + self.expect_id("base name part", hard=True)
                 self._skip_balanced_parens()
                 bases.append(base)
                 if self.at(","):
@@ -194,7 +208,7 @@ class Parser:
                     break
         self.expect_punct("{", hard=True)
         contract = ContractDef(name=name, kind=kind, bases=bases)
-        while not self.at("}") and self.peek().type != "eof":
+        while not self.at("}") and self.values[self.pos]:
             if self._at_function():
                 fn = self._parse_function(contract.kind, contract.name)
                 fn.contract = contract.name
@@ -206,12 +220,9 @@ class Parser:
         return contract
 
     def _at_function(self) -> bool:
-        tok = self.peek()
-        if tok.type != "id":
-            return False
-        v = tok.value
+        v = self.values[self.pos]
         return v == "function" or v == "constructor" or (
-            v in ("fallback", "receive") and self.peek(1).value == "("
+            (v == "fallback" or v == "receive") and self.values[self.pos + 1] == "("
         )
 
     # ------------------------------------------------------------------
@@ -219,12 +230,12 @@ class Parser:
 
     def _parse_function(self, contract_kind: str, contract_name: str | None) -> FunctionRecord:
         """A function of a contract, or a free one if ``contract_name`` is None."""
-        tokens = self.tokens
-        start = tokens[self.pos].start
-        kw = self.advance().value
+        values = self.values
+        start = self.starts[self.pos]
+        kw = self.advance()
         if kw == "function":
             kind = "function"
-            name = "" if self.at("(") else self.expect_id("function name", hard=True).value
+            name = "" if self.at("(") else self.expect_id("function name", hard=True)
         else:
             kind = kw
             name = ""
@@ -232,12 +243,11 @@ class Parser:
         visibility = None
         modifiers: list[str] = []
         while True:
-            tok = tokens[self.pos]
-            v = tok.value
-            if v == "{" or v == ";" or tok.type == "eof":
+            v = values[self.pos]
+            if v == "{" or v == ";" or not v:
                 break
             self.pos += 1
-            if tok.type != "id":
+            if not is_id(v):
                 continue  # stray punctuation in header: skip, stay total
             if v in VISIBILITIES:
                 visibility = v
@@ -254,11 +264,12 @@ class Parser:
             name, kind = "", "constructor"  # pre-0.5 constructor-by-name
         fn = FunctionRecord(name, kind, params, visibility, modifiers, (0, 0), start)
         if self.at(";"):
-            fn.end = self.advance().end
+            fn.end = self.expect_punct(";")
         else:
-            fn.body_start = self.expect_punct("{", hard=True).start
+            fn.body_start = self.starts[self.pos]
+            self.expect_punct("{", hard=True)
             self._skip_balanced("{", "}")
-            fn.end = tokens[self.pos - 1].end
+            fn.end = self.ends[self.pos - 1]
             if fn.is_entry_point:
                 fn.parsed_body = _parse_block(self.src, fn.body_start, fn.end)
             else:
@@ -268,32 +279,32 @@ class Parser:
         return fn
 
     def _parse_params(self) -> list:
-        tokens = self.tokens
+        values = self.values
         params = []
         self.expect_punct("(", hard=True)
-        while (tok := tokens[self.pos]).value != ")" and tok.type != "eof":
+        while (value := values[self.pos]) != ")" and value:
             saved = self.pos
             try:
                 type_text = self._parse_type()
-                if tokens[self.pos].value in LOCATIONS:
+                if values[self.pos] in LOCATIONS:
                     self.pos += 1
                 name = ""
-                if tokens[self.pos].type == "id":
-                    name = self.advance().value
+                if is_id(values[self.pos]):
+                    name = self.advance()
                 params.append((type_text, name))
             except _Backtrack:
                 # salvage the raw text so arity stays right
                 self.pos = saved
                 depth = 0
-                while self.peek().type != "eof":
-                    if self.at(",") and depth == 0 or self.at(")") and depth == 0:
+                while value := values[self.pos]:
+                    if depth == 0 and (value == "," or value == ")"):
                         break
-                    tok = self.advance()
-                    if tok.type == "punct" and tok.value in "([":
+                    self.pos += 1
+                    if value == "(" or value == "[":
                         depth += 1
-                    elif tok.type == "punct" and tok.value in ")]" and depth:
+                    elif (value == ")" or value == "]") and depth:
                         depth -= 1  # a stray closer must not hide the list's ')'
-                raw = self.src.stripped[tokens[saved].start: self.peek().start].strip()
+                raw = self.src.stripped[self.starts[saved]: self.starts[self.pos]].strip()
                 params.append((raw, ""))
             if self.at(","):
                 self.pos += 1
@@ -301,43 +312,41 @@ class Parser:
         return params
 
     def _parse_type(self) -> str:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        if tok.type != "id":
+        values = self.values
+        text = values[self.pos]
+        if not is_id(text):
             raise _Backtrack()
         self.pos += 1
-        if tok.value == "mapping":
+        if text == "mapping":
             self.expect_punct("(")
             key = self._parse_type()
-            if tokens[self.pos].type == "id":
+            if is_id(values[self.pos]):
                 self.pos += 1  # named mapping key (0.8.18+)
             self.expect_punct("=>")
             value = self._parse_type()
-            if tokens[self.pos].type == "id":
+            if is_id(values[self.pos]):
                 self.pos += 1
             self.expect_punct(")")
             text = f"mapping({key}=>{value})"
-        elif tok.value == "function":
+        elif text == "function":
             self._skip_balanced_parens()
-            while tokens[self.pos].value in VISIBILITIES or tokens[self.pos].value in MUTABILITY:
+            while values[self.pos] in VISIBILITIES or values[self.pos] in MUTABILITY:
                 self.pos += 1
             if self.at("returns"):
                 self.pos += 1
                 self._skip_balanced_parens()
-            text = "function"
         else:
-            text = tok.value
-            while tokens[self.pos].value == "." and tokens[self.pos + 1].type == "id":
-                text += "." + tokens[self.pos + 1].value
+            while values[self.pos] == "." and is_id(values[self.pos + 1]):
+                text += "." + values[self.pos + 1]
                 self.pos += 2
             if text == "address" and self.at("payable"):
                 self.pos += 1
-        while tokens[self.pos].value == "[":
+        while values[self.pos] == "[":
             close = self._after_balanced(self.pos + 1, "[", "]")
-            if tokens[close].type == "eof":
+            if not values[close]:
                 # no ']', or one that ends the file where a name must follow
                 raise _Backtrack()
-            text += "".join([t.value for t in tokens[self.pos:close]])
+            text += "".join(values[self.pos:close])
             self.pos = close
         return text
 
@@ -345,14 +354,12 @@ class Parser:
     # statements
 
     def _parse_block_children(self) -> tuple[list, int]:
-        tokens = self.tokens
+        values = self.values
         self.expect_punct("{", hard=True)
         children = []
-        while (tok := tokens[self.pos]).value != "}" and tok.type != "eof":
+        while (value := values[self.pos]) != "}" and value:
             children.append(self._parse_statement())
-        end = tok.end
-        self.expect_punct("}", hard=True)
-        return children, end
+        return children, self.expect_punct("}", hard=True)
 
     def _statement(self, kind: str, start: int, end: int, condition=None, children=(),
                    exprs=(), decl_names=(), post_expr=None) -> Statement:
@@ -368,7 +375,7 @@ class Parser:
             return self._opaque_statement()
 
     def _opaque_statement(self) -> Statement:
-        start = self.tokens[self.pos].start
+        start = self.starts[self.pos]
         end = self._skip_statement()
         return self._statement("opaque", start, max(start, end))
 
@@ -380,29 +387,28 @@ class Parser:
         (taken alone if the statement starts there). Inside brackets, a block
         does not end the statement: ``S({a: 1})``.
         """
-        tokens = self.tokens
+        values = self.values
         first = self.pos
         depth = 0
-        while (tok := tokens[self.pos]).type != "eof":
-            value = tok.value
+        while value := values[self.pos]:
             if value == "}":
                 if self.pos == first:
                     self.pos += 1
                 break
             self.pos += 1
-            if tok.type != "punct":
+            if value not in _SKIP_STOPS:
                 continue
-            if value in "([":
+            if value == "(" or value == "[":
                 depth += 1
-            elif value in ")]":
+            elif value == ")" or value == "]":
                 depth = max(0, depth - 1)
             elif value == "{":
                 self._skip_balanced("{", "}")
                 if depth == 0:
                     break
-            elif value == ";" and depth == 0:
+            elif depth == 0:  # ';'
                 break
-        return tokens[self.pos - 1].end
+        return self.ends[self.pos - 1]
 
     _STATEMENT_KEYWORDS = {
         "if": "_parse_if",
@@ -417,27 +423,27 @@ class Parser:
     }
 
     def _statement_dispatch(self) -> Statement:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        value = tok.value
+        values = self.values
+        value = values[self.pos]
+        start = self.starts[self.pos]
         if value == "{":
             children, end = self._parse_block_children()
-            return self._statement("block", tok.start, end, children=children)
-        if tok.type == "id":
+            return self._statement("block", start, end, children=children)
+        if is_id(value):
             handler = self._STATEMENT_KEYWORDS.get(value)
             if handler is not None:
                 return getattr(self, handler)()
-            following = tokens[self.pos + 1].value
+            following = values[self.pos + 1]
             if (value == "require" or value == "assert") and following == "(":
                 return self._parse_require(value)
             if value == "unchecked" and following == "{":
                 self.pos += 1
                 children, end = self._parse_block_children()
-                return self._statement("block", tok.start, end, children=children)
+                return self._statement("block", start, end, children=children)
             if value in ("break", "continue", "throw"):
                 self.pos += 1
-                end = self.expect_punct(";").end
-                return self._statement("opaque", tok.start, end)
+                end = self.expect_punct(";")
+                return self._statement("opaque", start, end)
         if self._at_declaration():
             return self._parse_local_decl()
         return self._parse_expression_statement()
@@ -448,26 +454,26 @@ class Parser:
         A data location or ``payable`` counts as the name; a tuple declaration
         has ``(`` and any commas before its first type.
         """
-        tokens = self.tokens
+        values = self.values
         i = self.pos
-        if tokens[i].value == "(":
+        if values[i] == "(":
             i += 1
-            while tokens[i].value == ",":
+            while values[i] == ",":
                 i += 1
-        tok = tokens[i]
-        if tok.type != "id" or tok.value in PREFIX_OPS:
+        value = values[i]
+        if not is_id(value) or value in PREFIX_OPS:
             return False
-        if tok.value == "mapping" or tok.value == "function":
+        if value == "mapping" or value == "function":
             return True
         i += 1
-        while tokens[i].value == "." and tokens[i + 1].type == "id":
+        while values[i] == "." and is_id(values[i + 1]):
             i += 2
-        while tokens[i].value == "[":
+        while values[i] == "[":
             i = self._after_balanced(i + 1, "[", "]")
-        return tokens[i].type == "id"
+        return is_id(values[i])
 
     def _parse_if(self) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         self.expect_punct("(")
         cond = self._parse_expression()
         self.expect_punct(")")
@@ -482,7 +488,7 @@ class Parser:
         return self._statement("if", start, end, condition=cond, children=children)
 
     def _parse_for(self) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         self.expect_punct("(")
         children = []
         if self.at(";"):
@@ -491,7 +497,7 @@ class Parser:
             children.append(self._parse_local_decl())
         else:
             init = self._parse_expression()
-            end = self.expect_punct(";").end
+            end = self.expect_punct(";")
             children.append(self._statement("expression", init.start, end, exprs=[init]))
         cond = None
         if self.at(";"):
@@ -510,7 +516,7 @@ class Parser:
         )
 
     def _parse_while(self) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         self.expect_punct("(")
         cond = self._parse_expression()
         self.expect_punct(")")
@@ -518,7 +524,7 @@ class Parser:
         return self._statement("while", start, body.end, condition=cond, children=[body])
 
     def _parse_do_while(self) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         body = self._parse_statement()
         if not self.at("while"):
             raise _Backtrack()
@@ -526,53 +532,52 @@ class Parser:
         self.expect_punct("(")
         cond = self._parse_expression()
         self.expect_punct(")")
-        end = self.expect_punct(";").end
+        end = self.expect_punct(";")
         return self._statement("while", start, end, condition=cond, children=[body])
 
     def _parse_require(self, which: str) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         args = self._parse_call_args()
-        end = self.expect_punct(";").end
+        end = self.expect_punct(";")
         cond = args[0] if args else None
         return self._statement(which, start, end, condition=cond, exprs=args)
 
     def _parse_revert(self) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         exprs = []
         if self.at("("):
             exprs = self._parse_call_args()
-        elif self.peek().type == "id":
+        elif is_id(self.values[self.pos]):
             exprs = [self._parse_expression()]
-        end = self.expect_punct(";").end
+        end = self.expect_punct(";")
         return self._statement("revert", start, end, exprs=exprs)
 
     def _parse_return(self) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         exprs = []
         if not self.at(";"):
             exprs = [self._parse_expression()]
-        end = self.expect_punct(";").end
+        end = self.expect_punct(";")
         return self._statement("return", start, end, exprs=exprs)
 
     def _parse_emit(self) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         expr = self._parse_expression()
-        end = self.expect_punct(";").end
+        end = self.expect_punct(";")
         return self._statement("emit", start, end, exprs=[expr])
 
     def _parse_assembly(self) -> Statement:
-        start = self.advance().start
-        if self.peek().type == "str":
+        start = self._advance_start()
+        if token_kind(self.values[self.pos]) == "str":
             self.advance()
         if not self.at("{"):
             raise _Backtrack()
         self.advance()
         self._skip_balanced("{", "}")
-        end = self.tokens[self.pos - 1].end
-        return self._statement("opaque", start, end)
+        return self._statement("opaque", start, self.ends[self.pos - 1])
 
     def _parse_try(self) -> Statement:
-        start = self.advance().start
+        start = self._advance_start()
         self._parse_expression()
         if self.at("returns"):
             self.advance()
@@ -583,19 +588,18 @@ class Parser:
         self._skip_balanced("{", "}")
         while self.at("catch"):
             self.advance()
-            if self.peek().type == "id" and not self.at("{"):
+            if is_id(self.values[self.pos]):
                 self.advance()
             self._skip_balanced_parens()
             if not self.at("{"):
                 raise _Backtrack()
             self.advance()
             self._skip_balanced("{", "}")
-        end = self.tokens[self.pos - 1].end
-        return self._statement("opaque", start, end)
+        return self._statement("opaque", start, self.ends[self.pos - 1])
 
     def _parse_local_decl(self) -> Statement:
-        tokens = self.tokens
-        start = tokens[self.pos].start
+        values = self.values
+        start = self.starts[self.pos]
         if self.at("("):
             # tuple declaration: (uint a, , uint b) = expr;
             self.advance()
@@ -605,31 +609,31 @@ class Parser:
                     self.advance()
                     continue
                 self._parse_type()
-                if tokens[self.pos].value in LOCATIONS:
+                if values[self.pos] in LOCATIONS:
                     self.pos += 1
-                names.append(self.expect_id("variable name").value)
+                names.append(self.expect_id("variable name"))
                 if self.at(","):
                     self.advance()
             self.expect_punct(")")
             self.expect_punct("=")
             rhs = self._parse_expression()
-            end = self.expect_punct(";").end
+            end = self.expect_punct(";")
             return self._statement("local-decl", start, end, decl_names=names, exprs=[rhs])
         self._parse_type()
-        if tokens[self.pos].value in LOCATIONS:
+        if values[self.pos] in LOCATIONS:
             self.pos += 1
-        name = self.expect_id("variable name").value
+        name = self.expect_id("variable name")
         exprs = []
-        if tokens[self.pos].value == "=":
+        if values[self.pos] == "=":
             self.pos += 1
             exprs = [self._parse_expression()]
-        end = self.expect_punct(";").end
+        end = self.expect_punct(";")
         return self._statement("local-decl", start, end, decl_names=[name], exprs=exprs)
 
     def _parse_expression_statement(self) -> Statement:
-        start = self.tokens[self.pos].start
+        start = self.starts[self.pos]
         expr = self._parse_expression()
-        end = self.expect_punct(";").end
+        end = self.expect_punct(";")
         if expr.kind == "binary" and expr.op in ASSIGN_OPS:
             return self._statement("assignment", start, end, exprs=[expr.args[0], expr.args[1]])
         return self._statement("expression", start, end, exprs=[expr])
@@ -643,66 +647,65 @@ class Parser:
 
     def _parse_expression(self) -> Expression:
         """Assignment (right-associative) over a conditional over binary operators."""
-        tokens = self.tokens
         left = self._parse_binary(0)
-        tok = tokens[self.pos]
-        if tok.value == "?":
+        value = self.values[self.pos]
+        if value == "?":
             self.pos += 1
             then = self._parse_expression()
             self.expect_punct(":")
             other = self._parse_expression()
             return self._expr("binary", left.start, other.end, op="?:", args=[left, then, other])
-        if tok.value in ASSIGN_OPS:
+        if value in ASSIGN_OPS:
             self.pos += 1
             right = self._parse_expression()
-            return self._expr("binary", left.start, right.end, op=tok.value, args=[left, right])
+            return self._expr("binary", left.start, right.end, op=value, args=[left, right])
         return left
 
     def _parse_binary(self, min_prec: int) -> Expression:
         """Precedence climbing: operators of level >= ``min_prec``, all left-associative."""
-        tokens = self.tokens
+        values = self.values
         left = self._parse_unary()
         while True:
-            tok = tokens[self.pos]
-            prec = BINARY_PRECEDENCE.get(tok.value)
+            op = values[self.pos]
+            prec = BINARY_PRECEDENCE.get(op)
             if prec is None or prec < min_prec:
                 return left
             self.pos += 1
             right = self._parse_binary(prec + 1)
-            left = self._expr("binary", left.start, right.end, op=tok.value, args=[left, right])
+            left = self._expr("binary", left.start, right.end, op=op, args=[left, right])
 
     def _parse_unary(self) -> Expression:
-        tok = self.tokens[self.pos]
-        if tok.value in PREFIX_OPS:
-            self.pos += 1
+        op = self.values[self.pos]
+        if op in PREFIX_OPS:
+            start = self._advance_start()
             operand = self._parse_unary()
-            return self._expr("unary", tok.start, operand.end, op=tok.value, args=[operand])
+            return self._expr("unary", start, operand.end, op=op, args=[operand])
         return self._parse_postfix(self._parse_primary())
 
     def _parse_postfix(self, base: Expression) -> Expression:
-        tokens = self.tokens
-        while (value := tokens[self.pos].value) in POSTFIX_OPS:
+        values = self.values
+        ends = self.ends
+        while (value := values[self.pos]) in POSTFIX_OPS:
             if value == "(":
                 args = self._parse_call_args()
-                base = self._expr("call", base.start, tokens[self.pos - 1].end,
-                                  callee=base, args=args)
+                base = self._expr("call", base.start, ends[self.pos - 1], callee=base, args=args)
             elif value == "{":
                 # f{value: x}(...) rather than a block: '{' ident ':'
-                if tokens[self.pos + 1].type != "id" or tokens[self.pos + 2].value != ":":
+                if not is_id(values[self.pos + 1]) or values[self.pos + 2] != ":":
                     return base
                 opts = self._parse_named_values()
                 if not self.at("("):
                     raise _Backtrack()
                 args = self._parse_call_args()
-                base = self._expr("call", base.start, tokens[self.pos - 1].end,
+                base = self._expr("call", base.start, ends[self.pos - 1],
                                   callee=base, args=args + opts)
             elif value == ".":
-                name_tok = tokens[self.pos + 1]
-                if name_tok.type != "id" and name_tok.type != "num":
+                name = values[self.pos + 1]
+                if token_kind(name) not in ("id", "num"):
                     raise _Backtrack()
                 self.pos += 2
-                base = self._expr("member-access", base.start, name_tok.end,
-                                  name=name_tok.value, callee=base)
+                base = self._expr("member-access", base.start, ends[self.pos - 1],
+                                  name=name, callee=base)
             elif value == "[":
                 self.pos += 1
                 args = []
@@ -712,61 +715,60 @@ class Parser:
                     self.pos += 1
                     if not self.at("]"):
                         args.append(self._parse_expression())
-                end = self.expect_punct("]").end
+                end = self.expect_punct("]")
                 base = self._expr("index", base.start, end, callee=base, args=args)
             else:  # postfix ++ or --
-                end = tokens[self.pos].end
                 self.pos += 1
-                base = self._expr("unary", base.start, end, op=value, args=[base])
+                base = self._expr("unary", base.start, ends[self.pos - 1], op=value, args=[base])
         return base
 
     def _parse_named_values(self) -> list:
         self.expect_punct("{")
-        values = []
-        while not self.at("}") and self.peek().type != "eof":
+        exprs = []
+        while not self.at("}") and self.values[self.pos]:
             self.expect_id("option name")
             self.expect_punct(":")
-            values.append(self._parse_expression())
+            exprs.append(self._parse_expression())
             if self.at(","):
                 self.pos += 1
         self.expect_punct("}")
-        return values
+        return exprs
 
     def _parse_call_args(self) -> list:
-        tokens = self.tokens
+        values = self.values
         self.expect_punct("(")
         args = []
-        while (tok := tokens[self.pos]).value != ")" and tok.type != "eof":
+        while (value := values[self.pos]) != ")" and value:
             args.append(self._parse_expression())
-            if tokens[self.pos].value == ",":
+            if values[self.pos] == ",":
                 self.pos += 1
         self.expect_punct(")")
         return args
 
     def _parse_primary(self) -> Expression:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        kind = tok.type
+        values = self.values
+        pos = self.pos
+        value = values[pos]
+        start = self.starts[pos]
+        kind = token_kind(value)
         if kind == "id":
             self.pos += 1
-            return self._expr("identifier", tok.start, tok.end, name=tok.value)
+            return self._expr("identifier", start, self.ends[pos], name=value)
         if kind == "num":
             self.pos += 1
-            end = tok.end
-            if tokens[self.pos].value in UNITS:
-                end = self.advance().end
-            return self._expr("literal", tok.start, end)
+            if values[self.pos] in UNITS:
+                self.pos += 1
+            return self._expr("literal", start, self.ends[self.pos - 1])
         if kind == "str":
             self.pos += 1
-            end = tok.end
-            while tokens[self.pos].type == "str":  # adjacent string concatenation
-                end = self.advance().end
-            return self._expr("literal", tok.start, end)
-        if tok.value == "(":
+            while token_kind(values[self.pos]) == "str":  # adjacent string concatenation
+                self.pos += 1
+            return self._expr("literal", start, self.ends[self.pos - 1])
+        if value == "(":
             self.pos += 1
             elems = []
             expect_elem = True
-            while not self.at(")") and self.peek().type != "eof":
+            while not self.at(")") and values[self.pos]:
                 if self.at(","):
                     if expect_elem:
                         elems.append(None)
@@ -775,24 +777,23 @@ class Parser:
                     continue
                 elems.append(self._parse_expression())
                 expect_elem = False
-            end = self.expect_punct(")").end
+            end = self.expect_punct(")")
             real = [e for e in elems if e is not None]
             if len(elems) == 1 and len(real) == 1:
                 return real[0]
-            return self._expr("tuple", tok.start, end, args=elems)
-        if tok.value == "[":
+            return self._expr("tuple", start, end, args=elems)
+        if value == "[":
             self.pos += 1
             elems = []
-            while not self.at("]") and self.peek().type != "eof":
+            while not self.at("]") and values[self.pos]:
                 elems.append(self._parse_expression())
                 if self.at(","):
                     self.pos += 1
-            end = self.expect_punct("]").end
-            return self._expr("tuple", tok.start, end, args=elems)
-        if tok.value == "{":
-            values = self._parse_named_values()
-            end = tokens[self.pos - 1].end
-            return self._expr("tuple", tok.start, end, args=values)
+            end = self.expect_punct("]")
+            return self._expr("tuple", start, end, args=elems)
+        if value == "{":
+            elems = self._parse_named_values()
+            return self._expr("tuple", start, self.ends[self.pos - 1], args=elems)
         raise _Backtrack()
 
 

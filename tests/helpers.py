@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from solscout.config import ScanConfig
 from solscout.errors import SolscoutError
+from solscout.frontend.lexer import Tokens, token_kind
 from solscout.gateway import (SYSTEM_PROMPT, LlmGateway, ProviderConfig, Transcript,
                               render_recognition_answer, render_scenario_answer, render_yes_no,
                               scripted)
@@ -115,3 +116,17 @@ def walk_expression(expr):
     for arg in expr.args:
         if arg is not None:
             yield from walk_expression(arg)
+
+
+def token_rows(tokens: Tokens) -> list:
+    """A ``tokenize`` result as one ``(kind, value, start, end)`` row per token."""
+    return list(zip(map(token_kind, tokens), tokens, tokens.starts, tokens.ends))
+
+
+def cut_tokens(tokens: Tokens, cut: int) -> Tokens:
+    """The first ``cut`` of ``tokens``, then eof where token ``cut`` starts."""
+    at = tokens.starts[cut]
+    cut_list = Tokens(tokens[:cut] + [""])
+    cut_list.starts = tokens.starts[:cut] + [at]
+    cut_list.ends = tokens.ends[:cut] + [at]
+    return cut_list

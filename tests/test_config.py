@@ -1,3 +1,4 @@
+import shutil
 from dataclasses import asdict
 
 import pytest
@@ -87,3 +88,24 @@ def test_fingerprint_tracks_semantic_fields(tmp_path):
     assert a.fingerprint() == b.fingerprint()
     c = load_config(fixture_path("first_deposit"), overrides={"token_budget": 123})
     assert c.fingerprint() != a.fingerprint()
+
+
+def test_fingerprint_hashes_rule_and_whitelist_contents_not_paths(tmp_path):
+    shipped = load_config(fixture_path("first_deposit"))
+    copies = []
+    for name in ("a", "b"):
+        rules, whitelist = tmp_path / name / "rules", tmp_path / name / "whitelist.txt"
+        shutil.copytree(shipped.rules_dir, rules)
+        shutil.copyfile(shipped.whitelist_path, whitelist)
+        copies.append(load_config(fixture_path("first_deposit"), overrides={
+            "rules_dir": str(rules), "whitelist": str(whitelist)}))
+    assert copies[0].fingerprint() == copies[1].fingerprint() == shipped.fingerprint()
+
+    rule = sorted((tmp_path / "b" / "rules").glob("*.yaml"))[0]
+    rule.write_text(rule.read_text(encoding="utf-8").replace("title: ", "title: Edited ", 1),
+                    encoding="utf-8")
+    edited_rule = copies[1].fingerprint()
+    assert edited_rule != copies[0].fingerprint()
+    whitelist = tmp_path / "a" / "whitelist.txt"
+    whitelist.write_text(whitelist.read_text(encoding="utf-8") + "extra\n", encoding="utf-8")
+    assert copies[0].fingerprint() not in (shipped.fingerprint(), edited_rule)

@@ -20,12 +20,12 @@ from solscout.frontend import (
     strip_comments,
 )
 from solscout.frontend import parser as parser_module
-from solscout.frontend.lexer import Token, identifiers, outline, tokenize
+from solscout.frontend.lexer import identifiers, outline, tokenize
 from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
 from corpus import build_corpus, filler_source
-from helpers import walk_expression
+from helpers import cut_tokens, token_rows, walk_expression
 
 
 # With this as ``FunctionRecord.is_entry_point``, every body is parsed with
@@ -544,17 +544,13 @@ def _oracle_tokenize(stripped: str) -> list:
             continue
         m = _ORACLE_TOKEN_RE.match(stripped, pos)
         if m:
-            tokens.append(Token(m.lastgroup, m.group(0), m.start(), m.end()))
+            tokens.append((m.lastgroup, m.group(0), m.start(), m.end()))
             pos = m.end()
         else:
-            tokens.append(Token("punct", stripped[pos], pos, pos + 1))
+            tokens.append(("punct", stripped[pos], pos, pos + 1))
             pos += 1
-    tokens.append(Token("eof", "", length, length))
+    tokens.append(("eof", "", length, length))
     return tokens
-
-
-def _stream(tokens: list) -> list:
-    return [(t.type, t.value, t.start, t.end) for t in tokens]
 
 
 def _differential_texts() -> list:
@@ -585,22 +581,23 @@ def _differential_texts() -> list:
 
 def test_tokenizer_matches_two_match_oracle():
     for text in _differential_texts():
-        assert _stream(tokenize(text)) == _stream(_oracle_tokenize(text)), text
+        assert token_rows(tokenize(text)) == _oracle_tokenize(text), text
 
 
 def test_tokenize_ends_in_one_eof_on_the_acceptance_corpus():
     for case in build_corpus(3):
         text = strip_comments(case.source)
-        tokens = tokenize(text)
-        assert [t.type for t in tokens].count("eof") == 1, case.filename
-        assert tokens[-1] == Token("eof", "", len(text), len(text))
-        assert len(tokens) == len(_oracle_tokenize(text))
+        rows = token_rows(tokenize(text))
+        assert [row[0] for row in rows].count("eof") == 1, case.filename
+        assert rows[-1] == ("eof", "", len(text), len(text))
+        assert len(rows) == len(_oracle_tokenize(text))
 
 
 _BLOCKS_AT_EVERY_DEPTH = """
 pragma solidity ^0.8.0;
 import {A, B} from "x.sol";
 struct Top { uint a; }
+string constant F = "; function f() {";
 function free(uint x) pure returns (uint) { if (x > 0) { return x; } { x += 1; } return x; }
 contract C is A("}{") {
     struct S { uint a; }
@@ -616,33 +613,45 @@ def _sources_for_lexing() -> list:
     texts = [strip_comments(case.source) for case in build_corpus(1)]
     return texts + [filler_source(0), _BLOCKS_AT_EVERY_DEPTH,
                     'hex"7b" unicode"x" hexa"b" 0x1fz 0xg 1.5e3x 1.e5 1_000ether a.5 $b _c ٣d ٣_e ٣e5x '
-                    'éf #g @h\u00a0i\\j']
+                    'éf #g @h\u00a0i\\j',
+                    # ASCII with no quote: ranges without 0x1fz, 1e+5x, 9$a or 1_0 split into runs
+                    'a.5 1.e5 x2 b9 $c _d 0x1fz 12 e; 1e+5x f 9$a g 1_0 h @i #j \\k 3.25 l\x00m']
 
 
 def test_identifiers_are_the_id_tokens_of_the_range():
     rng = random.Random(15)
     for text in _sources_for_lexing():
-        tokens = tokenize(text)[:-1]
+        rows = token_rows(tokenize(text))[:-1]
         for _ in range(40):
-            first, last = sorted(rng.randrange(len(tokens)) for _ in range(2))
-            start, end = tokens[first].start, tokens[last].end
-            ids = [tok.value for tok in tokenize(text, "", start, end) if tok.type == "id"]
+            first, last = sorted(rng.randrange(len(rows)) for _ in range(2))
+            start, end = rows[first][2], rows[last][3]
+            ids = [value for kind, value, _, _ in token_rows(tokenize(text, "", start, end))
+                   if kind == "id"]
             names = identifiers(text, start, end)
             assert names == tuple(dict.fromkeys(ids)), text[start:end]
             assert all(sys.intern(name) is name for name in names)
 
 
 def test_the_outline_lexes_all_but_the_inside_of_blocks_opened_at_depth_one():
+    """Nor the inside of a free function's body: a top-level block whose
+    statement, after the last top-level ``;`` or ``}``, starts with ``function``."""
     for text in _sources_for_lexing():
-        kept, depth = [], 0
-        for tok in tokenize(text):
-            if tok.type == "punct" and tok.value == "}":
+        kept, depth, first, in_free_body = [], 0, None, False
+        for row in token_rows(tokenize(text)):
+            kind, value = row[:2]
+            if kind == "punct" and value == "}":
                 depth -= 1
-            if depth < 2:
-                kept.append(tok)
-            if tok.type == "punct" and tok.value == "{":
+                in_free_body = in_free_body and depth > 0
+            if depth == 0 and first is None:
+                first = value
+            if depth < (1 if in_free_body else 2):
+                kept.append(row)
+            if kind == "punct" and value == "{":
+                in_free_body = in_free_body or (depth == 0 and first == "function")
                 depth += 1
-        assert tokenize(outline(text, LineIndex(text))) == kept
+            if depth == 0 and kind == "punct" and value in (";", "}"):
+                first = None
+        assert token_rows(tokenize(outline(text, LineIndex(text)))) == kept
 
 
 def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
@@ -664,22 +673,22 @@ def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
         for text in texts:
             src = SourceFile(path="cut.sol", text=text)
             parser = Parser(src)
-            lists = [(parser.tokens[:-2], Parser.parse)]  # without the two padding eofs
+            lists = [(parser.values, Parser.parse)]
             lists += [(tokenize(src.stripped, src.path, fn.body_start, fn.end),
                        Parser._parse_block_children)
                       for fn in parser.parse().functions if fn.has_body]
             assert len(lists) > 1
             for tokens, parse in lists:
-                for cut, tok in enumerate(tokens):
+                for cut in range(len(tokens)):
                     try:
-                        parse(Parser(src, tokens[:cut] + [Token("eof", "", tok.start, tok.start)]))
+                        parse(Parser(src, cut_tokens(tokens, cut)))
                     except SoliditySyntaxError:
                         pass
 
 
 def _parse_reading_every_body(monkeypatch, text: str, path: str) -> tuple:
     """Parse ``text``, read every body twice; return the unit, each ``parser.tokenize``
-    result and each ``Parser``'s token list."""
+    result and each ``Parser``'s (values, starts, ends) lists."""
     lexed, read = [], []
 
     def recording_tokenize(*args):
@@ -688,7 +697,7 @@ def _parse_reading_every_body(monkeypatch, text: str, path: str) -> tuple:
 
     def recording_init(parser, src, tokens=None):
         init(parser, src, tokens)
-        read.append(parser.tokens)
+        read.append((parser.values, parser.starts, parser.ends))
 
     init = Parser.__init__
     with monkeypatch.context() as patch:
@@ -705,25 +714,31 @@ _TWO_FIXTURES = [("first_deposit", "contracts", "Vault.sol"),
 
 
 def test_every_token_the_parser_reads_comes_through_the_module_tokenize(monkeypatch):
-    """Benchmark tracing wraps ``parser.tokenize`` by name to count tokens."""
+    """Benchmark tracing wraps ``parser.tokenize`` by name and counts tokens with ``len()``."""
     for parts in _TWO_FIXTURES:
         _, lexed, read = _parse_reading_every_body(monkeypatch, read_fixture(*parts), parts[-1])
-        from_tokenize = {id(tok) for tokens in lexed for tok in tokens}
         assert len(read) == len(lexed) > 1
-        assert all(id(tok) in from_tokenize for tokens in read for tok in tokens)
+        for (values, starts, ends), tokens in zip(read, lexed):
+            assert values is tokens and starts is tokens.starts and ends is tokens.ends
+        for tokens in lexed:
+            assert len(tokens) == len(tokens.starts) == len(tokens.ends)
+            assert tokens.index("") == len(tokens) - 1
 
 
 def test_no_body_is_lexed_twice(monkeypatch):
-    """The outline holds only a contract function body's braces; the body is lexed once, alone."""
-    for parts in _TWO_FIXTURES:
-        unit, lexed, _ = _parse_reading_every_body(monkeypatch, read_fixture(*parts), parts[-1])
+    """The outline holds only a function body's braces, in a contract or free; the body
+    is lexed once, alone."""
+    sources = [(parts[-1], read_fixture(*parts)) for parts in _TWO_FIXTURES]
+    for path, text in sources + [("Free.sol", _BLOCKS_AT_EVERY_DEPTH)]:
+        unit, lexed, _ = _parse_reading_every_body(monkeypatch, text, path)
         bodies = [fn for fn in unit.functions if fn.has_body]
-        assert bodies and all(fn.contract for fn in bodies)
-        assert sorted((tokens[0].start, tokens[-1].end) for tokens in lexed[1:]) == sorted(
+        assert bodies
+        assert sorted((tokens.starts[0], tokens.ends[-1]) for tokens in lexed[1:]) == sorted(
             (fn.body_start, fn.end) for fn in bodies)
-        starts = Counter(tok.start for tokens in lexed for tok in tokens[:-1])
+        starts = Counter(start for tokens in lexed for start in tokens.starts[:-1])
         assert {start for start, n in starts.items() if n > 1} == {
             offset for fn in bodies for offset in (fn.body_start, fn.end - 1)}
+    assert [fn.name for fn in bodies if fn.contract_def.name == ""] == ["free"]
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +770,7 @@ class _ClassifyingParser(Parser):
         self.pos = saved
         answer = super()._at_declaration()
         assert self.pos == saved
-        self.answers.append((answer, parses, self.tokens[saved].start))
+        self.answers.append((answer, parses, self.starts[saved]))
         return answer
 
 
@@ -829,7 +844,7 @@ def test_a_broken_member_or_statement_costs_only_itself(broken):
 
 def test_leading_bom_is_whitespace():
     text = "\ufeffcontract C { function f() public {} }"
-    assert tokenize(text)[0] == Token("id", "contract", 1, 9)
+    assert token_rows(tokenize(text))[0] == ("id", "contract", 1, 9)
     (fn,) = enumerate_functions(parse_text(text))
     assert fn.source() == "function f() public {}"
 
