@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import string
 from typing import Optional
 
 from .lexer import strip_comments
@@ -35,7 +36,6 @@ __all__ = [
     "base_identifier",
     "used_names",
     "target_names",
-    "identifier_token_re",
 ]
 
 
@@ -152,12 +152,24 @@ def target_names(expr: Expression) -> list[str]:
     return [root] if root else []
 
 
-def identifier_token_re(name: str) -> "re.Pattern[str]":
-    return re.compile(r"(?<![A-Za-z0-9_$])" + re.escape(name) + r"(?![A-Za-z0-9_$])")
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+# The characters that may continue an identifier; any other character,
+# a non-ASCII letter included, ends one.
+_NAME_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
 
 
 def contains_identifier(text: str, name: str) -> bool:
-    """Case-sensitive identifier-token match; substring for non-identifiers."""
-    if re.fullmatch(r"[A-Za-z_$][A-Za-z0-9_$]*", name):
-        return identifier_token_re(name).search(text) is not None
-    return name in text
+    """Case-sensitive identifier-token match; substring for non-identifiers.
+
+    An identifier ``name`` matches where neither the character before it
+    nor the one after it can continue an identifier.
+    """
+    if not _IDENTIFIER_RE.fullmatch(name):
+        return name in text
+    at = text.find(name)
+    while at >= 0:
+        after = at + len(name)
+        if text[at - 1 : at] not in _NAME_CHARS and text[after : after + 1] not in _NAME_CHARS:
+            return True
+        at = text.find(name, at + 1)
+    return False

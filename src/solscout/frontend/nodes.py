@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -21,11 +22,17 @@ _BODY_LOCK = threading.Lock()
 
 
 class LineIndex:
-    """Maps character offsets to 1-based (line, column) pairs."""
+    """Maps character offsets to 1-based (line, column) pairs.
+
+    The line starts are one ``array`` of 8 bytes a line, not a list of int
+    objects: a file's index is built when its lines are first read, in the
+    middle of a scan, where small objects would raise its peak memory.
+    """
 
     def __init__(self, text: str):
         # each line's start: one past the previous line's end and newline
-        self._starts = list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
+        self._starts = array("q", accumulate(map((1).__add__, map(len, text.split("\n"))),
+                                             initial=0))
         self._starts.pop()  # one past the end of the text
 
     def linecol(self, offset: int) -> tuple[int, int]:
@@ -42,17 +49,17 @@ class SourceFile:
 
     ``stripped`` has every comment replaced by spaces (newlines kept) so
     offsets line up with ``text``; keyword filters match on ``stripped``
-    while report excerpts slice ``text``.
+    while report excerpts slice ``text``. ``line_index`` is built the
+    first time something reads a line or column of the file.
     """
 
     path: str
     text: str
     stripped: str = ""
-    line_index: LineIndex = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.line_index is None:
-            self.line_index = LineIndex(self.text)
+    @cached_property
+    def line_index(self) -> LineIndex:
+        return LineIndex(self.text)
 
 
 @dataclass(slots=True)

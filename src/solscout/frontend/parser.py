@@ -88,11 +88,13 @@ class Parser:
         if tokens is None:
             if not src.stripped:
                 src.stripped = strip_comments(src.text, src.path)
-            tokens = tokenize(outline(src.stripped, src.line_index, src.path), src.path)
+            tokens = tokenize(outline(src.stripped, src.path), src.path)
         self.values = tokens
         self.starts = tokens.starts
         self.ends = tokens.ends
         self.pos = 0
+        # (offset, its line) of the last ``_line_of`` answer; offsets asked only grow
+        self._line_at = (0, 1)
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -274,9 +276,20 @@ class Parser:
                 fn.parsed_body = _parse_block(self.src, fn.body_start, fn.end)
             else:
                 fn.body_names = identifiers(self.src.stripped, fn.body_start, fn.end)
-        line_of = self.src.line_index.line_of
-        fn.span = (line_of(start), line_of(max(start, fn.end - 1)))
+        fn.span = (self._line_of(start), self._line_of(max(start, fn.end - 1)))
         return fn
+
+    def _line_of(self, offset: int) -> int:
+        """The 1-based line of ``offset``, not before the last one asked.
+
+        The newlines since the last answer are counted, so the file's
+        parse needs no line index, and a file whose lines nothing else
+        reads never builds one.
+        """
+        at, line = self._line_at
+        line += self.src.text.count("\n", at, offset)
+        self._line_at = (offset, line)
+        return line
 
     def _parse_params(self) -> list:
         values = self.values

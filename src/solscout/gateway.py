@@ -108,14 +108,16 @@ _DECODER = json.JSONDecoder()
 def _first_json_object(text: str):
     """The object decoded from the first ``{`` that starts one, or None.
 
-    A nesting too deep to decode counts as no object there.
+    A nesting too deep to decode counts as no object there. No object
+    starts after the text's last ``}``, so no decode is tried there.
     """
-    start = text.find("{")
+    last = text.rfind("}")
+    start = text.find("{", 0, max(last, 0))
     while start != -1:
         try:
             return _DECODER.raw_decode(text, start)[0]
         except (json.JSONDecodeError, RecursionError):
-            start = text.find("{", start + 1)
+            start = text.find("{", start + 1, last)
     return None
 
 

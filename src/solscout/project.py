@@ -137,18 +137,17 @@ def inherited_names(fn: FunctionRecord, contracts_by_name: dict) -> set[str]:
 
 def filter_openzeppelin(functions: list, whitelist: SignatureSet,
                         contracts_by_name: dict) -> list:
-    """Drop functions whose signature (under any inherited name) is whitelisted."""
+    """Drop functions whose signature (under any inherited name) is whitelisted.
+
+    A signature is built only for a function whose name some whitelist
+    entry has; no other function can match one.
+    """
     if not whitelist.entries:
         return list(functions)
-    survivors = []
-    for fn in functions:
-        if not fn.name:
-            survivors.append(fn)  # constructors/fallbacks have no API signature
-            continue
-        drop = any(
-            canonical_signature(fn, name) in whitelist
-            for name in inherited_names(fn, contracts_by_name)
-        )
-        if not drop:
-            survivors.append(fn)
-    return survivors
+    # '<visibility> <Contract>.<name>(...)': a contract name holds no '.'
+    names = {entry.partition(".")[2].partition("(")[0] for entry in whitelist.entries}
+    names.discard("")  # constructors/fallbacks have no API signature
+    return [fn for fn in functions
+            if fn.name not in names or not any(
+                canonical_signature(fn, name) in whitelist
+                for name in inherited_names(fn, contracts_by_name))]

@@ -48,6 +48,45 @@ def sample_projects(tmp_path_factory) -> list:
     return fixtures + [os.path.join(ROOT, "demo", "project"), corpus, generated, dense]
 
 
+@pytest.fixture(scope="session")
+def scanned_sources() -> dict:
+    """Project name -> ``(path, text)`` of each of its Solidity files.
+
+    The four fixtures, the demo, the acceptance corpus, and the seed-7
+    ``wide-parse`` and ``dense-graph`` benchmark inputs: the same texts
+    ``bench/generate.py`` writes, kept in memory.
+    """
+    from corpus import build_corpus
+
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import generate
+
+    projects = {}
+    for root in [fixture_path(name) for name in ("first_deposit", "first_deposit_patched",
+                                                 "checkpoint_order", "checkpoint_order_patched")
+                 ] + [os.path.join(ROOT, "demo", "project")]:
+        files = []
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if name.endswith(".sol"):
+                    with open(os.path.join(dirpath, name), encoding="utf-8-sig") as fh:
+                        files.append((os.path.relpath(os.path.join(dirpath, name), root), fh.read()))
+        projects[os.path.relpath(root, ROOT)] = files
+    corpus = [(case.filename, case.source) for case in build_corpus(variants=3)]
+    projects["acceptance"] = corpus
+    rng = random.Random("wide-parse:7")  # as generate.generate seeds it
+    projects["wide-parse:7"] = corpus + [(f"Filler{i}.sol", generate.filler_source(i, rng))
+                                         for i in range(generate.WIDE_FILLER_FILES)]
+    dense = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generate, "_write", lambda path, text: dense.append(
+            (os.path.basename(path), text)))
+        generate.dense_project("", random.Random("dense-graph:7"))
+    projects["dense-graph:7"] = dense
+    return projects
+
+
 # the CA that signed tls/server.pem, a certificate for 127.0.0.1 and localhost
 TLS_CA = fixture_path("tls", "ca.pem")
 

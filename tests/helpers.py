@@ -7,9 +7,17 @@ the real hash-keyed lookup path.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
+from itertools import accumulate, chain, compress, zip_longest
+from operator import sub
+
 from solscout.config import ScanConfig
-from solscout.errors import SolscoutError
-from solscout.frontend.lexer import Tokens, token_kind
+from solscout.errors import SolscoutError, SoliditySyntaxError
+from solscout.frontend import LineIndex
+from solscout.frontend.lexer import (_FREE_FUNCTION_HEAD_RE, _STRING, _STRING_ALTERNATIVES,
+                                     Tokens, token_kind)
+from solscout.project import canonical_signature, inherited_names
 from solscout.gateway import (SYSTEM_PROMPT, LlmGateway, ProviderConfig, Transcript,
                               render_recognition_answer, render_scenario_answer, render_yes_no,
                               scripted)
@@ -130,3 +138,94 @@ def cut_tokens(tokens: Tokens, cut: int) -> Tokens:
     cut_list.starts = tokens.starts[:cut] + [at]
     cut_list.ends = tokens.ends[:cut] + [at]
     return cut_list
+
+
+# ----------------------------------------------------------------------
+# oracles: the regex and per-function forms of passes the scanner now
+# does with str.find, str.split, newline counts and a name check
+
+# Strings first so comment markers inside them are ignored.
+_SEGMENT_RE = re.compile(_STRING_ALTERNATIVES + r"|//[^\n]*|/\*.*?\*/", re.DOTALL)
+
+
+def regex_strip_comments(text: str, path: str = "") -> str:
+    """``lexer.strip_comments`` as one ``finditer`` of strings and comments."""
+    parts = []
+    pos = 0
+    for m in _SEGMENT_RE.finditer(text):
+        _check_gap(text, pos, m.start(), path)
+        parts.append(text[pos : m.start()])
+        seg = m.group(0)
+        if seg.startswith("//") or seg.startswith("/*"):
+            parts.append("".join("\n" if c == "\n" else " " for c in seg))
+        else:
+            parts.append(seg)
+        pos = m.end()
+    _check_gap(text, pos, len(text), path)
+    parts.append(text[pos:])
+    return "".join(parts)
+
+
+def _check_gap(text: str, lo: int, hi: int, path: str) -> None:
+    gap = text[lo:hi]
+    bad = None
+    for needle, msg in (('"', "unterminated string"), ("'", "unterminated string"),
+                        ("/*", "unterminated block comment")):
+        at = gap.find(needle)
+        if at != -1 and (bad is None or at < bad[0]):
+            bad = (at, msg)
+    if bad is not None:
+        line, col = LineIndex(text).linecol(lo + bad[0])
+        raise SoliditySyntaxError(bad[1], line, col, path)
+
+
+# One ``(text, brace)`` pair per brace outside a string literal, then one
+# or two with the brace "" for the text after the last one.
+_BRACE_RE = re.compile(r"""([^{}"']*(?:""" + _STRING + r"""[^{}"']*)*)([{}]|\Z)""")
+_BRACE_STEP = {"{": 1, "}": -1, "": 0}
+_DEPTH_ONE_EDGES = {("{", 1), ("}", 2)}
+_TOP_LEVEL_OPEN = ("{", 0)
+
+
+def regex_outline(stripped: str, path: str = "") -> str:
+    """``lexer.outline`` with its braces found by one regex walk over the text."""
+    flat = list(chain.from_iterable(_BRACE_RE.findall(stripped)))
+    starts = list(accumulate(map(len, flat), initial=0))[1::2]
+    braces = flat[1::2]
+    depths = list(accumulate(map(_BRACE_STEP.__getitem__, braces), initial=0))
+    index = LineIndex(stripped)
+    if min(depths) < 0:
+        line, col = index.linecol(starts[depths.index(-1) - 1])
+        raise SoliditySyntaxError("unbalanced '}'", line, col, path)
+    if depths[-1]:
+        last = len(depths) - 1 - depths[::-1].index(depths[-1] - 1)
+        line, col = index.linecol(starts[last])
+        raise SoliditySyntaxError("unclosed '{'", line, col, path)
+    edges = list(compress(starts, map(_DEPTH_ONE_EDGES.__contains__, zip(braces, depths))))
+    for k in compress(range(len(braces)), map(_TOP_LEVEL_OPEN.__eq__, zip(braces, depths))):
+        if _FREE_FUNCTION_HEAD_RE.fullmatch(stripped, starts[k - 1] + 1 if k else 0, starts[k]):
+            body = [starts[k], starts[depths.index(0, k + 1) - 1]]
+            edges[bisect_left(edges, body[0]):bisect_left(edges, body[1])] = body
+    if not edges:
+        return stripped
+    opens, closes = edges[0::2], edges[1::2]
+    kept_starts = [0, *closes]
+    kept_stops = [*map((1).__add__, opens), len(stripped)]
+    kept = map(stripped.__getitem__, map(slice, kept_starts, kept_stops))
+    blanks = map(" ".__mul__, map(sub, closes, kept_stops))
+    return "".join(chain.from_iterable(zip_longest(kept, blanks, fillvalue="")))
+
+
+def line_index_span(fn) -> tuple:
+    """A function's 1-based (start line, end line), looked up in a line index of its file."""
+    line_of = LineIndex(fn.file.text).line_of
+    return line_of(fn.start), line_of(max(fn.start, fn.end - 1))
+
+
+def whitelist_survivors(functions: list, whitelist, contracts_by_name: dict) -> list:
+    """``project.filter_openzeppelin`` building every named function's signatures."""
+    if not whitelist.entries:
+        return list(functions)
+    return [fn for fn in functions
+            if not fn.name or not any(canonical_signature(fn, name) in whitelist
+                                      for name in inherited_names(fn, contracts_by_name))]

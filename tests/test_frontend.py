@@ -13,6 +13,7 @@ from solscout.frontend import (
     FunctionRecord,
     LineIndex,
     SourceFile,
+    contains_identifier,
     enumerate_functions,
     iter_calls,
     parse_source,
@@ -25,7 +26,8 @@ from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
 from corpus import build_corpus, filler_source
-from helpers import cut_tokens, token_rows, walk_expression
+from helpers import (cut_tokens, line_index_span, regex_outline, regex_strip_comments, token_rows,
+                     walk_expression)
 
 
 # With this as ``FunctionRecord.is_entry_point``, every body is parsed with
@@ -651,7 +653,7 @@ def test_the_outline_lexes_all_but_the_inside_of_blocks_opened_at_depth_one():
                 depth += 1
             if depth == 0 and kind == "punct" and value in (";", "}"):
                 first = None
-        assert token_rows(tokenize(outline(text, LineIndex(text)))) == kept
+        assert token_rows(tokenize(outline(text))) == kept
 
 
 def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
@@ -993,10 +995,12 @@ def test_threads_reading_deferred_bodies_at_once_parse_each_once(monkeypatch):
     count = (os.cpu_count() or 1) + 2
     barrier = threading.Barrier(count)
     bodies = [None] * count
+    spans = [None] * count  # each statement's span builds the file's line index on first read
 
     def read(i):
         barrier.wait(timeout=10)
         bodies[i] = [fn.body for fn in unit.functions]
+        spans[i] = [stmt.span for fn in unit.functions for stmt in fn.statements()]
 
     threads = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(count)]
     interval = sys.getswitchinterval()
@@ -1013,6 +1017,10 @@ def test_threads_reading_deferred_bodies_at_once_parse_each_once(monkeypatch):
     for statements in zip(*bodies):
         assert all(body is statements[0] for body in statements)
     assert parses == {fn.name: 1 for fn in unit.functions}
+    line_of = LineIndex(unit.functions[0].file.text).line_of
+    expected = [(line_of(stmt.start), line_of(max(stmt.start, stmt.end - 1)))
+                for fn in unit.functions for stmt in fn.statements()]
+    assert len(expected) > 100 and spans == [expected] * count
 
 
 NESTED_CALLS = """contract N {
@@ -1037,3 +1045,149 @@ def test_iter_calls_lists_calls_in_the_order_of_a_pre_order_walk():
                         assert calls == [n for n in walk_expression(expr) if n.kind == "call"]
                         seen += len(calls)
     assert seen > 60
+
+
+# ----------------------------------------------------------------------
+# the find-based passes against their regex oracles
+
+_LEXING_EDGE_CASES = {
+    "escaped quotes": 'contract C { function f() public { s = "a\\"}b"; t = \'it\\\'s {\'; '
+                      'u = "\\\\"; v = \'\\\\\'; } }',
+    "comment markers in strings": 'contract C { function f() public { s = "// {"; '
+                                  't = \'/* }\'; u = "*/"; g(); } function g() internal {} }',
+    "braces in strings": 'contract C { string s = "{{{"; function f() public { t = "}"; '
+                         'if (x) { u = \'{}}\'; } } }',
+    "CRLF line ends": "contract C {\r\n  // c {\r\n  function f() public {\r\n    g();\r\n  }\r\n"
+                      "  /* a\r\n } b */\r\n  function g() internal { }\r\n}\r\n",
+    "non-ASCII before a function": '// héllo ☃ { ünï\ncontract C { string s = "é{ñ"; /* ☃ } */\n'
+                                   '  function f() public { g("☃"); }\n function g(string memory) '
+                                   'internal {} }',
+    "byte-order mark": "\ufeffcontract C {\n function f() public { g(); }\n"
+                       " function g() internal {}\n}\n",
+    "escaped newline": 'contract C { function f() public { s = "a\\\nb}"; g(); } }',
+    "divisions and slashes": "contract C { function f() public { x = a / b / (c /d); } } /",
+    "comment openers": "contract C { /*/ } */ function f() public {} //}\n} /**/",
+    "prefixed strings": 'contract C { bytes b = hex"7b"; string u = unicode"}{"; }',
+    "free function": 'string constant F = "; function f() {";\n'
+                     "function free(uint x) pure returns (uint) { if (x > 0) { return x; } }",
+}
+
+# Every text whose SoliditySyntaxError message, line and column a test pins.
+_PINNED_ERRORS = [text for text, error in _BRACE_ERRORS if error] + [
+    "contract {",
+    'contract C { function f() public { s = "abc; } }',
+    "contract C { } /* dangling",
+    "contract C {} function f() pure",
+    'contract C { function f() public { s = "abc\n"; } }',
+    "contract C { function f() public { s = 'abc",
+    'contract C { function f() public { s = "abc\\',
+    "contract C { /*/ }",
+    "contract C { } /* a */ /* b",
+    "\ufeffcontract C {\r\n function f() public {\r\n",
+    "contract C { function f() public { x = %s; } }" % DEEP_EXPRESSIONS["parentheses"],
+]
+
+
+def _outcome(function, *args):
+    """What ``function(*args)`` returns, or the (message, line, column) it raises."""
+    try:
+        return function(*args)
+    except SoliditySyntaxError as err:
+        return str(err).split(": ", 1)[1], err.line, err.column
+
+
+def _mutated(rng: random.Random, texts: list, count: int) -> list:
+    alphabet = list('{}"\'/*\\\n\r é') + ["/*", "*/", "//"]
+    out = []
+    for _ in range(count):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randrange(1, 6)):
+            at = rng.randrange(len(chars) + 1)
+            if rng.randrange(2) or not chars:
+                chars.insert(at, rng.choice(alphabet))
+            else:
+                del chars[min(at, len(chars) - 1)]
+        out.append("".join(chars))
+    return out
+
+
+def _texts_against_oracles(scanned_sources) -> list:
+    texts = [text for files in scanned_sources.values() for _path, text in files]
+    texts += list(_LEXING_EDGE_CASES.values()) + _PINNED_ERRORS
+    small = list(_LEXING_EDGE_CASES.values()) + [text for text, _ in _BRACE_ERRORS]
+    return texts + _mutated(random.Random(19), small, 3000)
+
+
+def test_strip_comments_and_outline_match_their_regex_oracles(scanned_sources):
+    """Same text or same error, on every compared input, the edge cases and
+    random edits of them that insert or delete quotes, slashes, stars,
+    backslashes, braces, line ends and non-ASCII characters."""
+    outcomes = Counter()
+    for text in _texts_against_oracles(scanned_sources):
+        stripped = _outcome(strip_comments, text, "p.sol")
+        assert stripped == _outcome(regex_strip_comments, text, "p.sol"), text
+        if isinstance(stripped, str):
+            result = _outcome(outline, stripped, "p.sol")
+            assert result == _outcome(regex_outline, stripped, "p.sol"), text
+            stripped = result
+        outcomes[stripped[0] if isinstance(stripped, tuple) else "outlined"] += 1
+    assert min(outcomes.values()) > 100 and len(outcomes) == 5, outcomes
+
+
+def test_function_spans_and_syntax_errors_match_the_line_index_oracle(scanned_sources,
+                                                                       monkeypatch):
+    """A function's span counts newlines; a file parsed with the regex passes
+    raises the same message at the same line and column, or parses the same."""
+    def fields(text):
+        unit = _outcome(parse_text, text, "p.sol")
+        if isinstance(unit, tuple):
+            return unit
+        return [(fn.contract, fn.name, fn.span, fn.start, fn.end, fn.body_start, fn.body_names)
+                for fn in unit.functions]
+
+    texts = _texts_against_oracles(scanned_sources)
+    new = [fields(text) for text in texts]
+    with monkeypatch.context() as patch:
+        patch.setattr(parser_module, "strip_comments", regex_strip_comments)
+        patch.setattr(parser_module, "outline", regex_outline)
+        assert [fields(text) for text in texts] == new
+    errors = {text: result for text, result in zip(texts, new) if isinstance(result, tuple)}
+    assert all(text in errors for text in _PINNED_ERRORS)
+    spans = 0
+    for text in texts:
+        if text not in errors:
+            for fn in parse_text(text).functions:
+                assert fn.span == line_index_span(fn), (fn.name, text)
+                spans += 1
+    assert spans > 6000
+
+
+def test_line_and_column_count_every_character_before_them():
+    """CRLF, a byte-order mark and non-ASCII text before a function count as
+    characters, as a line index of the file counts them."""
+    for name in ("CRLF line ends", "non-ASCII before a function", "byte-order mark"):
+        text = _LEXING_EDGE_CASES[name]
+        unit = parse_text(text)
+        assert [fn.span for fn in unit.functions] == [line_index_span(fn) for fn in unit.functions]
+        assert all("line_index" not in vars(fn.file) for fn in unit.functions)
+    assert [fn.span for fn in parse_text(_LEXING_EDGE_CASES["CRLF line ends"]).functions] == [
+        (3, 5), (8, 8)]
+    assert _syntax_error("\ufeffcontract C {\r\n function f() public {\r\n") == (
+        "unclosed '{'", 2, 22)
+    assert _syntax_error('// ☃\ncontract C { s = "é\n"; }') == ("unterminated string", 2, 18)
+
+
+def test_contains_identifier_matches_the_lookbehind_regex():
+    def regex(text, name):
+        if re.fullmatch(r"[A-Za-z_$][A-Za-z0-9_$]*", name):
+            return re.search(r"(?<![A-Za-z0-9_$])" + re.escape(name) + r"(?![A-Za-z0-9_$])",
+                             text) is not None
+        return name in text
+
+    rng = random.Random(23)
+    alphabet = "ab_$1 .(é\n["
+    names = ["a", "ab", "_a", "$", "a1", "b$", "1a", "a.b", "", "a[", "é"]
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
+        name = rng.choice(names)
+        assert contains_identifier(text, name) == regex(text, name), (text, name)

@@ -195,6 +195,35 @@ def test_first_json_object_matches_the_brace_scanner():
     assert _first_json_object(texts[-1]) == {"1": "Yes"}
 
 
+def test_first_json_object_tries_no_start_after_the_last_closing_brace():
+    """A hostile answer of unclosed objects costs one scan, not one decode per
+    ``{`` (about 3 s for 160 KB when every ``{`` was tried)."""
+    hostile = '{"a":' * 32_000
+    started = time.perf_counter()
+    assert _first_json_object(hostile) is None
+    assert _first_json_object('{"1": "Yes"}' + hostile) == {"1": "Yes"}
+    assert time.perf_counter() - started < 0.2
+
+
+@pytest.mark.parametrize("text, value", [
+    ('{"1": "Yes"}', {"1": "Yes"}),
+    ('garbage { not json } then {"1": "No"} tail', {"1": "No"}),
+    ('"{\\"in\\": \\"string\\"}" {"a": "}{"}', {"a": "}{"}),
+    ('{"a": "{\\"b\\": 1}"}', {"a": '{"b": 1}'}),
+    ('{"a": {"b": {"c": [1, {"d": "}"}]}}}', {"a": {"b": {"c": [1, {"d": "}"}]}}}),
+    ('{"a": ' + "[" * 100_000 + '] } {"deep": "no"}', {"deep": "no"}),
+    ('{"a": ' + "[" * 100_000 + "]}", None),
+    ('{"a": 1', None),
+    ("}}}{", None),
+    ("{}", {}),
+    ("", None),
+], ids=["plain", "garbage-before", "object-inside-a-string", "string-holding-an-object",
+        "nested", "too-deep-then-an-object", "too-deep", "unclosed", "only-a-trailing-open",
+        "empty-object", "empty"])
+def test_first_json_object_decodes_the_same_values(text, value):
+    assert _first_json_object(text) == value
+
+
 def test_parse_scenario_answer_basic():
     assert parse_scenario_answer('{"1": "Yes", "2": "No"}', 2) == {1: True, 2: False}
 

@@ -737,3 +737,26 @@ def test_scan_runs_no_collection(corpus_config, gc_state, monkeypatch):
 
     monkeypatch.setattr(gc, "collect", collect)
     assert scan(corpus_config).confirmed
+
+
+def test_a_scan_builds_no_line_index_for_a_file_whose_lines_it_never_reads(tmp_path, monkeypatch):
+    """Function spans count newlines, so only a file whose statements become
+    evidence builds a line index: never a filler of uncalled functions."""
+    cases = build_corpus(variants=1)
+    write_corpus(str(tmp_path), cases, filler_files=4)
+    config = replay_config(str(tmp_path), "")
+    layouts = []
+    discover = pipeline.discover_sources
+
+    def recording_discover(*args):
+        layouts.append(discover(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(pipeline, "discover_sources", recording_discover)
+    answer = scripted(scripted_answerer(corpus_answers(cases), load_rules(config.rules_dir)))
+    result = scan(config, LlmGateway(ProviderConfig(max_in_flight=1), answer, Transcript()))
+    (layout,) = layouts
+    indexed = {src.path for src in layout.included if "line_index" in vars(src)}
+    assert result.confirmed and indexed
+    assert indexed <= {finding.file for finding in result.findings}
+    assert not any(path.startswith("contracts/Filler") for path in indexed)

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
-from solscout.errors import SolscoutError
+from solscout.config import shipped_whitelist_path
+from solscout.errors import SoliditySyntaxError, SolscoutError
 from solscout.frontend import enumerate_functions, index_contracts, parse_source, parse_text
 from solscout.project import (
     DEFAULT_EXCLUDED_SEGMENTS,
@@ -10,8 +12,11 @@ from solscout.project import (
     canonical_signature,
     discover_sources,
     filter_openzeppelin,
+    inherited_names,
     load_signature_set,
 )
+
+from helpers import whitelist_survivors
 
 
 def make_tree(tmp_path, files):
@@ -192,3 +197,30 @@ def test_filter_idempotent_and_monotone():
 def test_default_exclusion_set_contents():
     assert {"node_modules", "test", "tests", "mock", "mocks",
             "lib", "openzeppelin", "uniswap", "pancakeswap"} == set(DEFAULT_EXCLUDED_SEGMENTS)
+
+
+def test_whitelist_keeps_what_the_per_function_check_keeps(scanned_sources):
+    """Building signatures only for whitelisted names drops the same functions
+    as building every named function's, with the shipped whitelist and with
+    one that lists a sample of each project's own functions."""
+    shipped = load_signature_set(shipped_whitelist_path())
+    rng = random.Random(5)
+    dropped = 0
+    for name, files in scanned_sources.items():
+        units = []
+        for path, text in files:
+            try:
+                units.append(parse_text(text, path))
+            except SoliditySyntaxError:
+                pass
+        fns = [fn for unit in units for fn in enumerate_functions(unit)]
+        index = index_contracts(units)
+        sample = {canonical_signature(fn, rng.choice(sorted(inherited_names(fn, index))))
+                  for fn in rng.sample(fns, min(40, len(fns)))}
+        # a name another function has under another contract, and no name at all
+        sample |= {"public Elsewhere.deposit(uint256)", "public ERC20.()"}
+        for whitelist in (shipped, SignatureSet(entries=sample)):
+            survivors = filter_openzeppelin(fns, whitelist, index)
+            assert survivors == whitelist_survivors(fns, whitelist, index), name
+            dropped += len(fns) - len(survivors)
+    assert dropped > 100
