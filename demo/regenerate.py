@@ -2,20 +2,22 @@
 """Rebuild demo/transcript.jsonl from scripted answers.
 
 The pipeline scans demo/project with a scripted answerer and records to
-an in-memory transcript, so it holds exactly the queries a replay makes.
-It is keyed by prompt hash, so it must be regenerated whenever prompt
+a fresh file, so it holds exactly the queries a replay makes. It is
+keyed by prompt hash, so it must be regenerated whenever prompt
 construction changes. Run from the repository root:
 
     python demo/regenerate.py
 """
 
 import os
+import tempfile
 
 from solscout.config import ScanConfig
-from solscout.gateway import (LlmGateway, ProviderConfig, Transcript, render_recognition_answer,
-                              render_scenario_answer, render_yes_no, scripted)
+from solscout.gateway import LlmGateway, scripted
 from solscout.pipeline import scan
+from solscout.prompts import render_recognition_answer, render_scenario_answer, render_yes_no
 from solscout.rules import load_rules
+from solscout.transport import ProviderConfig
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -30,7 +32,9 @@ RECOGNITION = {
 
 def transcript_text() -> str:
     """The demo transcript, one JSON exchange per line."""
-    config = ScanConfig(project_root=os.path.join(HERE, "project"), project_name="demo")
+    # one worker: entries in candidate order
+    config = ScanConfig(project_root=os.path.join(HERE, "project"), project_name="demo",
+                        mode="record", provider=ProviderConfig(max_in_flight=1))
     scenario_counts = {rule.id: len(rule.scenarios) for rule in load_rules(config.rules_dir)}
 
     def answer(purpose, rule_id, function_id, user):
@@ -41,9 +45,11 @@ def transcript_text() -> str:
             return render_yes_no(True)
         return render_recognition_answer(RECOGNITION)
 
-    transcript = Transcript()
-    scan(config, LlmGateway(ProviderConfig(max_in_flight=1), scripted(answer), transcript))
-    return "".join(entry.to_json() + "\n" for entry in transcript.entries.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "transcript.jsonl")
+        scan(config, LlmGateway(scripted(answer), path))
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
 
 
 def main():

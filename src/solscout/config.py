@@ -16,7 +16,7 @@ import yaml
 
 from .callgraph import DEFAULT_ACL_MODIFIERS
 from .errors import ConfigError
-from .gateway import ProviderConfig
+from .transport import ProviderConfig
 from .project import DEFAULT_EXCLUDED_SEGMENTS
 from .rules import load_yaml, rule_paths, shipped_rules_dir
 

@@ -4,7 +4,9 @@ Four checks run over the candidate's code context using the variables
 and statements the model named: dataflow dependency (DF), value
 comparison in conditions (VC), statement execution order (OC), and
 user-controlled call arguments (FA). Everything is path-insensitive: a
-dependency or ordering on any syntactic path counts.
+dependency or ordering on any syntactic path counts. Before they run,
+``validate_recognition`` drops an answer whose names do not occur in
+the context.
 
 Calls are resolved once, by the call graph: a context carries each
 record's call sites with the function each resolved to, and a call
@@ -30,13 +32,13 @@ from .frontend import (
     Statement,
     call_name,
     contains_identifier,
+    is_identifier,
     target_names,
     used_names,
 )
 from .report import Finding
 from .rules import VulnRule
 
-_IDENT_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 _CONDITION_KINDS = ("if", "require", "assert")
 _CONTAINER_KINDS = ("block", "if", "for", "while")
 
@@ -280,7 +282,7 @@ def _statement_matches(stmt: Statement, sites: list, descriptor: str) -> bool:
     desc = descriptor.strip().rstrip(";").strip()
     if not desc:
         return False
-    if _IDENT_RE.match(desc):
+    if is_identifier(desc):
         return (any(call_name(call) == desc for _stmt, call, _target in sites)
                 or contains_identifier(stmt.raw, desc))
     return _collapse(desc) in _collapse(stmt.raw)
@@ -386,6 +388,28 @@ def check_fn_arg(call: str, context: CodeContext, graph: DefUseGraph,
     if out_of_range and arg_index is not None:
         return Presence(False, [], f"argument index {arg_index} out of range")
     return Presence(False, [], "no user-controlled argument")
+
+
+# ----------------------------------------------------------------------
+# recognition validation, before any check runs
+
+
+def validate_recognition(answer: dict, context: CodeContext, slots: list) -> str | None:
+    """Why the recognized ``answer`` is ungrounded, as ``"slot: reason"``, or None.
+
+    Each slot needs a name that occurs verbatim in the context, and a description.
+    """
+    for slot in slots:
+        if slot not in answer:
+            return f"{slot}: missing from answer"
+        name, desc = answer[slot]
+        if not name:
+            return f"{slot}: empty name"
+        if not desc:
+            return f"{slot}: empty description"
+        if not contains_identifier(context.text, name):
+            return f"{slot}: {name!r} does not occur in the context"
+    return None
 
 
 # ----------------------------------------------------------------------

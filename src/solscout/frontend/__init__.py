@@ -6,7 +6,7 @@ import re
 import string
 from typing import Optional
 
-from .lexer import strip_comments
+from .lexer import _IDENTIFIER, strip_comments
 from .nodes import (
     ContractDef,
     Expression,
@@ -152,10 +152,15 @@ def target_names(expr: Expression) -> list[str]:
     return [root] if root else []
 
 
-_IDENTIFIER_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_IDENTIFIER_RE = re.compile(_IDENTIFIER)
 # The characters that may continue an identifier; any other character,
 # a non-ASCII letter included, ends one.
 _NAME_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
+
+
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` is one identifier, as the lexer reads one."""
+    return _IDENTIFIER_RE.fullmatch(name) is not None
 
 
 def contains_identifier(text: str, name: str) -> bool:
@@ -164,7 +169,7 @@ def contains_identifier(text: str, name: str) -> bool:
     An identifier ``name`` matches where neither the character before it
     nor the one after it can continue an identifier.
     """
-    if not _IDENTIFIER_RE.fullmatch(name):
+    if not is_identifier(name):
         return name in text
     at = text.find(name)
     while at >= 0:

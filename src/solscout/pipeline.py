@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .callgraph import assemble_context, build_call_graph, compute_reachability
 from .config import ScanConfig
-from .confirm import confirm_candidate
+from .confirm import confirm_candidate, validate_recognition
 from .errors import (
     ContextOverflow,
     ProviderError,
@@ -23,10 +23,8 @@ from .errors import (
 )
 from .filters import candidates_for_rule
 from .frontend import enumerate_functions, index_contracts, parse_source
-from .gateway import (
-    LlmGateway,
-    RecognitionAbort,
-    Transcript,
+from .gateway import LlmGateway, Transcript
+from .prompts import (
     build_property_prompt,
     build_recognition_prompt,
     build_scenario_prompt,
@@ -34,11 +32,11 @@ from .gateway import (
     parse_recognition_answer,
     parse_scenario_answer,
     parse_yes_no,
-    validate_recognition,
 )
 from .project import discover_sources, filter_openzeppelin, load_signature_set
 from .report import Finding, count_kloc, emit_report, summarize_cost
 from .rules import load_rules
+from .transport import HttpProvider
 
 
 # reason prefix of a candidate skipped on a provider failure
@@ -145,7 +143,10 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     freeze = enabled and gc.get_freeze_count() == 0
     try:
         prepared = _prepare_frozen(config, enabled, freeze)
-        return _scan(prepared, config, gateway or _build_gateway(config, replay), started)
+        # record mode appends to the transcript file, opened only once the project has parsed
+        gateway = gateway or LlmGateway(replay or HttpProvider(config.provider),
+                                        config.transcript_path if config.mode == "record" else None)
+        return _scan(prepared, config, gateway, started)
     finally:
         if freeze:
             gc.unfreeze()
@@ -161,15 +162,6 @@ def _prepare_frozen(config: ScanConfig, enabled: bool, freeze: bool) -> Prepared
     finally:
         if enabled:
             gc.enable()
-
-
-def _build_gateway(config: ScanConfig, replay) -> LlmGateway:
-    """The gateway of ``config.mode``: ``replay`` answers if given, else the provider.
-
-    Record mode appends to the transcript file, opened only once the project has parsed.
-    """
-    return LlmGateway(config.provider, replay,
-                      config.transcript_path if config.mode == "record" else None)
 
 
 def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
@@ -199,7 +191,7 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
         "rejected": 0,
         "skipped": 0,
     }
-    workers = max(1, gateway.config.max_in_flight) if config.mode != "replay" else 1
+    workers = max(1, config.provider.max_in_flight) if config.mode != "replay" else 1
 
     def process(pair):
         rule, fn = pair
@@ -330,13 +322,12 @@ def _process_candidate(fn, rule, config, graph, reach, gateway):
 
     recognized = {}
     if answer is not None:
-        validated = validate_recognition(answer, context, rule.recognition.slots)
-        if isinstance(validated, RecognitionAbort):
-            return matched, finding(
-                "rejected", f"recognition abort: {validated.slot}: {validated.reason}")
+        abort = validate_recognition(answer, context, rule.recognition.slots)
+        if abort is not None:
+            return matched, finding("rejected", f"recognition abort: {abort}")
         recognized = {
             slot: {"name": name, "description": desc}
-            for slot, (name, desc) in validated.items()
+            for slot, (name, desc) in answer.items()
         }
     return matched, confirm_candidate(finding("rejected", recognized=recognized),
                                       rule, context, reach)

@@ -1,0 +1,154 @@
+"""Prompts, and the answers read back from them.
+
+Every prompt the scan sends is built here: one system prompt and a user
+prompt per stage (scenario, property, recognition). Each parser reads a
+model's free-form reply into the value its stage needs and raises
+``UnparseableAnswer`` for a reply it cannot read; each renderer writes
+the reply its parser reads, which is what scripted answerers say.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+
+from .errors import UnparseableAnswer
+
+SYSTEM_PROMPT = (
+    "You are a smart contract auditor. You will be asked questions related "
+    "to code properties. You can mimic answering them in the background five "
+    "times and provide me with the most frequently appearing answer. "
+    "Furthermore, please strictly adhere to the output format specified in "
+    "the question; there is no need to explain your answer."
+)
+
+
+def estimate_tokens(text: str) -> int:
+    """Deterministic budget estimator: ceil(utf-8 bytes / 4)."""
+    if not text:
+        return 0
+    return -(-len(text.encode("utf-8")) // 4)
+
+
+# ----------------------------------------------------------------------
+# prompt builders
+
+
+def build_scenario_prompt(scenarios: list, code: str) -> str:
+    if not scenarios:
+        raise ValueError("at least one scenario is required")
+    shape = ", ".join(f'"{i}": "Yes" or "No"' for i in range(1, len(scenarios) + 1))
+    questions = "\n".join(
+        f'"{i}": {sentence}?' for i, sentence in enumerate(scenarios, 1)
+    )
+    return (
+        "Given the following smart contract code, answer the questions below "
+        f"and organize the result in a json format like {{{shape}}}.\n\n"
+        f"{questions}\n\n{code}"
+    )
+
+
+def build_property_prompt(rule, code: str, scenario_index: int = 0) -> str:
+    sentence = f"{rule.scenarios[scenario_index]} {rule.property}"
+    return (
+        f'Does the following smart contract code "{sentence}"? '
+        f'Answer only "Yes" or "No".\n\n{code}'
+    )
+
+
+def build_recognition_prompt(recognition, code: str) -> str:
+    lines = [
+        f'In this function, {question} Please answer in a section starts with "{slot}:".'
+        for slot, question in recognition.questions
+    ]
+    shape = ", ".join(
+        f'"{slot}":{{"Variable name":"Description"}}' for slot in recognition.slots
+    )
+    lines.append(f"Please answer in the following json format: {{{shape}}}")
+    return "\n".join(lines) + f"\n\n{code}"
+
+
+# ----------------------------------------------------------------------
+# answer parsing
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _first_json_object(text: str):
+    """The object decoded from the first ``{`` that starts one, or None.
+
+    A nesting too deep to decode counts as no object there. No object
+    starts after the text's last ``}``, so no decode is tried there.
+    """
+    last = text.rfind("}")
+    start = text.find("{", 0, max(last, 0))
+    while start != -1:
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            start = text.find("{", start + 1, last)
+    return None
+
+
+_YES_NO_RE = re.compile(r"[A-Za-z]+")
+
+
+def _as_yes(value) -> bool:
+    return isinstance(value, str) and value.strip().strip(".!,").lower() == "yes"
+
+
+def parse_scenario_answer(text: str, n: int) -> dict:
+    """Map scenario index -> yes/no. Missing or garbled keys default to no."""
+    obj = _first_json_object(text)
+    if not isinstance(obj, dict):
+        raise UnparseableAnswer(f"no JSON object in scenario answer: {text[:80]!r}")
+    result = {}
+    for i in range(1, n + 1):
+        value = obj.get(str(i), obj.get(i))
+        result[i] = _as_yes(value)
+    return result
+
+
+def parse_yes_no(text: str) -> bool:
+    """First standalone yes/no token decides; anything else is unparseable."""
+    for word in _YES_NO_RE.findall(text):
+        lowered = word.lower()
+        if lowered == "yes":
+            return True
+        if lowered == "no":
+            return False
+    raise UnparseableAnswer(f"no yes/no answer in: {text[:80]!r}")
+
+
+def parse_recognition_answer(text: str, slots: list) -> dict:
+    """Extract slot -> (name, description); absent slots are left out."""
+    obj = _first_json_object(text)
+    if not isinstance(obj, dict):
+        raise UnparseableAnswer(f"no JSON object in recognition answer: {text[:80]!r}")
+    out = {}
+    for slot in slots:
+        value = obj.get(slot)
+        if isinstance(value, dict) and value:
+            name, desc = next(iter(value.items()))
+            out[slot] = (str(name).strip(), str(desc).strip())
+        elif isinstance(value, str) and value.strip():
+            out[slot] = (value.strip(), "")
+    return out
+
+
+# the replies each parser reads back: what scripted answerers say
+
+
+def render_scenario_answer(verdicts: dict) -> str:
+    """Scenario index -> yes/no, as ``parse_scenario_answer`` reads it."""
+    return json.dumps({str(i): "Yes" if yes else "No" for i, yes in verdicts.items()})
+
+
+def render_yes_no(yes: bool) -> str:
+    return "Yes" if yes else "No"
+
+
+def render_recognition_answer(answer: dict) -> str:
+    """Slot -> (name, description), as ``parse_recognition_answer`` reads it."""
+    return json.dumps({slot: {name: desc} for slot, (name, desc) in answer.items()})

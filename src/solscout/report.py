@@ -34,10 +34,6 @@ class Finding:
     transcript_keys: list = field(default_factory=list)
     excerpt: str = ""
 
-    @property
-    def locator(self) -> str:
-        return f"{self.file}:{self.contract}.{self.function}"
-
 
 @dataclass
 class GroundTruth:

@@ -1,14 +1,17 @@
 """Shared test scaffolding: scripted answers and transcript authoring.
 
-Transcripts are authored by the real pipeline, scanning with a scripted
-answerer and an in-memory record sink, so replay-mode scans exercise
-the real hash-keyed lookup path.
+Transcripts are authored by the real pipeline: a record scan with a
+scripted answerer writes the file, so replay-mode scans exercise the
+real hash-keyed lookup path.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from bisect import bisect_left
+from dataclasses import replace
 from itertools import accumulate, chain, compress, zip_longest
 from operator import sub
 
@@ -18,10 +21,10 @@ from solscout.frontend import LineIndex
 from solscout.frontend.lexer import (_FREE_FUNCTION_HEAD_RE, _STRING, _STRING_ALTERNATIVES,
                                      Tokens, token_kind)
 from solscout.project import canonical_signature, inherited_names
-from solscout.gateway import (SYSTEM_PROMPT, LlmGateway, ProviderConfig, Transcript,
-                              render_recognition_answer, render_scenario_answer, render_yes_no,
-                              scripted)
+from solscout.gateway import LlmGateway, Transcript, scripted
 from solscout.pipeline import scan
+from solscout.prompts import (SYSTEM_PROMPT, render_recognition_answer, render_scenario_answer,
+                              render_yes_no)
 from solscout.rules import load_rules
 
 
@@ -66,24 +69,26 @@ def scripted_answerer(answers: ScriptedAnswers, rules: list):
     return answer
 
 
-def build_transcript(config: ScanConfig, answers: ScriptedAnswers) -> Transcript:
-    """Author a transcript covering every query the scan will make."""
-    transcript = Transcript()
+def write_transcript(config: ScanConfig, answers: ScriptedAnswers, path: str) -> None:
+    """Write to ``path`` a transcript of every query a scan of ``config`` will make."""
+    open(path, "w").close()  # a fresh file: the gateway appends
     answer = scripted(scripted_answerer(answers, load_rules(config.rules_dir)))
     # one worker: entries in candidate order
-    scan(config, LlmGateway(ProviderConfig(max_in_flight=1), answer, transcript))
-    return transcript
+    one_worker = replace(config, provider=replace(config.provider, max_in_flight=1))
+    scan(one_worker, LlmGateway(answer, path))
+
+
+def build_transcript(config: ScanConfig, answers: ScriptedAnswers) -> Transcript:
+    """``write_transcript``'s transcript, loaded from a file of its own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "transcript.jsonl")
+        write_transcript(config, answers, path)
+        return Transcript.load(path)
 
 
 def replay_config(project_root: str, transcript_path: str, **kw) -> ScanConfig:
     return ScanConfig(project_root=project_root, mode="replay",
                       transcript_path=transcript_path, **kw)
-
-
-def write_transcript(config: ScanConfig, answers: ScriptedAnswers, path: str) -> Transcript:
-    transcript = build_transcript(config, answers)
-    transcript.save(path)
-    return transcript
 
 
 def edge_set(graph) -> set:

@@ -6,7 +6,7 @@ import yaml
 
 from solscout.config import load_config, shipped_whitelist_path
 from solscout.errors import ConfigError
-from solscout.gateway import ProviderConfig
+from solscout.transport import ProviderConfig
 
 from conftest import fixture_path
 

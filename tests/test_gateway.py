@@ -8,7 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import pytest
@@ -20,15 +20,10 @@ from solscout.errors import (
     TranscriptError,
     UnparseableAnswer,
 )
-from solscout.gateway import (
+from solscout.confirm import validate_recognition
+from solscout.gateway import LlmExchange, LlmGateway, Transcript, prompt_sha256, scripted
+from solscout.prompts import (
     _first_json_object,
-    _plan_route,
-    LlmExchange,
-    REFUSED_EVERY_QUERY,
-    LlmGateway,
-    ProviderConfig,
-    RecognitionAbort,
-    Transcript,
     build_property_prompt,
     build_recognition_prompt,
     build_scenario_prompt,
@@ -39,9 +34,8 @@ from solscout.gateway import (
     render_recognition_answer,
     render_scenario_answer,
     render_yes_no,
-    scripted,
-    validate_recognition,
 )
+from solscout.transport import REFUSED_EVERY_QUERY, HttpProvider, ProviderConfig, _plan_route
 from solscout.rules import load_rules, shipped_rules_dir
 
 from chatserver import chat_body, in_order
@@ -278,24 +272,25 @@ class FakeContext:
 def test_validate_recognition_accepts_grounded_names():
     ctx = FakeContext("if (totalSupply() == 0) { _shares = _amount; }")
     answer = {"VariableB": ("totalSupply", "total LP supply")}
-    out = validate_recognition(answer, ctx, ["VariableB"])
-    assert out == {"VariableB": ("totalSupply", "total LP supply")}
+    assert validate_recognition(answer, ctx, ["VariableB"]) is None
 
 
 def test_validate_recognition_aborts_on_ghost_and_empty():
     ctx = FakeContext("if (totalSupply() == 0) { }")
     ghost = validate_recognition({"VariableB": ("ghostVar", "x")}, ctx, ["VariableB"])
-    assert isinstance(ghost, RecognitionAbort)
+    assert ghost == "VariableB: 'ghostVar' does not occur in the context"
+    no_name = validate_recognition({"VariableB": ("", "x")}, ctx, ["VariableB"])
+    assert no_name == "VariableB: empty name"
     empty = validate_recognition({"VariableB": ("totalSupply", "")}, ctx, ["VariableB"])
-    assert isinstance(empty, RecognitionAbort)
+    assert empty == "VariableB: empty description"
     missing = validate_recognition({}, ctx, ["VariableB"])
-    assert isinstance(missing, RecognitionAbort)
+    assert missing == "VariableB: missing from answer"
 
 
 def test_validate_recognition_token_match_is_exact():
     ctx = FakeContext("uint mytotalSupplyX; totalSupplyCap = 1;")
     out = validate_recognition({"V": ("totalSupply", "d")}, ctx, ["V"])
-    assert isinstance(out, RecognitionAbort)  # substrings of identifiers do not count
+    assert out == "V: 'totalSupply' does not occur in the context"  # substrings do not count
 
 
 def test_estimate_tokens():
@@ -305,57 +300,66 @@ def test_estimate_tokens():
 
 
 def _exchange(**kw):
+    """An exchange answering ("scenario", "r", "C.f") asked with ``system_prompt()`` and "ask"."""
     defaults = dict(
-        purpose="scenario", rule_id="r", function_id="C.f",
-        system=system_prompt(), user="ask", response='{"1":"Yes"}',
-        tokens_in=10, tokens_out=3,
+        purpose="scenario", rule_id="r", function_id="C.f", response='{"1":"Yes"}',
+        tokens_in=10, tokens_out=3, prompt_sha256=prompt_sha256(system_prompt(), "ask"),
     )
     defaults.update(kw)
     return LlmExchange(**defaults)
 
 
+def _transcript(path, *exchanges) -> Transcript:
+    """``exchanges``, each asked with ``system_prompt()`` and "ask", written to
+    ``path`` as record-file lines and loaded back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(exchange.to_json(system_prompt(), "ask") + "\n" for exchange in exchanges)
+    return Transcript.load(str(path))
+
+
 def test_transcript_roundtrip(tmp_path):
     path = str(tmp_path / "t.jsonl")
-    transcript = Transcript()
-    transcript.append(_exchange())
-    transcript.append(_exchange(purpose="property", response="Yes"))
-    transcript.save(path)
+    replies = {"scenario": '{"1":"Yes"}', "property": "Yes"}
+    gateway = LlmGateway(scripted(lambda purpose, *_: replies[purpose]), path)
+    first = gateway.complete("scenario", "r", "C.f", system_prompt(), "ask")
+    gateway.complete("property", "r", "C.f", system_prompt(), "ask")
+    gateway.close()
     loaded = Transcript.load(path)
     assert len(loaded) == 2
-    key = _exchange().key
-    assert loaded.entries[key].response == '{"1":"Yes"}'
+    assert loaded.entries[first.key].response == '{"1":"Yes"}'
 
 
 def test_a_rejected_query_replays_its_error_and_charges_nothing(tmp_path):
     path = str(tmp_path / "t.jsonl")
-    transcript = Transcript()
-    transcript.append(_exchange(response="", tokens_in=0, tokens_out=0,
-                                error="provider returned 400"))
-    transcript.save(path)
+
+    def reject(purpose, rule_id, function_id, user):
+        raise ProviderError("provider returned 400")
+
+    recorder = LlmGateway(scripted(reject), path)
+    with pytest.raises(ProviderError):
+        recorder.complete("scenario", "r", "C.f", system_prompt(), "ask")
+    recorder.close()
     with open(path, encoding="utf-8") as fh:
         [record] = [json.loads(line) for line in fh]
     assert record["error"] == "provider returned 400"
     assert not {"response", "tokens_in", "tokens_out"} & set(record)
-    gateway = LlmGateway(ProviderConfig(), Transcript.load(path).answer)
+    gateway = LlmGateway(Transcript.load(path).answer)
     with pytest.raises(ProviderError) as exc:
         gateway.complete("scenario", "r", "C.f", system_prompt(), "ask")
     assert type(exc.value) is ProviderError and str(exc.value) == "provider returned 400"
-    assert gateway.exchanges == []
+    assert recorder.exchanges == gateway.exchanges == []
 
 
 def test_transcript_last_wins_on_duplicate_keys(tmp_path):
-    path = str(tmp_path / "t.jsonl")
     first = _exchange(response="old")
-    second = _exchange(response="new")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(first.to_json() + "\n" + second.to_json() + "\n")
-    loaded = Transcript.load(path)
+    loaded = _transcript(tmp_path / "t.jsonl", first, _exchange(response="new"))
     assert len(loaded) == 1
     assert loaded.entries[first.key].response == "new"
 
 
 # What a record scan writes for a retried query, a rejected one and a
 # plain one: the transcript file format, fixed byte for byte.
+ASKED, WHICH = prompt_sha256("s", "Is it?"), prompt_sha256("s", "Which?")
 RECORDED = (
     '{"function_id": "C.f", "prompt_sha256": '
     '"3cbb84ef476f4630abdb642d6ef69652afb753a66bc26fb4c43afc22fce1f2ce", "purpose": "property", '
@@ -375,65 +379,52 @@ RECORDED = (
 )
 
 
-def _record(path: str) -> tuple:
-    """Record the queries of ``RECORDED`` to ``path`` and, separately, to a
-    ``Transcript``; returns the file's text and that transcript."""
-    recorded = Transcript()
-    for record in (path, recorded):
-        replies = iter(["mumble", "Yes", ProviderError("provider returned 400: busy"),
-                        '{"1": "No"}'])
+def _record(path: str) -> str:
+    """Record the queries of ``RECORDED`` to ``path``; returns the file's text."""
+    replies = iter(["mumble", "Yes", ProviderError("provider returned 400: busy"),
+                    '{"1": "No"}'])
 
-        def answer(purpose, rule_id, function_id, user):
-            reply = next(replies)
-            if isinstance(reply, Exception):
-                raise reply
-            return reply
+    def answer(purpose, rule_id, function_id, user):
+        reply = next(replies)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
-        gateway = LlmGateway(ProviderConfig(), scripted(answer), record)
-        gateway.complete("property", "r", "C.f", "s", "Is it?")
-        gateway.complete("property", "r", "C.f", "s", "Is it?", attempt=1)
-        with pytest.raises(ProviderError):
-            gateway.complete("property", "r", "C.g", "s", "Is it?")
-        gateway.complete("scenario", "r", "C.g", "s", "Which?")
-        gateway.close()
-        # the gateway keeps each answer, never its prompts
-        assert [(e.system, e.user) for e in gateway.exchanges] == [(None, None)] * 3
+    gateway = LlmGateway(scripted(answer), path)
+    gateway.complete("property", "r", "C.f", "s", "Is it?")
+    gateway.complete("property", "r", "C.f", "s", "Is it?", attempt=1)
+    with pytest.raises(ProviderError):
+        gateway.complete("property", "r", "C.g", "s", "Is it?")
+    gateway.complete("scenario", "r", "C.g", "s", "Which?")
+    gateway.close()
+    assert len(gateway.exchanges) == 3
     with open(path, encoding="utf-8") as fh:
-        return fh.read(), recorded
+        return fh.read()
 
 
-def test_a_recorded_transcript_saves_as_the_record_file(tmp_path):
-    written, recorded = _record(str(tmp_path / "record.jsonl"))
-    recorded.save(str(tmp_path / "saved.jsonl"))
-    assert written == RECORDED
-    assert (tmp_path / "saved.jsonl").read_text(encoding="utf-8") == RECORDED
+def test_a_record_file_holds_each_exchange_with_its_prompts(tmp_path):
+    assert _record(str(tmp_path / "record.jsonl")) == RECORDED
+    # the gateway keeps each answer, never its prompts: the file has them
+    assert not {"system", "user"} & {field.name for field in fields(LlmExchange)}
 
 
 def test_a_loaded_entry_keeps_its_key_answer_and_usage_and_no_prompt(tmp_path):
     path = str(tmp_path / "t.jsonl")
-    _written, recorded = _record(path)
+    _record(path)
     loaded = Transcript.load(path)
     answer = attrgetter("key", "response", "tokens_in", "tokens_out", "error", "attempt")
-    assert [answer(e) for e in loaded.entries.values()] == \
-        [answer(e) for e in recorded.entries.values()]
+    assert [answer(e) for e in loaded.entries.values()] == [
+        (("property", "r", "C.f", ASKED), "mumble", 3, 2, "", 0),
+        (("property", "r", "C.f", ASKED, "retry1"), "Yes", 3, 1, "", 1),
+        (("property", "r", "C.g", ASKED), "", 0, 0, "provider returned 400: busy", 0),
+        (("scenario", "r", "C.g", WHICH), '{"1": "No"}', 3, 3, "", 0),
+    ]
     for entry in loaded.entries.values():
-        assert (entry.system, entry.user, entry.latency) == (None, None, 0.0)
+        assert entry.latency == 0.0
         assert not hasattr(entry, "__dict__")  # a slotted dataclass
     # equal ids are one string, however many entries name them
     first, retry = list(loaded.entries.values())[:2]
     assert first.function_id is retry.function_id and first.purpose is retry.purpose
-
-
-def test_a_loaded_transcript_cannot_be_saved(tmp_path):
-    path = tmp_path / "t.jsonl"
-    _record(str(path))
-    loaded = Transcript.load(str(path))
-    for entry in loaded.entries.values():
-        with pytest.raises(ValueError, match="has no prompt"):
-            entry.to_json()
-    with pytest.raises(ValueError, match="has no prompt"):
-        loaded.save(str(path))
-    assert path.read_text(encoding="utf-8") == RECORDED  # not truncated either
 
 
 # Heap a loaded transcript, or a gateway recording to a file, may keep per
@@ -446,17 +437,14 @@ def test_loaded_transcript_heap_per_entry(tmp_path):
     rng = random.Random(7)
     answers = {"scenario": '{"1": "Yes"}', "property": "Yes",
                "recognition": '{"VariableA": {"shares": "the minted shares"}}'}
-    written = Transcript()
-    for i in range(700):
-        for purpose, response in answers.items():
-            user = f"{purpose} of C{i}.f\n\n" + "".join(rng.choices("abcdef ;{}()\n", k=1000))
-            written.append(LlmExchange(purpose, "risky-first-deposit", f"C{i}.f",
-                                       system_prompt(), user, response,
-                                       estimate_tokens(system_prompt() + user),
-                                       estimate_tokens(response)))
     path = str(tmp_path / "t.jsonl")
-    written.save(path)
-    del written
+    recorder = LlmGateway(scripted(lambda purpose, *_: answers[purpose]), path)
+    for i in range(700):
+        for purpose in answers:
+            user = f"{purpose} of C{i}.f\n\n" + "".join(rng.choices("abcdef ;{}()\n", k=1000))
+            recorder.complete(purpose, "risky-first-deposit", f"C{i}.f", system_prompt(), user)
+    recorder.close()
+    del recorder
     gc.collect()
     tracemalloc.start()
     try:
@@ -475,7 +463,7 @@ def test_a_file_recording_gateway_heap_per_query(tmp_path):
     rng = random.Random(7)
     answers = {"scenario": '{"1": "Yes"}', "property": "Yes",
                "recognition": '{"VariableA": {"shares": "the minted shares"}}'}
-    gateway = LlmGateway(ProviderConfig(), scripted(lambda purpose, *_: answers[purpose]),
+    gateway = LlmGateway(scripted(lambda purpose, *_: answers[purpose]),
                          str(tmp_path / "t.jsonl"))
     gc.collect()
     tracemalloc.start()
@@ -509,12 +497,12 @@ def test_a_replaying_gateway_heap_per_query(tmp_path):
                 f"{purpose} of C{i}.f\n\n" + "".join(rng.choices("abcdef ;{}()\n", k=1000)))
                for i in range(700) for purpose in answers]
     path = str(tmp_path / "t.jsonl")
-    recorder = LlmGateway(ProviderConfig(), scripted(lambda purpose, *_: answers[purpose]), path)
+    recorder = LlmGateway(scripted(lambda purpose, *_: answers[purpose]), path)
     for purpose, function_id, user in queries:
         recorder.complete(purpose, "risky-first-deposit", function_id, system_prompt(), user)
     recorder.close()
     loaded = Transcript.load(path)
-    gateway = LlmGateway(ProviderConfig(), loaded.answer)
+    gateway = LlmGateway(loaded.answer)
     gc.collect()
     tracemalloc.start()
     try:
@@ -559,11 +547,9 @@ def test_blank_lines_are_skipped_and_still_counted(tmp_path):
         Transcript.load(str(path))
 
 
-def test_replay_returns_recorded_exchange():
-    transcript = Transcript()
+def test_replay_returns_recorded_exchange(tmp_path):
     recorded = _exchange()
-    transcript.append(recorded)
-    gateway = LlmGateway(ProviderConfig(), transcript.answer)
+    gateway = LlmGateway(_transcript(tmp_path / "t.jsonl", recorded).answer)
     result = gateway.complete("scenario", "r", "C.f", system_prompt(), "ask")
     answer = attrgetter("key", "response", "tokens_in", "tokens_out", "latency")
     assert answer(result) == answer(recorded)
@@ -571,22 +557,23 @@ def test_replay_returns_recorded_exchange():
 
 
 def test_replay_miss_names_key():
-    gateway = LlmGateway(ProviderConfig(), Transcript().answer)
+    gateway = LlmGateway(Transcript().answer)
     with pytest.raises(ReplayMiss) as exc:
         gateway.complete("scenario", "r", "C.f", system_prompt(), "ask")
     assert exc.value.key[0] == "scenario"
     assert exc.value.key[1] == "r"
 
 
-def _live(server, **kw) -> LlmGateway:
-    """A gateway whose provider is ``server``."""
-    return LlmGateway(ProviderConfig(endpoint=server.url, **kw.pop("provider", {})), **kw)
+def _live(server, record=None, sleeper=time.sleep, **provider) -> LlmGateway:
+    """A gateway whose answerer is the provider ``server``."""
+    return LlmGateway(HttpProvider(ProviderConfig(endpoint=server.url, **provider), sleeper),
+                      record)
 
 
 def test_live_mode_posts_two_message_conversation(monkeypatch, serve):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
     server = serve(in_order((200, chat_body("Yes"))))
-    gateway = _live(server, provider={"temperature": 0.0})
+    gateway = _live(server, temperature=0.0)
     exchange = gateway.complete("property", "r", "C.f", system_prompt(), "ask?")
     gateway.close()
     [request] = server.requests
@@ -640,7 +627,7 @@ def test_retry_exhaustion_raises_provider_error(monkeypatch, serve):
     with pytest.raises(ProviderUnavailable, match="provider returned 500"):
         gateway.complete("property", "r", "C.f", "s", "u")
     gateway.close()
-    assert len(server.requests) == LlmGateway.RETRIES
+    assert len(server.requests) == HttpProvider.RETRIES
 
 
 def test_a_refused_connection_is_unavailable_after_the_last_retry(monkeypatch, direct):
@@ -649,8 +636,8 @@ def test_a_refused_connection_is_unavailable_after_the_last_retry(monkeypatch, d
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     sleeps = []
-    gateway = LlmGateway(ProviderConfig(endpoint=f"http://127.0.0.1:{port}/v1"),
-                         sleeper=sleeps.append)
+    gateway = LlmGateway(HttpProvider(ProviderConfig(endpoint=f"http://127.0.0.1:{port}/v1"),
+                                      sleeps.append))
     with pytest.raises(ProviderUnavailable, match="request failed"):
         gateway.complete("property", "r", "C.f", "s", "u")
     gateway.close()
@@ -698,11 +685,11 @@ def test_record_mode_appends_jsonl(tmp_path, monkeypatch, serve):
     gateway.close()
     loaded = Transcript.load(path)
     assert len(loaded) == 1
-    replayer = LlmGateway(ProviderConfig(), loaded.answer)
+    replayer = LlmGateway(loaded.answer)
     assert replayer.complete("property", "r", "C.f", "s", "u").response == "Yes"
 
 
-def test_answerer_stands_in_for_the_provider(monkeypatch, serve):
+def test_answerer_stands_in_for_the_provider(tmp_path, monkeypatch):
     monkeypatch.delenv("SOLSCOUT_API_KEY", raising=False)
     calls = []
 
@@ -710,19 +697,17 @@ def test_answerer_stands_in_for_the_provider(monkeypatch, serve):
         calls.append((purpose, rule_id, function_id, user))
         return "Yes"
 
-    server = serve(in_order((200, chat_body("No"))))
-    recorded = Transcript()
-    gateway = _live(server, answerer=scripted(answer), record=recorded)
+    path = str(tmp_path / "rec.jsonl")
+    gateway = LlmGateway(scripted(answer), path)
     exchange = gateway.complete("property", "r", "C.f", "system", "user")
     gateway.close()
-    assert server.requests == []
     assert calls == [("property", "r", "C.f", "user")]
     assert (exchange.response, exchange.latency) == ("Yes", 0.0)
     assert exchange.tokens_in == estimate_tokens("system") + estimate_tokens("user")
     assert exchange.tokens_out == estimate_tokens("Yes")
-    entry = recorded.entries[exchange.key]
-    assert (entry.system, entry.user, entry.response) == ("system", "user", "Yes")
-    assert (exchange.system, exchange.user) == (None, None)
+    with open(path, encoding="utf-8") as fh:
+        [entry] = [json.loads(line) for line in fh]
+    assert (entry["system"], entry["user"], entry["response"]) == ("system", "user", "Yes")
 
 
 # ----------------------------------------------------------------------
@@ -760,7 +745,7 @@ def test_in_flight_queries_never_outnumber_the_slots(monkeypatch, serve):
         return 200, chat_body("Yes")
 
     server = serve(slow)
-    gateway = _live(server, provider={"max_in_flight": 2})
+    gateway = _live(server, max_in_flight=2)
     answers = []
 
     def work(t):
@@ -853,13 +838,13 @@ def test_a_refused_tunnel_is_retried_then_unavailable(monkeypatch, serve):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
     proxy = serve(in_order((403, "")))
     monkeypatch.setenv("https_proxy", proxy.base)
-    gateway = LlmGateway(ProviderConfig(endpoint="https://127.0.0.1:9/v1/chat/completions"),
-                         sleeper=lambda _s: None)
+    gateway = LlmGateway(HttpProvider(
+        ProviderConfig(endpoint="https://127.0.0.1:9/v1/chat/completions"), lambda _s: None))
     with pytest.raises(ProviderUnavailable, match="403"):
         gateway.complete("property", "r", "C.f", "s", "u")
     gateway.close()
     assert [(r.method, r.target) for r in proxy.requests] == \
-        [("CONNECT", "127.0.0.1:9")] * LlmGateway.RETRIES
+        [("CONNECT", "127.0.0.1:9")] * HttpProvider.RETRIES
 
 
 @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "SSL_CERT_FILE"])
@@ -885,31 +870,42 @@ def test_https_endpoint_with_an_unknown_ca_is_unavailable(monkeypatch, serve):
     assert server.requests == []
 
 
-def test_ask_retries_unparseable_once_then_raises():
-    transcript = Transcript()
-    bad = _exchange(purpose="property", response="mumble")
-    transcript.append(bad)
-    gateway = LlmGateway(ProviderConfig(), transcript.answer)
+def test_ask_retries_unparseable_once_then_raises(tmp_path):
+    transcript = _transcript(tmp_path / "t.jsonl",
+                             _exchange(purpose="property", response="mumble"),
+                             _exchange(purpose="property", response="still mumbling", attempt=1))
+    gateway = LlmGateway(transcript.answer)
     made = []
     with pytest.raises(UnparseableAnswer):
         gateway.ask("property", "r", "C.f", "ask", parse_yes_no, made)
     # identical prompt asked exactly twice, and both attempts handed back
-    assert len(gateway.exchanges) == 2
+    assert [(e.response, e.attempt) for e in gateway.exchanges] == \
+        [("mumble", 0), ("still mumbling", 1)]
     assert made == gateway.exchanges
+
+
+def test_a_transcript_without_retry_keys_answers_both_attempts_with_one_entry(tmp_path):
+    """A transcript written before retries had their own key holds one entry,
+    with no ``attempt``, for a query and its retry."""
+    old = _exchange(purpose="property", response="mumble")
+    gateway = LlmGateway(_transcript(tmp_path / "t.jsonl", old).answer)
+    made = []
+    with pytest.raises(UnparseableAnswer):
+        gateway.ask("property", "r", "C.f", "ask", parse_yes_no, made)
+    assert [(e.response, e.attempt) for e in made] == [("mumble", 0), ("mumble", 1)]
+    assert [e.key for e in made] == [old.key, old.key + ("retry1",)]
 
 
 def test_cost_additivity_over_transcript(tmp_path):
     """Oracle: independent summation over the serialized transcript file."""
-    path = str(tmp_path / "t.jsonl")
-    transcript = Transcript()
-    for i in range(5):
-        transcript.append(_exchange(function_id=f"C.f{i}", tokens_in=7 * i, tokens_out=i))
-    transcript.save(path)
+    path = tmp_path / "t.jsonl"
+    loaded = _transcript(path, *(_exchange(function_id=f"C.f{i}", tokens_in=7 * i, tokens_out=i)
+                                 for i in range(5)))
     total_in = total_out = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             raw = json.loads(line)
             total_in += raw["tokens_in"]
             total_out += raw["tokens_out"]
-    assert total_in == sum(e.tokens_in for e in transcript.entries.values())
-    assert total_out == sum(e.tokens_out for e in transcript.entries.values())
+    assert total_in == sum(e.tokens_in for e in loaded.entries.values()) == 70
+    assert total_out == sum(e.tokens_out for e in loaded.entries.values()) == 10

@@ -17,11 +17,12 @@ from solscout.errors import (
     TranscriptError,
 )
 from solscout.frontend import parser as parser_module
-from solscout.gateway import LlmGateway, ProviderConfig, Transcript, scripted
+from solscout.gateway import LlmGateway, Transcript, prompt_sha256, scripted
 from solscout import pipeline
 from solscout.pipeline import prepare_scan, scan
 from solscout.report import count_kloc
 from solscout.rules import load_rules
+from solscout.transport import HttpProvider
 
 from chatserver import by_prompt, in_order
 from conftest import fixture_path
@@ -263,8 +264,7 @@ def test_a_scan_handed_a_gateway_needs_no_api_key_or_transcript(monkeypatch):
     config.mode = "record"
     with pytest.raises(ConfigError, match="transcript path"):
         scan(config)
-    gateway = LlmGateway(ProviderConfig(max_in_flight=1),
-                         scripted(scripted_answerer(first_deposit_answers(),
+    gateway = LlmGateway(scripted(scripted_answerer(first_deposit_answers(),
                                                     load_rules(config.rules_dir))))
     assert [f.function_id for f in scan(config, gateway).confirmed] == ["YaxisVault.deposit"]
 
@@ -365,9 +365,7 @@ def _record_small_corpus(tmp_path, spoil):
         reply = spoil(purpose, rule_id, function_id)
         return honest(purpose, rule_id, function_id, user) if reply is None else reply
 
-    gateway = LlmGateway(ProviderConfig(max_in_flight=1), scripted(answer),
-                         config.transcript_path)
-    recorded = scan(config, gateway)
+    recorded = scan(config, LlmGateway(scripted(answer), config.transcript_path))
     return config, recorded, scan(config)
 
 
@@ -444,6 +442,39 @@ def test_an_unavailable_provider_is_not_recorded(tmp_path):
     assert len(entries) == 2 and not any(e.error for e in entries)
 
 
+def test_answerers_compose_a_transcript_then_the_provider_on_a_miss(tmp_path, monkeypatch,
+                                                                     serve):
+    """A record scan that replays half of a transcript asks the provider only for the rest."""
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "fake")
+    root = fixture_path("first_deposit")
+    oracle_path = tmp_path / "oracle.jsonl"
+    oracle = replay_config(root, str(oracle_path), project_name="first_deposit")
+    write_transcript(oracle, first_deposit_answers(), str(oracle_path))
+    half_path = tmp_path / "half.jsonl"
+    half_path.write_text("".join(oracle_path.read_text(encoding="utf-8")
+                                 .splitlines(keepends=True)[::2]), encoding="utf-8")
+    full, half = Transcript.load(str(oracle_path)), Transcript.load(str(half_path))
+    server = serve(by_prompt(full))
+    record = replay_config(root, str(tmp_path / "resumed.jsonl"), project_name="first_deposit")
+    record.mode = "record"
+    record.provider.endpoint = server.url
+    provider = HttpProvider(record.provider)
+
+    def resume(asked, system, user):
+        try:
+            return half.answer(asked, system, user)
+        except ReplayMiss:
+            return provider(asked, system, user)
+
+    scan(record, LlmGateway(resume, record.transcript_path))
+    asked = sorted(prompt_sha256(*(m["content"] for m in request.json()["messages"]))
+                   for request in server.requests)
+    missing = sorted(e.prompt_sha256 for key, e in full.entries.items() if key not in half.entries)
+    assert 0 < len(asked) < len(full) and asked == missing
+    resumed = replay_config(root, record.transcript_path, project_name="first_deposit")
+    assert scan(resumed).report("json") == scan(oracle).report("json")
+
+
 def test_a_provider_rejected_http_query_replays_as_the_same_skip(tmp_path, monkeypatch, serve):
     """The provider answers 400 to every property query; replay skips the same pairs."""
     monkeypatch.setenv("SOLSCOUT_API_KEY", "fake")
@@ -485,8 +516,8 @@ def test_a_failing_provider_costs_one_candidate(corpus_config, tmp_path):
     config = replay_config(corpus_config.project_root, str(tmp_path / "t.jsonl"),
                            project_name="corpus")
     config.mode = "record"
-    gateway = LlmGateway(ProviderConfig(max_in_flight=1), scripted(answer))
-    faulty = scan(config, gateway)
+    config.provider.max_in_flight = 1
+    faulty = scan(config, LlmGateway(scripted(answer)))
 
     failed = calls[2]
     expected = _verdicts(clean)
@@ -496,7 +527,7 @@ def test_a_failing_provider_costs_one_candidate(corpus_config, tmp_path):
     assert clean.provider_failures == []
 
 
-@pytest.mark.parametrize("status, attempts", [(401, 1), (503, LlmGateway.RETRIES)])
+@pytest.mark.parametrize("status, attempts", [(401, 1), (503, HttpProvider.RETRIES)])
 def test_a_provider_that_fails_every_query_stops_the_scan(corpus_config, tmp_path, monkeypatch,
                                                           serve, status, attempts):
     monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
@@ -509,8 +540,10 @@ def test_a_provider_that_fails_every_query_stops_the_scan(corpus_config, tmp_pat
     config = replay_config(corpus_config.project_root, str(tmp_path / "t.jsonl"),
                            project_name="corpus")
     config.mode = "record"
-    gateway = LlmGateway(ProviderConfig(endpoint=server.url, max_in_flight=2),
-                         record=config.transcript_path, sleeper=lambda _s: None)
+    config.provider.endpoint = server.url
+    config.provider.max_in_flight = 2
+    gateway = LlmGateway(HttpProvider(config.provider, sleeper=lambda _s: None),
+                         config.transcript_path)
     with pytest.raises(ProviderUnavailable, match=f"provider returned {status}"):
         scan(config, gateway)
     assert gateway._record_fh is None  # the stopped scan closed its transcript
@@ -754,7 +787,7 @@ def test_a_scan_builds_no_line_index_for_a_file_whose_lines_it_never_reads(tmp_p
 
     monkeypatch.setattr(pipeline, "discover_sources", recording_discover)
     answer = scripted(scripted_answerer(corpus_answers(cases), load_rules(config.rules_dir)))
-    result = scan(config, LlmGateway(ProviderConfig(max_in_flight=1), answer, Transcript()))
+    result = scan(config, LlmGateway(answer))
     (layout,) = layouts
     indexed = {src.path for src in layout.included if "line_index" in vars(src)}
     assert result.confirmed and indexed

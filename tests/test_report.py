@@ -20,8 +20,6 @@ from solscout.report import (
     summarize_cost,
 )
 
-from helpers import system_prompt
-
 
 def make_finding(project="p1", rule_id="risky-first-deposit", file="contracts/V.sol",
                  contract="V", function="deposit", verdict="confirmed", span=(4, 14)):
@@ -168,8 +166,8 @@ def test_summarize_cost_zero_and_arithmetic():
     assert zero.total_usd == 0.0 and zero.tokens_in == 0
 
     exchanges = [
-        LlmExchange("scenario", "r", "f", system_prompt(), "u", "resp", 1000, 500),
-        LlmExchange("property", "r", "f", system_prompt(), "u2", "resp", 1000, 500),
+        LlmExchange("scenario", "r", "f", "resp", 1000, 500),
+        LlmExchange("property", "r", "f", "resp", 1000, 500),
     ]
     ledger = summarize_cost(exchanges, 10.0, 2.0, 0.0015, 0.002)
     assert ledger.total_usd == pytest.approx(0.005)
