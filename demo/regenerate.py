@@ -38,9 +38,10 @@ def transcript_text() -> str:
     scenario_counts = {rule.id: len(rule.scenarios) for rule in load_rules(config.rules_dir)}
 
     def answer(purpose, rule_id, function_id, user):
-        if purpose == "scenario":
-            return render_scenario_answer(dict.fromkeys(
-                range(1, scenario_counts[rule_id] + 1), (rule_id, function_id) == TARGET))
+        if purpose == "scenario":  # rules sharing the query are joined with ","
+            verdicts = [(rid, function_id) == TARGET for rid in rule_id.split(",")
+                        for _ in range(scenario_counts[rid])]
+            return render_scenario_answer(dict(enumerate(verdicts, 1)))
         if purpose == "property":
             return render_yes_no(True)
         return render_recognition_answer(RECOGNITION)

@@ -36,6 +36,7 @@ from .frontend import (
     target_names,
     used_names,
 )
+from .frontend.lexer import _IDENTIFIER
 from .report import Finding
 from .rules import VulnRule
 
@@ -313,16 +314,16 @@ def check_order(first: str, second: str, context: CodeContext,
     return Presence(False, evidence, "order is reversed")
 
 
+_CALLED_NAME_RE = re.compile(rf"({_IDENTIFIER})\s*\(")
+# qualified calls: keep the member name (token.transfer -> transfer), never
+# the first part of a word holding a letter no identifier can hold
+_MEMBER_NAME_RE = re.compile(rf"(?:{_IDENTIFIER}\.)+({_IDENTIFIER})(?!\w)")
+
+
 def _call_descriptor_name(descriptor: str) -> str:
     desc = descriptor.strip().rstrip(";").strip()
-    m = re.match(r"^([A-Za-z_$][A-Za-z0-9_$]*)\s*\(", desc)
-    if m:
-        return m.group(1)
-    # qualified calls: keep the member name (token.transfer -> transfer)
-    m = re.match(r"^[A-Za-z_$][\w$.]*\.([A-Za-z_$][\w$]*)\s*\(?", desc)
-    if m:
-        return m.group(1)
-    return desc
+    m = _CALLED_NAME_RE.match(desc) or _MEMBER_NAME_RE.match(desc)
+    return m.group(1) if m else desc
 
 
 def check_fn_arg(call: str, context: CodeContext, graph: DefUseGraph,

@@ -169,12 +169,18 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
     graph, reach = prepared.graph, prepared.reach
     acl = set(config.acl_modifiers)
 
-    # rule-major, so findings keep the order of a rule-by-rule loop
+    # rule-major pairs: the order of the findings; each function is one
+    # unit of work with its rules, in the order it first appears here
     pairs = [
         (rule, fn)
         for rule in prepared.rules
         for fn in candidates_for_rule(prepared.scannable, rule, acl)
     ]
+    units = {}  # function -> (its rules, the indices of their pairs)
+    for index, (rule, fn) in enumerate(pairs):
+        rules, indices = units.setdefault(fn, ([], []))
+        rules.append(rule)
+        indices.append(index)
 
     stats = {
         "files_included": len(prepared.layout.included),
@@ -193,21 +199,26 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
     }
     workers = max(1, config.provider.max_in_flight) if config.mode != "replay" else 1
 
-    def process(pair):
-        rule, fn = pair
-        return _process_candidate(fn, rule, config, graph, reach, gateway)
+    def process(unit):
+        fn, (rules, _indices) = unit
+        return _process_candidate(fn, rules, config, graph, reach, gateway)
 
     try:
-        if workers > 1 and len(pairs) > 1:
+        if workers > 1 and len(units) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(process, pairs))
+                per_unit = list(pool.map(process, units.items()))
         else:
-            outcomes = [process(pair) for pair in pairs]
+            per_unit = [process(unit) for unit in units.items()]
     except BaseException:
         gateway.close()  # a stopped scan still closes its transcript
         raise
+
+    outcomes = [None] * len(pairs)
+    for (_rules, indices), unit_outcomes in zip(units.values(), per_unit):
+        for index, outcome in zip(indices, unit_outcomes):
+            outcomes[index] = outcome
 
     findings: list[Finding] = []
     for matched, finding in outcomes:
@@ -258,51 +269,72 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
     return result
 
 
-def _process_candidate(fn, rule, config, graph, reach, gateway):
-    """One (rule, function) pair after filtering.
+def _process_candidate(fn, rules, config, graph, reach, gateway):
+    """One function and the rules whose filters it passed, in rule order.
 
-    Returns ``(matched, finding or None)``: ``matched`` counts the LLM
-    stages passed (scenario, then property), whatever the exit.
+    Each rule gets the context its own policy assembles. The rules whose
+    contexts have the same text share one scenario query that numbers
+    all their scenarios, keyed by their ids joined with ``,``; a rule
+    alone asks its own scenario prompt under its own id. A failed shared
+    query skips each of its rules. Property and recognition queries,
+    validation and confirmation are per rule.
+
+    Returns one ``(matched, finding or None)`` per rule: ``matched``
+    counts the LLM stages passed (scenario, then property), whatever the
+    exit.
     """
     fid = graph.id_of(fn)
-    exchanges = []  # every query made for the pair, retries included
+    outcomes = [None] * len(rules)
+    groups = {}  # context text -> [(index, rule, context)], in rule order
+    for index, rule in enumerate(rules):
+        try:
+            context = assemble_context(fn, graph, rule.context_policy, config.token_budget,
+                                       estimate_tokens)
+        except ContextOverflow as exc:
+            outcomes[index] = 0, _finding(fn, fid, rule, config, [], "skipped",
+                                          f"too large: {exc.estimate} tokens > {exc.budget}")
+            continue
+        groups.setdefault(context.text, []).append((index, rule, context))
 
-    def finding(verdict, reason="", recognized=None):
-        return Finding(
-            rule_id=rule.id,
-            project=config.project_name,
-            file=fn.file.path if fn.file else "",
-            function_id=fid,
-            contract=fn.contract,
-            function=fn.display_name,
-            span=fn.span,
-            verdict=verdict,
-            reason=reason,
-            recognized=recognized or {},
-            transcript_keys=["|".join(e.key) for e in exchanges],
-            excerpt=fn.source(),
-        )
+    for text, members in groups.items():
+        scenarios = [sentence for _i, rule, _c in members for sentence in rule.scenarios]
+        asked = []  # the group's scenario queries, retries included
+        try:
+            answers = gateway.ask("scenario", ",".join(rule.id for _i, rule, _c in members), fid,
+                                  build_scenario_prompt(scenarios, text),
+                                  lambda reply: parse_scenario_answer(reply, len(scenarios)),
+                                  asked)
+        except ProviderUnavailable:
+            raise  # every later query would fail the same way
+        except (UnparseableAnswer, ProviderError) as exc:
+            for index, rule, _context in members:
+                outcomes[index] = 0, _finding(fn, fid, rule, config, asked, "skipped",
+                                              _skip_reason(exc))
+            continue
+        offset = 0
+        for index, rule, context in members:
+            yes = [i for i in range(1, len(rule.scenarios) + 1) if answers[offset + i]]
+            offset += len(rule.scenarios)
+            outcomes[index] = _after_scenario(fn, fid, rule, context, yes, list(asked),
+                                              config, reach, gateway)
+    return outcomes
+
+
+def _after_scenario(fn, fid, rule, context, yes, made, config, reach, gateway):
+    """One (rule, function) pair past its scenario query.
+
+    ``yes`` lists the rule's scenarios answered Yes, from 1; ``made``
+    holds the queries made for the pair so far, and gets the rest.
+    """
+    if not yes:
+        return 0, None
 
     def ask(purpose, prompt, parser):
-        return gateway.ask(purpose, rule.id, fid, prompt, parser, exchanges)
+        return gateway.ask(purpose, rule.id, fid, prompt, parser, made)
 
-    try:
-        context = assemble_context(fn, graph, rule.context_policy, config.token_budget,
-                                   estimate_tokens)
-    except ContextOverflow as exc:
-        return 0, finding("skipped", f"too large: {exc.estimate} tokens > {exc.budget}")
-
-    matched = 0
+    matched = 1
     answer = None
     try:
-        # scenario matching: all of a rule's scenarios in one prompt
-        answers = ask("scenario", build_scenario_prompt(rule.scenarios, context.text),
-                      lambda text: parse_scenario_answer(text, len(rule.scenarios)))
-        yes = [i for i, said_yes in sorted(answers.items()) if said_yes]
-        if not yes:
-            return matched, None
-        matched = 1
-
         # property matching double-confirms scenario + property together
         if not ask("property", build_property_prompt(rule, context.text, yes[0] - 1),
                    parse_yes_no):
@@ -312,22 +344,47 @@ def _process_candidate(fn, rule, config, graph, reach, gateway):
         if rule.recognition.questions:
             answer = ask("recognition", build_recognition_prompt(rule.recognition, context.text),
                          lambda text: parse_recognition_answer(text, rule.recognition.slots))
-    except UnparseableAnswer:
-        return matched, finding("skipped", "llm-format")
     except ProviderUnavailable:
-        raise  # every later query would fail the same way
-    except ProviderError as exc:
-        # a query the provider rejected costs this candidate, not the scan
-        return matched, finding("skipped", f"{PROVIDER_ERROR}{exc}")
+        raise
+    except (UnparseableAnswer, ProviderError) as exc:
+        return matched, _finding(fn, fid, rule, config, made, "skipped", _skip_reason(exc))
 
     recognized = {}
     if answer is not None:
         abort = validate_recognition(answer, context, rule.recognition.slots)
         if abort is not None:
-            return matched, finding("rejected", f"recognition abort: {abort}")
+            return matched, _finding(fn, fid, rule, config, made, "rejected",
+                                     f"recognition abort: {abort}")
         recognized = {
             slot: {"name": name, "description": desc}
             for slot, (name, desc) in answer.items()
         }
-    return matched, confirm_candidate(finding("rejected", recognized=recognized),
-                                      rule, context, reach)
+    return matched, confirm_candidate(
+        _finding(fn, fid, rule, config, made, "rejected", recognized=recognized),
+        rule, context, reach)
+
+
+def _skip_reason(exc: Exception) -> str:
+    """Why a pair is skipped when one of its queries fails."""
+    if isinstance(exc, UnparseableAnswer):
+        return "llm-format"
+    # a query the provider rejected costs its candidates, not the scan
+    return f"{PROVIDER_ERROR}{exc}"
+
+
+def _finding(fn, fid, rule, config, made, verdict, reason="", recognized=None) -> Finding:
+    """The finding of a (rule, function) pair; ``made`` is every query made for it."""
+    return Finding(
+        rule_id=rule.id,
+        project=config.project_name,
+        file=fn.file.path if fn.file else "",
+        function_id=fid,
+        contract=fn.contract,
+        function=fn.display_name,
+        span=fn.span,
+        verdict=verdict,
+        reason=reason,
+        recognized=recognized or {},
+        transcript_keys=["|".join(e.key) for e in made],
+        excerpt=fn.source(),
+    )

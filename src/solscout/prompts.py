@@ -73,22 +73,69 @@ def build_recognition_prompt(recognition, code: str) -> str:
 
 
 _DECODER = json.JSONDecoder()
+_BRACE_QUOTE_OR_BACKSLASH = re.compile(r'[{}"\\]')
 
 
 def _first_json_object(text: str):
     """The object decoded from the first ``{`` that starts one, or None.
 
-    A nesting too deep to decode counts as no object there. No object
-    starts after the text's last ``}``, so no decode is tried there.
+    A nesting too deep to decode counts as no object there. A decode is
+    tried only from the ``{`` that ``_decode_starts`` yields, so an
+    answer of unclosed objects is not decoded once per ``{``.
     """
-    last = text.rfind("}")
-    start = text.find("{", 0, max(last, 0))
-    while start != -1:
+    for start in _decode_starts(text):
         try:
             return _DECODER.raw_decode(text, start)[0]
         except (json.JSONDecodeError, RecursionError):
-            start = text.find("{", start + 1, last)
+            pass
     return None
+
+
+def _decode_starts(text: str):
+    """The first ``{``; then, in text order, each later one whose brace count closes.
+
+    A count begins at its ``{`` and skips braces inside strings, where a
+    backslash escapes the next character; no object ends anywhere else.
+    Counts in the same state at the same place go on alike, and there
+    are three states: outside a string, inside one, and inside one with
+    the next character escaped. So one pass keeps every count: each
+    state holds a stack of groups of open ``{``, and a ``}`` met outside
+    a string closes the top group of that state.
+    """
+    first = text.find("{")
+    if first == -1:
+        return
+    yield first  # where an answer's object usually starts: tried before the pass
+    closing = []
+    outside, inside, escaped, escaped_at = [], [], [], -1
+    for match in _BRACE_QUOTE_OR_BACKSLASH.finditer(text, first + 1):
+        at, char = match.start(), match.group()
+        if escaped and escaped_at != at:  # the escaped character was none of these
+            inside, escaped = _merge(inside, escaped), []
+        if char == "\\":
+            inside, escaped, escaped_at = escaped, inside, at + 1
+        elif char == '"':
+            outside, inside, escaped = inside, _merge(outside, escaped), []
+        else:
+            inside, escaped = _merge(inside, escaped), []
+            if char == "{":
+                outside.append([at])
+            elif outside:
+                closing += outside.pop()
+    yield from sorted(closing)
+
+
+def _merge(a: list, b: list) -> list:
+    """Two stacks whose counts go on alike: groups as deep from the top close together."""
+    if len(a) < len(b):
+        a, b = b, a
+    for depth in range(1, len(b) + 1):
+        group, other = a[-depth], b[-depth]
+        if len(group) < len(other):
+            group, other = other, group
+            a[-depth] = group
+        group += other
+    return a
 
 
 _YES_NO_RE = re.compile(r"[A-Za-z]+")

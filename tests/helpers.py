@@ -51,16 +51,27 @@ def corpus_answers(cases: list) -> ScriptedAnswers:
 
 
 def scripted_answerer(answers: ScriptedAnswers, rules: list):
-    """``answer(purpose, rule_id, function_id, user)`` for ``gateway.scripted``."""
+    """``answer(purpose, rule_id, function_id, user)`` for ``gateway.scripted``.
+
+    A scenario query shared by several rules (their ids joined with
+    ``,``) gets each rule's verdict over that rule's own scenario
+    numbers; a raw string for any of them is the whole reply.
+    """
     scenario_counts = {rule.id: len(rule.scenarios) for rule in rules}
 
     def answer(purpose, rule_id, function_id, user):
         key = (rule_id, function_id)
         if purpose == "scenario":
-            value = answers.scenario.get(key, answers.default_scenario)
-            render = lambda yes: render_scenario_answer(
-                dict.fromkeys(range(1, scenario_counts[rule_id] + 1), yes))
-        elif purpose == "property":
+            rule_ids = rule_id.split(",")
+            values = [answers.scenario.get((rid, function_id), answers.default_scenario)
+                      for rid in rule_ids]
+            raw = [value for value in values if isinstance(value, str)]
+            if raw:
+                return raw[0]
+            verdicts = [yes for rid, yes in zip(rule_ids, values)
+                        for _ in range(scenario_counts[rid])]
+            return render_scenario_answer(dict(enumerate(verdicts, 1)))
+        if purpose == "property":
             value, render = answers.property.get(key, answers.default_property), render_yes_no
         else:
             value, render = answers.recognition.get(key, {}), render_recognition_answer

@@ -34,6 +34,25 @@ def test_same_contract_resolution():
     assert ("A.f", "A.g") in {(c, e) for c, e, _ in graph.edges}
 
 
+def test_a_do_while_loop_is_a_while_statement_whose_body_calls_are_edges():
+    unit = parse_text("""
+        contract A {
+            uint256 x;
+            function f() public { do { g(); } while (x < 3); }
+            function g() internal { x += 1; }
+        }
+    """)
+    fns = enumerate_functions(unit)
+    graph = build_call_graph(fns, index_contracts([unit]), every_body=False)
+    [loop] = fns[0].body
+    assert loop.kind == "while" and loop.raw == "do { g(); } while (x < 3);"
+    assert (loop.condition.kind, loop.condition.op) == ("binary", "<")
+    [body] = loop.children
+    assert body.kind == "block" and [stmt.raw for stmt in body.children] == ["g();"]
+    assert ("A.f", "A.g") in {(c, e) for c, e, _ in graph.edges}
+    assert graph.unresolved == []
+
+
 def test_external_call_unresolved():
     graph, _ = graph_from("""
         contract A {

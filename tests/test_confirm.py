@@ -680,3 +680,17 @@ def test_a_rule_driven_graph_confirms_as_the_full_graph(monkeypatch, tmp_path):
         if not names:  # no name graph, and call sites of the focus only
             assert not graph.occurrences and not graph.edges_out and not graph.edges_in
             assert {fid for fid, *_rest in graph.calls} <= {context.focus_id}
+
+
+@pytest.mark.parametrize("descriptor, name", [
+    ("token.transfer(to, amount);", "transfer"),
+    ("checkpoint(msg.sender)", "checkpoint"),
+    ("pool.router.swap", "swap"),
+    ("a$.b_1(x)", "b_1"),
+    # no Solidity identifier holds a non-ASCII letter: the descriptor names no call
+    ("token.trånsfer(to, amount)", "token.trånsfer(to, amount)"),
+    ("tökén.transfer(to, amount)", "tökén.transfer(to, amount)"),
+    ("payé(x)", "payé(x)"),
+])
+def test_call_descriptor_names_follow_the_lexers_identifier_grammar(descriptor, name):
+    assert confirm_module._call_descriptor_name(descriptor) == name

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from solscout.errors import (
     RuleParseError,
     TranscriptError,
 )
+from solscout.filters import candidates_for_rule
 from solscout.frontend import parser as parser_module
 from solscout.gateway import LlmGateway, Transcript, prompt_sha256, scripted
 from solscout import pipeline
@@ -554,6 +556,132 @@ def test_a_provider_that_fails_every_query_stops_the_scan(corpus_config, tmp_pat
 
 def _verdicts(result) -> dict:
     return {(f.rule_id, f.function_id): (f.verdict, f.reason) for f in result.findings}
+
+
+# ``deposit`` has a caller, ``depositTwice`` has none; both pass both rules' filter
+POOL = """pragma solidity ^0.8.0;
+
+contract Pool {
+    uint256 total;
+
+    function deposit(uint256 amount) public {
+        total += amount;
+    }
+
+    function depositTwice(uint256 amount) public {
+        deposit(amount);
+        deposit(amount);
+    }
+}
+"""
+
+
+def _caller_rules_config(tmp_path):
+    """``Pool`` under two rules that differ only in whether a context holds callers."""
+    rules_dir = tmp_path / "rules"
+    rules_dir.mkdir()
+    for rule_id, callers in (("narrow", "false"), ("wide", "true")):
+        (rules_dir / f"{rule_id}.yaml").write_text(
+            f'schema: 1\nid: {rule_id}\nscenarios: ["{rule_id} scenario"]\n'
+            f'property: "{rule_id} property"\n'
+            'filters:\n  - kind: FNK\n    keywords: ["deposit"]\n'
+            f"context: {{ callers: {callers}, callees: true }}\n", encoding="utf-8")
+    contracts = tmp_path / "project" / "contracts"
+    contracts.mkdir(parents=True)
+    (contracts / "Pool.sol").write_text(POOL, encoding="utf-8")
+    return replay_config(str(tmp_path / "project"), str(tmp_path / "t.jsonl"),
+                         project_name="pool", rules_dir=str(rules_dir))
+
+
+def test_rules_share_a_scenario_query_only_where_their_contexts_are_the_same(tmp_path):
+    config = _caller_rules_config(tmp_path)
+    write_transcript(config, ScriptedAnswers(default_scenario=True), config.transcript_path)
+    result = scan(config)
+    assert sorted((e.rule_id, e.function_id) for e in result.exchanges
+                  if e.purpose == "scenario") == [
+        ("narrow", "Pool.deposit"), ("narrow,wide", "Pool.depositTwice"), ("wide", "Pool.deposit")]
+    assert result.stats["candidates_filtered"] == result.stats["scenario_matched"] == 4
+    with open(config.transcript_path, encoding="utf-8") as fh:
+        [shared] = [entry["user"] for entry in map(json.loads, fh) if "," in entry["rule_id"]]
+    assert '"1": narrow scenario?\n"2": wide scenario?' in shared
+    assert "function deposit(" in shared and "function depositTwice(" in shared
+    [shared_key] = [k for k in _keys(result, "narrow", "Pool.depositTwice") if "," in k]
+    assert _keys(result, "wide", "Pool.depositTwice")[0] == shared_key
+    assert not any("," in k for k in _keys(result, "wide", "Pool.deposit"))
+
+
+def _keys(result, rule_id, function_id) -> list:
+    [finding] = [f for f in result.findings if (f.rule_id, f.function_id) == (rule_id, function_id)]
+    return finding.transcript_keys
+
+
+@pytest.mark.parametrize("failure, reason, cited", [
+    ("garbage", "llm-format", 2),
+    ("rejected", "provider-error: provider returned 400: overloaded", 0),
+])
+def test_a_failed_shared_scenario_query_skips_exactly_its_pairs(tmp_path, failure, reason, cited):
+    """Garbage (twice, so both attempts are cited) or a rejection on the shared query."""
+    config = _caller_rules_config(tmp_path)
+    honest = scripted_answerer(ScriptedAnswers(default_scenario=True),
+                               load_rules(config.rules_dir))
+
+    def answer(purpose, rule_id, function_id, user):
+        if "," not in rule_id:
+            return honest(purpose, rule_id, function_id, user)
+        if failure == "rejected":
+            raise ProviderError("provider returned 400: overloaded")
+        return "I think so"
+
+    recorded = scan(config, LlmGateway(scripted(answer), config.transcript_path))
+    assert _verdicts(recorded) == {
+        ("narrow", "Pool.deposit"): ("confirmed", ""),
+        ("narrow", "Pool.depositTwice"): ("skipped", reason),
+        ("wide", "Pool.deposit"): ("confirmed", ""),
+        ("wide", "Pool.depositTwice"): ("skipped", reason),
+    }
+    for rule_id in ("narrow", "wide"):
+        keys = _keys(recorded, rule_id, "Pool.depositTwice")
+        assert len(keys) == cited and all(k.startswith("scenario|narrow,wide|") for k in keys)
+    _assert_replays_the_record(recorded, scan(config))
+
+
+def test_the_acceptance_corpus_asks_one_scenario_query_per_function_and_context(corpus_config):
+    result = scan(corpus_config)
+    scenario = [e for e in result.exchanges if e.purpose == "scenario"]
+    assert result.stats["candidates_filtered"] == 48
+    assert (len(result.exchanges), len(scenario)) == (114, 42)
+    shared = {"|".join(e.key): e.function_id for e in scenario if "," in e.rule_id}
+    assert len(shared) == 6
+    assert {key.split("|")[1] for key in shared} == {"price-manipulation-by-buying-tokens,slippage"}
+    cited = [f for f in result.findings if f.function_id in shared.values()]
+    assert cited and all(f.transcript_keys[0] in shared for f in cited)
+
+
+def test_findings_keep_the_rule_major_order_of_their_pairs(corpus_config):
+    """Every pair is answered Yes, so every pair is a finding."""
+    prepared = prepare_scan(corpus_config)
+    acl = set(corpus_config.acl_modifiers)
+    pairs = [(rule.id, prepared.graph.id_of(fn)) for rule in prepared.rules
+             for fn in candidates_for_rule(prepared.scannable, rule, acl)]
+    first_seen = {}
+    for index, (_rule_id, fid) in enumerate(pairs):
+        first_seen.setdefault(fid, index)
+    assert sorted(pairs, key=lambda pair: first_seen[pair[1]]) != pairs  # not function-major
+    answer = scripted(scripted_answerer(ScriptedAnswers(default_scenario=True), prepared.rules))
+    result = scan(corpus_config, LlmGateway(answer))
+    assert [(f.rule_id, f.function_id) for f in result.findings] == pairs
+
+
+def test_a_record_scan_with_two_in_flight_replays_to_the_same_findings(corpus_config, tmp_path):
+    config = replay_config(corpus_config.project_root, str(tmp_path / "t.jsonl"),
+                           project_name="corpus")
+    record = replace(config, mode="record", provider=replace(config.provider, max_in_flight=2))
+    answer = scripted(scripted_answerer(corpus_answers(build_corpus(variants=3)),
+                                        load_rules(config.rules_dir)))
+    recorded = scan(record, LlmGateway(answer, config.transcript_path))
+    assert any("," in e.rule_id for e in recorded.exchanges)
+    _assert_replays_the_record(recorded, scan(config))
+    assert _verdicts(recorded) == _verdicts(scan(corpus_config))
 
 
 def test_ledger_totals_match_transcript_sums(tmp_path):
