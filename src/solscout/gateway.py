@@ -8,8 +8,10 @@ exchange, with its prompts, to an optional record file. An answerer is
 a loaded ``Transcript`` for a bit-exact replay with zero network use,
 ``transport.HttpProvider`` for a live model, or a ``scripted`` callable
 that tests and the demo author transcripts with; answerers compose by
-wrapping one another. A query the provider rejected is recorded as an
-``error`` entry, so its replay rejects it the same way.
+wrapping one another, as ``once`` does to send each distinct prompt
+once. The gateway records the usage its answerer reports. A query the
+provider rejected is recorded as an ``error`` entry, so its replay
+rejects it the same way.
 """
 
 from __future__ import annotations
@@ -142,19 +144,74 @@ class Transcript:
 
 
 def scripted(answer):
-    """An answerer replying ``answer(purpose, rule_id, function_id, user)``, usage unreported."""
-    return lambda asked, system, user: replace(
-        asked, response=answer(asked.purpose, asked.rule_id, asked.function_id, user))
+    """An answerer replying ``answer(purpose, rule_id, function_id, user)``, usage estimated."""
+    def answerer(asked, system, user):
+        response = answer(asked.purpose, asked.rule_id, asked.function_id, user)
+        return replace(asked, response=response,
+                       tokens_in=estimate_tokens(system) + estimate_tokens(user),
+                       tokens_out=estimate_tokens(response))
+
+    return answerer
+
+
+_ASKING = object()  # the outcome of a prompt while its first query waits for it
+
+
+def once(answerer):
+    """``answerer``, asked each distinct prompt once per attempt.
+
+    The first query with a prompt hash and attempt asks ``answerer``.
+    Every other query with them, asked at the same time or later, waits
+    for that answer and gets it under its own key, charged nothing: 0
+    tokens and latency 0. At temperature 0 a repeated prompt is the same
+    question. A ``ProviderError`` on the first query (``ProviderUnavailable``
+    too) is raised again for each of the others; any other failure of the
+    first fails them as ``ProviderUnavailable``, so none waits for good.
+    A replay is not wrapped: it answers every key as recorded.
+    """
+    outcomes = {}  # (prompt hash, attempt) -> answer text, ProviderError or _ASKING
+    settled = threading.Condition()
+
+    def answer(asked, system, user):
+        key = asked.prompt_sha256, asked.attempt
+        with settled:
+            first = key not in outcomes
+            if first:
+                outcomes[key] = _ASKING
+            else:
+                settled.wait_for(lambda: outcomes[key] is not _ASKING)
+                outcome = outcomes[key]
+        if not first:
+            if isinstance(outcome, str):
+                return replace(asked, response=outcome)
+            raise type(outcome)(*outcome.args)
+        outcome = ProviderUnavailable("the query that first asked this prompt failed")
+        try:
+            exchange = answerer(asked, system, user)
+            outcome = exchange.response
+            return exchange
+        except ProviderError as exc:
+            outcome = type(exc)(*exc.args)  # a copy without a traceback
+            raise
+        finally:
+            with settled:
+                outcomes[key] = outcome
+                settled.notify_all()
+
+    return answer
 
 
 class LlmGateway:
     """Asks one answerer each query and appends the exchange to a record file.
 
     ``answerer(asked, system, user)`` answers the exchange ``asked`` (its
-    key parts set, no response) with an exchange that has the same key,
-    0 for tokens it does not know. ``record`` is the path of the file
-    each exchange is appended to with its prompts, or None;
-    ``exchanges`` keeps each answered query without its prompts.
+    key parts set, no response) with an exchange that has the same key
+    and the usage to charge, which the gateway records as it is: an
+    answerer that is not told the usage estimates it (``scripted``,
+    ``HttpProvider``), and a reused answer costs 0 (``once``). ``record``
+    is the path of the file each exchange is appended to with its
+    prompts, or None; ``exchanges`` keeps each answered query without
+    its prompts.
     """
 
     def __init__(self, answerer, record: str | None = None):
@@ -180,13 +237,6 @@ class LlmGateway:
             with self._lock:
                 self._record(replace(asked, error=str(exc)), system, user)
             raise
-        tokens_in, tokens_out = exchange.tokens_in, exchange.tokens_out
-        if tokens_in <= 0 or tokens_out <= 0:  # usage not reported: estimate it
-            if tokens_in <= 0:
-                tokens_in = estimate_tokens(system) + estimate_tokens(user)
-            if tokens_out <= 0:
-                tokens_out = estimate_tokens(exchange.response)
-            exchange = replace(exchange, tokens_in=tokens_in, tokens_out=tokens_out)
         with self._lock:
             self.exchanges.append(exchange)
             self._record(exchange, system, user)

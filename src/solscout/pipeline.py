@@ -23,7 +23,7 @@ from .errors import (
 )
 from .filters import candidates_for_rule
 from .frontend import enumerate_functions, index_contracts, parse_source
-from .gateway import LlmGateway, Transcript
+from .gateway import LlmGateway, Transcript, once
 from .prompts import (
     build_property_prompt,
     build_recognition_prompt,
@@ -126,6 +126,14 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     The configuration is validated before anything is parsed; see
     ``ScanConfig.validate`` for what an injected gateway exempts.
 
+    Outside replay, ``config.provider.max_in_flight`` threads ask the
+    queries, injected gateway or not. The gateway built here asks an
+    ``HttpProvider`` of ``config.provider`` through ``gateway.once``, so
+    each distinct prompt is sent once per scan; a replay answers every
+    key as recorded. An injected gateway's ``HttpProvider`` must be
+    built from that same ``ProviderConfig``, or its in-flight slots and
+    the thread count disagree.
+
     The parsed project is a large, long-lived heap, so cyclic GC is kept
     off while it is built and the result is frozen, keeping later
     collections from walking it again. The heap holds no reference
@@ -144,7 +152,7 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     try:
         prepared = _prepare_frozen(config, enabled, freeze)
         # record mode appends to the transcript file, opened only once the project has parsed
-        gateway = gateway or LlmGateway(replay or HttpProvider(config.provider),
+        gateway = gateway or LlmGateway(replay or once(HttpProvider(config.provider)),
                                         config.transcript_path if config.mode == "record" else None)
         return _scan(prepared, config, gateway, started)
     finally:
@@ -198,27 +206,40 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
         "skipped": 0,
     }
     workers = max(1, config.provider.max_in_flight) if config.mode != "replay" else 1
+    # a work item is a list of units. With several workers, functions with
+    # the same source text ask the same prompts, so they are one item, run
+    # in unit order on one worker: the first asks the provider and the
+    # others get its answers at once (``gateway.once``) instead of waiting
+    # on another worker. One worker asks in unit order anyway.
+    if workers > 1:
+        twins = {}  # focus source -> its units
+        for unit in units.items():
+            twins.setdefault(unit[0].source(), []).append(unit)
+        items = list(twins.values())
+    else:
+        items = [[unit] for unit in units.items()]
 
-    def process(unit):
-        fn, (rules, _indices) = unit
-        return _process_candidate(fn, rules, config, graph, reach, gateway)
+    def process(item):
+        return [_process_candidate(fn, rules, config, graph, reach, gateway)
+                for fn, (rules, _indices) in item]
 
     try:
-        if workers > 1 and len(units) > 1:
+        if workers > 1 and len(items) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_unit = list(pool.map(process, units.items()))
+                per_item = list(pool.map(process, items))
         else:
-            per_unit = [process(unit) for unit in units.items()]
+            per_item = list(map(process, items))
     except BaseException:
         gateway.close()  # a stopped scan still closes its transcript
         raise
 
     outcomes = [None] * len(pairs)
-    for (_rules, indices), unit_outcomes in zip(units.values(), per_unit):
-        for index, outcome in zip(indices, unit_outcomes):
-            outcomes[index] = outcome
+    for item, item_outcomes in zip(items, per_item):
+        for (_fn, (_rules, indices)), unit_outcomes in zip(item, item_outcomes):
+            for index, outcome in zip(indices, unit_outcomes):
+                outcomes[index] = outcome
 
     findings: list[Finding] = []
     for matched, finding in outcomes:
@@ -272,12 +293,13 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
 def _process_candidate(fn, rules, config, graph, reach, gateway):
     """One function and the rules whose filters it passed, in rule order.
 
-    Each rule gets the context its own policy assembles. The rules whose
-    contexts have the same text share one scenario query that numbers
-    all their scenarios, keyed by their ids joined with ``,``; a rule
-    alone asks its own scenario prompt under its own id. A failed shared
-    query skips each of its rules. Property and recognition queries,
-    validation and confirmation are per rule.
+    Each rule gets the context its own policy assembles, once per
+    distinct policy. The rules whose contexts have the same text share
+    one scenario query that numbers all their scenarios, keyed by their
+    ids joined with ``,``; a rule alone asks its own scenario prompt
+    under its own id. A failed shared query skips each of its rules.
+    Property and recognition queries, validation and confirmation are
+    per rule.
 
     Returns one ``(matched, finding or None)`` per rule: ``matched``
     counts the LLM stages passed (scenario, then property), whatever the
@@ -285,14 +307,19 @@ def _process_candidate(fn, rules, config, graph, reach, gateway):
     """
     fid = graph.id_of(fn)
     outcomes = [None] * len(rules)
+    contexts = {}  # context policy -> its context, or why it is too large
     groups = {}  # context text -> [(index, rule, context)], in rule order
     for index, rule in enumerate(rules):
-        try:
-            context = assemble_context(fn, graph, rule.context_policy, config.token_budget,
-                                       estimate_tokens)
-        except ContextOverflow as exc:
-            outcomes[index] = 0, _finding(fn, fid, rule, config, [], "skipped",
-                                          f"too large: {exc.estimate} tokens > {exc.budget}")
+        context = contexts.get(rule.context_policy)
+        if context is None:
+            try:
+                context = assemble_context(fn, graph, rule.context_policy, config.token_budget,
+                                           estimate_tokens)
+            except ContextOverflow as exc:
+                context = f"too large: {exc.estimate} tokens > {exc.budget}"
+            contexts[rule.context_policy] = context
+        if isinstance(context, str):
+            outcomes[index] = 0, _finding(fn, fid, rule, config, [], "skipped", context)
             continue
         groups.setdefault(context.text, []).append((index, rule, context))
 

@@ -74,27 +74,59 @@ def build_recognition_prompt(recognition, code: str) -> str:
 
 _DECODER = json.JSONDecoder()
 _BRACE_QUOTE_OR_BACKSLASH = re.compile(r'[{}"\\]')
+# a string, also one cut off where the search ends, or a brace outside one
+_STRING_OR_BRACE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)|[{}]', re.DOTALL)
 
 
 def _first_json_object(text: str):
     """The object decoded from the first ``{`` that starts one, or None.
 
-    A nesting too deep to decode counts as no object there. A decode is
-    tried only from the ``{`` that ``_decode_starts`` yields, so an
-    answer of unclosed objects is not decoded once per ``{``.
+    A decode is tried only from the ``{`` that ``_decode_starts`` yields,
+    so an answer of unclosed objects is not decoded once per ``{``; and
+    none from a ``{`` that an earlier failed decode rules out, so nor is
+    one of nested objects that all close. A decode that fails at a
+    position rules out the objects it had read into and not closed
+    there: decoded alone, each fails at the same place. A nesting too
+    deep to decode counts as no object there, nor at any ``{`` before
+    the ``}`` that closes it.
     """
-    for start in _decode_starts(text):
+    failed = set()
+    deep_until = -1
+    for start, end in _decode_starts(text):
+        if start in failed or start < deep_until:
+            continue
         try:
             return _DECODER.raw_decode(text, start)[0]
-        except (json.JSONDecodeError, RecursionError):
-            pass
+        except json.JSONDecodeError as exc:
+            failed.update(_open_objects(text, start, exc.pos))
+        except RecursionError:
+            deep_until = max(deep_until, end)
     return None
 
 
-def _decode_starts(text: str):
-    """The first ``{``; then, in text order, each later one whose brace count closes.
+def _open_objects(text: str, start: int, stop: int) -> list:
+    """The objects still open at ``stop`` of those read from the one at ``start``.
 
-    A count begins at its ``{`` and skips braces inside strings, where a
+    ``text[start:stop]`` must be what the decoder read from ``start``
+    before it failed at ``stop``: valid JSON so far, so each ``{``
+    outside a string opens an object and each ``}`` closes the innermost.
+    """
+    opened = []
+    for match in _STRING_OR_BRACE.finditer(text, start, stop):
+        char = match.group()
+        if char == "{":
+            opened.append(match.start())
+        elif char == "}":
+            opened.pop()
+    return opened
+
+
+def _decode_starts(text: str):
+    """Each ``{`` worth decoding from, as ``(start, end)``: the first, then,
+    in text order, each later one whose brace count closes, at ``end``.
+
+    The first is yielded before its count is known, with ``end`` -1. A
+    count begins at its ``{`` and skips braces inside strings, where a
     backslash escapes the next character; no object ends anywhere else.
     Counts in the same state at the same place go on alike, and there
     are three states: outside a string, inside one, and inside one with
@@ -105,7 +137,7 @@ def _decode_starts(text: str):
     first = text.find("{")
     if first == -1:
         return
-    yield first  # where an answer's object usually starts: tried before the pass
+    yield first, -1  # where an answer's object usually starts: tried before the pass
     closing = []
     outside, inside, escaped, escaped_at = [], [], [], -1
     for match in _BRACE_QUOTE_OR_BACKSLASH.finditer(text, first + 1):
@@ -121,7 +153,7 @@ def _decode_starts(text: str):
             if char == "{":
                 outside.append([at])
             elif outside:
-                closing += outside.pop()
+                closing += ((start, at) for start in outside.pop())
     yield from sorted(closing)
 
 

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .errors import ProviderError, ProviderUnavailable
+from .prompts import estimate_tokens
 
 
 @dataclass
@@ -54,7 +55,10 @@ class HttpProvider:
         self._route = None
 
     def __call__(self, asked, system: str, user: str):
-        """``asked`` with the provider's answer to ``user``, its usage and latency."""
+        """``asked`` with the provider's answer to ``user``, its usage and latency.
+
+        Usage the reply leaves out is estimated with ``estimate_tokens``.
+        """
         import http.client
 
         key = os.environ.get(self.config.api_key_env, "")
@@ -96,10 +100,15 @@ class HttpProvider:
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise ProviderError(f"malformed provider response: {exc}") from exc
             usage = reply.get("usage") or {}
-            return replace(asked, response=content,
-                           tokens_in=int(usage.get("prompt_tokens") or 0),
-                           tokens_out=int(usage.get("completion_tokens") or 0),
-                           latency=latency)
+            tokens_in = int(usage.get("prompt_tokens") or 0)
+            tokens_out = int(usage.get("completion_tokens") or 0)
+            # usage the reply does not report is estimated
+            if tokens_in <= 0:
+                tokens_in = estimate_tokens(system) + estimate_tokens(user)
+            if tokens_out <= 0:
+                tokens_out = estimate_tokens(content)
+            return replace(asked, response=content, tokens_in=tokens_in,
+                           tokens_out=tokens_out, latency=latency)
         raise last_error
 
     def _post(self, body: bytes, headers: dict):

@@ -8,7 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 import pytest
@@ -216,16 +216,32 @@ def test_first_json_object_matches_the_brace_scanner_where_strings_and_escapes_i
     ('{"' + '{"a":' * 8000 + "}", None),
     ("{" * 40_000 + "}", {}),
     ('{\\"' * 13_000 + "}", None),
-], ids=["unclosed-objects", "inside-a-string-from-the-first", "open-braces", "escaped-quotes"])
+    ('{"a":' * 8000 + "x" + "}" * 8000, None),
+    (('{' + '"k": 1, ' * 8 + '"a":') * 600 + "x" + "}" * 600, None),
+], ids=["unclosed-objects", "inside-a-string-from-the-first", "open-braces", "escaped-quotes",
+        "every-brace-closes-too-deep", "every-brace-closes"])
 def test_a_hostile_answer_is_decoded_only_from_braces_that_close(hostile, value):
     """Each ``{`` before the last ``}`` used to cost a decode reading to the
-    end: 0.8 s for the 40 KB of unclosed objects."""
+    end: 0.8 s for the 40 KB of unclosed objects. Where every ``{`` closes,
+    each used to be decoded down to the failure, or to the recursion limit:
+    0.6 s for the 48 KB of objects nested 8,000 deep, 0.2 s for the 42 KB
+    nested 600 deep. A failed decode now rules out the objects it read into."""
     timings = []
     for _ in range(3):
         started = time.perf_counter()
         assert _first_json_object(hostile) == value
         timings.append(time.perf_counter() - started)
     assert min(timings) < 0.05
+
+
+def test_a_failed_decode_rules_out_only_the_objects_still_open_where_it_failed():
+    """The inner objects closed before the failure still decode; one begun
+    inside a string, as read from the failed decode, is no object of it."""
+    for text, value in [('{"a": {"b": 1}, x}', {"b": 1}),
+                        ('{"a": "{", "b": {"c": x}} {"d": 1}', {"d": 1}),
+                        ('{"a": "{"b": 2}"} x', {"b": 2}),
+                        ('{"a": "\\u12{"b": 3}', {"b": 3})]:
+        assert _first_json_object(text) == _scanned_first_json_object(text) == value, text
 
 
 @pytest.mark.parametrize("text, value", [
@@ -737,6 +753,40 @@ def test_answerer_stands_in_for_the_provider(tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as fh:
         [entry] = [json.loads(line) for line in fh]
     assert (entry["system"], entry["user"], entry["response"]) == ("system", "user", "Yes")
+
+
+def test_scripted_and_the_http_provider_estimate_the_usage_they_are_not_told(monkeypatch,
+                                                                            serve):
+    """What the gateway used to estimate for every answerer reporting 0."""
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    asked = LlmExchange("property", "r", "C.f", "", 0, 0,
+                        prompt_sha256=prompt_sha256("system", "user"))
+    prompt = estimate_tokens("system") + estimate_tokens("user")
+    exchange = scripted(lambda *_: "Yes")(asked, "system", "user")
+    assert (exchange.response, exchange.tokens_in, exchange.tokens_out) == \
+        ("Yes", prompt, estimate_tokens("Yes"))
+    server = serve(in_order((200, chat_body("Yes")),
+                            (200, chat_body("No", {"prompt_tokens": 42})),
+                            (200, chat_body("Maybe", {"completion_tokens": 3}))))
+    provider = HttpProvider(ProviderConfig(endpoint=server.url))
+    usage = [(e.tokens_in, e.tokens_out) for e in
+             (provider(asked, "system", "user") for _ in range(3))]
+    assert usage == [(prompt, estimate_tokens("Yes")), (42, estimate_tokens("No")), (prompt, 3)]
+
+
+def test_the_gateway_records_the_usage_its_answerer_reports(tmp_path):
+    """A reused answer is charged nothing, and its replay charges nothing either."""
+    path = str(tmp_path / "rec.jsonl")
+    gateway = LlmGateway(lambda asked, system, user: replace(asked, response="Yes"), path)
+    exchange = gateway.complete("property", "r", "C.f", "system", "user")
+    gateway.close()
+    assert (exchange.tokens_in, exchange.tokens_out) == (0, 0)
+    with open(path, encoding="utf-8") as fh:
+        [entry] = [json.loads(line) for line in fh]
+    assert (entry["tokens_in"], entry["tokens_out"]) == (0, 0)
+    replayed = LlmGateway(Transcript.load(path).answer).complete("property", "r", "C.f",
+                                                                 "system", "user")
+    assert (replayed.tokens_in, replayed.tokens_out) == (0, 0)
 
 
 # ----------------------------------------------------------------------

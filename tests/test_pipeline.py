@@ -657,6 +657,21 @@ def test_the_acceptance_corpus_asks_one_scenario_query_per_function_and_context(
     assert cited and all(f.transcript_keys[0] in shared for f in cited)
 
 
+def test_a_function_assembles_one_context_per_distinct_policy(corpus_config, monkeypatch):
+    """The 6 ``swapTokens`` functions pass two rules with the same policy."""
+    assembled = Counter()
+    assemble = pipeline.assemble_context
+
+    def counting(fn, graph, policy, *args):
+        assembled[graph.id_of(fn), policy] += 1
+        return assemble(fn, graph, policy, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_context", counting)
+    result = scan(corpus_config)
+    assert result.stats["candidates_filtered"] == 48
+    assert (sum(assembled.values()), len(assembled)) == (42, 42)
+
+
 def test_findings_keep_the_rule_major_order_of_their_pairs(corpus_config):
     """Every pair is answered Yes, so every pair is a finding."""
     prepared = prepare_scan(corpus_config)
