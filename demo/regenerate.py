@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
 """Rebuild demo/transcript.jsonl from scripted answers.
 
-The pipeline scans demo/project with a scripted answerer and records to
-a fresh file, so it holds exactly the queries a replay makes. It is
-keyed by prompt hash, so it must be regenerated whenever prompt
-construction changes. Run from the repository root:
+The pipeline scans demo/project with the test suite's scripted answerer
+(``tests/helpers.write_transcript``) and records to a fresh file, so it
+holds exactly the queries a replay makes. It is keyed by prompt hash, so
+it must be regenerated whenever prompt construction changes. Run from
+the repository root:
 
     python demo/regenerate.py
 """
 
 import os
+import sys
 import tempfile
 
-from solscout.config import ScanConfig
-from solscout.gateway import LlmGateway, scripted
-from solscout.pipeline import scan
-from solscout.prompts import render_recognition_answer, render_scenario_answer, render_yes_no
-from solscout.rules import load_rules
-from solscout.transport import ProviderConfig
-
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests"))
+
+from helpers import ScriptedAnswers, write_transcript  # noqa: E402
+from solscout.config import ScanConfig  # noqa: E402
 
 # the one candidate a reviewer should see confirmed, with its recognition
 TARGET = ("risky-first-deposit", "YaxisVault.deposit")
@@ -32,23 +31,14 @@ RECOGNITION = {
 
 def transcript_text() -> str:
     """The demo transcript, one JSON exchange per line."""
-    # one worker: entries in candidate order
     config = ScanConfig(project_root=os.path.join(HERE, "project"), project_name="demo",
-                        mode="record", provider=ProviderConfig(max_in_flight=1))
-    scenario_counts = {rule.id: len(rule.scenarios) for rule in load_rules(config.rules_dir)}
-
-    def answer(purpose, rule_id, function_id, user):
-        if purpose == "scenario":  # rules sharing the query are joined with ","
-            verdicts = [(rid, function_id) == TARGET for rid in rule_id.split(",")
-                        for _ in range(scenario_counts[rid])]
-            return render_scenario_answer(dict(enumerate(verdicts, 1)))
-        if purpose == "property":
-            return render_yes_no(True)
-        return render_recognition_answer(RECOGNITION)
-
+                        mode="record")
+    answers = ScriptedAnswers(default_scenario=False)
+    answers.scenario[TARGET] = True
+    answers.recognition[TARGET] = RECOGNITION
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "transcript.jsonl")
-        scan(config, LlmGateway(scripted(answer), path))
+        write_transcript(config, answers, path)
         with open(path, encoding="utf-8") as fh:
             return fh.read()
 

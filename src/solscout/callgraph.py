@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import ContextOverflow
 from .frontend import FunctionRecord, call_name, iter_calls
+from .frontend.lexer import identifiers
 
 DEFAULT_ACL_MODIFIERS = frozenset({"onlyOwner", "onlyAdmin", "onlyGovernance", "onlyRole"})
 
@@ -126,9 +127,10 @@ def build_call_graph(functions: list, contracts_by_name: dict,
     ``every_body`` False walks only the bodies a scan reads, so the parser
     never parses the others: the callee closure of the entry points, then
     every other body that names a function in that closure, as it may call
-    it. Edges are added in function order either way, so the reachable set
-    and each reachable function's callers and callees do not depend on it;
-    ``unresolved`` then covers the walked bodies only.
+    it (``lexer.identifiers`` lists a body's names for that test only; they
+    are not kept). Edges are added in function order either way, so the
+    reachable set and each reachable function's callers and callees do not
+    depend on it; ``unresolved`` then covers the walked bodies only.
     """
     ids = build_function_ids(functions)
     graph = CallGraph(_ids=ids)
@@ -173,8 +175,8 @@ def build_call_graph(functions: list, contracts_by_name: dict,
                     reached.append(target)
         names = {fn.name for fn in reached}
         for fn in functions:
-            if ids[id(fn)] not in sites and fn.has_body and (
-                    fn.body_names is None or not names.isdisjoint(fn.body_names)):
+            if ids[id(fn)] not in sites and fn.has_body and not names.isdisjoint(
+                    identifiers(fn.file.stripped, fn.body_start, fn.end)):
                 sites[ids[id(fn)]] = calls_of(fn)
 
     seen_edges = set()

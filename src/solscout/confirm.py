@@ -44,7 +44,7 @@ _CONDITION_KINDS = ("if", "require", "assert")
 _CONTAINER_KINDS = ("block", "if", "for", "while")
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckVerdict:
     kind: str
     slots: list

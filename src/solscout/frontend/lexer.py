@@ -11,10 +11,11 @@ every block opened at brace depth 1 (function and other member bodies
 of a contract) and of every free function's body, so lexing the file
 gives only what the file-level parse reads; a body is lexed by range
 when it is parsed, and ``identifiers`` lists the names of one that is
-not. The two passes over a whole file, ``strip_comments`` and the
-brace walk of ``outline``, use no regex: ``str.find`` and ``str.split``
-jump between the characters they stop at, at memchr speed, where a
-regex scan costs about 12 ns a character.
+not, when the call graph asks whether to walk it. The two passes over
+a whole file, ``strip_comments`` and the brace walk of ``outline``, use
+no regex: ``str.find`` and ``str.split`` jump between the characters
+they stop at, at memchr speed, where a regex scan costs about 12 ns a
+character.
 
 ``tokenize`` builds no object per token: it returns the interned token
 values as a ``Tokens`` list with their offsets in two more lists, so a

@@ -4,8 +4,8 @@ Expressions and statements keep only character offsets and a reference
 to their ``SourceFile``; their text (``raw``) and a statement's 1-based
 line range (``span``) are sliced from the file on demand, so every piece
 of evidence in a scan report comes straight out of the file while the
-parsed project holds no copy of it. An empty child sequence is the
-shared ``()``, never a fresh list.
+parsed project holds no copy of it. Child sequences are tuples, sized
+to their contents, and an empty one is the shared ``()``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 _BODY_LOCK = threading.Lock()
 
@@ -71,7 +71,7 @@ class Expression:
     name: str = ""  # identifier name or member name
     op: str = ""
     callee: Optional["Expression"] = None
-    args: Sequence = ()
+    args: tuple = ()
 
     @property
     def raw(self) -> str:
@@ -86,9 +86,9 @@ class Statement:
     src: SourceFile = field(repr=False, compare=False)
     seq: int = -1
     condition: Optional[Expression] = None
-    children: Sequence = ()
-    exprs: Sequence = ()
-    decl_names: Sequence = ()
+    children: tuple = ()
+    exprs: tuple = ()
+    decl_names: tuple = ()
     post_expr: Optional[Expression] = None
 
     @property
@@ -125,8 +125,10 @@ class FunctionRecord:
     that reads it, so offsets and spans are the file's and ``seq``
     numbers count from the body's first statement. An entry point's
     body is parsed with its file. Any other body is skipped, and it
-    keeps only where it starts and the identifiers in it
-    (``body_names``); it is parsed the first time ``body`` is read, once.
+    keeps only where it starts (``body_start``); it is parsed the first
+    time ``body`` is read, once. The call graph lists a skipped body's
+    names (``lexer.identifiers`` over ``body_start..end``) when it
+    decides whether to walk it, and keeps no copy of them.
     """
 
     name: str  # empty for constructor/fallback/receive
@@ -141,7 +143,6 @@ class FunctionRecord:
     contract_def: Optional["ContractDef"] = None
     file: Optional[SourceFile] = None
     body_start: int = -1  # offset of the body's '{'; -1 for a declaration
-    body_names: Optional[tuple] = None  # distinct identifiers of a skipped body
     parsed_body: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -165,7 +166,7 @@ class FunctionRecord:
     @property
     def body(self) -> Optional[list]:
         """Top-level statements; None for declarations."""
-        if self.parsed_body is None and self.body_names is not None:
+        if self.parsed_body is None and self.body_start >= 0:
             with _BODY_LOCK:  # one parse, however many threads read it at once
                 if self.parsed_body is None:
                     from .parser import parse_body

@@ -32,8 +32,7 @@ from __future__ import annotations
 import re
 
 from ..errors import SoliditySyntaxError
-from .lexer import (Tokens, identifiers, is_id, outline, strip_comments, token_kind,
-                    tokenize)
+from .lexer import Tokens, is_id, outline, strip_comments, token_kind, tokenize
 from .nodes import (
     ContractDef,
     Expression,
@@ -61,7 +60,6 @@ POSTFIX_OPS = {"(", "{", ".", "[", "++", "--"}
 # Tokens that can end or nest a statement skipped unparsed.
 _SKIP_STOPS = {"(", "[", ")", "]", "{", ";"}
 
-_ELEMENTARY_RE = re.compile(r"^(address|bool|string|byte|bytes\d*|u?int\d*|u?fixed\d*x?\d*)$")
 # From the first to the last non-space character of a range.
 _INSIDE_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
 
@@ -274,8 +272,6 @@ class Parser:
             fn.end = self.ends[self.pos - 1]
             if fn.is_entry_point:
                 fn.parsed_body = _parse_block(self.src, fn.body_start, fn.end)
-            else:
-                fn.body_names = identifiers(self.src.stripped, fn.body_start, fn.end)
         fn.span = (self._line_of(start), self._line_of(max(start, fn.end - 1)))
         return fn
 
@@ -376,8 +372,8 @@ class Parser:
 
     def _statement(self, kind: str, start: int, end: int, condition=None, children=(),
                    exprs=(), decl_names=(), post_expr=None) -> Statement:
-        return Statement(kind, start, end, self.src, -1, condition, children or (),
-                         exprs or (), decl_names or (), post_expr)
+        return Statement(kind, start, end, self.src, -1, condition, children, exprs,
+                         decl_names, post_expr)
 
     def _parse_statement(self) -> Statement:
         saved = self.pos
@@ -441,7 +437,7 @@ class Parser:
         start = self.starts[self.pos]
         if value == "{":
             children, end = self._parse_block_children()
-            return self._statement("block", start, end, children=children)
+            return self._statement("block", start, end, children=tuple(children))
         if is_id(value):
             handler = self._STATEMENT_KEYWORDS.get(value)
             if handler is not None:
@@ -452,7 +448,7 @@ class Parser:
             if value == "unchecked" and following == "{":
                 self.pos += 1
                 children, end = self._parse_block_children()
-                return self._statement("block", start, end, children=children)
+                return self._statement("block", start, end, children=tuple(children))
             if value in ("break", "continue", "throw"):
                 self.pos += 1
                 end = self.expect_punct(";")
@@ -491,27 +487,27 @@ class Parser:
         cond = self._parse_expression()
         self.expect_punct(")")
         then = self._parse_statement()
-        children = [then]
+        children = (then,)
         end = then.end
         if self.at("else"):
             self.advance()
             other = self._parse_statement()
-            children.append(other)
+            children = (then, other)
             end = other.end
         return self._statement("if", start, end, condition=cond, children=children)
 
     def _parse_for(self) -> Statement:
         start = self._advance_start()
         self.expect_punct("(")
-        children = []
+        children = ()
         if self.at(";"):
             self.advance()
         elif self._at_declaration():
-            children.append(self._parse_local_decl())
+            children = (self._parse_local_decl(),)
         else:
             init = self._parse_expression()
             end = self.expect_punct(";")
-            children.append(self._statement("expression", init.start, end, exprs=[init]))
+            children = (self._statement("expression", init.start, end, exprs=(init,)),)
         cond = None
         if self.at(";"):
             self.advance()
@@ -523,9 +519,8 @@ class Parser:
             post = self._parse_expression()
         self.expect_punct(")")
         body = self._parse_statement()
-        children.append(body)
         return self._statement(
-            "for", start, body.end, condition=cond, children=children, post_expr=post
+            "for", start, body.end, condition=cond, children=(*children, body), post_expr=post
         )
 
     def _parse_while(self) -> Statement:
@@ -534,7 +529,7 @@ class Parser:
         cond = self._parse_expression()
         self.expect_punct(")")
         body = self._parse_statement()
-        return self._statement("while", start, body.end, condition=cond, children=[body])
+        return self._statement("while", start, body.end, condition=cond, children=(body,))
 
     def _parse_do_while(self) -> Statement:
         start = self._advance_start()
@@ -546,7 +541,7 @@ class Parser:
         cond = self._parse_expression()
         self.expect_punct(")")
         end = self.expect_punct(";")
-        return self._statement("while", start, end, condition=cond, children=[body])
+        return self._statement("while", start, end, condition=cond, children=(body,))
 
     def _parse_require(self, which: str) -> Statement:
         start = self._advance_start()
@@ -557,19 +552,19 @@ class Parser:
 
     def _parse_revert(self) -> Statement:
         start = self._advance_start()
-        exprs = []
+        exprs = ()
         if self.at("("):
             exprs = self._parse_call_args()
         elif is_id(self.values[self.pos]):
-            exprs = [self._parse_expression()]
+            exprs = (self._parse_expression(),)
         end = self.expect_punct(";")
         return self._statement("revert", start, end, exprs=exprs)
 
     def _parse_return(self) -> Statement:
         start = self._advance_start()
-        exprs = []
+        exprs = ()
         if not self.at(";"):
-            exprs = [self._parse_expression()]
+            exprs = (self._parse_expression(),)
         end = self.expect_punct(";")
         return self._statement("return", start, end, exprs=exprs)
 
@@ -577,7 +572,7 @@ class Parser:
         start = self._advance_start()
         expr = self._parse_expression()
         end = self.expect_punct(";")
-        return self._statement("emit", start, end, exprs=[expr])
+        return self._statement("emit", start, end, exprs=(expr,))
 
     def _parse_assembly(self) -> Statement:
         start = self._advance_start()
@@ -631,32 +626,33 @@ class Parser:
             self.expect_punct("=")
             rhs = self._parse_expression()
             end = self.expect_punct(";")
-            return self._statement("local-decl", start, end, decl_names=names, exprs=[rhs])
+            return self._statement("local-decl", start, end, decl_names=tuple(names),
+                                   exprs=(rhs,))
         self._parse_type()
         if values[self.pos] in LOCATIONS:
             self.pos += 1
         name = self.expect_id("variable name")
-        exprs = []
+        exprs = ()
         if values[self.pos] == "=":
             self.pos += 1
-            exprs = [self._parse_expression()]
+            exprs = (self._parse_expression(),)
         end = self.expect_punct(";")
-        return self._statement("local-decl", start, end, decl_names=[name], exprs=exprs)
+        return self._statement("local-decl", start, end, decl_names=(name,), exprs=exprs)
 
     def _parse_expression_statement(self) -> Statement:
         start = self.starts[self.pos]
         expr = self._parse_expression()
         end = self.expect_punct(";")
         if expr.kind == "binary" and expr.op in ASSIGN_OPS:
-            return self._statement("assignment", start, end, exprs=[expr.args[0], expr.args[1]])
-        return self._statement("expression", start, end, exprs=[expr])
+            return self._statement("assignment", start, end, exprs=expr.args)  # (target, value)
+        return self._statement("expression", start, end, exprs=(expr,))
 
     # ------------------------------------------------------------------
     # expressions
 
     def _expr(self, kind: str, start: int, end: int, name: str = "", op: str = "",
-              callee: Expression = None, args: list = ()) -> Expression:
-        return Expression(kind, start, end, self.src, name, op, callee, args or ())
+              callee: Expression = None, args: tuple = ()) -> Expression:
+        return Expression(kind, start, end, self.src, name, op, callee, args)
 
     def _parse_expression(self) -> Expression:
         """Assignment (right-associative) over a conditional over binary operators."""
@@ -667,11 +663,11 @@ class Parser:
             then = self._parse_expression()
             self.expect_punct(":")
             other = self._parse_expression()
-            return self._expr("binary", left.start, other.end, op="?:", args=[left, then, other])
+            return self._expr("binary", left.start, other.end, op="?:", args=(left, then, other))
         if value in ASSIGN_OPS:
             self.pos += 1
             right = self._parse_expression()
-            return self._expr("binary", left.start, right.end, op=value, args=[left, right])
+            return self._expr("binary", left.start, right.end, op=value, args=(left, right))
         return left
 
     def _parse_binary(self, min_prec: int) -> Expression:
@@ -685,14 +681,14 @@ class Parser:
                 return left
             self.pos += 1
             right = self._parse_binary(prec + 1)
-            left = self._expr("binary", left.start, right.end, op=op, args=[left, right])
+            left = self._expr("binary", left.start, right.end, op=op, args=(left, right))
 
     def _parse_unary(self) -> Expression:
         op = self.values[self.pos]
         if op in PREFIX_OPS:
             start = self._advance_start()
             operand = self._parse_unary()
-            return self._expr("unary", start, operand.end, op=op, args=[operand])
+            return self._expr("unary", start, operand.end, op=op, args=(operand,))
         return self._parse_postfix(self._parse_primary())
 
     def _parse_postfix(self, base: Expression) -> Expression:
@@ -721,21 +717,21 @@ class Parser:
                                   name=name, callee=base)
             elif value == "[":
                 self.pos += 1
-                args = []
+                args = ()
                 if not self.at("]") and not self.at(":"):
-                    args.append(self._parse_expression())
+                    args = (self._parse_expression(),)
                 if self.at(":"):
                     self.pos += 1
                     if not self.at("]"):
-                        args.append(self._parse_expression())
+                        args += (self._parse_expression(),)
                 end = self.expect_punct("]")
                 base = self._expr("index", base.start, end, callee=base, args=args)
             else:  # postfix ++ or --
                 self.pos += 1
-                base = self._expr("unary", base.start, ends[self.pos - 1], op=value, args=[base])
+                base = self._expr("unary", base.start, ends[self.pos - 1], op=value, args=(base,))
         return base
 
-    def _parse_named_values(self) -> list:
+    def _parse_named_values(self) -> tuple:
         self.expect_punct("{")
         exprs = []
         while not self.at("}") and self.values[self.pos]:
@@ -745,9 +741,9 @@ class Parser:
             if self.at(","):
                 self.pos += 1
         self.expect_punct("}")
-        return exprs
+        return tuple(exprs)
 
-    def _parse_call_args(self) -> list:
+    def _parse_call_args(self) -> tuple:
         values = self.values
         self.expect_punct("(")
         args = []
@@ -756,7 +752,7 @@ class Parser:
             if values[self.pos] == ",":
                 self.pos += 1
         self.expect_punct(")")
-        return args
+        return tuple(args)
 
     def _parse_primary(self) -> Expression:
         values = self.values
@@ -794,7 +790,7 @@ class Parser:
             real = [e for e in elems if e is not None]
             if len(elems) == 1 and len(real) == 1:
                 return real[0]
-            return self._expr("tuple", start, end, args=elems)
+            return self._expr("tuple", start, end, args=tuple(elems))
         if value == "[":
             self.pos += 1
             elems = []
@@ -803,7 +799,7 @@ class Parser:
                 if self.at(","):
                     self.pos += 1
             end = self.expect_punct("]")
-            return self._expr("tuple", start, end, args=elems)
+            return self._expr("tuple", start, end, args=tuple(elems))
         if value == "{":
             elems = self._parse_named_values()
             return self._expr("tuple", start, self.ends[self.pos - 1], args=elems)

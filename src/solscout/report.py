@@ -18,7 +18,7 @@ REPORT_SCHEMA_VERSION = 1
 _INF = float("inf")
 
 
-@dataclass
+@dataclass(slots=True)
 class Finding:
     rule_id: str
     project: str
@@ -235,23 +235,25 @@ def emit_report(findings: list, ledger: CostLedger, fmt: str, meta: dict | None 
                 "skipped": sum(1 for f in findings if f.verdict == "skipped"),
             },
         }
-        return json_text(doc) + "\n"
+        return json_text(doc)
     if fmt == "markdown":
         return _markdown_report(findings, ledger, meta)
     raise ValueError(f"unknown report format {fmt!r}")
 
 
 def json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for str keys.
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte, for str keys.
 
     With ``indent`` set, ``json.dumps`` takes its generator-based
     pure-Python encoder. This writer appends every piece of the document
-    to one list and joins it once; strings go through the C string
-    encoder. Punctuation and encoded keys are shared strings, so the
-    list's pieces take less memory than the encoder's.
+    to one list, then the final newline, and joins it once, so the text
+    is never copied; strings go through the C string encoder.
+    Punctuation and encoded keys are shared strings, so the list's
+    pieces take less memory than the encoder's.
     """
     out: list = []
     _write_json(doc, 0, out, {})
+    out.append("\n")
     return "".join(out)
 
 
@@ -360,4 +362,10 @@ def _markdown_report(findings: list, ledger: CostLedger, meta: dict) -> str:
             if f.excerpt:
                 lines += ["", "```solidity", f.excerpt.rstrip(), "```"]
             lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+    # the text ends in one newline: trailing blank lines and spaces are
+    # dropped before the one join, not from a copy of the joined text
+    while not lines[-1].strip():
+        lines.pop()
+    lines[-1] = lines[-1].rstrip()
+    lines.append("")
+    return "\n".join(lines)

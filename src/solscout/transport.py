@@ -42,7 +42,7 @@ class HttpProvider:
 
     At most ``config.max_in_flight`` requests are in flight at once; a
     slot is held per request, not across a backoff. The route is planned
-    by the first request.
+    once, by the first request; requests that start with it wait for it.
     """
 
     RETRIES = 3
@@ -53,6 +53,7 @@ class HttpProvider:
         self._sleep = sleeper
         self._gate = threading.Semaphore(max(1, config.max_in_flight))
         self._route = None
+        self._route_lock = threading.Lock()
 
     def __call__(self, asked, system: str, user: str):
         """``asked`` with the provider's answer to ``user``, its usage and latency.
@@ -117,7 +118,9 @@ class HttpProvider:
         Returns the status and the decoded reply body.
         """
         if self._route is None:
-            self._route = _plan_route(self.config.endpoint, self.config.timeout)
+            with self._route_lock:
+                if self._route is None:
+                    self._route = _plan_route(self.config.endpoint, self.config.timeout)
         open_connection, target, route_headers = self._route
         conn = open_connection()
         try:

@@ -249,7 +249,7 @@ def test_tuple_declaration_and_assignment():
     fn = enumerate_functions(unit)[0]
     stmts = list(fn.statements())
     assert stmts[0].kind == "local-decl"
-    assert stmts[0].decl_names == ["a", "b"]
+    assert stmts[0].decl_names == ("a", "b")
     assert stmts[1].kind == "assignment"
 
 
@@ -902,6 +902,19 @@ def test_skipped_import_keeps_the_contract_after_it():
     assert [(c.name, c.bases) for c in unit.contracts] == [("C", [])]
 
 
+def test_every_child_sequence_is_a_tuple():
+    """A parsed body holds its children in tuples sized to them, never in lists."""
+    sequences = []
+    for case in build_corpus(3):
+        for fn in parse_text(case.source).functions:
+            for stmt in fn.statements():
+                sequences += (stmt.children, stmt.exprs, stmt.decl_names)
+                for expr in stmt.expressions():
+                    sequences += (node.args for node in walk_expression(expr))
+    assert {type(seq) for seq in sequences} == {tuple}
+    assert sum(map(bool, sequences)) > 200
+
+
 def test_no_statement_yields_an_expression_twice():
     for case in build_corpus(3):
         for fn in parse_text(case.source).functions:
@@ -912,6 +925,13 @@ def test_no_statement_yields_an_expression_twice():
 
 # ----------------------------------------------------------------------
 # bodies parsed on first read
+
+def _skipped_names(fn):
+    """The names the call graph lists for a body the file's parse skipped; None for any other."""
+    if fn.has_body and fn.parsed_body is None:
+        return identifiers(fn.file.stripped, fn.body_start, fn.end)
+    return None
+
 
 def test_only_entry_point_bodies_are_parsed_with_the_file():
     unit = parse_text(
@@ -927,7 +947,7 @@ def test_only_entry_point_bodies_are_parsed_with_the_file():
     parsed = {fn.display_name: fn.parsed_body is not None for fn in unit.functions}
     assert parsed == {"constructor": False, "pub": True, "ext": True, "inner": False,
                       "hidden": False, "decl": False, "free": False}
-    names = {fn.display_name: fn.body_names for fn in unit.functions}
+    names = {fn.display_name: _skipped_names(fn) for fn in unit.functions}
     assert names == {"constructor": ("a",), "pub": None, "ext": None, "inner": ("d", "e"),
                      "hidden": (), "decl": None, "free": ("f",)}
     assert [fn.has_body for fn in unit.functions] == [True] * 5 + [False, True]
@@ -959,8 +979,8 @@ def test_a_deferred_body_once_read_equals_the_eager_parse(sample_projects, monke
                 patch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
                 eager = parse_text(text, path).functions
             lazy = parse_text(text, path).functions
-            assert all(fn.body_names is None for fn in eager)
-            deferred += sum(fn.body_names is not None for fn in lazy)
+            assert all(_skipped_names(fn) is None for fn in eager)
+            deferred += sum(_skipped_names(fn) is not None for fn in lazy)
             assert ([(fn.name, fn.start, fn.end, fn.span, fn.body_start) for fn in lazy]
                     == [(fn.name, fn.start, fn.end, fn.span, fn.body_start) for fn in eager])
             assert [_body_tree(fn) for fn in lazy] == [_body_tree(fn) for fn in eager], path
@@ -1142,8 +1162,8 @@ def test_function_spans_and_syntax_errors_match_the_line_index_oracle(scanned_so
         unit = _outcome(parse_text, text, "p.sol")
         if isinstance(unit, tuple):
             return unit
-        return [(fn.contract, fn.name, fn.span, fn.start, fn.end, fn.body_start, fn.body_names)
-                for fn in unit.functions]
+        return [(fn.contract, fn.name, fn.span, fn.start, fn.end, fn.body_start,
+                 _skipped_names(fn)) for fn in unit.functions]
 
     texts = _texts_against_oracles(scanned_sources)
     new = [fields(text) for text in texts]

@@ -35,6 +35,7 @@ from solscout.prompts import (
     render_scenario_answer,
     render_yes_no,
 )
+from solscout import transport
 from solscout.transport import REFUSED_EVERY_QUERY, HttpProvider, ProviderConfig, _plan_route
 from solscout.rules import load_rules, shipped_rules_dir
 
@@ -651,6 +652,38 @@ def test_live_mode_requires_api_key(monkeypatch, serve):
         gateway.complete("property", "r", "C.f", "s", "u")
     gateway.close()
     assert server.requests == []
+
+
+def test_requests_that_start_at_once_plan_the_route_once(monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    plans = []
+
+    def slow_plan_route(endpoint, timeout):
+        plans.append(endpoint)
+        time.sleep(0.05)  # every other first request starts meanwhile
+        return _plan_route(endpoint, timeout)
+
+    monkeypatch.setattr(transport, "_plan_route", slow_plan_route)
+    server = serve(in_order((200, chat_body("Yes"))))
+    count = 4
+    provider = HttpProvider(ProviderConfig(endpoint=server.url, max_in_flight=count))
+    asked = LlmExchange("property", "r", "C.f", "", 0, 0,
+                        prompt_sha256=prompt_sha256("system", "user"))
+    barrier = threading.Barrier(count)
+    answers = [None] * count
+
+    def ask(i):
+        barrier.wait()
+        answers[i] = provider(asked, "system", "user").response
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert answers == ["Yes"] * count
+    assert plans == [server.url]
+    assert len(server.requests) == count
 
 
 def test_retry_with_backoff_then_success(monkeypatch, serve):

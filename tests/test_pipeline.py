@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import sys
 import time
 import tracemalloc
 import weakref
@@ -885,6 +886,51 @@ def test_prepared_scan_heap_per_kloc(tmp_path, gc_state):
     assert kloc > 12
     assert retained / 1e6 / kloc <= RETAINED_MB_PER_KLOC, \
         f"{retained / 1e6:.1f} MB retained over {kloc:.1f} KLoC"
+
+
+# Bytes of a replay scan's finding and check-verdict records, per finding
+# of the acceptance corpus. Slotted records take 343. An instance
+# dictionary on findings takes 391, on check verdicts 399, on both 447,
+# and each fails. (Everything a finding keeps, its strings and lists
+# included, is about 1,980 bytes against 2,080 with both.)
+RECORD_BYTES_PER_FINDING = 365
+
+
+def test_finding_records_bytes_per_finding(corpus_config, gc_state):
+    findings = scan(corpus_config).findings
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        # the same records built again, sharing every field value but the verdict list
+        records = [replace(f, check_verdicts=[replace(v) for v in f.check_verdicts])
+                   for f in findings]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 36
+    assert held / len(records) <= RECORD_BYTES_PER_FINDING, \
+        f"{held / len(records):.0f} bytes per finding"
+
+
+# Traced peak of rendering the markdown report, over the size of the text.
+# Joining its lines once keeps it at 1.9; copying the joined text to strip
+# it and again to end it with a newline raised it to 2.9.
+MARKDOWN_PEAK_PER_TEXT = 2.4
+
+
+def test_rendering_the_markdown_report_copies_no_whole_text(corpus_config, gc_state):
+    result = scan(corpus_config)
+    result.report("markdown")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = result.report("markdown")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MARKDOWN_PEAK_PER_TEXT * sys.getsizeof(text), \
+        f"peak {peak} bytes for a text of {sys.getsizeof(text)}"
 
 
 def test_prepare_scan_parses_only_the_bodies_it_reads(tmp_path, monkeypatch):

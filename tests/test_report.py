@@ -271,10 +271,11 @@ JSON_ODD_DOC = {
 
 
 def test_the_json_writer_matches_json_dumps_byte_for_byte():
-    """``json_text`` is ``json.dumps(..., indent=2, sort_keys=True)`` for every report value."""
+    """``json_text`` is ``json.dumps(..., indent=2, sort_keys=True)`` and a newline for every
+    report value."""
     for doc in (JSON_ODD_DOC, JSON_ODD_DOC["text"], {}, [], "s", 1, 1.5, None, True,
                 float("nan")):
-        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n", doc
     findings = [make_finding(), make_finding(rule_id="slippage", verdict="rejected")]
     findings[1].excerpt = "function f() { emit E(\"é\\n\"); }\n\t// ☃"
     ledger = CostLedger(total_seconds=0.1, tokens_in=3, total_usd=1e-07, kloc=1e16)
