@@ -109,6 +109,9 @@ def _file_digest(path: str) -> str:
 
 
 _PROVIDER_KEYS = {f.name for f in fields(ProviderConfig)}
+_TOP_LEVEL_KEYS = {"project", "rules_dir", "whitelist", "acl_modifiers", "excluded_segments",
+                   "token_budget", "mode", "transcript", "output_dir", "max_in_flight",
+                   "provider"}
 
 
 def load_config(project_root: str, config_path: str = "", overrides: dict | None = None) -> ScanConfig:
@@ -122,6 +125,9 @@ def load_config(project_root: str, config_path: str = "", overrides: dict | None
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {config_path} must be a mapping")
+        unknown = set(data) - _TOP_LEVEL_KEYS
+        if unknown:
+            raise ConfigError(f"unknown keys in config {config_path}: {sorted(unknown)}")
 
     merged = dict(data)
     for key, value in (overrides or {}).items():

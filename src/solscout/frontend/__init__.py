@@ -16,7 +16,7 @@ from .nodes import (
     SourceUnit,
     Statement,
 )
-from .parser import enumerate_functions, parse_source, parse_text
+from .parser import enumerate_functions, parse_source
 
 __all__ = [
     "ContractDef",
@@ -27,7 +27,6 @@ __all__ = [
     "SourceUnit",
     "Statement",
     "parse_source",
-    "parse_text",
     "enumerate_functions",
     "index_contracts",
     "strip_comments",

@@ -849,10 +849,6 @@ def parse_source(src: SourceFile) -> SourceUnit:
         raise SoliditySyntaxError(f"parse failure: {exc}", 1, 1, src.path) from exc
 
 
-def parse_text(text: str, path: str = "<memory>") -> SourceUnit:
-    return parse_source(SourceFile(path=path, text=text))
-
-
 def enumerate_functions(unit: SourceUnit) -> list:
     """All functions across all contracts, in declaration order."""
     return list(unit.functions)

@@ -127,12 +127,10 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     ``ScanConfig.validate`` for what an injected gateway exempts.
 
     Outside replay, ``config.provider.max_in_flight`` threads ask the
-    queries, injected gateway or not. The gateway built here asks an
-    ``HttpProvider`` of ``config.provider`` through ``gateway.once``, so
-    each distinct prompt is sent once per scan; a replay answers every
-    key as recorded. An injected gateway's ``HttpProvider`` must be
-    built from that same ``ProviderConfig``, or its in-flight slots and
-    the thread count disagree.
+    queries, injected gateway or not, and no more are in flight at once.
+    The gateway built here asks an ``HttpProvider`` of ``config.provider``
+    through ``gateway.once``, so each distinct prompt is sent once per
+    scan; a replay answers every key as recorded.
 
     The parsed project is a large, long-lived heap, so cyclic GC is kept
     off while it is built and the result is frozen, keeping later

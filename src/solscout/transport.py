@@ -2,9 +2,12 @@
 
 ``HttpProvider(config)`` is called as ``(asked, system, user)`` and
 answers with ``asked`` filled in, like every answerer the gateway takes.
-Each query is one request on its own connection, sent directly, through
-an HTTP proxy, or tunnelled through one. The network modules are
-imported by the first request, never by a replay.
+The provider plans its route, reads its API key and builds its request
+headers once, when it is built; each query is then one request on its
+own connection, sent directly, through an HTTP proxy, or tunnelled
+through one. The network modules are imported when a provider is built,
+never by a replay. How many queries are in flight at once is up to the
+caller: a scan asks from ``max_in_flight`` worker threads.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -30,7 +32,7 @@ class ProviderConfig:
     price_out_per_1k: float = 0.0
     api_key_env: str = "SOLSCOUT_API_KEY"
     timeout: float = 60.0
-    max_in_flight: int = 4
+    max_in_flight: int = 4  # worker threads a live or record scan asks from
 
 
 # statuses that say the key, the endpoint or the proxy is wrong, not the query
@@ -40,9 +42,11 @@ REFUSED_EVERY_QUERY = frozenset({401, 403, 404, 407})
 class HttpProvider:
     """Asks ``config.endpoint`` each query, retrying a failed request with backoff.
 
-    At most ``config.max_in_flight`` requests are in flight at once; a
-    slot is held per request, not across a backoff. The route is planned
-    once, by the first request; requests that start with it wait for it.
+    The route, the API key and the request headers are resolved once, by
+    the constructor, which raises ``ProviderUnavailable`` when the key is
+    not set or the endpoint or proxy cannot be reached by any route.
+    After that a call changes nothing the provider holds, so threads may
+    call it at once; each request runs on its caller's thread.
     """
 
     RETRIES = 3
@@ -51,9 +55,16 @@ class HttpProvider:
     def __init__(self, config: ProviderConfig, sleeper=time.sleep):
         self.config = config
         self._sleep = sleeper
-        self._gate = threading.Semaphore(max(1, config.max_in_flight))
-        self._route = None
-        self._route_lock = threading.Lock()
+        key = os.environ.get(config.api_key_env, "")
+        if not key:
+            raise ProviderUnavailable(f"API key env var {config.api_key_env} is not set")
+        self._open_connection, self._target, route_headers = \
+            _plan_route(config.endpoint, config.timeout)
+        self._headers = {
+            "Authorization": f"Bearer {key}",
+            "Content-Type": "application/json",
+            **route_headers,
+        }
 
     def __call__(self, asked, system: str, user: str):
         """``asked`` with the provider's answer to ``user``, its usage and latency.
@@ -62,9 +73,6 @@ class HttpProvider:
         """
         import http.client
 
-        key = os.environ.get(self.config.api_key_env, "")
-        if not key:
-            raise ProviderUnavailable(f"API key env var {self.config.api_key_env} is not set")
         body = json.dumps({
             "model": self.config.model,
             "temperature": self.config.temperature,
@@ -73,18 +81,13 @@ class HttpProvider:
                 {"role": "user", "content": user},
             ],
         }).encode("utf-8")
-        headers = {
-            "Authorization": f"Bearer {key}",
-            "Content-Type": "application/json",
-        }
         last_error = None
         for attempt in range(self.RETRIES):
             if attempt:
                 self._sleep(self.BACKOFF_BASE * (2 ** (attempt - 1)))
             try:
-                with self._gate:
-                    started = time.monotonic()
-                    status, text = self._post(body, headers)
+                started = time.monotonic()
+                status, text = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = ProviderUnavailable(f"request failed: {exc}")
                 continue
@@ -112,19 +115,14 @@ class HttpProvider:
                            tokens_out=tokens_out, latency=latency)
         raise last_error
 
-    def _post(self, body: bytes, headers: dict):
+    def _post(self, body: bytes):
         """POST ``body`` on a new connection, closed once the reply is read.
 
         Returns the status and the decoded reply body.
         """
-        if self._route is None:
-            with self._route_lock:
-                if self._route is None:
-                    self._route = _plan_route(self.config.endpoint, self.config.timeout)
-        open_connection, target, route_headers = self._route
-        conn = open_connection()
+        conn = self._open_connection()
         try:
-            conn.request("POST", target, body, {**headers, **route_headers})
+            conn.request("POST", self._target, body, self._headers)
             response = conn.getresponse()
             return response.status, response.read().decode("utf-8", "replace")
         finally:

@@ -17,7 +17,7 @@ from operator import sub
 
 from solscout.config import ScanConfig
 from solscout.errors import SolscoutError, SoliditySyntaxError
-from solscout.frontend import LineIndex
+from solscout.frontend import LineIndex, SourceFile, SourceUnit, parse_source
 from solscout.frontend.lexer import (_FREE_FUNCTION_HEAD_RE, _STRING, _STRING_ALTERNATIVES,
                                      Tokens, token_kind)
 from solscout.project import canonical_signature, inherited_names
@@ -95,6 +95,11 @@ def build_transcript(config: ScanConfig, answers: ScriptedAnswers) -> Transcript
         path = os.path.join(tmp, "transcript.jsonl")
         write_transcript(config, answers, path)
         return Transcript.load(path)
+
+
+def parse_text(text: str, path: str = "<memory>") -> SourceUnit:
+    """``text`` parsed as the file ``path``."""
+    return parse_source(SourceFile(path=path, text=text))
 
 
 def replay_config(project_root: str, transcript_path: str, **kw) -> ScanConfig:

@@ -15,7 +15,7 @@ import pytest
 from solscout.confirm import DefUseGraph, build_def_use, check_dataflow, check_order
 from solscout.callgraph import assemble_context, build_call_graph
 from solscout.filters import directive_passes
-from solscout.frontend import enumerate_functions, index_contracts, parse_text
+from solscout.frontend import enumerate_functions, index_contracts
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import scan
 from solscout.report import ConfusionCounts,derive_rates, score
@@ -23,7 +23,7 @@ from solscout.rules import ContextPolicy, load_rules, shipped_rules_dir
 
 from conftest import fixture_path
 from corpus import build_corpus, write_corpus
-from helpers import (ScriptedAnswers, corpus_answers, evidence_spans, filter_kinds,
+from helpers import (ScriptedAnswers, corpus_answers, evidence_spans, filter_kinds, parse_text,
                      replay_config, write_transcript)
 from test_pipeline import first_deposit_answers, checkpoint_order_answers
 from test_report import make_finding, truth_from

@@ -8,14 +8,14 @@ from solscout.callgraph import (
     compute_reachability,
 )
 from solscout.errors import ContextOverflow
-from solscout.frontend import call_name, enumerate_functions, index_contracts, parse_text
+from solscout.frontend import call_name, enumerate_functions, index_contracts
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import prepare_scan
 from solscout.rules import ContextPolicy
 
 from conftest import fixture_path
 from corpus import build_corpus, write_corpus
-from helpers import replay_config
+from helpers import parse_text, replay_config
 
 
 def graph_from(src):

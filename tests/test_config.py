@@ -52,6 +52,14 @@ def test_unknown_provider_key_rejected(tmp_path):
         load_config(fixture_path("first_deposit"), str(config_path))
 
 
+def test_unknown_top_level_key_rejected(tmp_path):
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(yaml.safe_dump({"mode": "replay", "trancript": "t.jsonl"}),
+                           encoding="utf-8")
+    with pytest.raises(ConfigError, match="trancript"):
+        load_config(fixture_path("first_deposit"), str(config_path))
+
+
 def test_every_provider_field_is_a_provider_key(tmp_path):
     values = asdict(ProviderConfig(model="m", timeout=5.0, max_in_flight=2))
     config_path = tmp_path / "scan.yaml"

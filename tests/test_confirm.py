@@ -19,8 +19,7 @@ from solscout.confirm import (
     check_value_comparison,
     confirm_candidate,
 )
-from solscout.frontend import (call_name, enumerate_functions, index_contracts, iter_calls,
-                               parse_text, used_names)
+from solscout.frontend import call_name, enumerate_functions, index_contracts, iter_calls, used_names
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import scan
 from solscout.report import Finding
@@ -28,7 +27,7 @@ from solscout.rules import ContextPolicy, load_rules, shipped_rules_dir
 
 from conftest import ROOT, fixture_path
 from corpus import build_corpus, write_corpus
-from helpers import (build_transcript, corpus_answers, edge_set, evidence_spans,
+from helpers import (build_transcript, corpus_answers, edge_set, evidence_spans, parse_text,
                      replay_config, rule_for_id)
 from test_pipeline import checkpoint_order_answers, first_deposit_answers
 

@@ -1,10 +1,11 @@
 import random
 
 from solscout.filters import apply_filters, candidates_for_rule, directive_passes
-from solscout.frontend import enumerate_functions, parse_text, strip_comments
+from solscout.frontend import enumerate_functions, strip_comments
 from solscout.rules import ContextPolicy, parse_rule
 
 from conftest import fixture_path
+from helpers import parse_text
 
 
 def rule_with(filters, rule_id="t"):

@@ -17,7 +17,6 @@ from solscout.frontend import (
     enumerate_functions,
     iter_calls,
     parse_source,
-    parse_text,
     strip_comments,
 )
 from solscout.frontend import parser as parser_module
@@ -26,8 +25,8 @@ from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
 from corpus import build_corpus, filler_source
-from helpers import (cut_tokens, line_index_span, regex_outline, regex_strip_comments, token_rows,
-                     walk_expression)
+from helpers import (cut_tokens, line_index_span, parse_text, regex_outline, regex_strip_comments,
+                     token_rows, walk_expression)
 
 
 # With this as ``FunctionRecord.is_entry_point``, every body is parsed with

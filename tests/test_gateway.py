@@ -4,7 +4,6 @@ import json
 import random
 import re
 import socket
-import threading
 import time
 import tracemalloc
 import warnings
@@ -35,7 +34,6 @@ from solscout.prompts import (
     render_scenario_answer,
     render_yes_no,
 )
-from solscout import transport
 from solscout.transport import REFUSED_EVERY_QUERY, HttpProvider, ProviderConfig, _plan_route
 from solscout.rules import load_rules, shipped_rules_dir
 
@@ -647,43 +645,9 @@ def test_live_mode_uses_provider_usage_when_reported(monkeypatch, serve):
 def test_live_mode_requires_api_key(monkeypatch, serve):
     monkeypatch.delenv("SOLSCOUT_API_KEY", raising=False)
     server = serve(in_order((200, chat_body("Yes"))))
-    gateway = _live(server)
     with pytest.raises(ProviderUnavailable, match="SOLSCOUT_API_KEY"):
-        gateway.complete("property", "r", "C.f", "s", "u")
-    gateway.close()
+        _live(server)  # the key is read once, when the provider is built
     assert server.requests == []
-
-
-def test_requests_that_start_at_once_plan_the_route_once(monkeypatch, serve):
-    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
-    plans = []
-
-    def slow_plan_route(endpoint, timeout):
-        plans.append(endpoint)
-        time.sleep(0.05)  # every other first request starts meanwhile
-        return _plan_route(endpoint, timeout)
-
-    monkeypatch.setattr(transport, "_plan_route", slow_plan_route)
-    server = serve(in_order((200, chat_body("Yes"))))
-    count = 4
-    provider = HttpProvider(ProviderConfig(endpoint=server.url, max_in_flight=count))
-    asked = LlmExchange("property", "r", "C.f", "", 0, 0,
-                        prompt_sha256=prompt_sha256("system", "user"))
-    barrier = threading.Barrier(count)
-    answers = [None] * count
-
-    def ask(i):
-        barrier.wait()
-        answers[i] = provider(asked, "system", "user").response
-
-    threads = [threading.Thread(target=ask, args=(i,)) for i in range(count)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert answers == ["Yes"] * count
-    assert plans == [server.url]
-    assert len(server.requests) == count
 
 
 def test_retry_with_backoff_then_success(monkeypatch, serve):
@@ -840,40 +804,6 @@ def test_each_query_closes_its_connection(monkeypatch, serve):
         gc.collect()
     assert (server.accepted, len(server.requests)) == (3, 3)
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-
-
-def test_in_flight_queries_never_outnumber_the_slots(monkeypatch, serve):
-    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
-    lock = threading.Lock()
-    in_flight = [0, 0]  # now, most
-
-    def slow(request):
-        with lock:
-            in_flight[0] += 1
-            in_flight[1] = max(in_flight)
-        time.sleep(0.02)  # long enough for the four threads to overlap
-        with lock:
-            in_flight[0] -= 1
-        return 200, chat_body("Yes")
-
-    server = serve(slow)
-    gateway = _live(server, max_in_flight=2)
-    answers = []
-
-    def work(t):
-        for i in range(3):
-            answers.append(gateway.complete("property", "r", f"C.f{t}_{i}", "s", "u").response)
-
-    workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join(30)
-        assert not worker.is_alive()
-    gateway.close()
-    assert answers == ["Yes"] * 12
-    assert len(server.requests) == 12
-    assert in_flight[1] == 2
 
 
 def _with_credentials(base: str) -> str:

@@ -5,7 +5,7 @@ import pytest
 
 from solscout.config import shipped_whitelist_path
 from solscout.errors import SoliditySyntaxError, SolscoutError
-from solscout.frontend import enumerate_functions, index_contracts, parse_source, parse_text
+from solscout.frontend import enumerate_functions, index_contracts, parse_source
 from solscout.project import (
     DEFAULT_EXCLUDED_SEGMENTS,
     SignatureSet,
@@ -16,7 +16,7 @@ from solscout.project import (
     load_signature_set,
 )
 
-from helpers import whitelist_survivors
+from helpers import parse_text, whitelist_survivors
 
 
 def make_tree(tmp_path, files):

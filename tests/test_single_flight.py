@@ -7,6 +7,7 @@ which counts the requests it reads.
 """
 
 import json
+import os
 import sys
 import threading
 import time
@@ -224,6 +225,52 @@ def test_a_record_scan_sends_each_distinct_prompt_once(corpus, tmp_path, monkeyp
     _assert_replays_the_record(recorded, replayed)
     usage = {e.key: (e.tokens_in, e.tokens_out) for e in recorded.exchanges}
     assert {e.key: (e.tokens_in, e.tokens_out) for e in replayed.exchanges} == usage
+
+
+def test_the_scan_s_workers_are_the_only_limit_on_requests_in_flight(corpus, tmp_path,
+                                                                   monkeypatch, serve):
+    """An injected provider built for 1 in flight still serves 2 workers at once."""
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    root, _path, oracle = corpus
+    honest = by_prompt(oracle)
+    lock = threading.Lock()
+    in_flight = [0, 0, 0]  # now, most, started
+    overlapped = threading.Event()
+
+    def slow(request):
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight[:2])
+            in_flight[2] += 1
+            first = in_flight[2] == 1
+            if in_flight[0] > 1:
+                overlapped.set()
+        if first:  # held until the other worker's first request arrives
+            overlapped.wait(5)
+        with lock:
+            in_flight[0] -= 1
+        return honest(request)
+
+    server = serve(slow)
+    record = _record(root, str(tmp_path / "t.jsonl"), server)
+    provider = HttpProvider(ProviderConfig(endpoint=server.url, max_in_flight=1))
+    recorded = scan(record, LlmGateway(once(provider), record.transcript_path))
+    assert recorded.provider_failures == []
+    assert len(server.requests) == 91
+    assert in_flight[1] == record.provider.max_in_flight == 2
+
+
+def test_a_record_scan_with_no_route_to_the_provider_sends_and_records_nothing(
+        corpus, tmp_path, monkeypatch, serve):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    root, _path, oracle = corpus
+    server = serve(by_prompt(oracle), tls=True)
+    monkeypatch.setenv("https_proxy", "socks5://127.0.0.1:1080")
+    record = _record(root, str(tmp_path / "t.jsonl"), server)
+    with pytest.raises(ProviderUnavailable, match="unsupported proxy"):
+        scan(record)
+    assert server.requests == []
+    assert not os.path.exists(record.transcript_path)
 
 
 def test_a_replay_answers_every_key_as_recorded(corpus):
