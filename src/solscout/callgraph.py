@@ -254,12 +254,9 @@ def compute_reachability(graph: CallGraph, functions: list,
 class CodeContext:
     focus: FunctionRecord
     focus_id: str
-    callers: list = field(default_factory=list)  # included caller ids
-    callees: list = field(default_factory=list)  # included callee ids
     records: list = field(default_factory=list)  # (fid, FunctionRecord), focus first
     sites: dict = field(default_factory=dict)  # fid -> the graph's call sites of that record
     text: str = ""
-    token_estimate: int = 0
 
 
 def assemble_context(focus: FunctionRecord, graph: CallGraph, policy,
@@ -284,12 +281,12 @@ def assemble_context(focus: FunctionRecord, graph: CallGraph, policy,
 
     neighbor_ids = []
     if policy.include_callees:
-        neighbor_ids += [("callee", nid) for nid in graph.callees_of(fid)]
+        neighbor_ids += graph.callees_of(fid)
     if policy.include_callers:
-        neighbor_ids += [("caller", nid) for nid in graph.callers_of(fid)]
+        neighbor_ids += graph.callers_of(fid)
 
     included = {fid}
-    for role, nid in neighbor_ids:
+    for nid in neighbor_ids:
         if nid in included:
             continue
         record = graph.functions.get(nid)
@@ -304,8 +301,6 @@ def assemble_context(focus: FunctionRecord, graph: CallGraph, policy,
         parts.append(text)
         ctx.records.append((nid, record))
         ctx.sites[nid] = graph.sites[nid]
-        (ctx.callees if role == "callee" else ctx.callers).append(nid)
 
     ctx.text = "\n\n".join(parts)
-    ctx.token_estimate = total
     return ctx

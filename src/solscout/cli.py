@@ -36,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan a project directory")
     p_scan.add_argument("project_root")
     p_scan.add_argument("--config", default="", help="YAML config file")
+    # each setting's dest is the config key it overrides
     p_scan.add_argument("--rules", dest="rules_dir", default=None)
     p_scan.add_argument("--whitelist", default=None)
     p_scan.add_argument("--mode", choices=MODES, default=None)
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", dest="output_dir", default=None)
     p_scan.add_argument("--token-budget", type=int, default=None)
     p_scan.add_argument("--max-in-flight", type=int, default=None)
-    p_scan.add_argument("--project-name", default=None)
+    p_scan.add_argument("--project-name", dest="project", default=None)
 
     p_score = sub.add_parser("score", help="score a scan report against ground truth")
     p_score.add_argument("report_path")
@@ -60,24 +61,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_scan(args) -> int:
-    overrides = {
-        "rules_dir": args.rules_dir,
-        "whitelist": args.whitelist,
-        "mode": args.mode,
-        "transcript": args.transcript,
-        "output_dir": args.output_dir,
-        "token_budget": args.token_budget,
-        "max_in_flight": args.max_in_flight,
-        "project": args.project_name,
-    }
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "project_root", "config")}
     try:
         config = load_config(args.project_root, args.config, overrides)
-        result = scan(config)
+        # made before the scan asks anything, and removed if the scan fails
+        made = not os.path.isdir(config.output_dir)
+        os.makedirs(config.output_dir, exist_ok=True)
+        try:
+            result = scan(config)
+        except BaseException:
+            if made:
+                os.rmdir(config.output_dir)
+            raise
     except (ConfigError, RuleParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    os.makedirs(config.output_dir, exist_ok=True)
     json_path = os.path.join(config.output_dir, "scan-report.json")
     md_path = os.path.join(config.output_dir, "scan-report.md")
     with open(json_path, "w", encoding="utf-8") as fh:

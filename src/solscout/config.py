@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 import yaml
@@ -35,8 +35,9 @@ class ScanConfig:
     project_name: str = ""
     rules_dir: str = field(default_factory=shipped_rules_dir)
     whitelist_path: str = field(default_factory=shipped_whitelist_path)
-    acl_modifiers: list = field(default_factory=lambda: sorted(DEFAULT_ACL_MODIFIERS))
-    excluded_segments: list = field(default_factory=lambda: sorted(DEFAULT_EXCLUDED_SEGMENTS))
+    acl_modifiers: list[str] = field(default_factory=lambda: sorted(DEFAULT_ACL_MODIFIERS))
+    excluded_segments: list[str] = field(
+        default_factory=lambda: sorted(DEFAULT_EXCLUDED_SEGMENTS))
     token_budget: int = 0  # 0 -> provider.max_context_tokens - 1024
     mode: str = "live"
     transcript_path: str = ""
@@ -90,14 +91,9 @@ class ScanConfig:
             "excluded_segments": sorted(self.excluded_segments),
             "token_budget": self.token_budget,
             "mode": self.mode,
-            "provider": {
-                "endpoint": self.provider.endpoint,
-                "model": self.provider.model,
-                "temperature": self.provider.temperature,
-                "max_context_tokens": self.provider.max_context_tokens,
-                "price_in_per_1k": self.provider.price_in_per_1k,
-                "price_out_per_1k": self.provider.price_out_per_1k,
-            },
+            # every provider setting but the three that cannot change an answer
+            "provider": {name: value for name, value in asdict(self.provider).items()
+                         if name not in ("api_key_env", "timeout", "max_in_flight")},
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -108,54 +104,66 @@ def _file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-_PROVIDER_KEYS = {f.name for f in fields(ProviderConfig)}
-_TOP_LEVEL_KEYS = {"project", "rules_dir", "whitelist", "acl_modifiers", "excluded_segments",
-                   "token_budget", "mode", "transcript", "output_dir", "max_in_flight",
-                   "provider"}
+# YAML keys named otherwise than their field
+_RENAMED = {"project_name": "project", "whitelist_path": "whitelist",
+            "transcript_path": "transcript"}
+
+# the type a value given for a field of each annotation must have
+_TYPES = {"str": str, "int": int, "float": (int, float), "list[str]": list}
+
+# top-level values that keep a field's default: an empty path or list has always
+# meant the shipped one
+_UNSET = (None, "", [])
 
 
 def load_config(project_root: str, config_path: str = "", overrides: dict | None = None) -> ScanConfig:
-    """Build a ScanConfig from an optional YAML file plus override values."""
-    data: dict = {}
+    """Build a ScanConfig from an optional YAML file plus override values.
+
+    A key is its ``ScanConfig`` field's name, or under ``provider`` its
+    ``ProviderConfig`` field's name, except ``project``, ``whitelist`` and
+    ``transcript``; a top-level ``max_in_flight`` sets the provider's.
+    ``overrides`` holds the command's flags by key, None for one not given.
+    A missing or null value keeps the default, as does an empty string or
+    list at the top level. Any other value must have its field's type, or
+    ``ConfigError`` names the key.
+    """
+    raw: dict = {}
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
-                data = load_yaml(fh) or {}
+                raw = load_yaml(fh) or {}
         except (OSError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(raw, dict):
             raise ConfigError(f"config {config_path} must be a mapping")
-        unknown = set(data) - _TOP_LEVEL_KEYS
-        if unknown:
-            raise ConfigError(f"unknown keys in config {config_path}: {sorted(unknown)}")
-
-    merged = dict(data)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-
-    provider_raw = merged.get("provider") or {}
-    if not isinstance(provider_raw, dict):
+    raw.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    max_in_flight = raw.pop("max_in_flight", None)
+    section = raw.pop("provider", None) or {}
+    if not isinstance(section, dict):
         raise ConfigError("provider section must be a mapping")
-    unknown = set(provider_raw) - _PROVIDER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown provider keys: {sorted(unknown)}")
-    provider = ProviderConfig(**provider_raw)
-    if "max_in_flight" in merged:
-        provider.max_in_flight = int(merged["max_in_flight"])
+    provider = _settings(ProviderConfig, section, "provider.", (None,))
+    if max_in_flight not in _UNSET:
+        provider["max_in_flight"] = _checked("max_in_flight", max_in_flight, "int")
+    settings = _settings(ScanConfig, raw, "", _UNSET)
+    return ScanConfig(project_root, provider=ProviderConfig(**provider), **settings)
 
-    config = ScanConfig(
-        project_root=project_root,
-        project_name=merged.get("project", ""),
-        rules_dir=merged.get("rules_dir") or shipped_rules_dir(),
-        whitelist_path=merged.get("whitelist") or shipped_whitelist_path(),
-        acl_modifiers=list(merged.get("acl_modifiers") or sorted(DEFAULT_ACL_MODIFIERS)),
-        excluded_segments=list(merged.get("excluded_segments")
-                               or sorted(DEFAULT_EXCLUDED_SEGMENTS)),
-        token_budget=int(merged.get("token_budget") or 0),
-        mode=merged.get("mode", "live"),
-        transcript_path=merged.get("transcript", "") or "",
-        output_dir=merged.get("output_dir", "scan-output"),
-        provider=provider,
-    )
-    return config
+
+def _settings(cls, raw: dict, prefix: str, unset: tuple) -> dict:
+    """Field name -> value for each key of ``raw`` whose value is not ``unset``."""
+    by_key = {_RENAMED.get(f.name, f.name): f for f in fields(cls)
+              if f.name not in ("project_root", "provider")}
+    unknown = sorted(f"{prefix}{key}" for key in raw if key not in by_key)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    return {by_key[key].name: _checked(prefix + key, value, by_key[key].type)
+            for key, value in raw.items() if value not in unset}
+
+
+def _checked(key: str, value, annotation: str):
+    """``value`` if a field annotated ``annotation`` takes it; a bool is not a number."""
+    ok = isinstance(value, _TYPES[annotation]) and not isinstance(value, bool)
+    if annotation == "list[str]":
+        ok = ok and all(isinstance(item, str) for item in value)
+    if not ok:
+        raise ConfigError(f"{key} must be {annotation}, got {value!r}")
+    return value

@@ -88,16 +88,9 @@ class Transcript:
 
         A rejected query raises its ``ProviderError`` again.
         """
-        key = asked.key
-        entry = self.entries.get(key)
-        if entry is None and asked.attempt:
-            # a transcript written before retries had their own key
-            # holds one entry, the last answer, for both attempts
-            entry = self.entries.get(key[:4])
-            if entry is not None:
-                entry = replace(entry, attempt=asked.attempt)
+        entry = self.entries.get(asked.key)
         if entry is None:
-            raise ReplayMiss(key)
+            raise ReplayMiss(asked.key)
         if entry.error:
             raise ProviderError(entry.error)
         return entry

@@ -28,7 +28,6 @@ _LOCATION_RE = re.compile(r"\b(memory|storage|calldata|payable)\b")
 
 @dataclass
 class ProjectLayout:
-    root: str
     included: list = field(default_factory=list)  # SourceFile
     excluded: list = field(default_factory=list)  # (relpath, reason)
 
@@ -55,7 +54,7 @@ def discover_sources(root: str, excluded_segments=DEFAULT_EXCLUDED_SEGMENTS) -> 
     if not os.path.isdir(root):
         raise IOError(f"project root not readable: {root}")
     segments = {s.lower() for s in excluded_segments}
-    layout = ProjectLayout(root=root)
+    layout = ProjectLayout()
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
         for fname in sorted(filenames):

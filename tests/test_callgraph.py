@@ -148,7 +148,7 @@ def test_call_resolves_through_a_base_without_functions(tmp_path):
     assert not graph.unresolved
     top_f = graph.functions["Top.f"]
     ctx = assemble_context(top_f, graph, ContextPolicy(), 10_000, estimate_tokens)
-    assert ctx.callees == ["Base.helper"]
+    assert [fid for fid, _ in ctx.records] == ["Top.f", "Base.helper"]
 
 
 def test_edges_deduplicated_per_call_site():
@@ -304,9 +304,11 @@ def test_context_includes_callees_and_callers():
     graph, fns = graph_from(CTX_SRC)
     focus = next(f for f in fns if f.name == "focus")
     ctx = assemble_context(focus, graph, ContextPolicy(), 10_000, estimate_tokens)
-    assert ctx.callees == ["A.helper"]
-    assert set(ctx.callers) == {"A.caller1", "A.caller2"}
-    assert [fid for fid, _ in ctx.records][:2] == ["A.focus", "A.helper"]  # callees first
+    ids = [fid for fid, _ in ctx.records]
+    assert ids[:2] == ["A.focus", "A.helper"]  # callees first
+    assert set(ids[2:]) == {"A.caller1", "A.caller2"}
+    assert graph.callees_of("A.focus") == ["A.helper"]
+    assert set(graph.callers_of("A.focus")) == {"A.caller1", "A.caller2"}
     assert focus.source() in ctx.text
 
 
@@ -319,8 +321,6 @@ def test_context_policy_suppresses_callers():
         (ContextPolicy(include_callees=False), ["A.caller1", "A.caller2"], []),
     ):
         ctx = assemble_context(focus, graph, policy, 10_000, estimate_tokens)
-        assert ctx.callers == callers
-        assert ctx.callees == callees
         assert [fid for fid, _ in ctx.records] == [ctx.focus_id] + callees + callers
 
 
@@ -328,7 +328,7 @@ def test_context_isolated_function():
     graph, fns = graph_from("contract A { function f() public { x = 1; } }")
     focus = fns[0]
     ctx = assemble_context(focus, graph, ContextPolicy(), 10_000, estimate_tokens)
-    assert ctx.callers == [] and ctx.callees == []
+    assert [fid for fid, _ in ctx.records] == [ctx.focus_id]
     assert ctx.text == focus.source()
 
 
@@ -348,8 +348,7 @@ contract A {{
     parts = {f.name: estimate_tokens("\n\n" + f.source()) for f in fns}
     budget = estimate_tokens(focus.source()) + parts["c1"] + 10  # room for exactly one
     ctx = assemble_context(focus, graph, ContextPolicy(), budget, estimate_tokens)
-    assert ctx.callees == ["A.c1"]
-    assert ctx.token_estimate <= budget
+    assert [fid for fid, _ in ctx.records] == ["A.focus", "A.c1"]
     assert estimate_tokens(ctx.text) <= budget
 
 

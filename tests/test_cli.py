@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 import yaml
 
 from solscout.cli import EXIT_ERROR, EXIT_PARTIAL, main
@@ -158,6 +159,28 @@ def test_scan_live_without_key_is_config_error(tmp_path, capsys, monkeypatch):
     code = main(["scan", fixture_path("first_deposit"), "--mode", "live",
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_scan_with_a_mistyped_config_value_exits_2_with_one_error_line(tmp_path, capsys):
+    root, transcript = prep_first_deposit_transcript(tmp_path)
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text("max_in_flight: many\n", encoding="utf-8")
+    code = main(["scan", root, "--config", str(config_path), "--mode", "replay",
+                 "--transcript", transcript, "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: max_in_flight must be int, got 'many'"]
+
+
+def test_an_output_path_under_a_file_exits_2_before_the_scan(tmp_path, capsys, monkeypatch):
+    root, transcript = prep_first_deposit_transcript(tmp_path)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    monkeypatch.setattr("solscout.cli.scan", lambda config: pytest.fail("scan ran"))
+    code = main(["scan", root, "--mode", "replay", "--transcript", transcript,
+                 "--out", str(tmp_path / "file" / "out")])
+    assert code == EXIT_ERROR
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "file" in line
 
 
 def test_score_first_deposit_report_against_truth(tmp_path, capsys):

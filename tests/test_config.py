@@ -1,3 +1,5 @@
+import json
+import re
 import shutil
 from dataclasses import asdict
 
@@ -5,8 +7,8 @@ import pytest
 import yaml
 
 from solscout.config import load_config, shipped_whitelist_path
-from solscout.errors import ConfigError
-from solscout.transport import ProviderConfig
+from solscout.errors import ConfigError, ProviderUnavailable
+from solscout.transport import HttpProvider, ProviderConfig
 
 from conftest import fixture_path
 
@@ -66,6 +68,57 @@ def test_every_provider_field_is_a_provider_key(tmp_path):
     config_path.write_text(yaml.safe_dump({"provider": values}), encoding="utf-8")
     config = load_config(fixture_path("first_deposit"), str(config_path))
     assert asdict(config.provider) == values
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"max_in_flight": "many"}, "max_in_flight"),
+    ({"max_in_flight": "4"}, "max_in_flight"),
+    ({"provider": {"max_in_flight": "many"}}, "provider.max_in_flight"),
+    ({"provider": {"timeout": "soon"}}, "provider.timeout"),
+    ({"provider": {"temperature": False}}, "provider.temperature"),
+    ({"token_budget": True}, "token_budget"),
+    ({"acl_modifiers": "onlyOwner"}, "acl_modifiers"),
+    ({"excluded_segments": ["test", 3]}, "excluded_segments"),
+    ({"project": 7}, "project"),
+])
+def test_a_value_of_the_wrong_type_is_an_error_naming_its_key(tmp_path, values, key):
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(yaml.safe_dump(values), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+        load_config(fixture_path("first_deposit"), str(config_path))
+
+
+def test_a_float_setting_takes_an_integer_as_written(tmp_path):
+    config_path = tmp_path / "scan.json"
+    config_path.write_text(json.dumps({"provider": {
+        "endpoint": "http://127.0.0.1:9/v1", "timeout": 30, "temperature": 0,
+        "max_in_flight": 3}}), encoding="utf-8")
+    provider = load_config(fixture_path("first_deposit"), str(config_path)).provider
+    assert (provider.timeout, provider.temperature, provider.max_in_flight) == (30, 0, 3)
+    assert isinstance(provider.temperature, int)  # hashed into the fingerprint as written
+
+
+def test_empty_top_level_values_keep_their_defaults(tmp_path):
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(yaml.safe_dump({
+        "project": "", "rules_dir": "", "whitelist": None, "acl_modifiers": [],
+        "excluded_segments": [], "token_budget": None, "mode": "", "transcript": "",
+        "output_dir": "", "max_in_flight": None, "provider": None,
+    }), encoding="utf-8")
+    config = load_config(fixture_path("first_deposit"), str(config_path))
+    assert config == load_config(fixture_path("first_deposit"))
+    assert (config.mode, config.output_dir) == ("live", "scan-output")
+
+
+def test_an_empty_endpoint_is_kept_and_refused(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "k")
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(yaml.safe_dump({"provider": {"endpoint": "", "model": None}}),
+                           encoding="utf-8")
+    provider = load_config(fixture_path("first_deposit"), str(config_path)).provider
+    assert (provider.endpoint, provider.model) == ("", ProviderConfig().model)
+    with pytest.raises(ProviderUnavailable, match="endpoint"):
+        HttpProvider(provider)
 
 
 def test_replay_requires_transcript():

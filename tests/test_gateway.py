@@ -926,18 +926,6 @@ def test_ask_retries_unparseable_once_then_raises(tmp_path):
     assert made == gateway.exchanges
 
 
-def test_a_transcript_without_retry_keys_answers_both_attempts_with_one_entry(tmp_path):
-    """A transcript written before retries had their own key holds one entry,
-    with no ``attempt``, for a query and its retry."""
-    old = _exchange(purpose="property", response="mumble")
-    gateway = LlmGateway(_transcript(tmp_path / "t.jsonl", old).answer)
-    made = []
-    with pytest.raises(UnparseableAnswer):
-        gateway.ask("property", "r", "C.f", "ask", parse_yes_no, made)
-    assert [(e.response, e.attempt) for e in made] == [("mumble", 0), ("mumble", 1)]
-    assert [e.key for e in made] == [old.key, old.key + ("retry1",)]
-
-
 def test_cost_additivity_over_transcript(tmp_path):
     """Oracle: independent summation over the serialized transcript file."""
     path = tmp_path / "t.jsonl"
