@@ -58,6 +58,12 @@ class ScanConfig:
         """
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for key, value in (("provider.timeout", self.provider.timeout),
+                           ("provider.max_in_flight", self.provider.max_in_flight)):
+            if value <= 0:
+                raise ConfigError(f"{key} must be positive, got {value!r}")
+        if self.token_budget < 0:
+            raise ConfigError(f"token_budget must not be negative, got {self.token_budget!r}")
         if builds_gateway:
             if self.mode == "replay" and not self.transcript_path:
                 raise ConfigError("replay mode requires a transcript path")

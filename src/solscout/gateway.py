@@ -147,49 +147,37 @@ def scripted(answer):
     return answerer
 
 
-_ASKING = object()  # the outcome of a prompt while its first query waits for it
-
-
 def once(answerer):
     """``answerer``, asked each distinct prompt once per attempt.
 
     The first query with a prompt hash and attempt asks ``answerer``.
-    Every other query with them, asked at the same time or later, waits
-    for that answer and gets it under its own key, charged nothing: 0
-    tokens and latency 0. At temperature 0 a repeated prompt is the same
-    question. A ``ProviderError`` on the first query (``ProviderUnavailable``
-    too) is raised again for each of the others; any other failure of the
-    first fails them as ``ProviderUnavailable``, so none waits for good.
+    Every later query with them gets that answer under its own key,
+    charged nothing: 0 tokens and latency 0. At temperature 0 a repeated
+    prompt is the same question. A ``ProviderError`` on the first query
+    (``ProviderUnavailable`` too) is raised again, as a fresh copy, for
+    each later one; any other failure is not kept, and propagates.
+    No query is held back: two asking one prompt at the same moment
+    would each ask ``answerer``, a duplicate request and no more. A scan
+    never asks so, since a prompt embeds its function's whole source and
+    ``scan`` runs functions of the same source on one worker, in order.
     A replay is not wrapped: it answers every key as recorded.
     """
-    outcomes = {}  # (prompt hash, attempt) -> answer text, ProviderError or _ASKING
-    settled = threading.Condition()
+    outcomes = {}  # (prompt hash, attempt) -> answer text or ProviderError
 
     def answer(asked, system, user):
         key = asked.prompt_sha256, asked.attempt
-        with settled:
-            first = key not in outcomes
-            if first:
-                outcomes[key] = _ASKING
-            else:
-                settled.wait_for(lambda: outcomes[key] is not _ASKING)
-                outcome = outcomes[key]
-        if not first:
-            if isinstance(outcome, str):
-                return replace(asked, response=outcome)
+        outcome = outcomes.get(key)
+        if isinstance(outcome, str):
+            return replace(asked, response=outcome)
+        if outcome is not None:
             raise type(outcome)(*outcome.args)
-        outcome = ProviderUnavailable("the query that first asked this prompt failed")
         try:
             exchange = answerer(asked, system, user)
-            outcome = exchange.response
-            return exchange
         except ProviderError as exc:
-            outcome = type(exc)(*exc.args)  # a copy without a traceback
+            outcomes[key] = type(exc)(*exc.args)  # a copy without a traceback
             raise
-        finally:
-            with settled:
-                outcomes[key] = outcome
-                settled.notify_all()
+        outcomes[key] = exchange.response
+        return exchange
 
     return answer
 

@@ -127,10 +127,14 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     ``ScanConfig.validate`` for what an injected gateway exempts.
 
     Outside replay, ``config.provider.max_in_flight`` threads ask the
-    queries, injected gateway or not, and no more are in flight at once.
+    queries, injected gateway or not, and no more are in flight at once;
+    functions with the same source text run in order on one worker.
     The gateway built here asks an ``HttpProvider`` of ``config.provider``
     through ``gateway.once``, so each distinct prompt is sent once per
-    scan; a replay answers every key as recorded.
+    scan: a prompt embeds its function's source, so only such twins
+    repeat one, and each later twin finds the answer kept. A replay
+    answers every key as recorded. The gateway, built here or injected,
+    is closed on the way out, also when the scan stops on an error.
 
     The parsed project is a large, long-lived heap, so cyclic GC is kept
     off while it is built and the result is frozen, keeping later
@@ -154,6 +158,8 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
                                         config.transcript_path if config.mode == "record" else None)
         return _scan(prepared, config, gateway, started)
     finally:
+        if gateway is not None:
+            gateway.close()  # a stopped scan still closes its transcript
         if freeze:
             gc.unfreeze()
 
@@ -182,11 +188,9 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
         for rule in prepared.rules
         for fn in candidates_for_rule(prepared.scannable, rule, acl)
     ]
-    units = {}  # function -> (its rules, the indices of their pairs)
-    for index, (rule, fn) in enumerate(pairs):
-        rules, indices = units.setdefault(fn, ([], []))
-        rules.append(rule)
-        indices.append(index)
+    units = {}  # function -> its rules
+    for rule, fn in pairs:
+        units.setdefault(fn, []).append(rule)
 
     stats = {
         "files_included": len(prepared.layout.included),
@@ -203,12 +207,12 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
         "rejected": 0,
         "skipped": 0,
     }
-    workers = max(1, config.provider.max_in_flight) if config.mode != "replay" else 1
+    workers = config.provider.max_in_flight if config.mode != "replay" else 1
     # a work item is a list of units. With several workers, functions with
     # the same source text ask the same prompts, so they are one item, run
     # in unit order on one worker: the first asks the provider and the
-    # others get its answers at once (``gateway.once``) instead of waiting
-    # on another worker. One worker asks in unit order anyway.
+    # others find its answers (``gateway.once``), so no two workers ever
+    # ask one prompt. One worker asks in unit order anyway.
     if workers > 1:
         twins = {}  # focus source -> its units
         for unit in units.items():
@@ -218,26 +222,20 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
         items = [[unit] for unit in units.items()]
 
     def process(item):
-        return [_process_candidate(fn, rules, config, graph, reach, gateway)
-                for fn, (rules, _indices) in item]
+        """``((rule id, function), outcome)`` for each pair of the item's units."""
+        return [((rule.id, fn), outcome) for fn, rules in item
+                for rule, outcome in zip(rules, _process_candidate(fn, rules, config, graph,
+                                                                   reach, gateway))]
 
-    try:
-        if workers > 1 and len(items) > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    if workers > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_item = list(pool.map(process, items))
-        else:
-            per_item = list(map(process, items))
-    except BaseException:
-        gateway.close()  # a stopped scan still closes its transcript
-        raise
-
-    outcomes = [None] * len(pairs)
-    for item, item_outcomes in zip(items, per_item):
-        for (_fn, (_rules, indices)), unit_outcomes in zip(item, item_outcomes):
-            for index, outcome in zip(indices, unit_outcomes):
-                outcomes[index] = outcome
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_item = list(pool.map(process, items))
+    else:
+        per_item = list(map(process, items))
+    outcome_of = dict(pair for item_pairs in per_item for pair in item_pairs)
+    outcomes = [outcome_of[rule.id, fn] for rule, fn in pairs]
 
     findings: list[Finding] = []
     for matched, finding in outcomes:
@@ -277,15 +275,13 @@ def _scan(prepared: PreparedScan, config: ScanConfig, gateway: LlmGateway,
         "parse_failures": [[path, msg] for path, msg in prepared.parse_failures],
         "stats": stats,
     }
-    result = ScanResult(
+    return ScanResult(
         findings=findings,
         ledger=ledger,
         meta=meta,
         stats=stats,
         exchanges=list(gateway.exchanges),
     )
-    gateway.close()
-    return result
 
 
 def _process_candidate(fn, rules, config, graph, reach, gateway):

@@ -149,7 +149,8 @@ def _decode_starts(text: str):
         elif char == '"':
             outside, inside, escaped = inside, _merge(outside, escaped), []
         else:
-            inside, escaped = _merge(inside, escaped), []
+            if escaped:
+                inside, escaped = _merge(inside, escaped), []
             if char == "{":
                 outside.append([at])
             elif outside:

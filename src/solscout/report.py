@@ -8,7 +8,7 @@ as a single false positive no matter how many functions were flagged.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import TruthMismatch
@@ -184,36 +184,6 @@ def count_kloc(sources: list) -> float:
 # report documents
 
 
-def _finding_dict(finding: Finding) -> dict:
-    verdicts = []
-    for v in finding.check_verdicts:
-        verdicts.append({
-            "kind": v.kind,
-            "slots": list(v.slots),
-            "expectation": v.expectation,
-            "result": v.result,
-            "evidence": [list(span) for span in v.evidence],
-            "detail": v.detail,
-        })
-    return {
-        "rule_id": finding.rule_id,
-        "project": finding.project,
-        "file": finding.file,
-        "function_id": finding.function_id,
-        "contract": finding.contract,
-        "function": finding.function,
-        "span": list(finding.span),
-        "verdict": finding.verdict,
-        "reason": finding.reason,
-        "recognized": {
-            slot: dict(info) for slot, info in sorted(finding.recognized.items())
-        },
-        "check_verdicts": verdicts,
-        "transcript_keys": list(finding.transcript_keys),
-        "excerpt": finding.excerpt,
-    }
-
-
 def _ordered(findings: list) -> list:
     return sorted(
         findings,
@@ -227,8 +197,8 @@ def emit_report(findings: list, ledger: CostLedger, fmt: str, meta: dict | None 
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "meta": meta,
-            "ledger": asdict(ledger),
-            "findings": [_finding_dict(f) for f in _ordered(findings)],
+            "ledger": ledger,
+            "findings": _ordered(findings),
             "counts": {
                 "confirmed": sum(1 for f in findings if f.verdict == "confirmed"),
                 "rejected": sum(1 for f in findings if f.verdict == "rejected"),
@@ -244,12 +214,14 @@ def emit_report(findings: list, ledger: CostLedger, fmt: str, meta: dict | None 
 def json_text(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte, for str keys.
 
-    With ``indent`` set, ``json.dumps`` takes its generator-based
-    pure-Python encoder. This writer appends every piece of the document
-    to one list, then the final newline, and joins it once, so the text
-    is never copied; strings go through the C string encoder.
-    Punctuation and encoded keys are shared strings, so the list's
-    pieces take less memory than the encoder's.
+    A dataclass instance is written as the object of its fields, as
+    ``json.dumps`` would write ``dataclasses.asdict`` of it, but without
+    that copy. With ``indent`` set, ``json.dumps`` takes its
+    generator-based pure-Python encoder. This writer appends every piece
+    of the document to one list, then the final newline, and joins it
+    once, so the text is never copied; strings go through the C string
+    encoder. Punctuation and encoded keys are shared strings, so the
+    list's pieces take less memory than the encoder's.
     """
     out: list = []
     _write_json(doc, 0, out, {})
@@ -258,7 +230,7 @@ def json_text(doc) -> str:
 
 
 def _punctuation(depth: int) -> tuple:
-    """(open list, open dict, separator, close list, close dict) of a container at ``depth``."""
+    """(open list, open object, separator, close list, close object) of a container at ``depth``."""
     outer = "\n" + "  " * depth
     inner = outer + "  "
     return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
@@ -266,39 +238,29 @@ def _punctuation(depth: int) -> tuple:
 
 _PUNCTUATION = tuple(_punctuation(depth) for depth in range(8))
 
+_FIELD_NAMES: dict = {}  # dataclass -> its field names, sorted
+
 
 def _write_json(value, depth: int, out: list, keys: dict) -> None:
     """Append ``value``, a container's contents indented one level past ``depth``.
 
-    ``keys`` maps each dict key written so far to its encoded text.
+    ``keys`` maps each object key written so far to its encoded text.
     """
     if isinstance(value, str):
         out.append(_encode_str(value))
-    elif isinstance(value, (list, tuple, dict)):
+    elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
+            out.append("[]")
             return
-        open_list, open_dict, comma, close_list, close_dict = (
+        sep, _open_object, comma, close, _close_object = (
             _PUNCTUATION[depth] if depth < len(_PUNCTUATION) else _punctuation(depth))
-        if isinstance(value, dict):
-            sep = open_dict
-            for key, item in sorted(value.items()):
-                text = keys.get(key)
-                if text is None:
-                    if not isinstance(key, str):
-                        raise TypeError(f"keys must be str, not {type(key).__name__}")
-                    text = keys[key] = _encode_str(key) + ": "
-                out += (sep, text)
-                _write_json(item, depth + 1, out, keys)
-                sep = comma
-            out.append(close_dict)
-        else:
-            sep = open_list
-            for item in value:
-                out.append(sep)
-                _write_json(item, depth + 1, out, keys)
-                sep = comma
-            out.append(close_list)
+        for item in value:
+            out.append(sep)
+            _write_json(item, depth + 1, out, keys)
+            sep = comma
+        out.append(close)
+    elif isinstance(value, dict):
+        _write_object(sorted(value.items()), depth, out, keys)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -315,7 +277,30 @@ def _write_json(value, depth: int, out: list, keys: dict) -> None:
         else:
             out.append(float.__repr__(value))
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        cls = type(value)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            if not is_dataclass(cls):
+                raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+            names = _FIELD_NAMES[cls] = sorted(f.name for f in fields(cls))
+        _write_object(((name, getattr(value, name)) for name in names), depth, out, keys)
+
+
+def _write_object(members, depth: int, out: list, keys: dict) -> None:
+    """Append the object of ``members``, its (key, value) pairs in key order."""
+    _open_list, sep, comma, _close_list, close = (
+        _PUNCTUATION[depth] if depth < len(_PUNCTUATION) else _punctuation(depth))
+    first = sep
+    for key, item in members:
+        text = keys.get(key)
+        if text is None:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            text = keys[key] = _encode_str(key) + ": "
+        out += (sep, text)
+        _write_json(item, depth + 1, out, keys)
+        sep = comma
+    out.append("{}" if sep is first else close)
 
 
 def _markdown_report(findings: list, ledger: CostLedger, meta: dict) -> str:

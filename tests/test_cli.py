@@ -172,6 +172,20 @@ def test_scan_with_a_mistyped_config_value_exits_2_with_one_error_line(tmp_path,
         "error: max_in_flight must be int, got 'many'"]
 
 
+def test_a_record_scan_with_a_negative_timeout_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                          monkeypatch):
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text("provider:\n  timeout: -1\n", encoding="utf-8")
+    transcript, out = tmp_path / "t.jsonl", tmp_path / "out"
+    code = main(["scan", fixture_path("first_deposit"), "--config", str(config_path),
+                 "--mode", "record", "--transcript", str(transcript), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: provider.timeout must be positive, got -1"]
+    assert not transcript.exists() and not out.exists()
+
+
 def test_an_output_path_under_a_file_exits_2_before_the_scan(tmp_path, capsys, monkeypatch):
     root, transcript = prep_first_deposit_transcript(tmp_path)
     (tmp_path / "file").write_text("", encoding="utf-8")

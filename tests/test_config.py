@@ -88,6 +88,21 @@ def test_a_value_of_the_wrong_type_is_an_error_naming_its_key(tmp_path, values, 
         load_config(fixture_path("first_deposit"), str(config_path))
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"provider": {"timeout": -1}}, "provider.timeout must be positive, got -1"),
+    ({"provider": {"timeout": 0}}, "provider.timeout must be positive, got 0"),
+    ({"provider": {"max_in_flight": 0}}, "provider.max_in_flight must be positive, got 0"),
+    ({"max_in_flight": -2}, "provider.max_in_flight must be positive, got -2"),
+    ({"token_budget": -5}, "token_budget must not be negative, got -5"),
+])
+def test_a_value_out_of_range_is_an_error_naming_its_key(tmp_path, values, message):
+    config_path = tmp_path / "scan.yaml"
+    config_path.write_text(yaml.safe_dump(values), encoding="utf-8")
+    config = load_config(fixture_path("first_deposit"), str(config_path))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        config.validate(builds_gateway=False)
+
+
 def test_a_float_setting_takes_an_integer_as_written(tmp_path):
     config_path = tmp_path / "scan.json"
     config_path.write_text(json.dumps({"provider": {

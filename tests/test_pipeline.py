@@ -230,6 +230,7 @@ def test_replay_miss_fails_loudly(tmp_path):
     ("transcript_path", "missing.jsonl", "transcript not found"),
     ("mode", "bogus", "mode must be one of"),
     ("whitelist_path", "missing.txt", "whitelist not found"),
+    ("token_budget", -5, "token_budget must not be negative"),
 ])
 def test_scan_validates_its_config_before_parsing(tmp_path, monkeypatch, field, value, message):
     def parse(src):

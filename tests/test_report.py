@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -285,3 +286,18 @@ def test_the_json_writer_matches_json_dumps_byte_for_byte():
     for bad in (object(), {"a": {2, 3}}, {1: "int key"}, {None: "null key"}):
         with pytest.raises(TypeError):
             json_text(bad)
+
+
+def test_a_dataclass_is_written_as_the_object_of_its_fields():
+    finding = make_finding()
+    finding.reason = "check OC failed"
+    finding.recognized = {"VariableB": {"name": "shares", "description": "minted \"shares\""},
+                          "FunctionA": {"name": "deposit", "description": "é"}}
+    finding.check_verdicts.append(CheckVerdict(kind="OC", slots=("FunctionA", "VariableB"),
+                                               expectation="absent", result="rejected",
+                                               evidence=[(5, 6), (9, 9)], detail="why"))
+    finding.transcript_keys = ["scenario|r|V.deposit|ab", "property|r|V.deposit|cd|retry1"]
+    finding.excerpt = "function deposit() {\n\t// ☃\n}"
+    ledger = CostLedger(1.5, 10, 2, 1e-07, 0.25, 6.0, 4e-07)
+    for value in (finding, ledger):
+        assert json_text(value) == json.dumps(asdict(value), indent=2, sort_keys=True) + "\n"

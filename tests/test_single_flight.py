@@ -2,13 +2,14 @@
 
 The acceptance corpus repeats code: its ``PriceOk0/1/2.lpPrice`` and
 ``LendOk0/1/2.harvest`` twins (among others) ask byte-identical prompts,
-23 of its 114 queries. Record scans here go through ``tests/chatserver``,
-which counts the requests it reads.
+23 of its 114 queries. ``once`` keeps each prompt's first answer, and
+the scan runs twins in order on one worker, so a repeated prompt finds
+its answer kept and no query ever waits for another. Record scans here
+go through ``tests/chatserver``, which counts the requests it reads.
 """
 
 import json
 import os
-import sys
 import threading
 import time
 from collections import Counter
@@ -75,137 +76,61 @@ def _counting(respond):
     return counted, counts
 
 
-def _wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "timed out"
-        time.sleep(0.005)
+def test_a_prompt_asked_again_gets_the_first_answer_under_its_own_key_at_no_cost():
+    asked = []
 
+    def answerer(exchange, system, user):
+        asked.append((exchange.function_id, exchange.attempt))
+        return replace(exchange, response="Yes", tokens_in=9, tokens_out=1, latency=0.5)
 
-def test_two_threads_asking_one_prompt_send_one_request(monkeypatch, serve):
-    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
-    release = threading.Event()
-
-    def respond(request):
-        release.wait(10)
-        return 200, chat_body("Yes", {"prompt_tokens": 9, "completion_tokens": 1})
-
-    server = serve(respond)
-    gateway = LlmGateway(once(HttpProvider(ProviderConfig(endpoint=server.url))))
-    made = {}
-
-    def ask(fid):
-        made[fid] = gateway.complete("property", "r", fid, "s", "u")
-
-    first = threading.Thread(target=ask, args=("C.first",), daemon=True)
-    first.start()
-    _wait_for(lambda: server.requests)
-    second = threading.Thread(target=ask, args=("C.second",), daemon=True)
-    second.start()
-    second.join(0.2)
-    assert second.is_alive()  # waiting for the first query's answer
-    release.set()
-    for thread in (first, second):
-        thread.join(10)
-        assert not thread.is_alive()
+    gateway = LlmGateway(once(answerer))
+    first = gateway.complete("property", "r", "C.first", "s", "u")
     later = gateway.complete("property", "r", "C.later", "s", "u")
-    gateway.close()
-    assert len(server.requests) == 1
-    assert (made["C.first"].tokens_in, made["C.first"].tokens_out) == (9, 1)
-    for fid, exchange in (("C.second", made["C.second"]), ("C.later", later)):
-        assert exchange.key == ("property", "r", fid, prompt_sha256("s", "u"))
-        assert (exchange.response, exchange.tokens_in, exchange.tokens_out,
-                exchange.latency) == ("Yes", 0, 0, 0.0)
-    # a retry of the same prompt is a query of its own
+    assert asked == [("C.first", 0)]
+    assert (first.response, first.tokens_in, first.tokens_out, first.latency) == \
+        ("Yes", 9, 1, 0.5)
+    assert later.key == ("property", "r", "C.later", prompt_sha256("s", "u"))
+    assert (later.response, later.tokens_in, later.tokens_out, later.latency) == \
+        ("Yes", 0, 0, 0.0)
+    # a retry of the same prompt is a query of its own, and is itself asked once
     assert gateway.complete("property", "r", "C.first", "s", "u", attempt=1).tokens_in == 9
-    assert len(server.requests) == 2
+    assert gateway.complete("property", "r", "C.later", "s", "u", attempt=1).tokens_in == 0
+    assert asked == [("C.first", 0), ("C.first", 1)]
+    assert [e.function_id for e in gateway.exchanges] == ["C.first", "C.later"] * 2
 
 
-@pytest.mark.parametrize("failure, raised", [
-    (ProviderError("provider returned 400: no"), ProviderError),
-    (ProviderUnavailable("provider returned 401: bad key"), ProviderUnavailable),
-    (RuntimeError("a bug"), ProviderUnavailable),
+@pytest.mark.parametrize("failure, kept", [
+    (ProviderError("provider returned 400: no"), True),
+    (ProviderUnavailable("provider returned 401: bad key"), True),
+    (RuntimeError("a bug"), False),
 ], ids=["rejected", "unavailable", "other"])
-def test_a_failed_first_query_fails_each_waiting_query_and_leaves_none_waiting(tmp_path,
-                                                                              failure, raised):
-    asking, release = threading.Event(), threading.Event()
+def test_a_failed_first_query_is_raised_again_for_later_ones_if_the_provider_failed(
+        tmp_path, failure, kept):
+    """A provider's failure is kept and raised again, as a fresh copy,
+    without a new request; any other failure is not kept."""
     calls = []
 
     def answerer(asked, system, user):
         calls.append(asked.function_id)
-        asking.set()
-        release.wait(10)
         raise failure
 
     path = str(tmp_path / "t.jsonl")
     gateway = LlmGateway(once(answerer), path)
-    errors = {}
-
-    def ask(fid):
-        try:
+    raised = []
+    for fid in ("C.f0", "C.f1", "C.f2"):
+        with pytest.raises(type(failure)) as info:
             gateway.complete("property", "r", fid, "s", "u")
-        except Exception as exc:  # each thread's failure is checked below
-            errors[fid] = exc
-
-    threads = [threading.Thread(target=ask, args=(f"C.f{i}",), daemon=True) for i in range(3)]
-    threads[0].start()
-    assert asking.wait(5)
-    for thread in threads[1:]:
-        thread.start()
-    threads[1].join(0.1)
-    release.set()
-    for thread in threads:
-        thread.join(10)
-        assert not thread.is_alive()
+        raised.append(info.value)
     gateway.close()
-    assert calls == ["C.f0"]
-    assert errors["C.f0"] is failure
-    assert all(type(errors[f"C.f{i}"]) is raised for i in (1, 2))
-    entries = Transcript.load(path).entries
-    if raised is ProviderError:  # each waiting query's key is recorded as rejected
-        assert sorted(e.function_id for e in entries.values() if e.error) == \
-            ["C.f0", "C.f1", "C.f2"]
+    assert raised[0] is failure
+    assert all(type(exc) is type(failure) and exc.args == failure.args for exc in raised)
+    if kept:
+        assert calls == ["C.f0"]
+        assert all(exc is not failure for exc in raised[1:])
     else:
-        assert len(entries) == 0
-
-
-def test_many_threads_asking_few_prompts_ask_each_once():
-    """More threads than cores, switching often: a lost update would ask a
-    prompt twice, and a lost wake-up would leave a thread waiting."""
-    asked = Counter()
-    lock = threading.Lock()
-
-    def answerer(exchange, system, user):
-        with lock:
-            asked[user, exchange.attempt] += 1
-        time.sleep(0.001)
-        return replace(exchange, response=f"answer to {user}", tokens_in=1, tokens_out=1)
-
-    gateway = LlmGateway(once(answerer))
-    prompts = [(f"prompt {i % 5}", i % 2) for i in range(40)]
-    answers = []  # (prompt, answer) of every query
-
-    def work(t):
-        for user, attempt in prompts[t:] + prompts[:t]:
-            exchange = gateway.complete("property", "r", f"C.f{t}", "s", user, attempt)
-            answers.append((user, exchange.response))
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(switch)
-    assert asked == Counter(dict.fromkeys(set(prompts), 1))
-    assert len(answers) == 8 * 40
-    assert all(answer == f"answer to {user}" for user, answer in answers)
-    assert len(gateway.exchanges) == 8 * 40
-    assert sum(e.tokens_in for e in gateway.exchanges) == 10
+        assert calls == ["C.f0", "C.f1", "C.f2"]
+    rejected = [e.function_id for e in Transcript.load(path).entries.values() if e.error]
+    assert rejected == (["C.f0", "C.f1", "C.f2"] if type(failure) is ProviderError else [])
 
 
 def test_a_record_scan_sends_each_distinct_prompt_once(corpus, tmp_path, monkeypatch, serve):
@@ -225,6 +150,34 @@ def test_a_record_scan_sends_each_distinct_prompt_once(corpus, tmp_path, monkeyp
     _assert_replays_the_record(recorded, replayed)
     usage = {e.key: (e.tokens_in, e.tokens_out) for e in recorded.exchanges}
     assert {e.key: (e.tokens_in, e.tokens_out) for e in replayed.exchanges} == usage
+
+
+def test_no_two_requests_with_one_prompt_are_ever_in_flight_at_once(corpus, tmp_path,
+                                                                   monkeypatch, serve):
+    """Twins share a worker, so a repeated prompt is always asked after its
+    first answer is kept, and nothing waits for it."""
+    monkeypatch.setenv("SOLSCOUT_API_KEY", "secret")
+    root, _path, oracle = corpus
+    honest = by_prompt(oracle)
+    lock = threading.Lock()
+    asking, overlapped = set(), []  # prompt hashes in flight; those asked again meanwhile
+
+    def respond(request):
+        digest = _digest(request)
+        with lock:
+            if digest in asking:
+                overlapped.append(digest)
+            asking.add(digest)
+        time.sleep(0.002)  # a window wide enough for the other worker to overlap
+        with lock:
+            asking.discard(digest)
+        return honest(request)
+
+    server = serve(respond)
+    recorded = scan(_record(root, str(tmp_path / "t.jsonl"), server))
+    assert overlapped == []
+    assert len(server.requests) == 91
+    assert recorded.provider_failures == []
 
 
 def test_the_scan_s_workers_are_the_only_limit_on_requests_in_flight(corpus, tmp_path,
