@@ -7,48 +7,32 @@ from dataclasses import dataclass, field
 
 from .errors import ContextOverflow
 from .frontend import FunctionRecord, call_name, iter_calls
-from .frontend.lexer import identifiers
+from .frontend.lexer import identifiers, may_name
 
 DEFAULT_ACL_MODIFIERS = frozenset({"onlyOwner", "onlyAdmin", "onlyGovernance", "onlyRole"})
 
 
 def build_function_ids(functions: list) -> dict:
-    """Stable, human-readable ids: Contract.name, disambiguated as needed."""
-    ids: dict[int, str] = {}
-    base_of = {}
-    for fn in functions:
-        contract = fn.contract or (fn.file.path if fn.file else "<file>")
-        base_of[id(fn)] = f"{contract}.{fn.display_name}"
+    """Stable, human-readable ids: Contract.name, disambiguated as needed.
 
-    def group(keyfn):
+    Names that clash gain the arity, then the file path, then a
+    positional suffix, each step only while some name still clashes.
+    """
+    current = {id(fn): f"{fn.contract or (fn.file.path if fn.file else '<file>')}.{fn.display_name}"
+               for fn in functions}
+    for rename in (lambda fn, name, i: f"{name}#{fn.arity}",
+                   lambda fn, name, i: f"{fn.file.path if fn.file else '?'}:{name}",
+                   lambda fn, name, i: f"{name}~{i}"):
+        if len(set(current.values())) == len(current):
+            break
         groups: dict[str, list] = {}
         for fn in functions:
-            groups.setdefault(keyfn(fn), []).append(fn)
-        return groups
-
-    current = dict(base_of)
-    for keyed in (
-        lambda fn: f"{current[id(fn)]}#{fn.arity}",
-        lambda fn: f"{fn.file.path if fn.file else '?'}:{current[id(fn)]}",
-    ):
-        groups = group(lambda fn: current[id(fn)])
-        done = True
+            groups.setdefault(current[id(fn)], []).append(fn)
         for name, members in groups.items():
             if len(members) > 1:
-                done = False
-                for fn in members:
-                    current[id(fn)] = keyed(fn)
-        if done:
-            break
-    # last resort: positional suffix
-    groups = group(lambda fn: current[id(fn)])
-    for name, members in groups.items():
-        if len(members) > 1:
-            for i, fn in enumerate(members):
-                current[id(fn)] = f"{name}~{i}"
-    for fn in functions:
-        ids[id(fn)] = current[id(fn)]
-    return ids
+                for i, fn in enumerate(members):
+                    current[id(fn)] = rename(fn, name, i)
+    return current
 
 
 @dataclass
@@ -127,10 +111,14 @@ def build_call_graph(functions: list, contracts_by_name: dict,
     ``every_body`` False walks only the bodies a scan reads, so the parser
     never parses the others: the callee closure of the entry points, then
     every other body that names a function in that closure, as it may call
-    it (``lexer.identifiers`` lists a body's names for that test only; they
-    are not kept). Edges are added in function order either way, so the
-    reachable set and each reachable function's callers and callees do not
-    depend on it; ``unresolved`` then covers the walked bodies only.
+    it. That test reads each file that holds such a body once, as a set of
+    its runs of letters, digits, ``_`` and ``$`` (``lexer.may_name``): each
+    name of a body is a run of its file, or the rest of one after a number,
+    so a file whose runs name no function in the closure has no body to
+    walk. Only a body in another file has its names listed
+    (``lexer.identifiers``), for that test only; they are not kept. Edges are added in function order either way, so
+    the reachable set and each reachable function's callers and callees do
+    not depend on it; ``unresolved`` then covers the walked bodies only.
     """
     ids = build_function_ids(functions)
     graph = CallGraph(_ids=ids)
@@ -174,9 +162,16 @@ def build_call_graph(functions: list, contracts_by_name: dict,
                     seen.add(id(target))
                     reached.append(target)
         names = {fn.name for fn in reached}
+        spelled = {name.encode() for name in names if name}
+        file_may_call = {}  # id(file) -> whether its text may name a function in the closure
         for fn in functions:
-            if ids[id(fn)] not in sites and fn.has_body and not names.isdisjoint(
-                    identifiers(fn.file.stripped, fn.body_start, fn.end)):
+            if not fn.has_body or ids[id(fn)] in sites:
+                continue
+            src = fn.file
+            if (may_call := file_may_call.get(id(src))) is None:
+                may_call = file_may_call[id(src)] = may_name(src.stripped, spelled)
+            if may_call and not names.isdisjoint(
+                    identifiers(src.stripped, fn.body_start, fn.end)):
                 sites[ids[id(fn)]] = calls_of(fn)
 
     seen_edges = set()
@@ -231,8 +226,7 @@ def compute_reachability(graph: CallGraph, functions: list,
     result = ReachabilitySet()
     for fn in functions:
         fid = graph.id_of(fn)
-        hit = next((m for m in fn.modifiers if m in acl), None)
-        if hit is not None:
+        if fn.modifiers and (hit := next((m for m in fn.modifiers if m in acl), None)):
             result.blocked[fid] = hit
             continue
         if fn.is_entry_point:

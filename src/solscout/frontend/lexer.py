@@ -10,12 +10,15 @@ A file is lexed in two kinds of piece. ``outline`` blanks the inside of
 every block opened at brace depth 1 (function and other member bodies
 of a contract) and of every free function's body, so lexing the file
 gives only what the file-level parse reads; a body is lexed by range
-when it is parsed, and ``identifiers`` lists the names of one that is
-not, when the call graph asks whether to walk it. The two passes over
-a whole file, ``strip_comments`` and the brace walk of ``outline``, use
-no regex: ``str.find`` and ``str.split`` jump between the characters
-they stop at, at memchr speed, where a regex scan costs about 12 ns a
-character.
+when it is parsed. When the call graph asks whether to walk a body it
+did not parse, ``may_name`` first tests the body's whole file once, as
+a set of runs, and only a body in a file that may name a function the
+walk reached has its names listed, by ``identifiers``. The two passes
+over a whole file, ``strip_comments`` and the brace walk of
+``outline``, use no regex: ``str.find`` and ``str.split`` jump between
+the characters they stop at, at memchr speed, where a regex scan costs
+about 12 ns a character. ``may_name`` splits a file into its runs with
+``bytes.translate`` and ``bytes.split``.
 
 ``tokenize`` builds no object per token: it returns the interned token
 values as a ``Tokens`` list with their offsets in two more lists, so a
@@ -29,8 +32,8 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, repeat, zip_longest
-from operator import add, sub
+from itertools import accumulate, chain, compress, filterfalse, repeat, zip_longest
+from operator import add, itemgetter, sub
 from sys import intern
 
 from ..errors import SoliditySyntaxError
@@ -46,18 +49,22 @@ _NUMBER = r"0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?"
 
 # One ``(whitespace, token)`` pair per match: the token alternatives in
 # priority order, then any other character as a stray byte. A ``hex`` or
-# ``unicode`` prefix is part of the string after it; plain strings come
-# after identifiers and numbers, which are more common. An escape takes
-# any character, a newline included, as in Solidity.
+# ``unicode`` prefix is part of the string after it. The punctuation that
+# is always one character comes right after identifiers, as the next most
+# common token: no number, string or longer operator starts with one of
+# those characters, so the order changes no token. Plain strings come
+# after numbers. An escape takes any character, a newline included, as in
+# Solidity.
 _TOKEN_RE = re.compile(
     r"""
     (\s*)
     ( """ + _PREFIXED_STRING + r"""
     | """ + _IDENTIFIER + r"""
+    | [{}()\[\];:,.?~]
     | """ + _NUMBER + r"""
     | """ + _STRING + r"""
     | >>=|<<=|\*\*=|\*\*|=>|->|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=
-    | <<|>>|[{}()\[\];:,.?~!<>=+\-*/%&|^]
+    | <<|>>|[!<>=+\-*/%&|^]
     | (?s:.)
     )
     """,
@@ -77,6 +84,10 @@ _IDENTIFIER_RE = re.compile(
 _RUN_BYTES = bytes(c if chr(c) in string.ascii_letters + string.digits + "_$" else 32
                    for c in range(256))
 _DIGIT_BYTES = frozenset(string.digits.encode())
+# The number a run that starts with a digit starts with, in bytes.
+_LEADING_NUMBER_RE = re.compile(rb"\A(?:" + _NUMBER.encode() + rb")")
+# A digit that is not ASCII: ``\d`` matches it, so it starts a number.
+_OTHER_DIGIT_RE = re.compile(r"[^\D0-9]")
 
 _BRACE_STEP = {"{": 1, "}": -1}
 # the sum of the depths before and after a brace that opens or closes a block at depth 1
@@ -310,3 +321,30 @@ def identifiers(stripped: str, start: int, end: int) -> tuple:
     names = dict.fromkeys(_IDENTIFIER_RE.findall(stripped, start, end))
     names.pop("", None)
     return tuple(map(intern, names))
+
+
+def may_name(stripped: str, names: set) -> bool:
+    """Whether a range of ``stripped`` may have an id token spelled as one of ``names``.
+
+    ``names`` are ASCII bytes, none empty. Never False when a range that
+    starts and ends a token, as a body's ``{..}`` does, has such a token,
+    so a text it is False for has no body to test one by one. An id token
+    is a run of ASCII letters, digits, ``_`` and ``$``, or the rest of a
+    run that starts with a digit, after the number it starts with
+    (``1ether``, and ``0xdeposit``, which lexes as ``0xde`` then
+    ``posit``): those runs are tested with that number cut off. Strings
+    and other non-ASCII characters only add runs, except a non-ASCII
+    digit, which starts a number that may take the runs after it
+    (``\u0663_e`` lexes as ``\u0663_`` then ``e``): a text that holds one
+    is always True. Byte-level C functions split the text into its
+    distinct runs and C-level maps cut the numbers, so no Python code
+    runs per run or per character.
+    """
+    if not stripped.isascii() and _OTHER_DIGIT_RE.search(stripped):
+        return True
+    runs = set(stripped.encode("utf-8", "surrogatepass").translate(_RUN_BYTES).split())
+    if not runs.isdisjoint(names):
+        return True
+    digit_first = compress(runs, map(_DIGIT_BYTES.__contains__, map(itemgetter(0), runs)))
+    glued = filterfalse(bytes.isdigit, digit_first)  # a number, then more
+    return not names.isdisjoint(map(_LEADING_NUMBER_RE.sub, repeat(b""), glued))

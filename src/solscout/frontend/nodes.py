@@ -126,9 +126,11 @@ class FunctionRecord:
     numbers count from the body's first statement. An entry point's
     body is parsed with its file. Any other body is skipped, and it
     keeps only where it starts (``body_start``); it is parsed the first
-    time ``body`` is read, once. The call graph lists a skipped body's
-    names (``lexer.identifiers`` over ``body_start..end``) when it
-    decides whether to walk it, and keeps no copy of them.
+    time ``body`` is read, once. To decide whether to walk a skipped
+    body, the call graph tests its file's runs once (``lexer.may_name``),
+    and lists the body's own names (``lexer.identifiers`` over
+    ``body_start..end``) only if those runs may name a function it
+    reached; it keeps no copy of either.
     """
 
     name: str  # empty for constructor/fallback/receive

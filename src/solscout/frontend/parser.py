@@ -231,7 +231,8 @@ class Parser:
     def _parse_function(self, contract_kind: str, contract_name: str | None) -> FunctionRecord:
         """A function of a contract, or a free one if ``contract_name`` is None."""
         values = self.values
-        start = self.starts[self.pos]
+        first = self.pos
+        start = self.starts[first]
         kw = self.advance()
         if kw == "function":
             kind = "function"
@@ -271,7 +272,11 @@ class Parser:
             self._skip_balanced("{", "}")
             fn.end = self.ends[self.pos - 1]
             if fn.is_entry_point:
-                fn.parsed_body = _parse_block(self.src, fn.body_start, fn.end)
+                try:
+                    fn.parsed_body = _parse_block(self.src, fn.body_start, fn.end)
+                except RecursionError:
+                    self.pos = first  # so the file's failure points at this function
+                    raise
         fn.span = (self._line_of(start), self._line_of(max(start, fn.end - 1)))
         return fn
 
@@ -838,13 +843,21 @@ def parse_body(fn: FunctionRecord) -> list:
 
 
 def parse_source(src: SourceFile) -> SourceUnit:
-    """Parse one file. Raises SoliditySyntaxError; never anything else."""
+    """Parse one file. Raises SoliditySyntaxError; never anything else.
+
+    Nesting too deep fails at the first character of the entry point
+    whose body holds it, or else at the token where the file-level parse
+    ran out of stack.
+    """
+    parser = None
     try:
-        return Parser(src).parse()
+        parser = Parser(src)
+        return parser.parse()
     except SoliditySyntaxError:
         raise
     except RecursionError:
-        raise SoliditySyntaxError("nesting too deep", 1, 1, src.path) from None
+        line, col = src.line_index.linecol(parser.starts[parser.pos]) if parser else (1, 1)
+        raise SoliditySyntaxError("nesting too deep", line, col, src.path) from None
     except Exception as exc:  # totality: a parse either succeeds or raises SyntaxError
         raise SoliditySyntaxError(f"parse failure: {exc}", 1, 1, src.path) from exc
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from solscout import callgraph
 from solscout.callgraph import (
     assemble_context,
     build_call_graph,
@@ -9,6 +10,7 @@ from solscout.callgraph import (
 )
 from solscout.errors import ContextOverflow
 from solscout.frontend import call_name, enumerate_functions, index_contracts
+from solscout.frontend.lexer import identifiers
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import prepare_scan
 from solscout.rules import ContextPolicy
@@ -474,3 +476,108 @@ def test_call_sites_are_the_edges_and_unresolved_calls_of_each_walked_body(sampl
                         edges.add((fid, graph.id_of(target), stmt.seq))
             assert sorted(edges) == sorted(graph.edges), root
             assert unresolved == graph.unresolved, root
+
+
+# Files whose names may fool a test of a file's runs: the entry point
+# ``run`` reaches ``deposit`` and ``posit``; nothing else is reachable.
+GATE_HAZARDS = {
+    "Main.sol": """contract Main {
+    function run(uint a) public returns (uint) { return deposit(a) + posit(a); }
+    function deposit(uint a) internal returns (uint) { return a; }
+    function posit(uint a) internal returns (uint) { return a + 1; }
+}
+""",
+    # a reached name only in a string literal or a comment
+    "Quoted.sol": """contract Quoted {
+    // deposit(1)
+    function say() internal returns (string memory) { return "deposit(1)"; }
+    function quiet() internal { /* posit(2) */ }
+}
+""",
+    # a reached name glued to a number: 0xdeposit lexes as 0xde then posit
+    "Glued.sol": """contract Glued {
+    function hexGlued() internal returns (uint) { return 0xdeposit; }
+    function decimalGlued() internal returns (uint) { return 1deposit; }
+    function exponentGlued() internal returns (uint) { return 1e18deposit + 1e-5posit; }
+    function inside() internal returns (uint) { return x1deposit + 0xdead + 1_000; }
+}
+""",
+    "Numbers.sol": """contract Numbers {
+    uint constant WAD = 1e18;
+    address constant OWNER = 0x00000000219ab540356cBB839Cbe05303d7705Fa;
+    function scale(uint a) internal pure returns (uint) {
+        return a * 1e18 / 1_000 + 0xff + 2**255 + 1.5e3 + 0x1f_ff;
+    }
+    function pay(uint a) internal returns (uint) { return deposit(a * 1e18 / 1_000); }
+}
+""",
+    # a non-ASCII letter next to a reached name, in code and in a string
+    "Accents.sol": """contract Accents {
+    function before(uint a) internal returns (uint) { return \u00e9deposit(a); }
+    function after() internal returns (string memory) { return "posit\u00e9"; }
+    function plain(uint a) internal returns (uint) { return a; }
+}
+""",
+    "CrLf.sol": "contract CrLf {\r\n    function pay(uint a) internal returns (uint) {\r\n"
+                "        return posit(a);\r\n    }\r\n"
+                "    function keep(uint a) internal returns (uint) {\r\n        return a;\r\n    }\r\n}\r\n",
+    # free functions whose header holds a brace
+    "Free.sol": """struct S { uint a; }
+function freeCall(uint a) m(S({a: 1})) returns (uint) { return deposit(a); }
+function freeQuiet(uint a) m(S({a: 1})) returns (uint) { if (a > 0) { return a; } return 0; }
+""",
+    # a file whose runs name nothing reached
+    "Unrelated.sol": """contract Unrelated {
+    function shuffle(uint a) internal returns (uint) { return a * 31; }
+}
+""",
+}
+
+
+def _write_gate_hazards(root) -> str:
+    contracts = root / "contracts"
+    contracts.mkdir(parents=True)
+    for name, text in GATE_HAZARDS.items():
+        (contracts / name).write_bytes(text.encode())
+    return str(root)
+
+
+def _scan_side_graph(root: str) -> tuple:
+    """The scan-side graph of ``root``: its call sites, edges and unresolved calls, as values."""
+    graph = prepare_scan(replay_config(root, "")).graph
+    sites = [(fid, [(stmt.start, stmt.seq, call.start, call.end, target and graph.id_of(target))
+                    for stmt, call, target in found])
+             for fid, found in graph.sites.items()]
+    return sites, graph.edges, graph.unresolved
+
+
+def test_a_files_runs_gate_the_walk_exactly_as_each_bodys_names_did(sample_projects, tmp_path,
+                                                                    monkeypatch):
+    """The oracle lists the names of every body outside the callee closure,
+    with no per-file test, as the scan-side graph once did."""
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, build_corpus(variants=3), filler_files=60)
+    hazards = _write_gate_hazards(tmp_path / "hazards")
+    for root in [*sample_projects, corpus, hazards]:
+        gated = _scan_side_graph(root)
+        with monkeypatch.context() as patch:
+            patch.setattr(callgraph, "may_name", lambda stripped, names: True)
+            assert _scan_side_graph(root) == gated, root
+    walked = [fid for fid, _sites in _scan_side_graph(hazards)[0]]
+    assert walked == ["Main.run", "Main.deposit", "Main.posit",  # the closure, then file order
+                      "Accents.before", "CrLf.pay", "contracts/Free.sol.freeCall",
+                      "Glued.hexGlued", "Glued.decimalGlued", "Glued.exponentGlued", "Numbers.pay"]
+
+
+def test_a_scan_lists_no_body_names_in_files_that_name_nothing_reached(tmp_path, monkeypatch):
+    """The acceptance corpus with 60 fillers: 1,200 skipped bodies, none listed."""
+    root = str(tmp_path / "corpus")
+    write_corpus(root, build_corpus(variants=3), filler_files=60)
+    listed = []
+    monkeypatch.setattr(callgraph, "identifiers",
+                        lambda *range_: listed.append(range_) or identifiers(*range_))
+    prepare_scan(replay_config(root, ""))
+    assert listed == []
+    monkeypatch.setattr(callgraph, "may_name", lambda stripped, names: True)
+    prepare_scan(replay_config(root, ""))
+    assert len(listed) == 1200

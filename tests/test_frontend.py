@@ -20,7 +20,7 @@ from solscout.frontend import (
     strip_comments,
 )
 from solscout.frontend import parser as parser_module
-from solscout.frontend.lexer import identifiers, outline, tokenize
+from solscout.frontend.lexer import identifiers, may_name, outline, tokenize
 from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
@@ -414,6 +414,20 @@ def test_deep_nesting_is_a_syntax_error_not_a_recursion_error(expr):
         parse_text("contract C { function f() public { x = %s; } }" % expr)
 
 
+@pytest.mark.parametrize("expr", DEEP_EXPRESSIONS.values(), ids=list(DEEP_EXPRESSIONS))
+def test_a_body_that_nests_too_deep_fails_at_its_function(expr):
+    text = ("pragma solidity ^0.8.0;\n\ncontract C {\n    function g() internal {}\n"
+            "    function f() public {\n        g();\n        x = %s;\n    }\n}\n" % expr)
+    assert _syntax_error(text) == ("nesting too deep", 5, 5)
+
+
+def test_a_file_level_parse_that_nests_too_deep_fails_where_it_ran_out_of_stack():
+    deep_type = "mapping(uint => " * 1500 + "uint" + ")" * 1500
+    message, line, column = _syntax_error("contract C {\n  function f(%s m) public {}\n}\n"
+                                          % deep_type)
+    assert message == "nesting too deep" and line == 2 and column > len("  function f(")
+
+
 DEEP_PARENS = "(" * 400 + "a" + ")" * 400
 
 
@@ -631,6 +645,36 @@ def test_identifiers_are_the_id_tokens_of_the_range():
             names = identifiers(text, start, end)
             assert names == tuple(dict.fromkeys(ids)), text[start:end]
             assert all(sys.intern(name) is name for name in names)
+
+
+def test_a_text_may_name_every_id_token_of_its_ranges():
+    rng = random.Random(29)
+    for text in _sources_for_lexing() + [text.replace("\n", "\r\n") for text in
+                                         _sources_for_lexing()]:
+        rows = token_rows(tokenize(text))[:-1]
+        for _ in range(20):
+            first, last = sorted(rng.randrange(len(rows)) for _ in range(2))
+            for name in identifiers(text, rows[first][2], rows[last][3]):
+                assert may_name(text, {name.encode()}), name
+
+
+@pytest.mark.parametrize("text, name, named", [
+    ("x = deposit;", "deposit", True),
+    ("x = deposits + redeposit + deposit_;", "deposit", False),
+    ('x = "deposit";', "deposit", True),  # a string's runs count too
+    ("x = 0xdeposit;", "posit", True),  # 0xde, then posit
+    ("x = 0xdeposit;", "deposit", False),
+    ("x = 1deposit;", "deposit", True),
+    ("x = 1_000deposit + 1e18posit;", "deposit posit", True),
+    ("x = 1e-5deposit;", "deposit", True),  # 1e, then 5deposit: 5, then deposit
+    ("x = x1deposit + 0xdead + 1e18 + 1_000 + 1.5e3 + 0x1f_ff;", "deposit dead e18", False),
+    ("x = \u00e9deposit\u00e9;", "deposit", True),
+    ("x = \u00e9deposits\u00e9;", "deposit", False),
+    ("x = \u0663_deposit + \u0663e5deposit;", "deposit", True),  # numbers that take ASCII
+    ("x = \u0663 + posit;", "deposit", True),  # any text with a non-ASCII digit
+])
+def test_a_text_may_name_a_name_of_a_run_or_of_the_rest_of_a_run_after_a_number(text, name, named):
+    assert may_name(text, {part.encode() for part in name.split()}) is named
 
 
 def test_the_outline_lexes_all_but_the_inside_of_blocks_opened_at_depth_one():
@@ -926,7 +970,11 @@ def test_no_statement_yields_an_expression_twice():
 # bodies parsed on first read
 
 def _skipped_names(fn):
-    """The names the call graph lists for a body the file's parse skipped; None for any other."""
+    """The names of a body the file's parse skipped; None for any other.
+
+    These are the names the call graph tests for such a body when its
+    file's runs may name a function the scan reaches (``lexer.may_name``).
+    """
     if fn.has_body and fn.parsed_body is None:
         return identifiers(fn.file.stripped, fn.body_start, fn.end)
     return None

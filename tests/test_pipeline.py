@@ -280,13 +280,15 @@ def test_too_deep_file_is_a_parse_failure_and_the_scan_goes_on(tmp_path):
         (contracts / "Vault.sol").write_text(fh.read(), encoding="utf-8")
     deep = "(" * 2000 + "a" + ")" * 2000
     (contracts / "Deep.sol").write_text(
-        "contract Deep { function f() public { x = %s; } }" % deep, encoding="utf-8")
+        "contract Deep {\n    function g() internal {}\n    function f() public { x = %s; }\n}\n"
+        % deep, encoding="utf-8")
     transcript_path = str(tmp_path / "t.jsonl")
     config = replay_config(str(tmp_path / "project"), transcript_path)
     write_transcript(config, first_deposit_answers(), transcript_path)
     result = scan(config)
     [[path, message]] = result.meta["parse_failures"]
-    assert path == "contracts/Deep.sol" and "nesting too deep" in message
+    assert path == "contracts/Deep.sol"
+    assert message == "contracts/Deep.sol:3:5: nesting too deep"  # where f starts
     assert [f.function_id for f in result.confirmed] == ["YaxisVault.deposit"]
 
 

@@ -184,6 +184,22 @@ def test_count_kloc_skips_blank_and_comment_lines():
     assert count_kloc([src]) == pytest.approx(2 / 1000)
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "\n\n\n",
+    "a\n\nb\n   \n\t\n\x0b\n\x0c\nc",  # spaces, a tab, a vertical tab, a form feed
+    "a\r\n\r\n  \r\nb\r\n",
+    "a\rb\r\r c\r",
+    "a\u2028\u2028 \u2028b\x1c\x1d \x1e\x85c",  # line and record separators break lines
+    "\u3000\n\u200bx",  # an ideographic space is whitespace, a zero-width space is not
+    "no final newline",
+])
+def test_count_kloc_counts_the_lines_that_are_not_all_whitespace(text):
+    """A line is one of ``str.splitlines``, blank if ``str.strip`` leaves nothing of it."""
+    src = SourceFile(path="a.sol", text="", stripped=text)
+    assert count_kloc([src]) == sum(1 for line in text.splitlines() if line.strip()) / 1000
+
+
 def test_ground_truth_yaml_loading(tmp_path):
     path = tmp_path / "truth.yaml"
     path.write_text(
