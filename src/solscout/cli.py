@@ -80,10 +80,14 @@ def cmd_scan(args) -> int:
 
     json_path = os.path.join(config.output_dir, "scan-report.json")
     md_path = os.path.join(config.output_dir, "scan-report.md")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(result.report("json"))
-    with open(md_path, "w", encoding="utf-8") as fh:
-        fh.write(result.report("markdown"))
+    try:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(result.report("json"))
+        with open(md_path, "w", encoding="utf-8") as fh:
+            fh.write(result.report("markdown"))
+    except OSError as exc:  # exit 1 would read as "confirmed findings"
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     confirmed = result.confirmed
     stats = result.stats

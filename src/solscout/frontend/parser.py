@@ -21,6 +21,26 @@ constructors) as their file is parsed, and every other body when
 something first reads it (``parse_body``), so a function's body is
 lexed once at most (bar the free functions ``lexer.outline`` names).
 
+One compiled pattern, ``_OUTLINE_RE``, reads most outlines without
+lexing them: one ``finditer`` per file matches it item by item, each a
+contract header, a contract's closing brace, a function with a blank
+body or none, or any other member or top-level statement, skipped as
+``_skip_statement`` skips it. A header's parameters must be
+``TYPE [location] [name]`` with a possibly dotted type, array suffixes
+and ``address payable``, and each header word may take one
+parenthesised group with no parentheses or quotes. ``_read_outline``
+builds from the matches the unit the token walk (``Parser``) would
+build, field by field, interning every name, type, modifier and base
+as ``tokenize`` interns token values, and parses entry-point bodies at
+the same point. It declines a file the matches do not cover from its
+first character to its last as that grammar: free functions, nameless
+``function (`` members, base arguments, nested parentheses in a
+header, ``mapping`` or ``function`` parameter types, or any malformed
+text. It declines a file whose entry body nests too deep, too. A
+declined file goes through the token walk, which is the reference and
+the only source of syntax errors. The input alone decides which path
+runs.
+
 The parser reads a ``tokenize`` result as it is: token values, start
 offsets and end offsets by index, with no object per token. It calls
 ``tokenize`` and ``strip_comments`` through this module's globals,
@@ -30,9 +50,20 @@ which the benchmark's tracer wraps to time lexing and count tokens.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
+from sys import intern
 
 from ..errors import SoliditySyntaxError
-from .lexer import Tokens, is_id, outline, strip_comments, token_kind, tokenize
+from .lexer import (
+    _IDENTIFIER,
+    _STRING,
+    Tokens,
+    is_id,
+    outline,
+    strip_comments,
+    token_kind,
+    tokenize,
+)
 from .nodes import (
     ContractDef,
     Expression,
@@ -59,6 +90,8 @@ PREFIX_OPS = {"!", "~", "-", "+", "++", "--", "delete", "new"}
 POSTFIX_OPS = {"(", "{", ".", "[", "++", "--"}
 # Tokens that can end or nest a statement skipped unparsed.
 _SKIP_STOPS = {"(", "[", ")", "]", "{", ";"}
+# The words of a function header that ``_parse_function`` does not take as modifiers.
+_HEADER_KEYWORDS = VISIBILITIES | MUTABILITY | {"virtual", "override", "returns"}
 
 # From the first to the last non-space character of a range.
 _INSIDE_RE = re.compile(r"\S(?:.*\S)?", re.DOTALL)
@@ -84,9 +117,7 @@ class Parser:
         """Lex the file's outline, or parse the given ``tokens`` of it."""
         self.src = src
         if tokens is None:
-            if not src.stripped:
-                src.stripped = strip_comments(src.text, src.path)
-            tokens = tokenize(outline(src.stripped, src.path), src.path)
+            tokens = tokenize(_outline(src), src.path)
         self.values = tokens
         self.starts = tokens.starts
         self.ends = tokens.ends
@@ -201,7 +232,7 @@ class Parser:
                     self.advance()
                     base += "." + self.expect_id("base name part", hard=True)
                 self._skip_balanced_parens()
-                bases.append(base)
+                bases.append(intern(base))
                 if self.at(","):
                     self.advance()
                 else:
@@ -209,13 +240,13 @@ class Parser:
         self.expect_punct("{", hard=True)
         contract = ContractDef(name=name, kind=kind, bases=bases)
         while not self.at("}") and self.values[self.pos]:
-            if self._at_function():
+            if not self._at_function():
+                self._skip_statement()  # modifier, state variable, struct, event, ...
+            elif not self._skipped_function_type_variable():
                 fn = self._parse_function(contract.kind, contract.name)
                 fn.contract = contract.name
                 fn.contract_def = contract
                 functions.append(fn)
-            else:
-                self._skip_statement()  # modifier, state variable, struct, event, ...
         self.expect_punct("}", hard=True)
         return contract
 
@@ -224,6 +255,27 @@ class Parser:
         return v == "function" or v == "constructor" or (
             (v == "fallback" or v == "receive") and self.values[self.pos + 1] == "("
         )
+
+    def _skipped_function_type_variable(self) -> bool:
+        """Skip a state variable of function type here, if one starts here.
+
+        A ``function (`` member that ends at its ``;`` is one when it
+        holds ``=`` or its last token is a name, not a header keyword:
+        ``function (uint) external returns (uint) public handler;``. A
+        ``function (`` member with a body, or whose header ends in a
+        keyword, is an old-style fallback function.
+        """
+        values = self.values
+        first = self.pos
+        if values[first] != "function" or values[first + 1] != "(":
+            return False
+        self._skip_statement()
+        last = values[self.pos - 2]
+        if values[self.pos - 1] == ";" and (
+                "=" in values[first:self.pos] or (is_id(last) and last not in _HEADER_KEYWORDS)):
+            return True
+        self.pos = first
+        return False
 
     # ------------------------------------------------------------------
     # functions
@@ -305,7 +357,7 @@ class Parser:
                 name = ""
                 if is_id(values[self.pos]):
                     name = self.advance()
-                params.append((type_text, name))
+                params.append((intern(type_text), name))
             except _Backtrack:
                 # salvage the raw text so arity stays right
                 self.pos = saved
@@ -319,7 +371,7 @@ class Parser:
                     elif (value == ")" or value == "]") and depth:
                         depth -= 1  # a stray closer must not hide the list's ')'
                 raw = self.src.stripped[self.starts[saved]: self.starts[self.pos]].strip()
-                params.append((raw, ""))
+                params.append((intern(raw), ""))
             if self.at(","):
                 self.pos += 1
         self.expect_punct(")", hard=True)
@@ -842,17 +894,180 @@ def parse_body(fn: FunctionRecord) -> list:
         return [Statement("opaque", inside.start(), inside.end(), src, 0)]
 
 
+# ----------------------------------------------------------------------
+# the outline read by one pattern
+
+_NAME_CHAR = "[A-Za-z0-9_$]"
+_ID = _IDENTIFIER + "(?!" + _NAME_CHAR + ")"  # a whole id token
+_DOTTED = _ID + r"(?:\s*\.\s*" + _ID + ")*"
+
+
+def _words(*words: str) -> str:
+    """A pattern for one id token spelled as one of ``words``."""
+    return "(?:" + "|".join(sorted(words)) + ")(?!" + _NAME_CHAR + ")"
+
+
+def _parameter(group: str) -> str:
+    """``TYPE [location] [name]`` as ``_parse_params`` reads it, each part
+    opened by ``group``: "(" captures ``address`` before ``payable``,
+    any other type, its array suffixes and the name; "(?:" captures none."""
+    return ("(?:" + group + "address)(?!" + _NAME_CHAR + r")\s*payable(?!" + _NAME_CHAR + ")"
+            + "|(?!" + _words("mapping", "function") + ")" + group + _DOTTED + "))"
+            + group + r"""(?:\s*\[[^\[\]()"';{},]*\])*)"""
+            + r"(?:\s*" + _words(*LOCATIONS) + r")?(?:\s*" + group + _ID + "))?")
+
+
+# Statement text at bracket depth 0, and the brace, bracket and
+# parenthesis groups ``_skip_statement`` passes over: any text but those
+# brackets, ';' and quotes, and strings. Each repeat starts with a
+# character the text before it cannot hold, so a failed match backtracks
+# in linear time.
+_TEXT = r"""[^;{}()\[\]"']*"""
+_BRACES = r"""\{[^{}"']*(?:""" + _STRING + r"""[^{}"']*)*\}"""
+_BRACKETS = r"\[" + _TEXT + "(?:(?:" + _STRING + "|" + _BRACES + ")" + _TEXT + r")*\]"
+_PARENTHESES = (r"\(" + _TEXT + "(?:(?:" + _STRING + "|" + _BRACES + "|" + _BRACKETS + ")"
+                + _TEXT + r")*\)")
+_PARAMETER = _parameter("(?:")
+# One match per item of an outline, each a named group: a contract's
+# header through its '{' (c), its closing '}' (e), a function with a
+# blank body or none (f), any other member or top-level statement,
+# skipped (m), trailing whitespace (t), or the rest of a text that no
+# item starts (x). Header words are ids, each of which may take one
+# parenthesised group without parentheses or quotes, but a visibility
+# or mutability word takes none.
+_OUTLINE_RE = re.compile(
+    r"\s*(?:"
+    r"(?P<c>(?:(?P<abstract>abstract)\s+contract|(?P<ckind>contract|interface|library))"
+    r"(?!" + _NAME_CHAR + r")\s*(?P<cname>" + _ID + ")"
+    r"(?:\s*is(?!" + _NAME_CHAR + r")\s*(?P<bases>" + _DOTTED + r"(?:\s*,\s*" + _DOTTED + r")*))?"
+    r"\s*\{)"
+    r"|(?P<e>\})"
+    r"|(?P<f>(?:function(?!" + _NAME_CHAR + r")\s*(?P<fname>" + _ID + ")"
+    r"|(?P<fkind>" + _words("constructor", "fallback", "receive") + "))"
+    r"\s*\(\s*(?P<params>" + _PARAMETER + r"(?:\s*,\s*" + _PARAMETER + r")*)?\s*\)"
+    r"(?P<words>(?:\s*(?:(?!" + _words(*VISIBILITIES, *MUTABILITY, "virtual") + ")"
+    + _ID + r"""\s*\([^()"']*\)|""" + _ID + "))*)"
+    r"\s*(?:;|(?P<body>\{) *\}))"
+    r"|(?P<m>(?![\s}]|" + _words("function", "constructor", "fallback", "receive", "contract",
+                                   "interface", "library", "abstract") + ")"
+    + _TEXT + "(?:(?:" + _STRING + "|" + _PARENTHESES + "|" + _BRACKETS + ")" + _TEXT + ")*"
+    r"(?:;|" + _BRACES + "))"
+    r")|(?P<t>\s+\Z)|(?P<x>[\s\S]+)")
+# The items of a file the pattern reads: members and contracts, each
+# contract's functions and members, then trailing whitespace.
+_STRUCTURE_RE = re.compile("(?:m|c[fm]*e)*t?")
+_PARAMETER_RE = re.compile(r"\s*" + _parameter("(") + r"\s*(?:,|\Z)")
+_HEADER_WORD_RE = re.compile("(" + _ID + r""")(?:\s*\([^()"']*\))?""")
+_KIND = attrgetter("lastgroup")
+
+
+def _outline(src: SourceFile) -> str:
+    """The outline of the file's comment-stripped text, stripping it first if need be."""
+    if not src.stripped:
+        src.stripped = strip_comments(src.text, src.path)
+    return outline(src.stripped, src.path)
+
+
+def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
+    """The file's unit read from its outline ``text`` by ``_OUTLINE_RE``, or
+    None if the pattern does not read the whole file as contracts, members
+    and functions, or an entry point's body nests too deep.
+
+    The unit equals ``Parser.parse``'s, field by field, each name, type,
+    modifier and base interned. Entry points' bodies are parsed as the
+    token walk parses them, at the same point.
+    """
+    items = list(_OUTLINE_RE.finditer(text, 1 if text.startswith("\ufeff") else 0))
+    if not _STRUCTURE_RE.fullmatch("".join(map(_KIND, items))):
+        return None
+    unit = SourceUnit()
+    functions = unit.functions
+    count = src.text.count
+    at, line = 0, 1  # an offset and its line; offsets asked only grow
+    headers = {}  # the fields of each distinct parameter list and header words of the file
+    for item in items:
+        what = item.lastgroup
+        if what == "f":
+            name, kind = item.group("fname", "fkind")
+            if name is None:
+                kind, name = intern(kind), ""
+            else:
+                kind, name = "function", intern(name)
+                if name == contract.name:
+                    name, kind = "", "constructor"  # pre-0.5 constructor-by-name
+            header = item.group("params", "words")
+            fields = headers.get(header)
+            if fields is None:
+                fields = headers[header] = _header_fields(*header)
+            params, visibility, modifiers = fields
+            if visibility is None:
+                visibility = "external" if contract.kind == "interface" else "public"
+            start = item.start("f")
+            fn = FunctionRecord(name, kind, list(params), visibility, list(modifiers), (0, 0),
+                                start)
+            fn.end = end = item.end()
+            fn.body_start = body_start = item.start("body")
+            if body_start >= 0 and fn.is_entry_point:
+                try:
+                    fn.parsed_body = _parse_block(src, body_start, end)
+                except RecursionError:
+                    return None  # the token walk reports it
+            first = line + count("\n", at, start)
+            line = first + count("\n", start, end)  # the last character is '}' or ';'
+            at = end
+            fn.span = (first, line)
+            fn.contract = contract.name
+            fn.contract_def = contract
+            fn.file = src
+            functions.append(fn)
+        elif what == "c":
+            bases = item["bases"]
+            contract = ContractDef(
+                name=intern(item["cname"]),
+                kind="abstract" if item["abstract"] else intern(item["ckind"]),
+                bases=[intern("".join(base.split())) for base in bases.split(",")] if bases
+                else [])
+        elif what == "e":
+            unit.contracts.append(contract)
+    return unit
+
+
+def _header_fields(parameters: str | None, words: str) -> tuple:
+    """``(params, visibility or None, modifiers)`` of a header's parameter list and words."""
+    params = []
+    if parameters:
+        for address, type_text, dims, name in _PARAMETER_RE.findall(parameters):
+            type_text = address or type_text
+            if dims or "." in type_text:
+                type_text = "".join((type_text + dims).split())  # its tokens joined
+            params.append((intern(type_text), intern(name)))
+    visibility = None
+    modifiers = []
+    for word in _HEADER_WORD_RE.findall(words):
+        if word in VISIBILITIES:
+            visibility = intern(word)
+        elif word not in _HEADER_KEYWORDS:
+            modifiers.append(intern(word))
+    return tuple(params), visibility, tuple(modifiers)
+
+
 def parse_source(src: SourceFile) -> SourceUnit:
     """Parse one file. Raises SoliditySyntaxError; never anything else.
 
-    Nesting too deep fails at the first character of the entry point
-    whose body holds it, or else at the token where the file-level parse
-    ran out of stack.
+    ``_read_outline`` reads the file if its pattern covers it; any other
+    file goes through the token walk (``Parser``), whose errors are the
+    only ones raised. Nesting too deep fails at the first character of
+    the entry point whose body holds it, or else at the token where the
+    file-level parse ran out of stack.
     """
     parser = None
     try:
-        parser = Parser(src)
-        return parser.parse()
+        text = _outline(src)
+        unit = _read_outline(src, text)
+        if unit is None:
+            parser = Parser(src, tokenize(text, src.path))
+            unit = parser.parse()
+        return unit
     except SoliditySyntaxError:
         raise
     except RecursionError:

@@ -197,6 +197,18 @@ def test_an_output_path_under_a_file_exits_2_before_the_scan(tmp_path, capsys, m
     assert line.startswith("error: ") and "file" in line
 
 
+def test_a_report_that_cannot_be_written_exits_2_with_one_error_line(tmp_path, capsys):
+    """Exit 1 means confirmed findings; a scan whose report is lost is an error."""
+    root, transcript = prep_first_deposit_transcript(tmp_path)
+    out = tmp_path / "out"
+    (out / "scan-report.json").mkdir(parents=True)
+    code = main(["scan", root, "--mode", "replay", "--transcript", transcript,
+                 "--out", str(out)])
+    assert code == EXIT_ERROR
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "scan-report.json" in line
+
+
 def test_score_first_deposit_report_against_truth(tmp_path, capsys):
     root, transcript = prep_first_deposit_transcript(tmp_path)
     out_dir = str(tmp_path / "out")

@@ -733,11 +733,13 @@ def test_every_token_boundary_prefix_parses_or_is_a_syntax_error(monkeypatch):
 
 def _parse_reading_every_body(monkeypatch, text: str, path: str) -> tuple:
     """Parse ``text``, read every body twice; return the unit, each ``parser.tokenize``
-    result and each ``Parser``'s (values, starts, ends) lists."""
-    lexed, read = [], []
+    result, each ``Parser``'s (values, starts, ends) lists and, for each result,
+    whether it lexed the whole outline rather than a range."""
+    lexed, read, whole = [], [], []
 
     def recording_tokenize(*args):
         lexed.append(tokenize(*args))
+        whole.append(len(args) < 3)
         return lexed[-1]
 
     def recording_init(parser, src, tokens=None):
@@ -751,7 +753,7 @@ def _parse_reading_every_body(monkeypatch, text: str, path: str) -> tuple:
         unit = parse_source(SourceFile(path=path, text=text))
         for fn in unit.functions * 2:
             fn.body
-    return unit, lexed, read
+    return unit, lexed, read, whole
 
 
 _TWO_FIXTURES = [("first_deposit", "contracts", "Vault.sol"),
@@ -761,7 +763,8 @@ _TWO_FIXTURES = [("first_deposit", "contracts", "Vault.sol"),
 def test_every_token_the_parser_reads_comes_through_the_module_tokenize(monkeypatch):
     """Benchmark tracing wraps ``parser.tokenize`` by name and counts tokens with ``len()``."""
     for parts in _TWO_FIXTURES:
-        _, lexed, read = _parse_reading_every_body(monkeypatch, read_fixture(*parts), parts[-1])
+        _, lexed, read, _ = _parse_reading_every_body(monkeypatch, read_fixture(*parts),
+                                                      parts[-1])
         assert len(read) == len(lexed) > 1
         for (values, starts, ends), tokens in zip(read, lexed):
             assert values is tokens and starts is tokens.starts and ends is tokens.ends
@@ -771,18 +774,21 @@ def test_every_token_the_parser_reads_comes_through_the_module_tokenize(monkeypa
 
 
 def test_no_body_is_lexed_twice(monkeypatch):
-    """The outline holds only a function body's braces, in a contract or free; the body
-    is lexed once, alone."""
+    """Each body is lexed once, alone. The outline holds only a function body's braces,
+    in a contract or free, and is lexed only in a file the outline pattern declines:
+    here, the one with a free function."""
     sources = [(parts[-1], read_fixture(*parts)) for parts in _TWO_FIXTURES]
     for path, text in sources + [("Free.sol", _BLOCKS_AT_EVERY_DEPTH)]:
-        unit, lexed, _ = _parse_reading_every_body(monkeypatch, text, path)
+        unit, lexed, _, whole = _parse_reading_every_body(monkeypatch, text, path)
         bodies = [fn for fn in unit.functions if fn.has_body]
         assert bodies
-        assert sorted((tokens.starts[0], tokens.ends[-1]) for tokens in lexed[1:]) == sorted(
-            (fn.body_start, fn.end) for fn in bodies)
+        assert whole.count(True) == (path == "Free.sol")
+        ranges = [(tokens.starts[0], tokens.ends[-1])
+                  for tokens, outline_lexed in zip(lexed, whole) if not outline_lexed]
+        assert sorted(ranges) == sorted((fn.body_start, fn.end) for fn in bodies)
         starts = Counter(start for tokens in lexed for start in tokens.starts[:-1])
         assert {start for start, n in starts.items() if n > 1} == {
-            offset for fn in bodies for offset in (fn.body_start, fn.end - 1)}
+            offset for fn in bodies for offset in (fn.body_start, fn.end - 1) if any(whole)}
     assert [fn.name for fn in bodies if fn.contract_def.name == ""] == ["free"]
 
 
@@ -943,6 +949,26 @@ def test_skipped_import_keeps_the_contract_after_it():
     unit = parse_text(template % member)
     assert _function_fields(unit) == _function_fields(parse_text(template % (" " * len(member))))
     assert [(c.name, c.bases) for c in unit.contracts] == [("C", [])]
+
+
+@pytest.mark.parametrize("member", [
+    "function (uint256) external returns (uint256) public handler;",
+    "function(uint) external[] hs;",
+    "function (uint) internal pure f = g;",
+])
+def test_a_state_variable_of_function_type_is_not_a_function(member):
+    template = "contract C { %s function f(uint a) public { g(a); } }"
+    unit = parse_text(template % member)
+    assert _function_fields(unit) == _function_fields(parse_text(template % (" " * len(member))))
+    assert [fn.name for fn in unit.functions] == ["f"]
+
+
+def test_an_old_style_fallback_function_stays_a_function():
+    unit = parse_text("contract C { function() external payable { x = 1; } }\n"
+                      "interface I { function() external payable; }")
+    assert [(fn.contract, fn.name, fn.kind, fn.visibility, fn.modifiers, fn.has_body)
+            for fn in unit.functions] == [("C", "", "function", "external", [], True),
+                                          ("I", "", "function", "external", [], False)]
 
 
 def test_every_child_sequence_is_a_tuple():
