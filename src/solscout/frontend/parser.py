@@ -24,22 +24,28 @@ lexed once at most (bar the free functions ``lexer.outline`` names).
 One compiled pattern, ``_OUTLINE_RE``, reads most outlines without
 lexing them: one ``finditer`` per file matches it item by item, each a
 contract header, a contract's closing brace, a function with a blank
-body or none, or any other member or top-level statement, skipped as
-``_skip_statement`` skips it. A header's parameters must be
-``TYPE [location] [name]`` with a possibly dotted type, array suffixes
-and ``address payable``, and each header word may take one
-parenthesised group with no parentheses or quotes. ``_read_outline``
-builds from the matches the unit the token walk (``Parser``) would
-build, field by field, interning every name, type, modifier and base
-as ``tokenize`` interns token values, and parses entry-point bodies at
-the same point. It declines a file the matches do not cover from its
-first character to its last as that grammar: free functions, nameless
-``function (`` members, base arguments, nested parentheses in a
-header, ``mapping`` or ``function`` parameter types, or any malformed
-text. It declines a file whose entry body nests too deep, too. A
-declined file goes through the token walk, which is the reference and
-the only source of syntax errors. The input alone decides which path
-runs.
+body or none, in a contract or free, or any other member or top-level
+statement, skipped as ``_skip_statement`` skips it. Brackets nest up to
+five deep in a member, and parentheses up to five deep in a parameter
+list and in the arguments of a base or a header word, strings inside
+included: ``mapping(address => mapping(address => uint256))``,
+``is ERC20("Name", "SYM")``, ``onlyRole(keccak256("X"))``.
+``_read_outline`` builds from the matches the unit the token walk
+(``Parser``) would build, field by field, interning every name, type,
+modifier and base as ``tokenize`` interns token values, and parses
+entry-point bodies at the same point. It reads a parameter list of
+``TYPE [location] [name]`` items (a possibly dotted type, array
+suffixes, ``address payable``) from its match; any other list, such as
+one with a ``mapping`` or ``function`` type, is lexed alone and read by
+``_parse_params``. It declines a file the matches do not cover from its
+first character to its last as that grammar: a ``function (`` member
+without a body (a state variable of function type, say), deeper
+nesting, a constructor, fallback or receive outside a contract, or
+malformed text. It declines a file whose entry body nests
+too deep, or one of whose lexed parameter lists does not read to its
+')', too. A declined file goes through the token walk, which is the
+reference and the only source of syntax errors. The input alone
+decides which path runs.
 
 The parser reads a ``tokenize`` result as it is: token values, start
 offsets and end offsets by index, with no object per token. It calls
@@ -907,57 +913,68 @@ def _words(*words: str) -> str:
     return "(?:" + "|".join(sorted(words)) + ")(?!" + _NAME_CHAR + ")"
 
 
-def _parameter(group: str) -> str:
-    """``TYPE [location] [name]`` as ``_parse_params`` reads it, each part
-    opened by ``group``: "(" captures ``address`` before ``payable``,
-    any other type, its array suffixes and the name; "(?:" captures none."""
-    return ("(?:" + group + "address)(?!" + _NAME_CHAR + r")\s*payable(?!" + _NAME_CHAR + ")"
-            + "|(?!" + _words("mapping", "function") + ")" + group + _DOTTED + "))"
-            + group + r"""(?:\s*\[[^\[\]()"';{},]*\])*)"""
-            + r"(?:\s*" + _words(*LOCATIONS) + r")?(?:\s*" + group + _ID + "))?")
+def _nested(opening: str, closing: str, text: str, atoms: str, depth: int) -> str:
+    """A pattern for a group from ``opening`` to ``closing`` that holds ``text``,
+    ``atoms`` and groups like it, nested up to ``depth`` deep. Each repeat
+    starts with a character ``text`` cannot hold, so a failed match
+    backtracks in linear time."""
+    group = "(?!)"
+    for _ in range(depth):
+        group = opening + text + "(?:(?:" + atoms + "|" + group + ")" + text + ")*" + closing
+    return group
 
 
-# Statement text at bracket depth 0, and the brace, bracket and
-# parenthesis groups ``_skip_statement`` passes over: any text but those
-# brackets, ';' and quotes, and strings. Each repeat starts with a
-# character the text before it cannot hold, so a failed match backtracks
-# in linear time.
+# Statement text at bracket depth 0: any text but brackets, ';' and
+# quotes. Brace groups, and the bracket groups ``_skip_statement``
+# passes over, counting '(' and '[' alike.
 _TEXT = r"""[^;{}()\[\]"']*"""
 _BRACES = r"""\{[^{}"']*(?:""" + _STRING + r"""[^{}"']*)*\}"""
-_BRACKETS = r"\[" + _TEXT + "(?:(?:" + _STRING + "|" + _BRACES + ")" + _TEXT + r")*\]"
-_PARENTHESES = (r"\(" + _TEXT + "(?:(?:" + _STRING + "|" + _BRACES + "|" + _BRACKETS + ")"
-                + _TEXT + r")*\)")
-_PARAMETER = _parameter("(?:")
+_GROUP = _nested(r"[(\[]", r"[)\]]", _TEXT, _STRING + "|" + _BRACES, 5)
+# A parenthesised group as ``_skip_balanced_parens`` skips it: only
+# parentheses count, and strings hold any character.
+_ARGUMENTS = _nested(r"\(", r"\)", r"""[^()"']*""", _STRING, 5)
+_BASE = _DOTTED + r"(?:\s*" + _ARGUMENTS + ")?"
 # One match per item of an outline, each a named group: a contract's
 # header through its '{' (c), its closing '}' (e), a function with a
 # blank body or none (f), any other member or top-level statement,
 # skipped (m), trailing whitespace (t), or the rest of a text that no
 # item starts (x). Header words are ids, each of which may take one
-# parenthesised group without parentheses or quotes, but a visibility
-# or mutability word takes none.
+# parenthesised group, but a visibility or mutability word takes none.
 _OUTLINE_RE = re.compile(
     r"\s*(?:"
     r"(?P<c>(?:(?P<abstract>abstract)\s+contract|(?P<ckind>contract|interface|library))"
     r"(?!" + _NAME_CHAR + r")\s*(?P<cname>" + _ID + ")"
-    r"(?:\s*is(?!" + _NAME_CHAR + r")\s*(?P<bases>" + _DOTTED + r"(?:\s*,\s*" + _DOTTED + r")*))?"
+    r"(?:\s*is(?!" + _NAME_CHAR + r")\s*(?P<bases>(?:" + _BASE
+    + r"\s*(?:,\s*(?=[A-Za-z_$])|(?=\{)))+))?"
     r"\s*\{)"
     r"|(?P<e>\})"
-    r"|(?P<f>(?:function(?!" + _NAME_CHAR + r")\s*(?P<fname>" + _ID + ")"
+    r"|(?P<f>(?:function(?!" + _NAME_CHAR + r")\s*(?P<fname>" + _ID + ")?"
     r"|(?P<fkind>" + _words("constructor", "fallback", "receive") + "))"
-    r"\s*\(\s*(?P<params>" + _PARAMETER + r"(?:\s*,\s*" + _PARAMETER + r")*)?\s*\)"
+    r"\s*(?P<params>" + _ARGUMENTS + ")"
     r"(?P<words>(?:\s*(?:(?!" + _words(*VISIBILITIES, *MUTABILITY, "virtual") + ")"
-    + _ID + r"""\s*\([^()"']*\)|""" + _ID + "))*)"
+    + _ID + r"\s*" + _ARGUMENTS + "|" + _ID + "))*)"
     r"\s*(?:;|(?P<body>\{) *\}))"
     r"|(?P<m>(?![\s}]|" + _words("function", "constructor", "fallback", "receive", "contract",
                                    "interface", "library", "abstract") + ")"
-    + _TEXT + "(?:(?:" + _STRING + "|" + _PARENTHESES + "|" + _BRACKETS + ")" + _TEXT + ")*"
+    + _TEXT + "(?:(?:" + _STRING + "|" + _GROUP + ")" + _TEXT + ")*"
     r"(?:;|" + _BRACES + "))"
     r")|(?P<t>\s+\Z)|(?P<x>[\s\S]+)")
-# The items of a file the pattern reads: members and contracts, each
-# contract's functions and members, then trailing whitespace.
-_STRUCTURE_RE = re.compile("(?:m|c[fm]*e)*t?")
-_PARAMETER_RE = re.compile(r"\s*" + _parameter("(") + r"\s*(?:,|\Z)")
-_HEADER_WORD_RE = re.compile("(" + _ID + r""")(?:\s*\([^()"']*\))?""")
+# The items of a file the pattern reads: members, free functions and
+# contracts, each contract's functions and members, then trailing
+# whitespace.
+_STRUCTURE_RE = re.compile("(?:[mf]|c[fm]*e)*t?")
+# One parameter as ``_parse_params`` reads it, ``TYPE [location] [name]``,
+# and the ',' or ')' after it; and a list of them. It captures
+# ``address`` before ``payable``, any other type, its array suffixes and
+# the name.
+_PARAMETER = (r"\s*(?:(address)(?!" + _NAME_CHAR + r")\s*payable(?!" + _NAME_CHAR + ")"
+              + "|(?!" + _words("mapping", "function") + ")(" + _DOTTED + "))"
+              + r"""((?:\s*\[[^\[\]()"';{},]*\])*)"""
+              + r"(?:\s*" + _words(*LOCATIONS) + r")?(?:\s*(" + _ID + r"))?\s*[,)]")
+_PARAMETER_RE = re.compile(_PARAMETER)
+_PARAMETERS_RE = re.compile(r"\((?:\s*\)|(?:" + _PARAMETER + ")+)")
+# A base or header word, and the arguments it may take: findall lists the names.
+_NAMES_RE = re.compile("(" + _DOTTED + r")(?:\s*" + _ARGUMENTS + ")?")
 _KIND = attrgetter("lastgroup")
 
 
@@ -971,7 +988,8 @@ def _outline(src: SourceFile) -> str:
 def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
     """The file's unit read from its outline ``text`` by ``_OUTLINE_RE``, or
     None if the pattern does not read the whole file as contracts, members
-    and functions, or an entry point's body nests too deep.
+    and functions, a lexed parameter list does not read to its ')', or an
+    entry point's body nests too deep.
 
     The unit equals ``Parser.parse``'s, field by field, each name, type,
     modifier and base interned. Entry points' bodies are parsed as the
@@ -982,6 +1000,8 @@ def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
         return None
     unit = SourceUnit()
     functions = unit.functions
+    free = []  # free functions, listed after the contracts' functions
+    contract = None  # the contract whose members are being read
     count = src.text.count
     at, line = 0, 1  # an offset and its line; offsets asked only grow
     headers = {}  # the fields of each distinct parameter list and header words of the file
@@ -989,18 +1009,31 @@ def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
         what = item.lastgroup
         if what == "f":
             name, kind = item.group("fname", "fkind")
-            if name is None:
+            if kind:
+                if contract is None:
+                    return None  # the token walk skips it as a statement
                 kind, name = intern(kind), ""
+            elif name is None:
+                if item.start("body") < 0:
+                    return None  # a state variable of function type, or a bodiless fallback
+                kind, name = "function", ""  # an old-style fallback function
             else:
                 kind, name = "function", intern(name)
-                if name == contract.name:
+                if contract is not None and name == contract.name:
                     name, kind = "", "constructor"  # pre-0.5 constructor-by-name
             header = item.group("params", "words")
             fields = headers.get(header)
             if fields is None:
                 fields = headers[header] = _header_fields(*header)
             params, visibility, modifiers = fields
-            if visibility is None:
+            if params is None:
+                # not a list of TYPE [location] [name]: its own tokens, walked
+                params = _walked_params(src, text, *item.span("params"))
+                if params is None:
+                    return None
+            if contract is None:
+                visibility = "internal"  # a free function is always internal
+            elif visibility is None:
                 visibility = "external" if contract.kind == "interface" else "public"
             start = item.start("f")
             fn = FunctionRecord(name, kind, list(params), visibility, list(modifiers), (0, 0),
@@ -1016,39 +1049,62 @@ def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
             line = first + count("\n", start, end)  # the last character is '}' or ';'
             at = end
             fn.span = (first, line)
-            fn.contract = contract.name
-            fn.contract_def = contract
             fn.file = src
-            functions.append(fn)
+            if contract is None:
+                free.append(fn)
+            else:
+                fn.contract = contract.name
+                fn.contract_def = contract
+                functions.append(fn)
         elif what == "c":
             bases = item["bases"]
             contract = ContractDef(
                 name=intern(item["cname"]),
                 kind="abstract" if item["abstract"] else intern(item["ckind"]),
-                bases=[intern("".join(base.split())) for base in bases.split(",")] if bases
-                else [])
+                bases=[intern("".join(base.split())) for base in _NAMES_RE.findall(bases)]
+                if bases else [])
         elif what == "e":
             unit.contracts.append(contract)
+            contract = None
+    if free:
+        synthetic = ContractDef(name="", kind="contract", bases=[])
+        for fn in free:
+            fn.contract_def = synthetic
+        unit.contracts.append(synthetic)
+        functions.extend(free)
     return unit
 
 
-def _header_fields(parameters: str | None, words: str) -> tuple:
-    """``(params, visibility or None, modifiers)`` of a header's parameter list and words."""
-    params = []
-    if parameters:
-        for address, type_text, dims, name in _PARAMETER_RE.findall(parameters):
+def _header_fields(parameters: str, words: str) -> tuple:
+    """``(params, visibility or None, modifiers)`` of a header's parameter list and
+    words; params is None if the list is not one of ``TYPE [location] [name]``."""
+    params = None
+    if _PARAMETERS_RE.fullmatch(parameters):
+        params = []
+        for address, type_text, dims, name in _PARAMETER_RE.findall(parameters, 1):
             type_text = address or type_text
             if dims or "." in type_text:
                 type_text = "".join((type_text + dims).split())  # its tokens joined
             params.append((intern(type_text), intern(name)))
     visibility = None
     modifiers = []
-    for word in _HEADER_WORD_RE.findall(words):
+    for word in _NAMES_RE.findall(words):
         if word in VISIBILITIES:
             visibility = intern(word)
         elif word not in _HEADER_KEYWORDS:
             modifiers.append(intern(word))
-    return tuple(params), visibility, tuple(modifiers)
+    return params, visibility, modifiers
+
+
+def _walked_params(src: SourceFile, text: str, start: int, end: int) -> list | None:
+    """The params ``_parse_params`` reads from the list ``text[start:end]``, lexed
+    alone, or None if its read fails or ends before the list's ')'."""
+    parser = Parser(src, tokenize(text, src.path, start, end))
+    try:
+        params = parser._parse_params()
+    except SoliditySyntaxError:
+        return None
+    return params if parser.pos == len(parser.values) - 1 else None
 
 
 def parse_source(src: SourceFile) -> SourceUnit:

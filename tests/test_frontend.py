@@ -773,22 +773,25 @@ def test_every_token_the_parser_reads_comes_through_the_module_tokenize(monkeypa
             assert tokens.index("") == len(tokens) - 1
 
 
-def test_no_body_is_lexed_twice(monkeypatch):
+@pytest.mark.parametrize("pattern", [True, False], ids=["outline pattern", "token walk"])
+def test_no_body_is_lexed_twice(monkeypatch, pattern):
     """Each body is lexed once, alone. The outline holds only a function body's braces,
-    in a contract or free, and is lexed only in a file the outline pattern declines:
-    here, the one with a free function."""
+    in a contract or free, and is lexed only when the outline pattern does not read
+    the file: never here, but always with the token walk alone."""
+    if not pattern:
+        monkeypatch.setattr(parser_module, "_read_outline", lambda src, text: None)
     sources = [(parts[-1], read_fixture(*parts)) for parts in _TWO_FIXTURES]
     for path, text in sources + [("Free.sol", _BLOCKS_AT_EVERY_DEPTH)]:
         unit, lexed, _, whole = _parse_reading_every_body(monkeypatch, text, path)
         bodies = [fn for fn in unit.functions if fn.has_body]
         assert bodies
-        assert whole.count(True) == (path == "Free.sol")
+        assert whole.count(True) == (not pattern)
         ranges = [(tokens.starts[0], tokens.ends[-1])
                   for tokens, outline_lexed in zip(lexed, whole) if not outline_lexed]
         assert sorted(ranges) == sorted((fn.body_start, fn.end) for fn in bodies)
         starts = Counter(start for tokens in lexed for start in tokens.starts[:-1])
         assert {start for start, n in starts.items() if n > 1} == {
-            offset for fn in bodies for offset in (fn.body_start, fn.end - 1) if any(whole)}
+            offset for fn in bodies for offset in (fn.body_start, fn.end - 1) if not pattern}
     assert [fn.name for fn in bodies if fn.contract_def.name == ""] == ["free"]
 
 
