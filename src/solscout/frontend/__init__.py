@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import re
-import string
 from typing import Optional
 
-from .lexer import _IDENTIFIER, strip_comments
+from .lexer import _IDENTIFIER, _NAME_CHARS, strip_comments
 from .nodes import (
     ContractDef,
     Expression,
@@ -16,7 +15,7 @@ from .nodes import (
     SourceUnit,
     Statement,
 )
-from .parser import enumerate_functions, parse_source
+from .parser import parse_source
 
 __all__ = [
     "ContractDef",
@@ -27,7 +26,6 @@ __all__ = [
     "SourceUnit",
     "Statement",
     "parse_source",
-    "enumerate_functions",
     "index_contracts",
     "strip_comments",
     "iter_calls",
@@ -152,9 +150,6 @@ def target_names(expr: Expression) -> list[str]:
 
 
 _IDENTIFIER_RE = re.compile(_IDENTIFIER)
-# The characters that may continue an identifier; any other character,
-# a non-ASCII letter included, ends one.
-_NAME_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
 
 
 def is_identifier(name: str) -> bool:

@@ -44,7 +44,11 @@ from .nodes import LineIndex
 _STRING_ALTERNATIVES = r""""(?:\\[\s\S]|[^"\\\n])*"|'(?:\\[\s\S]|[^'\\\n])*'"""
 _STRING = "(?:" + _STRING_ALTERNATIVES + ")"
 _PREFIXED_STRING = r"(?:hex|unicode)" + _STRING
-_IDENTIFIER = r"[A-Za-z_$][A-Za-z0-9_$]*"
+# A character that may continue an identifier, and the set of them; any
+# other character, a non-ASCII letter included, ends one.
+_NAME_CHAR = "[A-Za-z0-9_$]"
+_NAME_CHARS = frozenset(filter(re.compile(_NAME_CHAR).match, map(chr, range(128))))
+_IDENTIFIER = "[A-Za-z_$]" + _NAME_CHAR + "*"
 _NUMBER = r"0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?"
 
 # One ``(whitespace, token)`` pair per match: the token alternatives in
@@ -81,8 +85,7 @@ _IDENTIFIER_RE = re.compile(
     + _NUMBER + "|" + _STRING + r"|\Z)")
 # Every byte but ASCII letters, digits, '_' and '$' made a space, so that
 # splitting leaves the runs of those.
-_RUN_BYTES = bytes(c if chr(c) in string.ascii_letters + string.digits + "_$" else 32
-                   for c in range(256))
+_RUN_BYTES = bytes(c if chr(c) in _NAME_CHARS else 32 for c in range(256))
 _DIGIT_BYTES = frozenset(string.digits.encode())
 # The number a run that starts with a digit starts with, in bytes.
 _LEADING_NUMBER_RE = re.compile(rb"\A(?:" + _NUMBER.encode() + rb")")
@@ -97,11 +100,11 @@ _DEPTH_ONE_EDGE = {3}
 # that starts with ``function``. Strings may hold any of these characters.
 _STATEMENT_TEXT = r"""[^;"']*(?:""" + _STRING + r"""[^;"']*)*"""
 _FREE_FUNCTION_HEAD_RE = re.compile(
-    "(?:" + _STATEMENT_TEXT + r";)*\s*function(?![A-Za-z0-9_$])" + _STATEMENT_TEXT)
+    "(?:" + _STATEMENT_TEXT + r";)*\s*function(?!" + _NAME_CHAR + ")" + _STATEMENT_TEXT)
 
 # Token kind by first character, "" being eof's; any other first
 # character, a lone quote included, makes punctuation.
-_ID_FIRST = frozenset(string.ascii_letters + "_$")
+_ID_FIRST = _NAME_CHARS.difference(string.digits)
 _KIND_OF_FIRST = (dict.fromkeys(_ID_FIRST, "id") | dict.fromkeys(string.digits, "num")
                   | {"": "eof"})
 _QUOTES = "\"'"

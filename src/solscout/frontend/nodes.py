@@ -130,7 +130,9 @@ class FunctionRecord:
     body, the call graph tests its file's runs once (``lexer.may_name``),
     and lists the body's own names (``lexer.identifiers`` over
     ``body_start..end``) only if those runs may name a function it
-    reached; it keeps no copy of either.
+    reached; it keeps no copy of either. Like a statement's, its line
+    ``span`` is read from the file's line index when asked, so the parse
+    counts no lines and a file whose lines nothing reads builds no index.
     """
 
     name: str  # empty for constructor/fallback/receive
@@ -138,7 +140,6 @@ class FunctionRecord:
     params: list  # ordered (type_text, name) pairs
     visibility: str  # public|external|internal|private
     modifiers: list  # invocation names, source order
-    span: tuple[int, int]
     start: int = 0
     end: int = 0
     contract: str = ""
@@ -146,6 +147,12 @@ class FunctionRecord:
     file: Optional[SourceFile] = None
     body_start: int = -1  # offset of the body's '{'; -1 for a declaration
     parsed_body: Optional[list] = field(default=None, repr=False)
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """1-based (start line, end line), read from the file's line index."""
+        line_of = self.file.line_index.line_of
+        return line_of(self.start), line_of(max(self.start, self.end - 1))
 
     @property
     def arity(self) -> int:

@@ -21,6 +21,12 @@ constructors) as their file is parsed, and every other body when
 something first reads it (``parse_body``), so a function's body is
 lexed once at most (bar the free functions ``lexer.outline`` names).
 
+Two readers read a file's outline and differ only in how they read a
+header: ``_function`` builds every record from what they read, with
+all of a record's rules, and ``_unit`` lists free functions last, under
+one nameless contract. A record's line span is read from the file's
+line index when asked.
+
 One compiled pattern, ``_OUTLINE_RE``, reads most outlines without
 lexing them: one ``finditer`` per file matches it item by item, each a
 contract header, a contract's closing brace, a function with a blank
@@ -32,19 +38,19 @@ included: ``mapping(address => mapping(address => uint256))``,
 ``is ERC20("Name", "SYM")``, ``onlyRole(keccak256("X"))``.
 ``_read_outline`` builds from the matches the unit the token walk
 (``Parser``) would build, field by field, interning every name, type,
-modifier and base as ``tokenize`` interns token values, and parses
-entry-point bodies at the same point. It reads a parameter list of
-``TYPE [location] [name]`` items (a possibly dotted type, array
-suffixes, ``address payable``) from its match; any other list, such as
-one with a ``mapping`` or ``function`` type, is lexed alone and read by
-``_parse_params``. It declines a file the matches do not cover from its
-first character to its last as that grammar: a ``function (`` member
-without a body (a state variable of function type, say), deeper
-nesting, a constructor, fallback or receive outside a contract, or
-malformed text. It declines a file whose entry body nests
-too deep, or one of whose lexed parameter lists does not read to its
-')', too. A declined file goes through the token walk, which is the
-reference and the only source of syntax errors. The input alone
+modifier and base as ``tokenize`` interns token values. It reads a
+parameter list of ``TYPE [location] [name]`` items (a possibly dotted
+type, array suffixes, ``address payable``) from its match; any other
+list, such as one with a ``mapping`` or ``function`` type, is lexed
+alone and read by ``_parse_params``. It declines a file the matches do
+not cover from its first character to its last as that grammar: a
+``function (`` member without a body (a state variable of function
+type, say), deeper nesting, a constructor, fallback or receive outside
+a contract, or malformed text. It declines a file one of whose lexed
+parameter lists does not read to its ')', too. A declined file goes
+through the token walk, which is the reference and the source of every
+syntax error but one: an entry body that nests too deep, which
+``_function`` reports the same way on either path. The input alone
 decides which path runs.
 
 The parser reads a ``tokenize`` result as it is: token values, start
@@ -62,6 +68,7 @@ from sys import intern
 from ..errors import SoliditySyntaxError
 from .lexer import (
     _IDENTIFIER,
+    _NAME_CHAR,
     _STRING,
     Tokens,
     is_id,
@@ -128,8 +135,6 @@ class Parser:
         self.starts = tokens.starts
         self.ends = tokens.ends
         self.pos = 0
-        # (offset, its line) of the last ``_line_of`` answer; offsets asked only grow
-        self._line_at = (0, 1)
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -175,26 +180,17 @@ class Parser:
 
     def parse(self) -> SourceUnit:
         values = self.values
-        unit = SourceUnit()
-        free: list[FunctionRecord] = []
+        contracts, functions, free = [], [], []
         while value := values[self.pos]:
             if value in ("contract", "interface", "library") or (
                 value == "abstract" and values[self.pos + 1] == "contract"
             ):
-                unit.contracts.append(self._parse_contract(unit.functions))
+                contracts.append(self._parse_contract(functions))
             elif value == "function":
-                free.append(self._parse_function("contract", None))
+                free.append(self._parse_function(None))
             else:
                 self._skip_statement()
-        if free:
-            synthetic = ContractDef(name="", kind="contract", bases=[])
-            for fn in free:
-                fn.contract_def = synthetic
-            unit.contracts.append(synthetic)
-            unit.functions.extend(free)
-        for fn in unit.functions:
-            fn.file = self.src
-        return unit
+        return _unit(contracts, functions, free)
 
     def _after_balanced(self, i: int, opening: str, closing: str) -> int:
         """Index just past the ``closing`` matching the ``opening`` at ``i - 1``, or of eof."""
@@ -249,10 +245,7 @@ class Parser:
             if not self._at_function():
                 self._skip_statement()  # modifier, state variable, struct, event, ...
             elif not self._skipped_function_type_variable():
-                fn = self._parse_function(contract.kind, contract.name)
-                fn.contract = contract.name
-                fn.contract_def = contract
-                functions.append(fn)
+                functions.append(self._parse_function(contract))
         self.expect_punct("}", hard=True)
         return contract
 
@@ -286,11 +279,10 @@ class Parser:
     # ------------------------------------------------------------------
     # functions
 
-    def _parse_function(self, contract_kind: str, contract_name: str | None) -> FunctionRecord:
-        """A function of a contract, or a free one if ``contract_name`` is None."""
+    def _parse_function(self, contract: ContractDef | None) -> FunctionRecord:
+        """A function of ``contract``, or a free one if it is None."""
         values = self.values
-        first = self.pos
-        start = self.starts[first]
+        start = self.starts[self.pos]
         kw = self.advance()
         if kw == "function":
             kind = "function"
@@ -315,40 +307,16 @@ class Parser:
             elif v not in MUTABILITY and v != "virtual":
                 modifiers.append(v)
                 self._skip_balanced_parens()
-        if contract_name is None:
-            visibility = "internal"  # a free function is always internal
-        elif visibility is None:
-            visibility = "external" if contract_kind == "interface" else "public"
-        if name and name == contract_name:
-            name, kind = "", "constructor"  # pre-0.5 constructor-by-name
-        fn = FunctionRecord(name, kind, params, visibility, modifiers, (0, 0), start)
+        body_start = -1
         if self.at(";"):
-            fn.end = self.expect_punct(";")
+            end = self.expect_punct(";")
         else:
-            fn.body_start = self.starts[self.pos]
+            body_start = self.starts[self.pos]
             self.expect_punct("{", hard=True)
             self._skip_balanced("{", "}")
-            fn.end = self.ends[self.pos - 1]
-            if fn.is_entry_point:
-                try:
-                    fn.parsed_body = _parse_block(self.src, fn.body_start, fn.end)
-                except RecursionError:
-                    self.pos = first  # so the file's failure points at this function
-                    raise
-        fn.span = (self._line_of(start), self._line_of(max(start, fn.end - 1)))
-        return fn
-
-    def _line_of(self, offset: int) -> int:
-        """The 1-based line of ``offset``, not before the last one asked.
-
-        The newlines since the last answer are counted, so the file's
-        parse needs no line index, and a file whose lines nothing else
-        reads never builds one.
-        """
-        at, line = self._line_at
-        line += self.src.text.count("\n", at, offset)
-        self._line_at = (offset, line)
-        return line
+            end = self.ends[self.pos - 1]
+        return _function(self.src, contract, name, kind, params, visibility, modifiers, start,
+                         end, body_start)
 
     def _parse_params(self) -> list:
         values = self.values
@@ -900,10 +868,51 @@ def parse_body(fn: FunctionRecord) -> list:
         return [Statement("opaque", inside.start(), inside.end(), src, 0)]
 
 
+def _function(src: SourceFile, contract: ContractDef | None, name: str, kind: str,
+              params: list, visibility: str | None, modifiers: list, start: int, end: int,
+              body_start: int) -> FunctionRecord:
+    """The record of the function ``src.text[start:end]`` of ``contract``, or a
+    free one if it is None, as a reader read its header: ``visibility`` is
+    None where the header names none, and ``body_start`` is -1 where it
+    has no body. Both readers build every record here, as they meet it.
+
+    An entry point's body is parsed now; one that nests too deep fails
+    the file at the function's first character.
+    """
+    if contract is None:
+        visibility = "internal"  # a free function is always internal
+    else:
+        if visibility is None:
+            visibility = "external" if contract.kind == "interface" else "public"
+        if name and name == contract.name:
+            name, kind = "", "constructor"  # pre-0.5 constructor-by-name
+    fn = FunctionRecord(name, kind, params, visibility, modifiers, start, end,
+                        contract=contract.name if contract else "", contract_def=contract,
+                        file=src, body_start=body_start)
+    if body_start >= 0 and fn.is_entry_point:
+        try:
+            fn.parsed_body = _parse_block(src, body_start, end)
+        except RecursionError:
+            line, col = src.line_index.linecol(start)
+            raise SoliditySyntaxError("nesting too deep", line, col, src.path) from None
+    return fn
+
+
+def _unit(contracts: list, functions: list, free: list) -> SourceUnit:
+    """The unit of a file's contracts and their functions, then its ``free``
+    functions, which share one nameless contract, listed last."""
+    if free:
+        nameless = ContractDef(name="", kind="contract", bases=[])
+        for fn in free:
+            fn.contract_def = nameless
+        contracts.append(nameless)
+        functions += free
+    return SourceUnit(contracts, functions)
+
+
 # ----------------------------------------------------------------------
 # the outline read by one pattern
 
-_NAME_CHAR = "[A-Za-z0-9_$]"
 _ID = _IDENTIFIER + "(?!" + _NAME_CHAR + ")"  # a whole id token
 _DOTTED = _ID + r"(?:\s*\.\s*" + _ID + ")*"
 
@@ -988,22 +997,18 @@ def _outline(src: SourceFile) -> str:
 def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
     """The file's unit read from its outline ``text`` by ``_OUTLINE_RE``, or
     None if the pattern does not read the whole file as contracts, members
-    and functions, a lexed parameter list does not read to its ')', or an
-    entry point's body nests too deep.
+    and functions, or a lexed parameter list does not read to its ')'.
 
-    The unit equals ``Parser.parse``'s, field by field, each name, type,
-    modifier and base interned. Entry points' bodies are parsed as the
-    token walk parses them, at the same point.
+    It reads each function's header and ``_function`` builds its record,
+    as for the token walk, so the unit equals ``Parser.parse``'s, field by
+    field, each name, type, modifier and base interned, and it raises what
+    ``Parser.parse`` raises for an entry body that nests too deep.
     """
     items = list(_OUTLINE_RE.finditer(text, 1 if text.startswith("\ufeff") else 0))
     if not _STRUCTURE_RE.fullmatch("".join(map(_KIND, items))):
         return None
-    unit = SourceUnit()
-    functions = unit.functions
-    free = []  # free functions, listed after the contracts' functions
+    contracts, functions, free = [], [], []
     contract = None  # the contract whose members are being read
-    count = src.text.count
-    at, line = 0, 1  # an offset and its line; offsets asked only grow
     headers = {}  # the fields of each distinct parameter list and header words of the file
     for item in items:
         what = item.lastgroup
@@ -1019,8 +1024,6 @@ def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
                 kind, name = "function", ""  # an old-style fallback function
             else:
                 kind, name = "function", intern(name)
-                if contract is not None and name == contract.name:
-                    name, kind = "", "constructor"  # pre-0.5 constructor-by-name
             header = item.group("params", "words")
             fields = headers.get(header)
             if fields is None:
@@ -1031,31 +1034,9 @@ def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
                 params = _walked_params(src, text, *item.span("params"))
                 if params is None:
                     return None
-            if contract is None:
-                visibility = "internal"  # a free function is always internal
-            elif visibility is None:
-                visibility = "external" if contract.kind == "interface" else "public"
-            start = item.start("f")
-            fn = FunctionRecord(name, kind, list(params), visibility, list(modifiers), (0, 0),
-                                start)
-            fn.end = end = item.end()
-            fn.body_start = body_start = item.start("body")
-            if body_start >= 0 and fn.is_entry_point:
-                try:
-                    fn.parsed_body = _parse_block(src, body_start, end)
-                except RecursionError:
-                    return None  # the token walk reports it
-            first = line + count("\n", at, start)
-            line = first + count("\n", start, end)  # the last character is '}' or ';'
-            at = end
-            fn.span = (first, line)
-            fn.file = src
-            if contract is None:
-                free.append(fn)
-            else:
-                fn.contract = contract.name
-                fn.contract_def = contract
-                functions.append(fn)
+            (free if contract is None else functions).append(_function(
+                src, contract, name, kind, list(params), visibility, list(modifiers),
+                item.start("f"), item.end(), item.start("body")))
         elif what == "c":
             bases = item["bases"]
             contract = ContractDef(
@@ -1064,15 +1045,9 @@ def _read_outline(src: SourceFile, text: str) -> SourceUnit | None:
                 bases=[intern("".join(base.split())) for base in _NAMES_RE.findall(bases)]
                 if bases else [])
         elif what == "e":
-            unit.contracts.append(contract)
+            contracts.append(contract)
             contract = None
-    if free:
-        synthetic = ContractDef(name="", kind="contract", bases=[])
-        for fn in free:
-            fn.contract_def = synthetic
-        unit.contracts.append(synthetic)
-        functions.extend(free)
-    return unit
+    return _unit(contracts, functions, free)
 
 
 def _header_fields(parameters: str, words: str) -> tuple:
@@ -1111,10 +1086,11 @@ def parse_source(src: SourceFile) -> SourceUnit:
     """Parse one file. Raises SoliditySyntaxError; never anything else.
 
     ``_read_outline`` reads the file if its pattern covers it; any other
-    file goes through the token walk (``Parser``), whose errors are the
-    only ones raised. Nesting too deep fails at the first character of
-    the entry point whose body holds it, or else at the token where the
-    file-level parse ran out of stack.
+    file goes through the token walk (``Parser``). The token walk raises
+    every syntax error but one: an entry body that nests too deep fails
+    at the entry point's first character, on either path (``_function``).
+    Nesting too deep elsewhere fails at the token where the file-level
+    parse ran out of stack.
     """
     parser = None
     try:
@@ -1131,8 +1107,3 @@ def parse_source(src: SourceFile) -> SourceUnit:
         raise SoliditySyntaxError("nesting too deep", line, col, src.path) from None
     except Exception as exc:  # totality: a parse either succeeds or raises SyntaxError
         raise SoliditySyntaxError(f"parse failure: {exc}", 1, 1, src.path) from exc
-
-
-def enumerate_functions(unit: SourceUnit) -> list:
-    """All functions across all contracts, in declaration order."""
-    return list(unit.functions)

@@ -22,7 +22,7 @@ from .errors import (
     UnparseableAnswer,
 )
 from .filters import candidates_for_rule
-from .frontend import enumerate_functions, index_contracts, parse_source
+from .frontend import index_contracts, parse_source
 from .gateway import LlmGateway, Transcript, once
 from .prompts import (
     build_property_prompt,
@@ -74,7 +74,7 @@ def prepare_scan(config: ScanConfig, every_body: bool = False) -> PreparedScan:
         except SoliditySyntaxError as exc:
             parse_failures.append((src.path, str(exc)))
 
-    functions = [fn for unit in units for fn in enumerate_functions(unit)]
+    functions = [fn for unit in units for fn in unit.functions]
     contracts_by_name = index_contracts(units)
 
     whitelist = load_signature_set(config.whitelist_path)

@@ -49,7 +49,9 @@ def discover_sources(root: str, excluded_segments=DEFAULT_EXCLUDED_SEGMENTS) -> 
 
     A file is excluded when any directory segment of its path (relative
     to root, case-insensitive) is in ``excluded_segments``; the matched
-    segment is recorded as the reason. Unreadable files get "io-error".
+    segment is recorded as the reason. A file that is not UTF-8 gets
+    "not-utf-8 at byte N", N being the offset of its first bad byte, and
+    any other file that cannot be read gets "io-error".
     """
     if not os.path.isdir(root):
         raise IOError(f"project root not readable: {root}")
@@ -67,13 +69,17 @@ def discover_sources(root: str, excluded_segments=DEFAULT_EXCLUDED_SEGMENTS) -> 
                 layout.excluded.append((rel, reason))
                 continue
             try:
-                # utf-8-sig: a leading BOM never reaches the lexer
-                with open(full, "r", encoding="utf-8-sig") as fh:
+                # one read decodes the whole file, so a decode error's start is its byte offset
+                with open(full, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except (OSError, UnicodeDecodeError):
+            except UnicodeDecodeError as exc:
+                layout.excluded.append((rel, f"not-utf-8 at byte {exc.start}"))
+                continue
+            except OSError:
                 layout.excluded.append((rel, "io-error"))
                 continue
-            layout.included.append(SourceFile(path=rel, text=text))
+            # a leading BOM never reaches the lexer
+            layout.included.append(SourceFile(path=rel, text=text.removeprefix("\ufeff")))
     return layout
 
 

@@ -237,10 +237,10 @@ def regex_outline(stripped: str, path: str = "") -> str:
     return "".join(chain.from_iterable(zip_longest(kept, blanks, fillvalue="")))
 
 
-def line_index_span(fn) -> tuple:
-    """A function's 1-based (start line, end line), looked up in a line index of its file."""
-    line_of = LineIndex(fn.file.text).line_of
-    return line_of(fn.start), line_of(max(fn.start, fn.end - 1))
+def newline_span(fn) -> tuple:
+    """A function's 1-based (start line, end line), by counting the newlines before them."""
+    count = fn.file.text.count
+    return count("\n", 0, fn.start) + 1, count("\n", 0, max(fn.start, fn.end - 1)) + 1
 
 
 def whitelist_survivors(functions: list, whitelist, contracts_by_name: dict) -> list:

@@ -15,7 +15,7 @@ import pytest
 from solscout.confirm import DefUseGraph, build_def_use, check_dataflow, check_order
 from solscout.callgraph import assemble_context, build_call_graph
 from solscout.filters import directive_passes
-from solscout.frontend import enumerate_functions, index_contracts
+from solscout.frontend import index_contracts
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import scan
 from solscout.report import ConfusionCounts,derive_rates, score
@@ -230,7 +230,7 @@ def test_criterion_6_oracle_equivalence():
                                os.listdir(fixture_path(fixture, "contracts"))[0]),
                   encoding="utf-8") as fh:
             unit = parse_text(fh.read())
-        fns = enumerate_functions(unit)
+        fns = unit.functions
         graph = build_call_graph(fns, index_contracts([unit]))
         focus = next(f for f in fns if f.name == focus_name)
         ctx = assemble_context(focus, graph, ContextPolicy(False, True),
@@ -261,9 +261,7 @@ def test_criterion_6_oracle_equivalence():
     demorgan = 0
     for _ in range(1000):
         body = " ".join(f"{rng.choice(words)} = {k};" for k in range(rng.randrange(0, 6)))
-        fn = enumerate_functions(
-            parse_text("contract C { function f() public { %s } }" % body)
-        )[0]
+        fn = parse_text("contract C { function f() public { %s } }" % body).functions[0]
         combos = [[rng.choice(words) for _ in range(rng.randrange(1, 3))]
                   for _ in range(rng.randrange(1, 4))]
         assert directive_passes(fn, "FCCE", combos, set()) != \

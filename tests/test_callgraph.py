@@ -9,7 +9,7 @@ from solscout.callgraph import (
     compute_reachability,
 )
 from solscout.errors import ContextOverflow
-from solscout.frontend import call_name, enumerate_functions, index_contracts
+from solscout.frontend import call_name, index_contracts
 from solscout.frontend.lexer import identifiers
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import prepare_scan
@@ -22,7 +22,7 @@ from helpers import parse_text, replay_config
 
 def graph_from(src):
     unit = parse_text(src)
-    fns = enumerate_functions(unit)
+    fns = unit.functions
     return build_call_graph(fns, index_contracts([unit])), fns
 
 
@@ -44,7 +44,7 @@ def test_a_do_while_loop_is_a_while_statement_whose_body_calls_are_edges():
             function g() internal { x += 1; }
         }
     """)
-    fns = enumerate_functions(unit)
+    fns = unit.functions
     graph = build_call_graph(fns, index_contracts([unit]), every_body=False)
     [loop] = fns[0].body
     assert loop.kind == "while" and loop.raw == "do { g(); } while (x < 3);"
@@ -126,7 +126,7 @@ def test_duplicate_contract_names_across_files_do_not_resolve():
     ):
         sources = sources + ["contract B is A { function g() public { f(); } }"]
         units = [parse_text(text, f"f{i}.sol") for i, text in enumerate(sources)]
-        fns = [fn for unit in units for fn in enumerate_functions(unit)]
+        fns = [fn for unit in units for fn in unit.functions]
         graph = build_call_graph(fns, index_contracts(units))
         assert ("B.g", "f", 0) in graph.unresolved, sources
         assert not graph.edges, sources
@@ -430,7 +430,7 @@ WALKED = """
 
 def test_a_scans_graph_walks_the_entry_points_closure_and_bodies_naming_it():
     unit = parse_text(WALKED)
-    fns = enumerate_functions(unit)
+    fns = unit.functions
     graph = build_call_graph(fns, index_contracts([unit]), every_body=False)
     parsed = [fn.name for fn in fns if fn.parsed_body is not None]
     assert parsed == ["pub", "admin", "helper", "leaf", "secret", "dead"]
@@ -439,7 +439,7 @@ def test_a_scans_graph_walks_the_entry_points_closure_and_bodies_naming_it():
     assert graph.unresolved == [("A.dead", "missing", 0)]
     assert "A.other" not in {callee for _caller, callee, _seq in graph.edges}
     full_unit = parse_text(WALKED)
-    full = build_call_graph(enumerate_functions(full_unit), index_contracts([full_unit]))
+    full = build_call_graph(full_unit.functions, index_contracts([full_unit]))
     assert ("A.orphan", "A.other", 0) in full.edges
     assert [e for e in full.edges if e[0] != "A.orphan"] == graph.edges
 

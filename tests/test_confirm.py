@@ -19,7 +19,7 @@ from solscout.confirm import (
     check_value_comparison,
     confirm_candidate,
 )
-from solscout.frontend import call_name, enumerate_functions, index_contracts, iter_calls, used_names
+from solscout.frontend import call_name, index_contracts, iter_calls, used_names
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import scan
 from solscout.report import Finding
@@ -35,7 +35,7 @@ from test_pipeline import checkpoint_order_answers, first_deposit_answers
 def make_context(src, focus_name, include_callers=True, path="mem.sol",
                  include_callees=True, contract=None):
     unit = parse_text(src, path)
-    fns = enumerate_functions(unit)
+    fns = unit.functions
     graph = build_call_graph(fns, index_contracts([unit]))
     reach = compute_reachability(graph, fns)
     focus = next(f for f in fns

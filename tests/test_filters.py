@@ -1,7 +1,7 @@
 import random
 
 from solscout.filters import apply_filters, candidates_for_rule, directive_passes
-from solscout.frontend import enumerate_functions, strip_comments
+from solscout.frontend import strip_comments
 from solscout.rules import ContextPolicy, parse_rule
 
 from conftest import fixture_path
@@ -20,7 +20,7 @@ def rule_with(filters, rule_id="t"):
 
 
 def fn_from(src, name=None):
-    fns = enumerate_functions(parse_text(src))
+    fns = parse_text(src).functions
     if name is None:
         return fns[0]
     return next(f for f in fns if f.name == name)
@@ -134,7 +134,7 @@ def test_candidates_preserve_source_order_and_policy():
             function c() public { userCheckpoint(x); }
         }
     """
-    fns = enumerate_functions(parse_text(src))
+    fns = parse_text(src).functions
     rule = rule_with([{"kind": "FCE", "expressions": ["checkpoint"]}, {"kind": "CFN"}])
     picked = candidates_for_rule(fns, rule)
     assert [fn.name for fn in picked] == ["a", "c"]
@@ -163,7 +163,7 @@ def test_candidates_synthetic_bruteforce():
     src = "contract C {" + "".join(
         f"function f{i}() public {{ {body} }}" for i, body in enumerate(bodies)
     ) + "}"
-    fns = enumerate_functions(parse_text(src))
+    fns = parse_text(src).functions
     rule = rule_with([{"kind": "FCCE", "combinations": [["total", "supply"]]}])
 
     stripped = [strip_comments(body).lower() for body in bodies]

@@ -14,7 +14,6 @@ from solscout.frontend import (
     LineIndex,
     SourceFile,
     contains_identifier,
-    enumerate_functions,
     iter_calls,
     parse_source,
     strip_comments,
@@ -25,7 +24,7 @@ from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
 from corpus import build_corpus, filler_source
-from helpers import (cut_tokens, line_index_span, parse_text, regex_outline, regex_strip_comments,
+from helpers import (cut_tokens, newline_span, parse_text, regex_outline, regex_strip_comments,
                      token_rows, walk_expression)
 
 
@@ -53,7 +52,7 @@ def test_minimal_unit():
 
 def test_first_deposit_deposit_function():
     unit = parse_text(read_fixture("first_deposit", "contracts", "Vault.sol"), "Vault.sol")
-    deposit = next(f for f in enumerate_functions(unit) if f.name == "deposit")
+    deposit = next(f for f in unit.functions if f.name == "deposit")
     conditions = [s.condition.raw for s in deposit.statements()
                   if s.kind == "if" and s.condition is not None]
     assert any("totalSupply()" in c for c in conditions)
@@ -76,17 +75,17 @@ def test_enumerate_declaration_order():
         contract A { function f() public {} function g() public {} }
         contract B { function h() public {} }
     """)
-    names = [(f.contract, f.name) for f in enumerate_functions(unit)]
+    names = [(f.contract, f.name) for f in unit.functions]
     assert names == [("A", "f"), ("A", "g"), ("B", "h")]
 
 
 def test_enumerate_empty_unit():
-    assert enumerate_functions(parse_text("pragma solidity ^0.8.0;")) == []
+    assert parse_text("pragma solidity ^0.8.0;").functions == []
 
 
 def test_checkpoint_order_function_records():
     unit = parse_text(read_fixture("checkpoint_order", "contracts", "StakerVault.sol"))
-    names = {f.name for f in enumerate_functions(unit)}
+    names = {f.name for f in unit.functions}
     assert "transfer" in names
     assert "userCheckpoint" in names
 
@@ -100,7 +99,7 @@ def test_visibilities_and_modifiers():
             function d() public onlyOwner whenNotPaused(3) {}
         }
     """)
-    fns = {f.name: f for f in enumerate_functions(unit)}
+    fns = {f.name: f for f in unit.functions}
     assert fns["a"].visibility == "external"
     assert fns["b"].visibility == "internal"
     assert fns["c"].visibility == "private"
@@ -109,14 +108,14 @@ def test_visibilities_and_modifiers():
 
 def test_interface_functions_default_external():
     unit = parse_text("interface I { function f() returns (uint256); }")
-    fn = enumerate_functions(unit)[0]
+    fn = unit.functions[0]
     assert fn.visibility == "external"
     assert fn.body is None
 
 
 def test_legacy_constructor_by_name():
     unit = parse_text("contract Token { function Token() public { owner = msg.sender; } }")
-    fn = enumerate_functions(unit)[0]
+    fn = unit.functions[0]
     assert fn.kind == "constructor"
     assert fn.name == ""
 
@@ -170,11 +169,11 @@ def test_kitchen_sink_contract_parses_meaningfully():
         }
     """
     unit = parse_text(src)
-    names = {(f.contract, f.name) for f in enumerate_functions(unit)}
+    names = {(f.contract, f.name) for f in unit.functions}
     assert ("Math", "min") in names
     assert ("Base", "poke") in names
     assert ("Sink", "work") in names
-    work = next(f for f in enumerate_functions(unit) if f.name == "work")
+    work = next(f for f in unit.functions if f.name == "work")
     kinds = [s.kind for s in work.statements()]
     assert "opaque" not in kinds, kinds  # everything here is in the supported subset
     assert {"block", "for", "assignment", "local-decl", "if", "revert",
@@ -190,9 +189,9 @@ def test_constructor_and_fallback_kinds():
             receive() external payable {}
         }
     """)
-    kinds = [f.kind for f in enumerate_functions(unit)]
+    kinds = [f.kind for f in unit.functions]
     assert kinds == ["constructor", "fallback", "receive"]
-    assert all(f.name == "" for f in enumerate_functions(unit))
+    assert all(f.name == "" for f in unit.functions)
 
 
 def test_inheritance_bases_preserve_order():
@@ -206,7 +205,7 @@ def test_param_order_and_types():
             function f(address to, uint256[] memory amounts, mapping(address => uint) storage m) internal {}
         }
     """)
-    fn = enumerate_functions(unit)[0]
+    fn = unit.functions[0]
     assert fn.params == [
         ("address", "to"),
         ("uint256[]", "amounts"),
@@ -230,7 +229,7 @@ def test_statement_kinds():
             }
         }
     """)
-    fn = enumerate_functions(unit)[0]
+    fn = unit.functions[0]
     kinds = {s.kind for s in fn.statements()}
     assert {"local-decl", "for", "while", "if", "revert", "emit",
             "require", "assert", "return", "assignment", "block"} <= kinds
@@ -245,7 +244,7 @@ def test_tuple_declaration_and_assignment():
             }
         }
     """)
-    fn = enumerate_functions(unit)[0]
+    fn = unit.functions[0]
     stmts = list(fn.statements())
     assert stmts[0].kind == "local-decl"
     assert stmts[0].decl_names == ("a", "b")
@@ -254,7 +253,7 @@ def test_tuple_declaration_and_assignment():
 
 def test_require_condition_raw():
     unit = parse_text("contract C { function f(uint x) public { require(x >= 10, \"low\"); } }")
-    stmt = next(iter(enumerate_functions(unit)[0].statements()))
+    stmt = next(iter(unit.functions[0].statements()))
     assert stmt.kind == "require"
     assert stmt.condition.raw == "x >= 10"
 
@@ -267,7 +266,7 @@ def test_assembly_becomes_opaque_with_raw():
             x = 2;
         }
     }"""
-    fn = enumerate_functions(parse_text(src))[0]
+    fn = parse_text(src).functions[0]
     kinds = [s.kind for s in fn.statements()]
     assert kinds == ["local-decl", "opaque", "assignment"]
     opaque = [s for s in fn.statements() if s.kind == "opaque"][0]
@@ -282,14 +281,14 @@ def test_try_catch_becomes_opaque():
             done = true;
         }
     }"""
-    fn = enumerate_functions(parse_text(src))[0]
+    fn = parse_text(src).functions[0]
     kinds = [s.kind for s in fn.statements()]
     assert kinds == ["opaque", "assignment"]
 
 
 def test_unknown_statement_degrades_to_opaque():
     src = "contract C { function f() public { weird ??! stuff ;; x = 1; } }"
-    fn = enumerate_functions(parse_text(src))[0]
+    fn = parse_text(src).functions[0]
     assert [s.kind for s in fn.statements()][-1] == "assignment"
     assert any(s.kind == "opaque" for s in fn.statements())
 
@@ -354,7 +353,7 @@ def test_comment_stripping_preserves_offsets():
 
 def test_comment_markers_inside_strings_kept():
     src = 'contract C { function f() public { s = "// not a comment"; } }'
-    fn = enumerate_functions(parse_text(src))[0]
+    fn = parse_text(src).functions[0]
     stmt = list(fn.statements())[0]
     assert "// not a comment" in stmt.raw
 
@@ -365,7 +364,7 @@ def test_span_roundtrip_fidelity():
         text = read_fixture(*parts)
         line_of = LineIndex(text).line_of
         unit = parse_text(text)
-        for fn in enumerate_functions(unit):
+        for fn in unit.functions:
             assert text[fn.start:fn.end] == fn.source()
             for stmt in fn.statements():
                 assert text[stmt.start:stmt.end] == stmt.raw
@@ -394,7 +393,7 @@ def test_seq_matches_preorder_span_order():
     """seq increases exactly with (span start, nesting depth)."""
     text = read_fixture("first_deposit", "contracts", "Vault.sol")
     unit = parse_text(text)
-    for fn in enumerate_functions(unit):
+    for fn in unit.functions:
         stmts = _depth_ordered(fn)
         for (a, da) in stmts:
             for (b, db) in stmts:
@@ -437,7 +436,7 @@ DEEP_PARENS = "(" * 400 + "a" + ")" * 400
 ], ids=["modifier-body", "state-variable-initializer"])
 def test_deep_members_other_than_functions_are_skipped(member):
     unit = parse_text("contract C { %s function f() public { g(); } }" % member)
-    assert [(fn.contract, fn.name) for fn in enumerate_functions(unit)] == [("C", "f")]
+    assert [(fn.contract, fn.name) for fn in unit.functions] == [("C", "f")]
 
 
 def test_star_import_exports_exist():
@@ -483,7 +482,7 @@ def test_totality_fuzz_never_crashes(monkeypatch):
                 if every_body:
                     patch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
                 try:
-                    enumerate_functions(Parser(SourceFile(path="fuzz.sol", text=text)).parse())
+                    Parser(SourceFile(path="fuzz.sol", text=text)).parse()
                 except SoliditySyntaxError:
                     pass
 
@@ -498,7 +497,7 @@ def _shape(expr):
 
 
 def _expression_shape(text: str):
-    fn = enumerate_functions(parse_text(f"contract C {{ function f() public {{ return {text}; }} }}"))[0]
+    fn = parse_text(f"contract C {{ function f() public {{ return {text}; }} }}").functions[0]
     return _shape(fn.body[0].exprs[0])
 
 
@@ -899,7 +898,7 @@ def test_a_broken_member_or_statement_costs_only_itself(broken):
 def test_leading_bom_is_whitespace():
     text = "\ufeffcontract C { function f() public {} }"
     assert token_rows(tokenize(text))[0] == ("id", "contract", 1, 9)
-    (fn,) = enumerate_functions(parse_text(text))
+    (fn,) = parse_text(text).functions
     assert fn.source() == "function f() public {}"
 
 
@@ -1133,7 +1132,7 @@ def test_iter_calls_lists_calls_in_the_order_of_a_pre_order_walk():
     sources = [(case.source, case.filename) for case in build_corpus(variants=3)]
     seen = 0
     for text, path in sources + [(NESTED_CALLS, "N.sol")]:
-        for fn in enumerate_functions(parse_text(text, path)):
+        for fn in parse_text(text, path).functions:
             for stmt in fn.statements():
                 for top in stmt.expressions():
                     for expr in walk_expression(top):
@@ -1232,8 +1231,9 @@ def test_strip_comments_and_outline_match_their_regex_oracles(scanned_sources):
 
 def test_function_spans_and_syntax_errors_match_the_line_index_oracle(scanned_sources,
                                                                        monkeypatch):
-    """A function's span counts newlines; a file parsed with the regex passes
-    raises the same message at the same line and column, or parses the same."""
+    """A function's span, read from its file's line index, counts the newlines
+    before it; a file parsed with the regex passes raises the same message at
+    the same line and column, or parses the same."""
     def fields(text):
         unit = _outcome(parse_text, text, "p.sol")
         if isinstance(unit, tuple):
@@ -1253,19 +1253,20 @@ def test_function_spans_and_syntax_errors_match_the_line_index_oracle(scanned_so
     for text in texts:
         if text not in errors:
             for fn in parse_text(text).functions:
-                assert fn.span == line_index_span(fn), (fn.name, text)
+                assert fn.span == newline_span(fn), (fn.name, text)
                 spans += 1
     assert spans > 6000
 
 
 def test_line_and_column_count_every_character_before_them():
     """CRLF, a byte-order mark and non-ASCII text before a function count as
-    characters, as a line index of the file counts them."""
+    characters, as counting the newlines before it does. The parse builds no
+    line index: the first span read does."""
     for name in ("CRLF line ends", "non-ASCII before a function", "byte-order mark"):
         text = _LEXING_EDGE_CASES[name]
         unit = parse_text(text)
-        assert [fn.span for fn in unit.functions] == [line_index_span(fn) for fn in unit.functions]
-        assert all("line_index" not in vars(fn.file) for fn in unit.functions)
+        assert unit.functions and all("line_index" not in vars(fn.file) for fn in unit.functions)
+        assert [fn.span for fn in unit.functions] == [newline_span(fn) for fn in unit.functions]
     assert [fn.span for fn in parse_text(_LEXING_EDGE_CASES["CRLF line ends"]).functions] == [
         (3, 5), (8, 8)]
     assert _syntax_error("\ufeffcontract C {\r\n function f() public {\r\n") == (

@@ -1,8 +1,9 @@
 """The outline pattern (``parser._read_outline``) against the token walk (``Parser``).
 
 The token walk is the reference: on every file the pattern reads, the two
-give equal units, field by field and entry-point body by body, and a file
-the pattern does not read goes through the token walk alone.
+give equal units, field by field and entry-point body by body, or raise
+the same error, and a file the pattern does not read goes through the
+token walk alone.
 """
 
 import glob
@@ -10,8 +11,6 @@ import os
 import random
 import sys
 from collections import Counter
-
-import pytest
 
 from solscout.errors import SoliditySyntaxError
 from solscout.frontend import SourceFile, parse_source
@@ -94,7 +93,7 @@ HAZARDS = {
     "header without a body": ("contract C { function f() public }\n", False),
     "unclosed parameter list": ("contract C { function f(uint a public {} }\n", False),
     "deep entry body": ("contract C {\n    function g() internal {}\n    function f() public {\n"
-                        "        x = %s;\n    }\n}\n" % DEEP, False),
+                        "        x = %s;\n    }\n}\n" % DEEP, True),
     "real-code shapes": (
         'import "@oz/ERC20.sol";\nerror Unauthorized(address account);\ntype Price is uint256;\n'
         "using L for Price global;\n"
@@ -166,15 +165,25 @@ def _unit_rows(unit, src) -> tuple:
              for fn in unit.functions])
 
 
+def _rows_or_error(parse, src) -> tuple | list | None:
+    """The rows of the unit ``parse()`` returns, None for none, or the (message,
+    line, column) it raises."""
+    try:
+        unit = parse()
+    except SoliditySyntaxError as err:
+        return str(err), err.line, err.column
+    return None if unit is None else _unit_rows(unit, src)
+
+
 def _read_and_walked(path: str, text: str):
-    """The pattern's rows of the file, or None if it declines; and the token walk's
-    rows of a file the pattern reads."""
+    """The pattern's outcome of the file, None if it declines; and the token walk's
+    outcome of a file the pattern reads. An outcome is rows or an error."""
     src = SourceFile(path=path, text=text)
     outline = _outline(src)
-    unit = _read_outline(src, outline)
-    if unit is None:
+    read = _rows_or_error(lambda: _read_outline(src, outline), src)
+    if read is None:
         return None, None
-    return _unit_rows(unit, src), _unit_rows(Parser(src, tokenize(outline, path)).parse(), src)
+    return read, _rows_or_error(lambda: Parser(src, tokenize(outline, path)).parse(), src)
 
 
 def test_the_pattern_reads_each_file_as_the_token_walk_does_or_declines_it(sample_projects,
@@ -254,7 +263,7 @@ def _stored_strings(unit) -> list:
 
 def test_every_stored_name_type_modifier_and_base_is_interned_on_both_paths(sample_projects):
     texts = [text for _, text in _sample_files(sample_projects) + _real_shapes()]
-    texts += [text for text, read in HAZARDS.values() if read]
+    texts += [text for text, read in HAZARDS.values() if read and "(((" not in text]
     checked = Counter()
     for text in texts:
         src = SourceFile(path="i.sol", text=text)
@@ -298,13 +307,10 @@ def _mutant(rng: random.Random, text: str) -> str:
     return text[:start] + opening + text[start:end] + closing + text[end:]
 
 
-def _outcome(text: str):
+def _outcome(text: str, path: str = "m.sol"):
     """``parse_source``'s rows of ``text``, or the (message, line, column) it raises."""
-    src = SourceFile(path="m.sol", text=text)
-    try:
-        return _unit_rows(parse_source(src), src)
-    except SoliditySyntaxError as err:
-        return str(err), err.line, err.column
+    src = SourceFile(path=path, text=text)
+    return _rows_or_error(lambda: parse_source(src), src)
 
 
 def test_mutated_headers_parse_or_fail_as_the_token_walk_does(monkeypatch):
@@ -338,10 +344,10 @@ def test_mutated_headers_parse_or_fail_as_the_token_walk_does(monkeypatch):
     assert read.count(True) > 150 and failed > 300, (read.count(True), failed)
 
 
-def test_an_entry_body_that_nests_too_deep_falls_back_to_the_token_walk():
-    src = SourceFile(path="d.sol", text=HAZARDS["deep entry body"][0])
-    assert _read_outline(src, _outline(src)) is None
-    with pytest.raises(SoliditySyntaxError) as err:
-        parse_source(src)
-    assert (str(err.value), err.value.line, err.value.column) == (
-        "d.sol:3:5: nesting too deep", 3, 5)
+def test_an_entry_body_that_nests_too_deep_fails_its_file_on_both_paths():
+    """The pattern reads the file, and it and the token walk raise the same
+    error, at the first character of the entry point that holds the body."""
+    text = HAZARDS["deep entry body"][0]
+    error = ("d.sol:3:5: nesting too deep", 3, 5)
+    assert _read_and_walked("d.sol", text) == (error, error)
+    assert _outcome(text, "d.sol") == error

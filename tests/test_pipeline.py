@@ -964,12 +964,12 @@ def test_scan_runs_no_collection(corpus_config, gc_state, monkeypatch):
     assert scan(corpus_config).confirmed
 
 
-def test_a_scan_builds_no_line_index_for_a_file_whose_lines_it_never_reads(tmp_path, monkeypatch):
-    """Function spans count newlines, so only a file whose statements become
-    evidence builds a line index: never a filler of uncalled functions."""
-    cases = build_corpus(variants=1)
-    write_corpus(str(tmp_path), cases, filler_files=4)
-    config = replay_config(str(tmp_path), "")
+def _scan_and_line_indexes(root: str, monkeypatch, variants: int, filler_files: int):
+    """A scan of the acceptance corpus's ``variants`` with ``filler_files`` fillers,
+    answered as the corpus is, and the paths of the files it built a line index of."""
+    cases = build_corpus(variants=variants)
+    write_corpus(root, cases, filler_files=filler_files)
+    config = replay_config(root, "")
     layouts = []
     discover = pipeline.discover_sources
 
@@ -981,7 +981,23 @@ def test_a_scan_builds_no_line_index_for_a_file_whose_lines_it_never_reads(tmp_p
     answer = scripted(scripted_answerer(corpus_answers(cases), load_rules(config.rules_dir)))
     result = scan(config, LlmGateway(answer))
     (layout,) = layouts
-    indexed = {src.path for src in layout.included if "line_index" in vars(src)}
+    return result, {src.path for src in layout.included if "line_index" in vars(src)}
+
+
+def test_a_scan_builds_no_line_index_for_a_file_whose_lines_it_never_reads(tmp_path, monkeypatch):
+    """Spans are read from the line index when asked, so only a file whose
+    statements become evidence builds one: never a filler of uncalled functions."""
+    result, indexed = _scan_and_line_indexes(str(tmp_path), monkeypatch, 1, 4)
     assert result.confirmed and indexed
     assert indexed <= {finding.file for finding in result.findings}
+    assert not any(path.startswith("contracts/Filler") for path in indexed)
+
+
+def test_a_scan_of_the_acceptance_corpus_builds_no_line_index_for_its_fillers(tmp_path,
+                                                                              monkeypatch):
+    """The acceptance corpus with 60 fillers: the files with a finding build a
+    line index, and none of the 1,200 filler functions' files does."""
+    result, indexed = _scan_and_line_indexes(str(tmp_path), monkeypatch, 3, 60)
+    assert indexed == {finding.file for finding in result.findings}
+    assert len(result.confirmed) >= 15
     assert not any(path.startswith("contracts/Filler") for path in indexed)

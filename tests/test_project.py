@@ -5,7 +5,7 @@ import pytest
 
 from solscout.config import shipped_whitelist_path
 from solscout.errors import SoliditySyntaxError, SolscoutError
-from solscout.frontend import enumerate_functions, index_contracts, parse_source
+from solscout.frontend import index_contracts, parse_source
 from solscout.project import (
     DEFAULT_EXCLUDED_SEGMENTS,
     SignatureSet,
@@ -69,16 +69,23 @@ def test_discover_strips_utf8_bom(tmp_path):
     layout = discover_sources(str(tmp_path))
     assert [s.path for s in layout.included] == ["Bom.sol"]
     assert layout.included[0].text.startswith("contract")
-    (fn,) = enumerate_functions(parse_source(layout.included[0]))
+    (fn,) = parse_source(layout.included[0]).functions
     assert fn.source() == "function f() public {}"
 
 
 def test_discover_unreadable_file(tmp_path):
+    """A file that is not UTF-8 is excluded with the offset of its first bad byte,
+    a byte-order mark counted, even where that byte is in a comment; a file
+    that cannot be opened is an io-error."""
     root = make_tree(tmp_path, {"A.sol": "contract A {}"})
-    bad = tmp_path / "B.sol"
-    bad.write_bytes(b"\xff\xfe\x00 invalid \xff utf8")
+    (tmp_path / "B.sol").write_bytes(b"\xff\xfe\x00 invalid \xff utf8")
+    (tmp_path / "C.sol").write_bytes(
+        b"\xef\xbb\xbfcontract C {\n    // caf\xe9\n    function f() public {}\n}\n")
+    (tmp_path / "D.sol").symlink_to(tmp_path / "missing.sol")
     layout = discover_sources(root)
-    assert ("B.sol", "io-error") in layout.excluded
+    assert [src.path for src in layout.included] == ["A.sol"]
+    assert layout.excluded == [("B.sol", "not-utf-8 at byte 0"),
+                               ("C.sol", "not-utf-8 at byte 26"), ("D.sol", "io-error")]
 
 
 def test_discover_missing_root():
@@ -87,7 +94,7 @@ def test_discover_missing_root():
 
 
 def _fn(src, name):
-    return next(f for f in enumerate_functions(parse_text(src)) if f.name == name)
+    return next(f for f in parse_text(src).functions if f.name == name)
 
 
 def test_canonical_signature_paper_example():
@@ -124,7 +131,7 @@ def test_whitelist_rejects_bad_lines(tmp_path):
 
 def parsed(src):
     unit = parse_text(src)
-    return enumerate_functions(unit), index_contracts([unit])
+    return unit.functions, index_contracts([unit])
 
 
 def test_filter_removes_exact_whitelisted():
@@ -213,7 +220,7 @@ def test_whitelist_keeps_what_the_per_function_check_keeps(scanned_sources):
                 units.append(parse_text(text, path))
             except SoliditySyntaxError:
                 pass
-        fns = [fn for unit in units for fn in enumerate_functions(unit)]
+        fns = [fn for unit in units for fn in unit.functions]
         index = index_contracts(units)
         sample = {canonical_signature(fn, rng.choice(sorted(inherited_names(fn, index))))
                   for fn in rng.sample(fns, min(40, len(fns)))}
