@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import ContextOverflow
 from .frontend import FunctionRecord, call_name, iter_calls
-from .frontend.lexer import identifiers, may_name
+from .frontend.lexer import may_name
 
 DEFAULT_ACL_MODIFIERS = frozenset({"onlyOwner", "onlyAdmin", "onlyGovernance", "onlyRole"})
 
@@ -41,15 +41,18 @@ class CallGraph:
 
     Edges are added through ``add_edge`` only, which also keeps the
     callee and caller indexes: each neighbour listed once, in the order
-    of its first edge. ``sites`` keeps every named call of each walked
-    body, in body order, with the function it resolved to: the one
-    resolution that the edges and static confirmation both read.
+    of its first edge. ``sites`` keeps, for each walked body, one entry
+    per statement of its table (``FunctionRecord.body``), in the same
+    order: the statement's named calls as ``(call, FunctionRecord or
+    None)`` pairs, or ``()`` when it makes none. That one resolution is
+    what the edges and static confirmation both read, and an edge is
+    numbered by the index of the statement that makes it.
     """
 
     nodes: list = field(default_factory=list)  # function ids
-    edges: list = field(default_factory=list)  # (caller id, callee id, seq)
+    edges: list = field(default_factory=list)  # (caller id, callee id, statement index)
     unresolved: list = field(default_factory=list)  # (caller id, name, arity)
-    sites: dict = field(default_factory=dict)  # id -> [(stmt, call, FunctionRecord or None)]
+    sites: dict = field(default_factory=dict)  # id -> per statement, ((call, target), ...)
     functions: dict = field(default_factory=dict)  # id -> FunctionRecord
     _ids: dict = field(default_factory=dict)  # id(record) -> id
     _callees: dict = field(default_factory=dict)  # id -> {callee id: None}
@@ -58,8 +61,8 @@ class CallGraph:
     def id_of(self, fn: FunctionRecord) -> str:
         return self._ids[id(fn)]
 
-    def add_edge(self, caller: str, callee: str, seq: int) -> None:
-        self.edges.append((caller, callee, seq))
+    def add_edge(self, caller: str, callee: str, index: int) -> None:
+        self.edges.append((caller, callee, index))
         self._callees.setdefault(caller, {})[callee] = None
         self._callers.setdefault(callee, {})[caller] = None
 
@@ -102,7 +105,8 @@ def build_call_graph(functions: list, contracts_by_name: dict,
     """Resolve calls by (name, arity): own contract, bases, then global unique.
 
     A ``super.f(...)`` call resolves through the bases only: never to the
-    caller's own contract, nor to a function found only globally.
+    caller's own contract, nor to a function found only globally. The
+    event an ``emit`` names is no call; calls in its arguments are.
 
     ``contracts_by_name`` is ``frontend.index_contracts``'s index of every
     parsed contract, so inheritance also passes through contracts that
@@ -115,10 +119,12 @@ def build_call_graph(functions: list, contracts_by_name: dict,
     its runs of letters, digits, ``_`` and ``$`` (``lexer.may_name``): each
     name of a body is a run of its file, or the rest of one after a number,
     so a file whose runs name no function in the closure has no body to
-    walk. Only a body in another file has its names listed
-    (``lexer.identifiers``), for that test only; they are not kept. Edges are added in function order either way, so
-    the reachable set and each reachable function's callers and callees do
-    not depend on it; ``unresolved`` then covers the walked bodies only.
+    walk. A body in another file is walked if the same test passes over
+    its own range. A string may spell a name the body does not call; such
+    a body adds no edge into the closure. Edges are added in function
+    order either way, so the reachable set and each reachable function's
+    callers and callees do not depend on it; ``unresolved`` then covers
+    the walked bodies only.
     """
     ids = build_function_ids(functions)
     graph = CallGraph(_ids=ids)
@@ -134,18 +140,16 @@ def build_call_graph(functions: list, contracts_by_name: dict,
         global_index.setdefault(key, []).append(fn)
 
     def calls_of(fn: FunctionRecord) -> list:
-        """(statement, call, resolved target or None) per named call, in body order."""
+        """Per statement of ``fn.body``, its named calls with their resolved targets."""
         chain = _linearized_contracts(fn, contracts_by_name)
         own_first = (chain, global_index)
         bases_only = ([c for c in chain if c is not fn.contract_def], {})
         return [
-            (stmt, call,
-             _resolve(name, len(call.args), by_contract,
-                      *(bases_only if _calls_super(call) else own_first)))
-            for stmt in fn.statements()
-            for expr in stmt.expressions()
-            for call in iter_calls(expr)
-            if (name := call_name(call))
+            tuple([(call, _resolve(name, len(call.args), by_contract,
+                                   *(bases_only if _calls_super(call) else own_first)))
+                   for call in _statement_calls(stmt)
+                   if (name := call_name(call))])
+            for stmt in fn.body or ()
         ]
 
     sites = graph.sites
@@ -157,10 +161,11 @@ def build_call_graph(functions: list, contracts_by_name: dict,
         seen = {id(fn) for fn in reached}
         for fn in reached:  # grows while it is walked
             sites[ids[id(fn)]] = found = calls_of(fn)
-            for _stmt, _call, target in found:
-                if target is not None and id(target) not in seen:
-                    seen.add(id(target))
-                    reached.append(target)
+            for calls in found:
+                for _call, target in calls:
+                    if target is not None and id(target) not in seen:
+                        seen.add(id(target))
+                        reached.append(target)
         names = {fn.name for fn in reached}
         spelled = {name.encode() for name in names if name}
         file_may_call = {}  # id(file) -> whether its text may name a function in the closure
@@ -170,21 +175,29 @@ def build_call_graph(functions: list, contracts_by_name: dict,
             src = fn.file
             if (may_call := file_may_call.get(id(src))) is None:
                 may_call = file_may_call[id(src)] = may_name(src.stripped, spelled)
-            if may_call and not names.isdisjoint(
-                    identifiers(src.stripped, fn.body_start, fn.end)):
+            if may_call and may_name(src.stripped[fn.body_start:fn.end], spelled):
                 sites[ids[id(fn)]] = calls_of(fn)
 
     seen_edges = set()
     for caller_id in graph.nodes:  # function order
-        for stmt, call, target in sites.get(caller_id, ()):
-            if target is None:
-                graph.unresolved.append((caller_id, call_name(call), len(call.args)))
-                continue
-            edge = (caller_id, ids[id(target)], stmt.seq)
-            if edge not in seen_edges:
-                seen_edges.add(edge)
-                graph.add_edge(*edge)
+        for index, calls in enumerate(sites.get(caller_id, ())):
+            for call, target in calls:
+                if target is None:
+                    graph.unresolved.append((caller_id, call_name(call), len(call.args)))
+                    continue
+                edge = (caller_id, ids[id(target)], index)
+                if edge not in seen_edges:
+                    seen_edges.add(edge)
+                    graph.add_edge(*edge)
     return graph
+
+
+def _statement_calls(stmt) -> list:
+    """The calls of ``stmt``'s expressions, in pre-order, but for the event an ``emit`` names."""
+    calls = [call for expr in stmt.expressions() for call in iter_calls(expr)]
+    if stmt.kind == "emit" and calls and calls[0] is stmt.exprs[0]:
+        del calls[0]
+    return calls
 
 
 def _calls_super(call) -> bool:

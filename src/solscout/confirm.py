@@ -9,12 +9,13 @@ dependency or ordering on any syntactic path counts. Before they run,
 the context.
 
 Calls are resolved once, by the call graph: a context carries each
-record's call sites with the function each resolved to, and a call
-counts as context-internal when that function is a record of the
-context. ``build_def_use`` is the one walk over a context's statements;
-the checks read its call sites and conditions. It builds the name graph
-only for a rule with a DF or FA check, the only two that read it. A
-check reports only whether its relation is present;
+record's call sites with the function each resolved to, one entry per
+statement of the record's table, and a call counts as context-internal
+when that function is a record of the context. The checks read the
+statements and their sites in place (``_context_statements``);
+``build_def_use`` adds the name graph, which only DF and FA read, and
+is built only for a rule with one of them. A check reports only
+whether its relation is present;
 ``confirm_candidate`` applies the directive's expectation and builds
 every ``CheckVerdict``.
 """
@@ -71,8 +72,7 @@ class DefUseGraph:
 
     Nodes are (function id, name); an edge u -> v means v's value was
     derived from u (assignment, declaration, or argument-to-parameter
-    binding of a context-internal call). No alias analysis. Call sites,
-    conditions and statements are kept in context order.
+    binding of a context-internal call). No alias analysis.
     """
 
     def __init__(self):
@@ -80,9 +80,6 @@ class DefUseGraph:
         self.edges_out: dict[tuple, dict] = {}  # node -> {node: span of its first edge}
         self.edges_in: dict[tuple, dict] = {}
         self._by_name: dict[str, list] = {}
-        self.calls: list = []  # (fid, fn, stmt, call, (callee fid, callee) or None)
-        self.conditions: list = []  # (fn, condition) of each if/require/assert
-        self.statements: list = []  # each non-container statement
 
     def add_occurrence(self, node: tuple, span: tuple) -> None:
         if node not in self.occurrences:
@@ -139,58 +136,55 @@ class DefUseGraph:
         return None
 
 
-def build_def_use(context: CodeContext, names: bool = True) -> DefUseGraph:
-    """One walk of the context over the call graph's resolved call sites.
+def build_def_use(context: CodeContext) -> DefUseGraph:
+    """The name graph of the context, over the call graph's resolved call sites.
 
     Confirmation resolves no call itself: each call keeps the target
-    ``callgraph.build_call_graph`` resolved it to, when that target is a
-    record of the context, and is unresolved here otherwise.
-    ``names=False`` is for rules with no DF or FA check: the name graph
-    stays empty and only the focus function's call sites are recorded,
-    which is all OC reads. Conditions and statements are always kept.
+    ``callgraph.build_call_graph`` resolved it to, and binds its
+    arguments to that target's parameters when the target is a record
+    of the context.
     """
     graph = DefUseGraph()
-    in_context = {fn: (fid, fn) for fid, fn in context.records}
+    in_context = {fn: fid for fid, fn in context.records}
     for fid, fn in context.records:
-        walks_calls = names or fid == context.focus_id
-        if names:
-            header_span = (fn.span[0], fn.span[0])
-            for _ptype, pname in fn.params:
-                if pname:
-                    graph.add_occurrence((fid, pname), header_span)
-        for stmt, sites in _statement_sites(fn, context.sites[fid]):
-            if stmt.kind in _CONDITION_KINDS and stmt.condition is not None:
-                graph.conditions.append((fn, stmt.condition))
-            if stmt.kind not in _CONTAINER_KINDS:
-                graph.statements.append(stmt)
-            if not walks_calls:
-                continue
-            if names:
-                span = stmt.span
-                _add_statement_flow(graph, fid, stmt, span)
-            for _stmt, call, target in sites:
-                resolved = in_context.get(target)
-                graph.calls.append((fid, fn, stmt, call, resolved))
-                if resolved is None or not names:
+        header_span = (fn.span[0], fn.span[0])
+        for _ptype, pname in fn.params:
+            if pname:
+                graph.add_occurrence((fid, pname), header_span)
+        for stmt, calls in _record_statements(context, fid, fn):
+            span = stmt.span
+            _add_statement_flow(graph, fid, stmt, span)
+            for call, target in calls:
+                callee_fid = in_context.get(target)
+                if callee_fid is None:
                     continue
                 # argument -> parameter binding for context-internal calls
-                callee_fid, callee = resolved
-                for (_ptype, pname), arg in zip(callee.params, call.args):
+                for (_ptype, pname), arg in zip(target.params, call.args):
                     if pname:
                         for src in used_names(arg):
                             graph.add_edge((fid, src), (callee_fid, pname), span)
     return graph
 
 
-def _statement_sites(fn: FunctionRecord, sites: list):
-    """Each statement of ``fn`` with its slice of ``fn``'s sites, listed in statement order."""
-    i = 0
-    for stmt in fn.statements():
-        j = i
-        while j < len(sites) and sites[j][0] is stmt:
-            j += 1
-        yield stmt, sites[i:j]
-        i = j
+def _record_statements(context: CodeContext, fid: str, fn: FunctionRecord):
+    """Each statement of the record ``fn`` in table order, with its
+    ``(call, target)`` sites from the call graph."""
+    return zip(fn.body or (), context.sites[fid])
+
+
+def _context_statements(context: CodeContext):
+    """``(fid, record, statement, calls)`` for each statement of the context,
+    records in context order, as ``_record_statements`` gives them."""
+    for fid, fn in context.records:
+        for stmt, calls in _record_statements(context, fid, fn):
+            yield fid, fn, stmt, calls
+
+
+def _conditions(context: CodeContext):
+    """``(record, condition)`` of each if/require/assert of the context, in context order."""
+    for _fid, fn, stmt, _calls in _context_statements(context):
+        if stmt.kind in _CONDITION_KINDS and stmt.condition is not None:
+            yield fn, stmt.condition
 
 
 def _add_statement_flow(graph: DefUseGraph, fid: str, stmt: Statement, span: tuple) -> None:
@@ -241,9 +235,9 @@ def check_dataflow(a: str, b: str, graph: DefUseGraph) -> Presence:
     return Presence(True, spans or [graph.occurrences[a_nodes[0]]])
 
 
-def check_value_comparison(names: list, graph: DefUseGraph) -> Presence:
+def check_value_comparison(names: list, context: CodeContext) -> Presence:
     """Present iff one condition expression contains every given name."""
-    for fn, cond in graph.conditions:
+    for fn, cond in _conditions(context):
         if all(contains_identifier(cond.raw, n) for n in names):
             idx = fn.file.line_index
             return Presence(True, [(idx.line_of(cond.start),
@@ -255,52 +249,54 @@ def _collapse(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
 
 
-def _ordered_statements(context: CodeContext, graph: DefUseGraph) -> list:
+def _ordered_statements(context: CodeContext) -> list:
     """Focus statements with one level of context-internal call inlining.
 
-    Inlined callee statements inherit an order key just after their call
-    site, so order checks see through local helper functions. Each
-    statement comes with its call sites from the graph.
+    A statement's order key is its index in its record's table. Inlined
+    callee statements inherit an order key just after their call site, so
+    order checks see through local helper functions. Each statement comes
+    with its call sites from the graph.
     """
     focus_id = context.focus_id
-    inlined: dict[int, list] = {}  # focus statement seq -> (callee fid, callee), call order
-    for fid, _fn, stmt, _call, resolved in graph.calls:
-        if fid == focus_id and resolved is not None and resolved[0] != focus_id:
-            inlined.setdefault(stmt.seq, []).append(resolved)
+    in_context = {fn: fid for fid, fn in context.records}
     out = []
-    for stmt, sites in _statement_sites(context.focus, context.sites[focus_id]):
-        out.append(((stmt.seq, 0, 0), stmt, sites))
-        for rank, (callee_fid, callee) in enumerate(inlined.get(stmt.seq, ()), 1):
-            out += [((stmt.seq, rank, inner.seq), inner, inner_sites)
-                    for inner, inner_sites in _statement_sites(callee, context.sites[callee_fid])]
+    for index, (stmt, calls) in enumerate(_record_statements(context, focus_id, context.focus)):
+        out.append(((index, 0, 0), stmt, calls))
+        # each call to another record of the context, in call order
+        callees = [target for _call, target in calls
+                   if in_context.get(target, focus_id) != focus_id]
+        for rank, callee in enumerate(callees, 1):
+            callee_fid = in_context[callee]
+            out += [((index, rank, inner), inner_stmt, inner_calls)
+                    for inner, (inner_stmt, inner_calls)
+                    in enumerate(_record_statements(context, callee_fid, callee))]
     return out
 
 
-def _statement_matches(stmt: Statement, sites: list, descriptor: str) -> bool:
-    """Whether ``stmt``, with its call ``sites``, matches ``descriptor``."""
+def _statement_matches(stmt: Statement, calls: tuple, descriptor: str) -> bool:
+    """Whether ``stmt``, with its ``calls``, matches ``descriptor``."""
     if stmt.kind in _CONTAINER_KINDS:
         return False
     desc = descriptor.strip().rstrip(";").strip()
     if not desc:
         return False
     if is_identifier(desc):
-        return (any(call_name(call) == desc for _stmt, call, _target in sites)
+        return (any(call_name(call) == desc for call, _target in calls)
                 or contains_identifier(stmt.raw, desc))
     return _collapse(desc) in _collapse(stmt.raw)
 
 
-def check_order(first: str, second: str, context: CodeContext,
-                graph: DefUseGraph) -> Presence:
+def check_order(first: str, second: str, context: CodeContext) -> Presence:
     """Present iff the first descriptor's statement executes earlier.
 
     Each descriptor resolves to its earliest matching statement; call
     names match statements containing a call to that name.
     """
-    ordered = _ordered_statements(context, graph)
+    ordered = _ordered_statements(context)
 
     def resolve(descriptor: str):
-        return next(((key, stmt) for key, stmt, sites in ordered
-                     if _statement_matches(stmt, sites, descriptor)), None)
+        return next(((key, stmt) for key, stmt, calls in ordered
+                     if _statement_matches(stmt, calls, descriptor)), None)
 
     first_hit = resolve(first)
     second_hit = resolve(second)
@@ -338,7 +334,8 @@ def check_fn_arg(call: str, context: CodeContext, graph: DefUseGraph,
     msg.sender against a value on that dependency chain.
     """
     name = _call_descriptor_name(call)
-    sites = [site for site in graph.calls if call_name(site[3]) == name]
+    sites = [(fid, stmt, call_expr) for fid, _fn, stmt, calls in _context_statements(context)
+             for call_expr, _target in calls if call_name(call_expr) == name]
     if not sites:
         return Presence(False, [], f"no call to {name!r} in context")
 
@@ -350,10 +347,10 @@ def check_fn_arg(call: str, context: CodeContext, graph: DefUseGraph,
         if pname
     }
 
-    guards = [cond for _fn, cond in graph.conditions if "msg.sender" in cond.raw]
+    guards = [cond for _fn, cond in _conditions(context) if "msg.sender" in cond.raw]
 
     out_of_range = True
-    for fid, _fn, stmt, call_expr, _resolved in sites:
+    for fid, stmt, call_expr in sites:
         if arg_index is not None:
             indices = [arg_index]
         elif arg_name is not None:
@@ -417,10 +414,11 @@ def validate_recognition(answer: dict, context: CodeContext, slots: list) -> str
 # directive evaluation
 
 
-def _occurrence_evidence(context: CodeContext, graph: DefUseGraph, names: list) -> list:
+def _occurrence_evidence(context: CodeContext, names: list) -> list:
     """Per name, the first statement citing it, else the focus function."""
     return [
-        next((stmt.span for stmt in graph.statements if contains_identifier(stmt.raw, name)),
+        next((stmt.span for _fid, _fn, stmt, _calls in _context_statements(context)
+              if stmt.kind not in _CONTAINER_KINDS and contains_identifier(stmt.raw, name)),
              context.focus.span)
         for name in names
     ]
@@ -435,7 +433,7 @@ def confirm_candidate(finding: Finding, rule: VulnRule, context: CodeContext,
     that is the absence of the checked relation).
     """
     kinds = rule.check_kinds
-    graph = build_def_use(context, names="DF" in kinds or "FA" in kinds)
+    graph = build_def_use(context) if "DF" in kinds or "FA" in kinds else None
     names = {slot: info["name"] for slot, info in finding.recognized.items()}
     verdicts = []
     for directive in rule.checks:
@@ -443,12 +441,12 @@ def confirm_candidate(finding: Finding, rule: VulnRule, context: CodeContext,
         if directive.kind == "DF":
             found = check_dataflow(bound[0], bound[1], graph)
         elif directive.kind == "VC":
-            found = check_value_comparison(bound, graph)
+            found = check_value_comparison(bound, context)
         elif directive.kind == "OC":
             first, second = bound
             if directive.expectation == "after":
                 first, second = second, first
-            found = check_order(first, second, context, graph)
+            found = check_order(first, second, context)
         elif directive.kind == "FA":
             arg_name = bound[1] if len(bound) > 1 else None
             found = check_fn_arg(bound[0], context, graph, reach, directive.arg, arg_name)
@@ -460,7 +458,7 @@ def confirm_candidate(finding: Finding, rule: VulnRule, context: CodeContext,
         if directive.expectation == "absent":
             met = not met
             if met:
-                evidence = _occurrence_evidence(context, graph, bound)
+                evidence = _occurrence_evidence(context, bound)
                 detail = "required absence holds"
         verdicts.append(CheckVerdict(
             kind=directive.kind,

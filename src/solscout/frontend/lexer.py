@@ -12,13 +12,13 @@ of a contract) and of every free function's body, so lexing the file
 gives only what the file-level parse reads; a body is lexed by range
 when it is parsed. When the call graph asks whether to walk a body it
 did not parse, ``may_name`` first tests the body's whole file once, as
-a set of runs, and only a body in a file that may name a function the
-walk reached has its names listed, by ``identifiers``. The two passes
-over a whole file, ``strip_comments`` and the brace walk of
-``outline``, use no regex: ``str.find`` and ``str.split`` jump between
-the characters they stop at, at memchr speed, where a regex scan costs
-about 12 ns a character. ``may_name`` splits a file into its runs with
-``bytes.translate`` and ``bytes.split``.
+a set of runs, and then, in a file that may name a function the walk
+reached, the body's own range. The two passes over a whole file,
+``strip_comments`` and the brace walk of ``outline``, use no regex:
+``str.find`` and ``str.split`` jump between the characters they stop
+at, at memchr speed, where a regex scan costs about 12 ns a character.
+``may_name`` splits a text into its runs with ``bytes.translate`` and
+``bytes.split``.
 
 ``tokenize`` builds no object per token: it returns the interned token
 values as a ``Tokens`` list with their offsets in two more lists, so a
@@ -75,14 +75,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# One match per token that holds a letter, a digit or a quote, its value
-# as group 1 if it is an id: a run of characters that start no such token
-# (whitespace, operators, stray bytes), then ``_TOKEN_RE``'s alternatives
-# for those tokens in its order, or the end of the range. No other token
-# holds such a character, so each match ends where a token does.
-_IDENTIFIER_RE = re.compile(
-    r"""[^A-Za-z_$"'\d]*(?:""" + _PREFIXED_STRING + "|(" + _IDENTIFIER + ")|"
-    + _NUMBER + "|" + _STRING + r"|\Z)")
 # Every byte but ASCII letters, digits, '_' and '$' made a space, so that
 # splitting leaves the runs of those.
 _RUN_BYTES = bytes(c if chr(c) in _NAME_CHARS else 32 for c in range(256))
@@ -304,26 +296,6 @@ def _offsets(text: str, char: str) -> list:
     pieces.pop()
     # one past each piece's end is the next char; -1 stands before the first piece
     return list(accumulate(map(add, map(len, pieces), repeat(1)), initial=-1))[1:]
-
-
-def identifiers(stripped: str, start: int, end: int) -> tuple:
-    """Distinct names of the id tokens of ``stripped[start:end]``, first seen first, interned.
-
-    These are the values ``tokenize`` gives its id tokens over the same
-    range, found without building a token. In ASCII text with no quote,
-    where every run of letters, digits, ``_`` and ``$`` that starts with a
-    digit is all digits, the id tokens are the runs that start with no
-    digit, and byte-level C functions split the range into its runs. Any
-    other range takes one regex match per token.
-    """
-    body = stripped[start:end]
-    if body.isascii() and '"' not in body and "'" not in body:
-        runs = dict.fromkeys(body.encode().translate(_RUN_BYTES).split())
-        if all([run.isdigit() for run in runs if run[0] in _DIGIT_BYTES]):
-            return tuple([intern(run.decode()) for run in runs if run[0] not in _DIGIT_BYTES])
-    names = dict.fromkeys(_IDENTIFIER_RE.findall(stripped, start, end))
-    names.pop("", None)
-    return tuple(map(intern, names))
 
 
 def may_name(stripped: str, names: set) -> bool:

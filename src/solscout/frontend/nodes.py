@@ -84,7 +84,6 @@ class Statement:
     start: int
     end: int
     src: SourceFile = field(repr=False, compare=False)
-    seq: int = -1
     condition: Optional[Expression] = None
     children: tuple = ()
     exprs: tuple = ()
@@ -121,18 +120,20 @@ class Statement:
 class FunctionRecord:
     """A parsed function/constructor/fallback; the unit of all analysis.
 
+    ``body`` is the body's statement table: every statement, nested ones
+    too, in walk (pre-order) order, so a statement's index in it is its
+    order key; the top-level statements hold the rest as ``children``.
     Every body is lexed alone, from its range of the file, by the parse
-    that reads it, so offsets and spans are the file's and ``seq``
-    numbers count from the body's first statement. An entry point's
+    that reads it, so offsets and spans are the file's. An entry point's
     body is parsed with its file. Any other body is skipped, and it
     keeps only where it starts (``body_start``); it is parsed the first
     time ``body`` is read, once. To decide whether to walk a skipped
     body, the call graph tests its file's runs once (``lexer.may_name``),
-    and lists the body's own names (``lexer.identifiers`` over
-    ``body_start..end``) only if those runs may name a function it
-    reached; it keeps no copy of either. Like a statement's, its line
-    ``span`` is read from the file's line index when asked, so the parse
-    counts no lines and a file whose lines nothing reads builds no index.
+    and the runs of the body's own range only if those may name a
+    function it reached; it keeps no copy of either. Like a statement's,
+    its line ``span`` is read from the file's line index when asked, so
+    the parse counts no lines and a file whose lines nothing reads
+    builds no index.
     """
 
     name: str  # empty for constructor/fallback/receive
@@ -146,7 +147,7 @@ class FunctionRecord:
     contract_def: Optional["ContractDef"] = None
     file: Optional[SourceFile] = None
     body_start: int = -1  # offset of the body's '{'; -1 for a declaration
-    parsed_body: Optional[list] = field(default=None, repr=False)
+    parsed_body: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def span(self) -> tuple[int, int]:
@@ -173,8 +174,8 @@ class FunctionRecord:
         return self.body_start >= 0
 
     @property
-    def body(self) -> Optional[list]:
-        """Top-level statements; None for declarations."""
+    def body(self) -> Optional[tuple]:
+        """The statement table, in walk order; None for declarations."""
         if self.parsed_body is None and self.body_start >= 0:
             with _BODY_LOCK:  # one parse, however many threads read it at once
                 if self.parsed_body is None:
@@ -183,10 +184,6 @@ class FunctionRecord:
                     self.parsed_body = parse_body(self)
         return self.parsed_body
 
-    def statements(self) -> Iterator[Statement]:
-        for s in self.body or []:
-            yield from s.walk()
-
     def source(self) -> str:
         return self.file.text[self.start : self.end] if self.file else ""
 
@@ -194,9 +191,8 @@ class FunctionRecord:
         """Comment-stripped body text (braces to braces), for filters."""
         if self.file is None or not self.body:
             return ""
-        lo = min(s.start for s in self.body)
-        hi = max(s.end for s in self.body)
-        return self.file.stripped[lo:hi]
+        hi = max(s.end for s in self.body)  # a statement's children end inside it
+        return self.file.stripped[self.body[0].start:hi]
 
     @cached_property
     def body_lower(self) -> str:

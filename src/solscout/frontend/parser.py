@@ -403,8 +403,8 @@ class Parser:
 
     def _statement(self, kind: str, start: int, end: int, condition=None, children=(),
                    exprs=(), decl_names=(), post_expr=None) -> Statement:
-        return Statement(kind, start, end, self.src, -1, condition, children, exprs,
-                         decl_names, post_expr)
+        return Statement(kind, start, end, self.src, condition, children, exprs, decl_names,
+                         post_expr)
 
     def _parse_statement(self) -> Statement:
         saved = self.pos
@@ -837,24 +837,19 @@ class Parser:
         raise _Backtrack()
 
 
-def _assign_seq(body: list | None) -> None:
-    for i, stmt in enumerate(inner for top in body or () for inner in top.walk()):
-        stmt.seq = i
-
-
-def _parse_block(src: SourceFile, start: int, end: int) -> list:
-    """Statements of the block ``src.stripped[start:end]``, numbered by ``seq``.
+def _parse_block(src: SourceFile, start: int, end: int) -> tuple:
+    """The statement table of the block ``src.stripped[start:end]``: every
+    statement in it, in walk (pre-order) order.
 
     Only the block's own tokens are lexed, with their offsets in the
     file, so a malformed statement cannot run past the block's ``}``.
     Raises whatever the parse raises.
     """
-    body = Parser(src, tokenize(src.stripped, src.path, start, end))._parse_block_children()[0]
-    _assign_seq(body)
-    return body
+    tops = Parser(src, tokenize(src.stripped, src.path, start, end))._parse_block_children()[0]
+    return tuple([stmt for top in tops for stmt in top.walk()])
 
 
-def parse_body(fn: FunctionRecord) -> list:
+def parse_body(fn: FunctionRecord) -> tuple:
     """Parse a body the file's parse skipped; see ``FunctionRecord.body``.
 
     A body that does not parse (nested too deep, say) becomes one opaque
@@ -865,7 +860,7 @@ def parse_body(fn: FunctionRecord) -> list:
         return _parse_block(src, fn.body_start, fn.end)
     except Exception:
         inside = _INSIDE_RE.search(src.stripped, fn.body_start + 1, fn.end - 1)
-        return [Statement("opaque", inside.start(), inside.end(), src, 0)]
+        return (Statement("opaque", inside.start(), inside.end(), src),)
 
 
 def _function(src: SourceFile, contract: ContractDef | None, name: str, kind: str,

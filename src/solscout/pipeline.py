@@ -136,23 +136,22 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
     answers every key as recorded. The gateway, built here or injected,
     is closed on the way out, also when the scan stops on an error.
 
-    The parsed project is a large, long-lived heap, so cyclic GC is kept
-    off while it is built and the result is frozen, keeping later
-    collections from walking it again. The heap holds no reference
-    cycle, so reference counting frees it once ``_scan`` returns and no
-    collection is needed; the freeze is undone on the way out and the
-    caller's GC state (enabled flag, frozen objects) is left as it was
-    found.
+    The replay transcript and the parsed project are large, long-lived
+    heaps, so cyclic GC is kept off while they are built (a broken
+    transcript is still reported before anything is parsed) and the
+    result is frozen, keeping later collections from walking it again.
+    The heap holds no reference cycle, so reference counting frees it
+    once ``_scan`` returns and no collection is needed; the freeze is
+    undone on the way out and the caller's GC state (enabled flag,
+    frozen objects) is left as it was found.
     """
     config.validate(builds_gateway=gateway is None)
     started = time.perf_counter()
-    # a broken transcript is reported before anything is parsed
-    replay = (Transcript.load(config.transcript_path).answer
-              if gateway is None and config.mode == "replay" else None)
     enabled = gc.isenabled()
     freeze = enabled and gc.get_freeze_count() == 0
     try:
-        prepared = _prepare_frozen(config, enabled, freeze)
+        replay, prepared = _prepare_frozen(config, gateway is None and config.mode == "replay",
+                                           enabled, freeze)
         # record mode appends to the transcript file, opened only once the project has parsed
         gateway = gateway or LlmGateway(replay or once(HttpProvider(config.provider)),
                                         config.transcript_path if config.mode == "record" else None)
@@ -164,13 +163,16 @@ def scan(config: ScanConfig, gateway: LlmGateway | None = None) -> ScanResult:
             gc.unfreeze()
 
 
-def _prepare_frozen(config: ScanConfig, enabled: bool, freeze: bool) -> PreparedScan:
+def _prepare_frozen(config: ScanConfig, replays: bool, enabled: bool, freeze: bool) -> tuple:
+    """The replay transcript's answerer (None unless ``replays``), then the prepared scan."""
     gc.disable()
     try:
+        # a broken transcript is reported before anything is parsed
+        replay = Transcript.load(config.transcript_path).answer if replays else None
         prepared = prepare_scan(config)
         if freeze:
             gc.freeze()
-        return prepared
+        return replay, prepared
     finally:
         if enabled:
             gc.enable()

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from solscout.confirm import DefUseGraph, build_def_use, check_dataflow, check_order
+from solscout.confirm import DefUseGraph, check_dataflow, check_order
 from solscout.callgraph import assemble_context, build_call_graph
 from solscout.filters import directive_passes
 from solscout.frontend import index_contracts
@@ -238,15 +238,14 @@ def test_criterion_6_oracle_equivalence():
         container = ("block", "if", "for", "while")
         descriptors = []
         seen = set()
-        for stmt in focus.statements():
+        for stmt in focus.body:
             if stmt.kind in container or stmt.raw in seen:
                 continue
             seen.add(stmt.raw)
             descriptors.append(stmt.raw)
-        defuse = build_def_use(ctx)
         for a, b in itertools.permutations(descriptors, 2):
-            before_ab = check_order(a, b, ctx, defuse)
-            before_ba = check_order(b, a, ctx, defuse)
+            before_ab = check_order(a, b, ctx)
+            before_ba = check_order(b, a, ctx)
             if before_ab.detail.startswith("no statement"):
                 continue
             if before_ab.evidence and before_ab.evidence[0] == before_ab.evidence[1]:

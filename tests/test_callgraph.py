@@ -10,7 +10,7 @@ from solscout.callgraph import (
 )
 from solscout.errors import ContextOverflow
 from solscout.frontend import call_name, index_contracts
-from solscout.frontend.lexer import identifiers
+from solscout.frontend.lexer import may_name
 from solscout.gateway import estimate_tokens
 from solscout.pipeline import prepare_scan
 from solscout.rules import ContextPolicy
@@ -46,11 +46,12 @@ def test_a_do_while_loop_is_a_while_statement_whose_body_calls_are_edges():
     """)
     fns = unit.functions
     graph = build_call_graph(fns, index_contracts([unit]), every_body=False)
-    [loop] = fns[0].body
+    loop = fns[0].body[0]
     assert loop.kind == "while" and loop.raw == "do { g(); } while (x < 3);"
     assert (loop.condition.kind, loop.condition.op) == ("binary", "<")
     [body] = loop.children
     assert body.kind == "block" and [stmt.raw for stmt in body.children] == ["g();"]
+    assert fns[0].body == (loop, body, *body.children)
     assert ("A.f", "A.g") in {(c, e) for c, e, _ in graph.edges}
     assert graph.unresolved == []
 
@@ -63,6 +64,22 @@ def test_external_call_unresolved():
     """)
     assert ("A.f", "transfer", 2) in graph.unresolved
     assert not graph.edges
+
+
+def test_an_emitted_event_is_no_call_but_the_calls_in_its_arguments_are():
+    graph, fns = graph_from("""
+        contract A {
+            event Paid(uint256 amount);
+            function f() public { emit Paid(fee(1)); emit Paid(2); emit Log.Paid(y.z()); }
+            function fee(uint256 x) internal returns (uint256) { return x; }
+            function Paid(uint256 x) internal {}
+        }
+    """)
+    assert [[call.raw for call, _target in calls] for calls in graph.sites["A.f"]] == [
+        ["fee(1)"], [], ["y.z()"]]
+    assert graph.edges == [("A.f", "A.fee", 0)]
+    assert graph.unresolved == [("A.f", "z", 0)]
+    assert [stmt.kind for stmt in fns[0].body] == ["emit"] * 3
 
 
 def test_global_unique_resolution_across_contracts():
@@ -160,7 +177,7 @@ def test_edges_deduplicated_per_call_site():
             function g() internal {}
         }
     """)
-    # two distinct call sites = same statement? no: two statements, two seqs
+    # two statements, so two statement indexes
     assert len(graph.edges) == 2
     assert len({(c, e, s) for c, e, s in graph.edges}) == 2
 
@@ -468,14 +485,46 @@ def test_call_sites_are_the_edges_and_unresolved_calls_of_each_walked_body(sampl
             graph = prepared.graph
             edges, unresolved = set(), []
             for fid in graph.nodes:
-                for stmt, call, target in graph.sites.get(fid, ()):
-                    assert stmt.start <= call.start < call.end <= stmt.end
-                    if target is None:
-                        unresolved.append((fid, call_name(call), len(call.args)))
-                    else:
-                        edges.add((fid, graph.id_of(target), stmt.seq))
+                if fid not in graph.sites:
+                    continue
+                body = graph.functions[fid].body or ()
+                assert len(graph.sites[fid]) == len(body), fid
+                for index, (stmt, calls) in enumerate(zip(body, graph.sites[fid])):
+                    for call, target in calls:
+                        assert stmt.start <= call.start < call.end <= stmt.end
+                        if target is None:
+                            unresolved.append((fid, call_name(call), len(call.args)))
+                        else:
+                            edges.add((fid, graph.id_of(target), index))
             assert sorted(edges) == sorted(graph.edges), root
             assert unresolved == graph.unresolved, root
+
+
+def _preorder(stmts):
+    for stmt in stmts:
+        yield stmt
+        yield from _preorder(stmt.children)
+
+
+def test_each_body_is_the_walk_of_its_top_level_statements_with_one_site_entry_each(tmp_path):
+    """The statement table is the pre-order walk of the statements that are
+    no statement's child, and the graph keeps one site entry per statement."""
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, build_corpus(variants=3))
+    fixtures = ("first_deposit", "first_deposit_patched", "checkpoint_order",
+                "checkpoint_order_patched", "real_shapes")
+    statements = 0
+    for root in [*map(fixture_path, fixtures), corpus]:
+        for every_body in (True, False):
+            graph = prepare_scan(replay_config(root, ""), every_body).graph
+            for fid, sites in graph.sites.items():
+                body = graph.functions[fid].body or ()
+                nested = {id(child) for stmt in body for child in stmt.children}
+                tops = [stmt for stmt in body if id(stmt) not in nested]
+                assert body == tuple(_preorder(tops)), fid
+                assert len(sites) == len(body), fid
+                statements += len(body)
+    assert statements > 500
 
 
 # Files whose names may fool a test of a file's runs: the entry point
@@ -545,39 +594,69 @@ def _write_gate_hazards(root) -> str:
 def _scan_side_graph(root: str) -> tuple:
     """The scan-side graph of ``root``: its call sites, edges and unresolved calls, as values."""
     graph = prepare_scan(replay_config(root, "")).graph
-    sites = [(fid, [(stmt.start, stmt.seq, call.start, call.end, target and graph.id_of(target))
-                    for stmt, call, target in found])
+    sites = [(fid, [(index, call.start, call.end, target and graph.id_of(target))
+                    for index, calls in enumerate(found) for call, target in calls])
              for fid, found in graph.sites.items()]
     return sites, graph.edges, graph.unresolved
 
 
-def test_a_files_runs_gate_the_walk_exactly_as_each_bodys_names_did(sample_projects, tmp_path,
-                                                                    monkeypatch):
-    """The oracle lists the names of every body outside the callee closure,
-    with no per-file test, as the scan-side graph once did."""
+def _callee_closure(root: str) -> set:
+    """The entry points of ``root`` and every function they call, directly or not."""
+    graph = prepare_scan(replay_config(root, "")).graph
+    closure = [fid for fid, fn in graph.functions.items() if fn.is_entry_point]
+    seen = set(closure)
+    for fid in closure:  # grows while it is walked
+        for callee in graph.callees_of(fid):
+            if callee not in seen:
+                seen.add(callee)
+                closure.append(callee)
+    return seen
+
+
+def test_the_runs_gate_loses_no_edge_into_the_closure(sample_projects, tmp_path, monkeypatch):
+    """The oracle walks every body outside the callee closure, with no gate.
+
+    The gated graph walks a subset of those bodies, with the same sites,
+    and finds every edge the oracle finds into the closure: a body it
+    skips may call only functions outside it.
+    """
     corpus = str(tmp_path / "corpus")
     write_corpus(corpus, build_corpus(variants=3), filler_files=60)
     hazards = _write_gate_hazards(tmp_path / "hazards")
     for root in [*sample_projects, corpus, hazards]:
-        gated = _scan_side_graph(root)
+        gated_sites, gated_edges, _ = _scan_side_graph(root)
         with monkeypatch.context() as patch:
             patch.setattr(callgraph, "may_name", lambda stripped, names: True)
-            assert _scan_side_graph(root) == gated, root
+            all_sites, all_edges, _ = _scan_side_graph(root)
+        assert gated_sites == [site for site in all_sites if site in gated_sites], root
+        closure = _callee_closure(root)
+        assert ([edge for edge in all_edges if edge[1] in closure]
+                == [edge for edge in gated_edges if edge[1] in closure]), root
     walked = [fid for fid, _sites in _scan_side_graph(hazards)[0]]
     assert walked == ["Main.run", "Main.deposit", "Main.posit",  # the closure, then file order
-                      "Accents.before", "CrLf.pay", "contracts/Free.sol.freeCall",
-                      "Glued.hexGlued", "Glued.decimalGlued", "Glued.exponentGlued", "Numbers.pay"]
+                      "Accents.before", "Accents.after", "CrLf.pay",
+                      "contracts/Free.sol.freeCall", "Glued.hexGlued", "Glued.decimalGlued",
+                      "Glued.exponentGlued", "Numbers.pay", "Quoted.say"]
 
 
-def test_a_scan_lists_no_body_names_in_files_that_name_nothing_reached(tmp_path, monkeypatch):
-    """The acceptance corpus with 60 fillers: 1,200 skipped bodies, none listed."""
+def test_a_scan_tests_no_body_in_files_that_name_nothing_reached(tmp_path, monkeypatch):
+    """The acceptance corpus with 60 fillers: 1,200 skipped bodies, none tested alone."""
     root = str(tmp_path / "corpus")
     write_corpus(root, build_corpus(variants=3), filler_files=60)
-    listed = []
-    monkeypatch.setattr(callgraph, "identifiers",
-                        lambda *range_: listed.append(range_) or identifiers(*range_))
-    prepare_scan(replay_config(root, ""))
-    assert listed == []
-    monkeypatch.setattr(callgraph, "may_name", lambda stripped, names: True)
-    prepare_scan(replay_config(root, ""))
-    assert len(listed) == 1200
+    gated = _scan_side_graph(root)
+    bodies = []
+
+    def body_test(whole_files: bool):
+        def test(stripped, names):
+            if stripped.startswith("{"):  # a body's range, not a file
+                bodies.append(stripped)
+                return may_name(stripped, names)
+            return whole_files or may_name(stripped, names)
+        return test
+
+    monkeypatch.setattr(callgraph, "may_name", body_test(False))
+    assert _scan_side_graph(root) == gated
+    assert bodies == []
+    monkeypatch.setattr(callgraph, "may_name", body_test(True))
+    assert _scan_side_graph(root) == gated
+    assert len(bodies) == 1200

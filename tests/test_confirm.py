@@ -184,7 +184,7 @@ def test_df_matches_bruteforce_closure_random_graphs():
 
 def test_vc_first_deposit_zero_supply_condition():
     ctx, _, _ = fixture_context("first_deposit", "contracts", "Vault.sol")
-    verdict = check_value_comparison(["totalSupply"], build_def_use(ctx))
+    verdict = check_value_comparison(["totalSupply"], ctx)
     assert verdict.present
     assert verdict.evidence == [(8, 8)]  # the zero-supply branch condition
 
@@ -194,7 +194,7 @@ def test_vc_assignment_only_name_rejected():
         "contract C { function f() public { total = 5; if (x > 0) { y = total; } } }",
         "f",
     )
-    assert not check_value_comparison(["total"], build_def_use(ctx)).present
+    assert not check_value_comparison(["total"], ctx).present
 
 
 def test_vc_two_names_in_require_with_oracle():
@@ -209,13 +209,13 @@ def test_vc_two_names_in_require_with_oracle():
     conditions = [
         stmt.condition.raw
         for fn in [ctx.focus]
-        for stmt in fn.statements()
+        for stmt in fn.body
         if stmt.kind in ("if", "require", "assert") and stmt.condition
     ]
     oracle = [c for c in conditions if "a" in c.split() or "a" in c]
     both = [c for c in oracle if "b" in c]
     assert both == ["a >= b"]
-    verdict = check_value_comparison(["a", "b"], build_def_use(ctx))
+    verdict = check_value_comparison(["a", "b"], ctx)
     assert verdict.present
     assert verdict.evidence == [(3, 3)]
 
@@ -225,7 +225,7 @@ def test_vc_while_conditions_do_not_count():
         "contract C { function f() public { while (supply > 0) { supply -= 1; } } }",
         "f",
     )
-    assert not check_value_comparison(["supply"], build_def_use(ctx)).present
+    assert not check_value_comparison(["supply"], ctx).present
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +236,7 @@ def test_oc_checkpoint_order_vulnerable_order_confirmed():
     ctx, _, _ = fixture_context(
         "checkpoint_order", "contracts", "StakerVault.sol", focus="transfer", include_callers=False
     )
-    verdict = check_order("balances[msg.sender] -= amount;", "userCheckpoint", ctx,
-                          build_def_use(ctx))
+    verdict = check_order("balances[msg.sender] -= amount;", "userCheckpoint", ctx)
     assert verdict.present
     assert verdict.evidence[0] == (6, 6)
     assert verdict.evidence[1] == (10, 10)
@@ -248,8 +247,7 @@ def test_oc_checkpoint_order_patched_order_rejected():
         "checkpoint_order_patched", "contracts", "StakerVault.sol", focus="transfer",
         include_callers=False,
     )
-    verdict = check_order("balances[msg.sender] -= amount;", "userCheckpoint", ctx,
-                          build_def_use(ctx))
+    verdict = check_order("balances[msg.sender] -= amount;", "userCheckpoint", ctx)
     assert not verdict.present
 
 
@@ -257,7 +255,7 @@ def test_oc_unknown_descriptor_rejected():
     ctx, _, _ = fixture_context(
         "checkpoint_order", "contracts", "StakerVault.sol", focus="transfer", include_callers=False
     )
-    assert not check_order("nothingHere", "userCheckpoint", ctx, build_def_use(ctx)).present
+    assert not check_order("nothingHere", "userCheckpoint", ctx).present
 
 
 def test_oc_sees_through_one_level_of_inlining():
@@ -271,12 +269,9 @@ def test_oc_sees_through_one_level_of_inlining():
         }
     }"""
     ctx, _, _ = make_context(src, "f")
-    graph = build_def_use(ctx)
-    verdict = check_order("rewards[msg.sender] += 1;", "lastCheckpoint = block.timestamp;", ctx,
-                          graph)
+    verdict = check_order("rewards[msg.sender] += 1;", "lastCheckpoint = block.timestamp;", ctx)
     assert verdict.present
-    reverse = check_order("lastCheckpoint = block.timestamp;", "rewards[msg.sender] += 1;", ctx,
-                          graph)
+    reverse = check_order("lastCheckpoint = block.timestamp;", "rewards[msg.sender] += 1;", ctx)
     assert not reverse.present
 
 
@@ -291,10 +286,9 @@ def test_oc_antisymmetry_over_fixture_pairs():
         "userCheckpoint",
         "emit Transfer(msg.sender, account, amount);",
     ]
-    graph = build_def_use(ctx)
     for a, b in itertools.permutations(descriptors, 2):
-        ab = check_order(a, b, ctx, graph).present
-        ba = check_order(b, a, ctx, graph).present
+        ab = check_order(a, b, ctx).present
+        ba = check_order(b, a, ctx).present
         assert ab != ba, (a, b)
 
 
@@ -315,7 +309,7 @@ def test_a_call_resolves_to_its_call_graph_target(caller):
     assert ("A.run", "A.pay", 0) in call_graph.edges
     graph = build_def_use(ctx)
     assert check_dataflow("x", "sink", graph).present
-    assert check_order("pay", "sink = v;", ctx, graph).present
+    assert check_order("pay", "sink = v;", ctx).present
 
 
 def test_super_call_in_an_override_inlines_the_base_function():
@@ -330,9 +324,8 @@ def test_super_call_in_an_override_inlines_the_base_function():
     }"""
     ctx, _, _ = make_context(src, "f", contract="D")
     assert [fid for fid, _fn in ctx.records] == ["D.f", "Base.f"]
-    graph = build_def_use(ctx, names=False)
-    assert check_order("x = 1;", "y = 2;", ctx, graph).present
-    assert not check_order("y = 2;", "x = 1;", ctx, graph).present
+    assert check_order("x = 1;", "y = 2;", ctx).present
+    assert not check_order("y = 2;", "x = 1;", ctx).present
 
 
 def test_a_call_never_binds_to_a_caller_the_graph_did_not_resolve_it_to():
@@ -352,9 +345,10 @@ def test_a_call_never_binds_to_a_caller_the_graph_did_not_resolve_it_to():
     graph = build_def_use(ctx)
     assert check_dataflow("v", "other", graph).present
     assert not check_dataflow("x", "other", graph).present
-    assert [(fid, call_name(call), resolved and resolved[0])
-            for fid, _fn, _stmt, call, resolved in graph.calls] == [
-        ("A.run", "pay", None), ("B.pay", "run", "A.run")]
+    in_context = {fn: fid for fid, fn in ctx.records}
+    assert [(fid, call_name(call), in_context.get(target))
+            for fid, _fn in ctx.records for calls in ctx.sites[fid]
+            for call, target in calls] == [("A.run", "pay", None), ("B.pay", "run", "A.run")]
 
 
 def test_a_call_with_no_name_binds_to_no_function():
@@ -369,7 +363,7 @@ def test_a_call_with_no_name_binds_to_no_function():
     ctx, _, _ = make_context(src, "f")
     assert [fn.kind for _fid, fn in ctx.records] == ["function", "constructor"]
     graph = build_def_use(ctx)
-    assert check_order("s = x;", "t = a;", ctx, graph).detail == "no statement matches 't = a;'"
+    assert check_order("s = x;", "t = a;", ctx).detail == "no statement matches 't = a;'"
     assert not check_dataflow("x", "t", graph).present
 
 
@@ -414,7 +408,7 @@ def test_fa_sender_guard_rejected_with_oracle():
     defuse = build_def_use(ctx)
     sender_conditions = [
         stmt.condition.raw
-        for stmt in ctx.focus.statements()
+        for stmt in ctx.focus.body
         if stmt.kind in ("if", "require", "assert") and stmt.condition
         and "msg.sender" in stmt.condition.raw
     ]
@@ -558,7 +552,7 @@ def test_evidence_soundness_on_first_deposit():
 
 
 # ----------------------------------------------------------------------
-# the rule-driven graph against the full one
+# the def-use graph, built only for a rule that reads it
 
 
 def _confirmations(monkeypatch, run) -> list:
@@ -594,7 +588,7 @@ GUARDED_HELPERS = """contract K {
 def _renamed(finding, context, reach, rules, rng) -> list:
     """Confirmations of ``rules`` on one context, each slot naming a random
     statement, used name or call name of any function in the context."""
-    stmts = [stmt for _fid, fn in context.records for stmt in fn.statements()]
+    stmts = [stmt for _fid, fn in context.records for stmt in fn.body]
     exprs = [expr for stmt in stmts for expr in stmt.expressions()]
     pool = sorted({stmt.raw for stmt in stmts}
                   | {name for expr in exprs for name in used_names(expr)}
@@ -608,12 +602,13 @@ def _renamed(finding, context, reach, rules, rng) -> list:
     return out
 
 
-def test_a_rule_driven_graph_confirms_as_the_full_graph(monkeypatch, tmp_path):
-    """Confirming with the graph each rule's checks need gives the verdicts,
-    evidence and details of the full graph: on every confirmation of the
-    fixtures, the demo, the acceptance corpus and the seed-7 ``dense-graph``
-    corpus, and on those contexts with other names in the slots of the rules
-    without DF or FA (inlined callees, conditions in callers and callees)."""
+def test_a_rule_with_no_df_or_fa_check_never_builds_the_def_use_graph(monkeypatch, tmp_path):
+    """``build_def_use`` runs once for each confirmation by a rule with a DF
+    or FA check, on its context, and never for another rule: on every
+    confirmation of the fixtures, the demo, the acceptance corpus and the
+    seed-7 ``dense-graph`` corpus, and on those contexts with other names
+    in the slots of the rules without DF or FA (inlined callees,
+    conditions in callers and callees)."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import generate
 
@@ -657,28 +652,21 @@ def test_a_rule_driven_graph_confirms_as_the_full_graph(monkeypatch, tmp_path):
                for args in _renamed(finding, context, reach, lean_rules, rng)]
     seen += dense + renamed
 
-    lean_graphs = []
+    built = []
     full = confirm_module.build_def_use
 
-    def recording(context, names=True):
-        graph = full(context, names)
-        lean_graphs.append((context, names, graph))
-        return graph
+    def recording(context):
+        built.append(context)
+        return full(context)
 
     with monkeypatch.context() as patch:
         patch.setattr(confirm_module, "build_def_use", recording)
-        lean = [_outcome(*args) for args in seen]
-    with monkeypatch.context() as patch:
-        patch.setattr(confirm_module, "build_def_use", lambda context, names=True: full(context))
-        assert [_outcome(*args) for args in seen] == lean
-    assert {verdict for verdict, _checks in lean[-len(renamed):]} == {"confirmed", "rejected"}
-
-    assert len(lean_graphs) == len(seen)
-    for (_f, rule, _c, _r), (context, names, graph) in zip(seen, lean_graphs):
-        assert names == bool({"DF", "FA"} & set(rule.check_kinds)), rule.id
-        if not names:  # no name graph, and call sites of the focus only
-            assert not graph.occurrences and not graph.edges_out and not graph.edges_in
-            assert {fid for fid, *_rest in graph.calls} <= {context.focus_id}
+        outcomes = [_outcome(*args) for args in seen]
+    assert {verdict for verdict, _checks in outcomes[-len(renamed):]} == {"confirmed", "rejected"}
+    reads_names = [context for _f, rule, context, _r in seen
+                   if {"DF", "FA"} & set(rule.check_kinds)]
+    assert 0 < len(reads_names) < len(seen)
+    assert list(map(id, built)) == list(map(id, reads_names))
 
 
 @pytest.mark.parametrize("descriptor, name", [

@@ -19,7 +19,7 @@ from solscout.frontend import (
     strip_comments,
 )
 from solscout.frontend import parser as parser_module
-from solscout.frontend.lexer import identifiers, may_name, outline, tokenize
+from solscout.frontend.lexer import may_name, outline, tokenize
 from solscout.frontend.parser import BINARY_LEVELS, Parser, _Backtrack
 
 from conftest import fixture_path
@@ -47,19 +47,19 @@ def test_minimal_unit():
     assert fn.contract_def is contract
     assert fn.name == "f"
     assert fn.visibility == "public"
-    assert fn.body == []
+    assert fn.body == ()
 
 
 def test_first_deposit_deposit_function():
     unit = parse_text(read_fixture("first_deposit", "contracts", "Vault.sol"), "Vault.sol")
     deposit = next(f for f in unit.functions if f.name == "deposit")
-    conditions = [s.condition.raw for s in deposit.statements()
+    conditions = [s.condition.raw for s in deposit.body
                   if s.kind == "if" and s.condition is not None]
     assert any("totalSupply()" in c for c in conditions)
     # the fixture places the zero-supply branch on lines 8-9
-    iff = next(s for s in deposit.statements() if s.kind == "if")
+    iff = next(s for s in deposit.body if s.kind == "if")
     assert iff.span[0] == 8
-    assign = next(s for s in deposit.statements()
+    assign = next(s for s in deposit.body
                   if s.kind == "assignment" and s.raw == "_shares = _amount;")
     assert assign.span == (9, 9)
 
@@ -174,7 +174,7 @@ def test_kitchen_sink_contract_parses_meaningfully():
     assert ("Base", "poke") in names
     assert ("Sink", "work") in names
     work = next(f for f in unit.functions if f.name == "work")
-    kinds = [s.kind for s in work.statements()]
+    kinds = [s.kind for s in work.body]
     assert "opaque" not in kinds, kinds  # everything here is in the supported subset
     assert {"block", "for", "assignment", "local-decl", "if", "revert",
             "expression", "emit", "return"} <= set(kinds)
@@ -230,7 +230,7 @@ def test_statement_kinds():
         }
     """)
     fn = unit.functions[0]
-    kinds = {s.kind for s in fn.statements()}
+    kinds = {s.kind for s in fn.body}
     assert {"local-decl", "for", "while", "if", "revert", "emit",
             "require", "assert", "return", "assignment", "block"} <= kinds
 
@@ -245,7 +245,7 @@ def test_tuple_declaration_and_assignment():
         }
     """)
     fn = unit.functions[0]
-    stmts = list(fn.statements())
+    stmts = list(fn.body)
     assert stmts[0].kind == "local-decl"
     assert stmts[0].decl_names == ("a", "b")
     assert stmts[1].kind == "assignment"
@@ -253,7 +253,7 @@ def test_tuple_declaration_and_assignment():
 
 def test_require_condition_raw():
     unit = parse_text("contract C { function f(uint x) public { require(x >= 10, \"low\"); } }")
-    stmt = next(iter(unit.functions[0].statements()))
+    stmt = next(iter(unit.functions[0].body))
     assert stmt.kind == "require"
     assert stmt.condition.raw == "x >= 10"
 
@@ -267,9 +267,9 @@ def test_assembly_becomes_opaque_with_raw():
         }
     }"""
     fn = parse_text(src).functions[0]
-    kinds = [s.kind for s in fn.statements()]
+    kinds = [s.kind for s in fn.body]
     assert kinds == ["local-decl", "opaque", "assignment"]
-    opaque = [s for s in fn.statements() if s.kind == "opaque"][0]
+    opaque = [s for s in fn.body if s.kind == "opaque"][0]
     assert opaque.raw.startswith("assembly")
     assert "let y := add(x, 1)" in opaque.raw
 
@@ -282,15 +282,15 @@ def test_try_catch_becomes_opaque():
         }
     }"""
     fn = parse_text(src).functions[0]
-    kinds = [s.kind for s in fn.statements()]
+    kinds = [s.kind for s in fn.body]
     assert kinds == ["opaque", "assignment"]
 
 
 def test_unknown_statement_degrades_to_opaque():
     src = "contract C { function f() public { weird ??! stuff ;; x = 1; } }"
     fn = parse_text(src).functions[0]
-    assert [s.kind for s in fn.statements()][-1] == "assignment"
-    assert any(s.kind == "opaque" for s in fn.statements())
+    assert [s.kind for s in fn.body][-1] == "assignment"
+    assert any(s.kind == "opaque" for s in fn.body)
 
 
 def test_unterminated_string_errors():
@@ -354,7 +354,7 @@ def test_comment_stripping_preserves_offsets():
 def test_comment_markers_inside_strings_kept():
     src = 'contract C { function f() public { s = "// not a comment"; } }'
     fn = parse_text(src).functions[0]
-    stmt = list(fn.statements())[0]
+    stmt = list(fn.body)[0]
     assert "// not a comment" in stmt.raw
 
 
@@ -366,7 +366,7 @@ def test_span_roundtrip_fidelity():
         unit = parse_text(text)
         for fn in unit.functions:
             assert text[fn.start:fn.end] == fn.source()
-            for stmt in fn.statements():
+            for stmt in fn.body:
                 assert text[stmt.start:stmt.end] == stmt.raw
                 assert stmt.span == (line_of(stmt.start), line_of(max(stmt.start, stmt.end - 1)))
                 assert text not in repr(stmt)
@@ -377,28 +377,24 @@ def test_span_roundtrip_fidelity():
                             assert text not in repr(node)
 
 
-def _depth_ordered(fn):
-    out = []
-
-    def visit(stmts, depth):
-        for s in stmts:
-            out.append((s, depth))
-            visit(s.children, depth + 1)
-
-    visit(fn.body or [], 0)
-    return out
+def _depths(fn) -> list:
+    """Each statement of ``fn``'s table with its nesting depth, in table order."""
+    body, depth = fn.body or (), {}
+    for stmt in body:
+        for child in stmt.children:
+            depth[id(child)] = depth.get(id(stmt), 0) + 1
+    return [(stmt, depth.get(id(stmt), 0)) for stmt in body]
 
 
-def test_seq_matches_preorder_span_order():
-    """seq increases exactly with (span start, nesting depth)."""
+def test_table_order_matches_span_order():
+    """A statement's table index increases exactly with (span start, nesting depth)."""
     text = read_fixture("first_deposit", "contracts", "Vault.sol")
     unit = parse_text(text)
     for fn in unit.functions:
-        stmts = _depth_ordered(fn)
-        for (a, da) in stmts:
-            for (b, db) in stmts:
-                if a.seq < b.seq:
-                    assert (a.start, da) < (b.start, db)
+        stmts = _depths(fn)
+        for i, (a, da) in enumerate(stmts):
+            for (b, db) in stmts[i + 1:]:
+                assert (a.start, da) < (b.start, db)
 
 
 DEEP_EXPRESSIONS = {
@@ -632,29 +628,18 @@ def _sources_for_lexing() -> list:
                     'a.5 1.e5 x2 b9 $c _d 0x1fz 12 e; 1e+5x f 9$a g 1_0 h @i #j \\k 3.25 l\x00m']
 
 
-def test_identifiers_are_the_id_tokens_of_the_range():
-    rng = random.Random(15)
-    for text in _sources_for_lexing():
-        rows = token_rows(tokenize(text))[:-1]
-        for _ in range(40):
-            first, last = sorted(rng.randrange(len(rows)) for _ in range(2))
-            start, end = rows[first][2], rows[last][3]
-            ids = [value for kind, value, _, _ in token_rows(tokenize(text, "", start, end))
-                   if kind == "id"]
-            names = identifiers(text, start, end)
-            assert names == tuple(dict.fromkeys(ids)), text[start:end]
-            assert all(sys.intern(name) is name for name in names)
-
-
-def test_a_text_may_name_every_id_token_of_its_ranges():
+def test_a_text_and_each_range_of_it_may_name_every_id_token_of_the_range():
     rng = random.Random(29)
     for text in _sources_for_lexing() + [text.replace("\n", "\r\n") for text in
                                          _sources_for_lexing()]:
         rows = token_rows(tokenize(text))[:-1]
         for _ in range(20):
             first, last = sorted(rng.randrange(len(rows)) for _ in range(2))
-            for name in identifiers(text, rows[first][2], rows[last][3]):
-                assert may_name(text, {name.encode()}), name
+            start, end = rows[first][2], rows[last][3]
+            for kind, name, _, _ in token_rows(tokenize(text, "", start, end)):
+                if kind == "id":
+                    assert may_name(text, {name.encode()}), name
+                    assert may_name(text[start:end], {name.encode()}), (name, text[start:end])
 
 
 @pytest.mark.parametrize("text, name, named", [
@@ -978,7 +963,7 @@ def test_every_child_sequence_is_a_tuple():
     sequences = []
     for case in build_corpus(3):
         for fn in parse_text(case.source).functions:
-            for stmt in fn.statements():
+            for stmt in fn.body:
                 sequences += (stmt.children, stmt.exprs, stmt.decl_names)
                 for expr in stmt.expressions():
                     sequences += (node.args for node in walk_expression(expr))
@@ -989,7 +974,7 @@ def test_every_child_sequence_is_a_tuple():
 def test_no_statement_yields_an_expression_twice():
     for case in build_corpus(3):
         for fn in parse_text(case.source).functions:
-            for stmt in fn.statements():
+            for stmt in fn.body:
                 exprs = list(stmt.expressions())
                 assert len({id(e) for e in exprs}) == len(exprs), stmt.raw
 
@@ -997,14 +982,14 @@ def test_no_statement_yields_an_expression_twice():
 # ----------------------------------------------------------------------
 # bodies parsed on first read
 
-def _skipped_names(fn):
-    """The names of a body the file's parse skipped; None for any other.
+def _skipped_range(fn):
+    """The text of a body the file's parse skipped; None for any other.
 
-    These are the names the call graph tests for such a body when its
+    This is the range the call graph tests for such a body when its
     file's runs may name a function the scan reaches (``lexer.may_name``).
     """
     if fn.has_body and fn.parsed_body is None:
-        return identifiers(fn.file.stripped, fn.body_start, fn.end)
+        return fn.file.stripped[fn.body_start:fn.end]
     return None
 
 
@@ -1022,13 +1007,13 @@ def test_only_entry_point_bodies_are_parsed_with_the_file():
     parsed = {fn.display_name: fn.parsed_body is not None for fn in unit.functions}
     assert parsed == {"constructor": False, "pub": True, "ext": True, "inner": False,
                       "hidden": False, "decl": False, "free": False}
-    names = {fn.display_name: _skipped_names(fn) for fn in unit.functions}
-    assert names == {"constructor": ("a",), "pub": None, "ext": None, "inner": ("d", "e"),
-                     "hidden": (), "decl": None, "free": ("f",)}
+    ranges = {fn.display_name: _skipped_range(fn) for fn in unit.functions}
+    assert ranges == {"constructor": "{ a(); }", "pub": None, "ext": None,
+                      "inner": "{ d(e); }", "hidden": "{}", "decl": None, "free": "{ f(); }"}
     assert [fn.has_body for fn in unit.functions] == [True] * 5 + [False, True]
     inner = unit.functions[3]
     [call] = inner.body
-    assert (call.kind, call.raw, call.seq, call.span) == ("expression", "d(e);", 0, (5, 5))
+    assert (call.kind, call.raw, call.span) == ("expression", "d(e);", (5, 5))
 
 
 def _expression_tree(expr):
@@ -1039,9 +1024,9 @@ def _expression_tree(expr):
 
 
 def _body_tree(fn) -> list:
-    return [(s.kind, s.start, s.end, s.span, s.seq, list(s.decl_names), len(s.children),
+    return [(s.kind, s.start, s.end, s.span, list(s.decl_names), len(s.children),
              [_expression_tree(e) for e in (s.condition, *s.exprs, s.post_expr)])
-            for s in fn.statements()]
+            for s in fn.body]
 
 
 def test_a_deferred_body_once_read_equals_the_eager_parse(sample_projects, monkeypatch):
@@ -1054,8 +1039,8 @@ def test_a_deferred_body_once_read_equals_the_eager_parse(sample_projects, monke
                 patch.setattr(FunctionRecord, "is_entry_point", EVERY_BODY)
                 eager = parse_text(text, path).functions
             lazy = parse_text(text, path).functions
-            assert all(_skipped_names(fn) is None for fn in eager)
-            deferred += sum(_skipped_names(fn) is not None for fn in lazy)
+            assert all(_skipped_range(fn) is None for fn in eager)
+            deferred += sum(_skipped_range(fn) is not None for fn in lazy)
             assert ([(fn.name, fn.start, fn.end, fn.span, fn.body_start) for fn in lazy]
                     == [(fn.name, fn.start, fn.end, fn.span, fn.body_start) for fn in eager])
             assert [_body_tree(fn) for fn in lazy] == [_body_tree(fn) for fn in eager], path
@@ -1068,7 +1053,7 @@ def test_a_deferred_body_that_does_not_parse_is_one_opaque_statement():
                       "  function g() internal {\n    %s\n  }\n}\n" % inside)
     f, g = unit.functions
     [stmt] = g.body
-    assert (stmt.kind, stmt.raw, stmt.seq, stmt.span) == ("opaque", inside, 0, (4, 5))
+    assert (stmt.kind, stmt.raw, stmt.span) == ("opaque", inside, (4, 5))
     assert [s.raw for s in f.body] == ["g();"]
 
 
@@ -1095,7 +1080,7 @@ def test_threads_reading_deferred_bodies_at_once_parse_each_once(monkeypatch):
     def read(i):
         barrier.wait(timeout=10)
         bodies[i] = [fn.body for fn in unit.functions]
-        spans[i] = [stmt.span for fn in unit.functions for stmt in fn.statements()]
+        spans[i] = [stmt.span for fn in unit.functions for stmt in fn.body]
 
     threads = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(count)]
     interval = sys.getswitchinterval()
@@ -1114,7 +1099,7 @@ def test_threads_reading_deferred_bodies_at_once_parse_each_once(monkeypatch):
     assert parses == {fn.name: 1 for fn in unit.functions}
     line_of = LineIndex(unit.functions[0].file.text).line_of
     expected = [(line_of(stmt.start), line_of(max(stmt.start, stmt.end - 1)))
-                for fn in unit.functions for stmt in fn.statements()]
+                for fn in unit.functions for stmt in fn.body]
     assert len(expected) > 100 and spans == [expected] * count
 
 
@@ -1133,7 +1118,7 @@ def test_iter_calls_lists_calls_in_the_order_of_a_pre_order_walk():
     seen = 0
     for text, path in sources + [(NESTED_CALLS, "N.sol")]:
         for fn in parse_text(text, path).functions:
-            for stmt in fn.statements():
+            for stmt in fn.body:
                 for top in stmt.expressions():
                     for expr in walk_expression(top):
                         calls = iter_calls(expr)
@@ -1239,7 +1224,7 @@ def test_function_spans_and_syntax_errors_match_the_line_index_oracle(scanned_so
         if isinstance(unit, tuple):
             return unit
         return [(fn.contract, fn.name, fn.span, fn.start, fn.end, fn.body_start,
-                 _skipped_names(fn)) for fn in unit.functions]
+                 _skipped_range(fn)) for fn in unit.functions]
 
     texts = _texts_against_oracles(scanned_sources)
     new = [fields(text) for text in texts]

@@ -149,10 +149,10 @@ def _real_shapes() -> list:
     return _sample_files([fixture_path("real_shapes")])
 
 
-def _statement_rows(body: list) -> list:
-    return [(s.kind, s.start, s.end, s.seq, s.decl_names, len(s.children),
+def _statement_rows(body: tuple) -> list:
+    return [(s.kind, s.start, s.end, s.decl_names, len(s.children),
              [_expression_tree(e) for e in (s.condition, *s.exprs, s.post_expr)])
-            for top in body for s in top.walk()]
+            for s in body]
 
 
 def _unit_rows(unit, src) -> tuple:
@@ -255,7 +255,7 @@ def _stored_strings(unit) -> list:
     for fn in unit.functions:
         strings += [fn.name, fn.kind, fn.visibility, fn.contract, *fn.modifiers]
         strings += [text for param in fn.params for text in param]
-        for stmt in fn.statements():
+        for stmt in fn.body or ():
             strings += stmt.decl_names
             strings += [node.name for expr in stmt.expressions() for node in walk_expression(expr)]
     return strings

@@ -308,7 +308,7 @@ def test_a_too_deep_deferred_body_is_one_opaque_statement(tmp_path):
     assert prepared.parse_failures == []
     assert [prepared.graph.id_of(fn) for fn in prepared.scannable] == ["Deep.f", "Deep.g"]
     [stmt] = prepared.functions[1].body
-    assert (stmt.kind, stmt.raw, stmt.span, stmt.seq) == ("opaque", deep, (4, 4), 0)
+    assert (stmt.kind, stmt.raw, stmt.span) == ("opaque", deep, (4, 4))
 
 
 def test_rejection_monotonicity_stage_counts(tmp_path):
@@ -795,6 +795,33 @@ def test_scan_restores_gc_state_when_prepare_raises(tmp_path, gc_state, enabled)
                            rules_dir=str(rules_dir))
     with pytest.raises(RuleParseError):  # raised by prepare_scan, after the parse
         scan(config)
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_replay_transcript_loads_with_gc_off_and_a_broken_one_leaves_gc_state(
+        tmp_path, gc_state, monkeypatch, enabled):
+    if not enabled:
+        gc.disable()
+    before = (gc.isenabled(), gc.get_freeze_count())
+    load = Transcript.load.__func__
+    collecting = []  # whether cyclic GC was on at each load
+
+    def recording(cls, path):
+        collecting.append(gc.isenabled())
+        return load(cls, path)
+
+    monkeypatch.setattr(Transcript, "load", classmethod(recording))
+    run_replay("first_deposit", first_deposit_answers(), tmp_path)
+    assert collecting == [False]
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("{\n", encoding="utf-8")
+    config = replay_config(fixture_path("first_deposit"), str(transcript_path))
+    with pytest.raises(TranscriptError):
+        scan(config)
+    assert collecting == [False, False]
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
